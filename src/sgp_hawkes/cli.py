@@ -4,26 +4,21 @@ Every command reads one JSON config (--config), writes its artifacts plus a
 ``config_echo.json`` into --out, and is fully reproducible from config + seed.
 Exit codes: 0 success, 1 usage or I/O problem, 2 numerical failure or
 non-convergence (partial artifacts are still written and flagged).
-
-The HAWKES_SGP_THREADS environment variable caps the worker pool used for
-per-replicate work (simulation, holdout scoring); timings in ``bench`` always
-run serially.
+Per-replicate work (simulation, holdout scoring) runs serially.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from statistics import median
 
 import numpy as np
 
 from .em import fit_em
-from .evaluation import est_err, ks_statistic, qq_pairs, rescale, test_ll
+from .evaluation import RescaledSample, est_err, ks_statistic, qq_pairs, rescale, test_ll
 from .fitbase import FitConfig
 from .kernels import SingularMatrixError
 from .mle import fit_mle
@@ -62,7 +57,6 @@ _FIT_KEYS = {
     "hyper_refresh_every",
     "theta0_init",
     "theta1_init",
-    "seed",
     "gh_order",
     "eval_grid",
     "fix_variance",
@@ -71,29 +65,6 @@ _FIT_KEYS = {
 
 class CliError(Exception):
     """Usage or I/O problem; maps to exit code 1."""
-
-
-def _pool_size(n_tasks: int) -> int:
-    raw = os.environ.get("HAWKES_SGP_THREADS")
-    if raw is not None:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise CliError(f"HAWKES_SGP_THREADS must be an integer, got {raw!r}") from None
-        if cap < 1:
-            raise CliError("HAWKES_SGP_THREADS must be >= 1")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
-
-
-def _parallel_map(fn, items):
-    items = list(items)
-    workers = _pool_size(len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _check_keys(config: dict, allowed: set, context: str) -> None:
@@ -201,7 +172,7 @@ def cmd_simulate(args) -> int:
 
     tasks = [("train", i, seed + i) for i in range(n_train)]
     tasks += [("test", j, seed + n_train + j) for j in range(n_test)]
-    counts = _parallel_map(one, tasks)
+    counts = [one(task) for task in tasks]
     write_manifest(
         out / "manifest.json",
         t_window,
@@ -232,7 +203,8 @@ def _write_estimates(path: Path, grid, values, std=None) -> None:
 
 def cmd_fit(args) -> int:
     config = _load_config(args)
-    _check_keys(config, _FIT_KEYS | {"method", "data", "split", "max_sequences"}, "fit")
+    # "seed" is accepted for the config echo; the fits are deterministic.
+    _check_keys(config, _FIT_KEYS | {"method", "data", "split", "max_sequences", "seed"}, "fit")
     method = config.get("method")
     if method not in ("em", "vi", "mle"):
         raise CliError(f"fit method must be one of em, vi, mle; got {method!r}")
@@ -291,10 +263,10 @@ def cmd_eval(args) -> int:
     quad_order = _get_int(config, "quad_order", 200, 2)
     quad = gauss_legendre(quad_order, 0.0, t_window)
 
-    lls = _parallel_map(lambda s: test_ll(rates, s, quad), seqs)
-    samples = _parallel_map(lambda s: rescale(rates, s, quad), seqs)
+    lls = [test_ll(rates, s, quad) for s in seqs]
+    samples = [rescale(rates, s, quad) for s in seqs]
     z_all = np.concatenate([s.z for s in samples])
-    pooled = samples[0].__class__(
+    pooled = RescaledSample(
         z=z_all,
         tau=np.concatenate([s.tau for s in samples]),
         lam=np.empty(0),
@@ -374,6 +346,7 @@ def cmd_bench(args) -> int:
     _echo_config(out, "bench", config)
 
     fitter = fit_em if method == "em" else fit_vi
+    quad_keys = {k: config[k] for k in ("quad_order_T", "quad_order_Tphi", "gh_order") if k in config}
     rows = []
     for idx, n_events in enumerate(sizes):
         times = []
@@ -387,6 +360,7 @@ def cmd_bench(args) -> int:
                 hyper_refresh_every=0,
                 S_mu=_get_int(config, "S_mu", 10, 2),
                 S_phi=_get_int(config, "S_phi", 10, 2),
+                **quad_keys,
             )
             start = time.perf_counter()
             fitter(seq, fit_config)

@@ -14,29 +14,29 @@ windows (baseline) or the total event count (trigger).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .fitbase import (
+    COMPONENTS,
     BranchingPosterior,
     ComponentCache,
-    ComponentStats,
     Dataset,
     FitConfig,
     FitReport,
-    assemble_system,
-    auto_theta,
-    build_dataset,
-    component_quads,
+    LatentRate,
+    assemble_system,  # noqa: F401  re-export; perfbench's tracing test rebinds it here
+    build_caches,  # noqa: F401  re-export
+    component_rate,
+    component_stats,
+    gaussian_update,
     normalize_branching,
-    relative_change,
-    search_theta,
-    solve_gaussian_update,
+    rate_bound_counts,
+    run_sweeps,
 )
-from .kernels import InducingGrid, KernelHyperparams, gram, se_cross, uniform_inducing_grid
+from .kernels import InducingGrid, KernelHyperparams, gram
 from .pg import pg_mean, sigmoid
 from .process import EventSequence, RateFunctions, log_likelihood
 from .quadrature import gauss_legendre
@@ -68,108 +68,58 @@ class PgMeans:
     pairs: np.ndarray
 
 
-@dataclass(frozen=True)
-class LatentRate:
-    """Marginalized thinned-point rate of one component on its quadrature grid."""
-
-    marginal: np.ndarray  # lambda* sigma(-f_old) at the nodes
-    first_moment: np.ndarray  # marginal * pg_mean(1, f_old)
-    mass: float  # integral of the marginal over one window
-
-
-def component_function(comp: SgpComponent):
-    """Shape-preserving x -> lambda* sigma(f(x)) for a fitted component."""
-    gm = gram(comp.grid, comp.hp)
-    alpha = gm.solve(comp.u)
-
-    def rate(x):
-        x = np.asarray(x, dtype=float)
-        out = comp.lambda_star * sigmoid(se_cross(x.ravel(), comp.grid.points, comp.hp) @ alpha)
-        return out.reshape(x.shape)
-
-    return rate
+def component_function(comp: SgpComponent, t_phi: float | None = None):
+    """Shape-preserving x -> lambda* sigma(f(x)), zero outside (0, t_phi] if given."""
+    return component_rate(comp.grid, comp.hp, comp.u, None, lambda f: comp.lambda_star * sigmoid(f), t_phi)
 
 
 def model_rates(model: EmModel) -> RateFunctions:
     """Point-estimate rate functions of a fitted EM model."""
-    mu_fn = component_function(model.mu)
-    phi_inner = component_function(model.phi)
-
-    def phi(tau):
-        tau = np.asarray(tau, dtype=float)
-        return np.where((tau > 0.0) & (tau <= model.T_phi), phi_inner(tau), 0.0)
-
-    return RateFunctions(mu=mu_fn, phi=phi, T_phi=model.T_phi)
-
-
-def build_caches(data: Dataset, config: FitConfig) -> dict[str, ComponentCache]:
-    quad_t, quad_phi = component_quads(config)
-    grid_mu = uniform_inducing_grid(config.S_mu, config.T)
-    grid_phi = uniform_inducing_grid(config.S_phi, config.T_phi)
-    return {
-        "mu": ComponentCache.build(data.events, grid_mu, auto_theta(config, grid_mu), quad_t),
-        "phi": ComponentCache.build(data.lag, grid_phi, auto_theta(config, grid_phi), quad_phi),
-    }
+    phi = component_function(model.phi, model.T_phi)
+    return RateFunctions(mu=component_function(model.mu), phi=phi, T_phi=model.T_phi)
 
 
 def init_model(data: Dataset, caches: dict[str, ComponentCache]) -> EmModel:
     """Flat start: u = 0 and lambda* sized so mu ~ N/T and int phi ~ 0.5."""
     lam_mu = 2.0 * data.n_events / (data.n_sequences * data.T)
-    lam_mu = max(lam_mu, 1e-8)  # keep the intensity positive for empty data
-    lam_phi = 1.0 / data.T_phi
-    mu = SgpComponent(lam_mu, caches["mu"].grid, np.zeros(caches["mu"].grid.count), caches["mu"].hp)
-    phi = SgpComponent(lam_phi, caches["phi"].grid, np.zeros(caches["phi"].grid.count), caches["phi"].hp)
-    return EmModel(mu=mu, phi=phi, T=data.T, T_phi=data.T_phi)
+    lam = {"mu": max(lam_mu, 1e-8), "phi": 1.0 / data.T_phi}  # mu stays positive for empty data
+    comps = {n: SgpComponent(lam[n], c.grid, np.zeros(c.grid.count), c.hp) for n, c in caches.items()}
+    return EmModel(**comps, T=data.T, T_phi=data.T_phi)
 
 
-def estep_pg(model: EmModel, data: Dataset, caches: dict[str, ComponentCache]) -> PgMeans:
+def _project(model: EmModel, caches: dict[str, ComponentCache]) -> dict[str, tuple]:
+    """f at (data points, quadrature nodes) of each component."""
+    return {n: caches[n].project_mean(getattr(model, n).u) for n in COMPONENTS}
+
+
+def _numerators(model: EmModel, proj: dict[str, tuple]) -> tuple[np.ndarray, ...]:
+    """lambda* sigma(f) of each component at its data points."""
+    return tuple(getattr(model, n).lambda_star * sigmoid(proj[n][0]) for n in COMPONENTS)
+
+
+def estep_pg(model: EmModel, data: Dataset, caches: dict[str, ComponentCache], proj=None) -> PgMeans:
     """Conditional PG means at the current point estimates."""
-    f_ev, _ = caches["mu"].project_mean(model.mu.u)
-    g_pair, _ = caches["phi"].project_mean(model.phi.u)
-    return PgMeans(events=pg_mean(1.0, f_ev), pairs=pg_mean(1.0, g_pair))
+    proj = proj or _project(model, caches)
+    return PgMeans(events=pg_mean(1.0, proj["mu"][0]), pairs=pg_mean(1.0, proj["phi"][0]))
 
 
-def estep_latent_rate(comp: SgpComponent, cache: ComponentCache) -> LatentRate:
+def estep_latent_rate(comp: SgpComponent, cache: ComponentCache, f_q=None) -> LatentRate:
     """Omega-marginalized rate of the latent thinned process for one component."""
-    _, f_q = cache.project_mean(comp.u)
+    f_q = cache.project_mean(comp.u)[1] if f_q is None else f_q
     marginal = comp.lambda_star * sigmoid(-f_q)
-    first = marginal * pg_mean(1.0, f_q)
-    return LatentRate(marginal=marginal, first_moment=first, mass=float(cache.quad.weights @ marginal))
+    return LatentRate(marginal, marginal * pg_mean(1.0, f_q), float(cache.quad.weights @ marginal))
 
 
-def estep_branching(model: EmModel, data: Dataset, caches: dict[str, ComponentCache]) -> BranchingPosterior:
+def estep_branching(
+    model: EmModel, data: Dataset, caches: dict[str, ComponentCache], proj=None
+) -> BranchingPosterior:
     """Responsibilities p(own background) / p(parent j) at current estimates."""
-    f_ev, _ = caches["mu"].project_mean(model.mu.u)
-    g_pair, _ = caches["phi"].project_mean(model.phi.u)
-    bg = model.mu.lambda_star * sigmoid(f_ev)
-    pair = model.phi.lambda_star * sigmoid(g_pair)
+    bg, pair = _numerators(model, proj or _project(model, caches))
     return normalize_branching(bg, pair, data.child, data.n_events)
 
 
-def _stats_mu(data, caches, pg, lat_mu, branching) -> ComponentStats:
-    r = data.n_sequences
-    return ComponentStats(
-        points=data.events,
-        a_point=pg.events * branching.background,
-        b_point=0.5 * branching.background,
-        quad=caches["mu"].quad,
-        a_quad=r * lat_mu.first_moment,
-        b_quad=-0.5 * r * lat_mu.marginal,
-        domain=data.T,
-    )
-
-
-def _stats_phi(data, caches, pg, lat_phi, branching) -> ComponentStats:
-    n = data.n_events
-    return ComponentStats(
-        points=data.lag,
-        a_point=pg.pairs * branching.parent,
-        b_point=0.5 * branching.parent,
-        quad=caches["phi"].quad,
-        a_quad=n * lat_phi.first_moment,
-        b_quad=-0.5 * n * lat_phi.marginal,
-        domain=data.T_phi,
-    )
+def _stats(data, caches, pg: PgMeans, lat: dict[str, LatentRate], branching) -> dict:
+    return component_stats(data, caches, branching, {"mu": pg.events, "phi": pg.pairs}, lat)
 
 
 def mstep(
@@ -182,42 +132,13 @@ def mstep(
     branching: BranchingPosterior,
 ) -> EmModel:
     """Joint maximizer of the expected augmented objective over (lambda*, u)."""
-    r = data.n_sequences
-    lam_mu = (float(np.sum(branching.background)) + r * lat_mu.mass) / (r * data.T)
-    stats_mu = _stats_mu(data, caches, pg, lat_mu, branching)
-    u_mat, c_vec = assemble_system(stats_mu, caches["mu"].k_points, caches["mu"].k_quad)
-    u_mu, _ = solve_gaussian_update(caches["mu"].gm, u_mat, c_vec)
-    new_mu = replace(model.mu, lambda_star=max(lam_mu, 1e-300), u=u_mu)
-
-    if data.n_events == 0:
-        # No events: the trigger component has no data at all; leave it at its
-        # initialization and only relax the baseline.
-        return replace(model, mu=new_mu)
-
-    lam_phi = (float(np.sum(branching.parent)) + data.n_events * lat_phi.mass) / (
-        data.n_events * data.T_phi
-    )
-    stats_phi = _stats_phi(data, caches, pg, lat_phi, branching)
-    u_mat, c_vec = assemble_system(stats_phi, caches["phi"].k_points, caches["phi"].k_quad)
-    u_phi, _ = solve_gaussian_update(caches["phi"].gm, u_mat, c_vec)
-    new_phi = replace(model.phi, lambda_star=max(lam_phi, 1e-300), u=u_phi)
-    return replace(model, mu=new_mu, phi=new_phi)
-
-
-def refresh_hyperparams(
-    stats: ComponentStats,
-    grid: InducingGrid,
-    hp: KernelHyperparams,
-    kind: str = "em",
-    u_fixed: np.ndarray | None = None,
-) -> tuple[KernelHyperparams, bool]:
-    """Theta search for one component (see fitbase._profile_objective).
-
-    For kind="em" the current inducing values must be supplied; they are held
-    fixed while theta moves, as in a conditional-maximization step.
-    """
-    fallback = KernelHyperparams(hp.theta0, 1.0 / grid.spacing**2)
-    return search_theta(stats, grid, hp, kind, extra_starts=(fallback,), u_fixed=u_fixed)
+    lat = {"mu": lat_mu, "phi": lat_phi}
+    updated = {}
+    for name, stats in _stats(data, caches, pg, lat, branching).items():
+        count, exposure = rate_bound_counts(data, name, branching, lat[name].mass)
+        u, _ = gaussian_update(stats, caches[name])
+        updated[name] = replace(getattr(model, name), lambda_star=max(count / exposure, 1e-300), u=u)
+    return replace(model, **updated)
 
 
 def penalty(comp: SgpComponent, gm=None) -> float:
@@ -241,98 +162,48 @@ def em_objective(model: EmModel, seqs: EventSequence | Sequence[EventSequence], 
     return total - penalty(model.mu) - penalty(model.phi)
 
 
-def _objective_cached(model: EmModel, data: Dataset, caches: dict[str, ComponentCache]) -> float:
-    """Fast in-loop evaluation of em_objective through the fit caches."""
-    f_ev, f_q = caches["mu"].project_mean(model.mu.u)
-    g_pair, g_q = caches["phi"].project_mean(model.phi.u)
-    lam = model.mu.lambda_star * sigmoid(f_ev)
-    if data.n_pairs:
-        lam = lam + np.bincount(
-            data.child, weights=model.phi.lambda_star * sigmoid(g_pair), minlength=data.n_events
-        )
-    mu_comp = model.mu.lambda_star * float(caches["mu"].quad.weights @ sigmoid(f_q))
-    phi_comp = model.phi.lambda_star * float(caches["phi"].quad.weights @ sigmoid(g_q))
-    loglik = float(np.sum(np.log(lam))) - data.n_sequences * mu_comp - data.n_events * phi_comp
-    return (
-        loglik
-        - penalty(model.mu, caches["mu"].gm)
-        - penalty(model.phi, caches["phi"].gm)
-    )
+class _EmEngine:
+    """The EM pieces of the shared sweep driver (see fitbase.run_sweeps)."""
+
+    kind, label = "em", "EM objective"
+
+    def init(self, data, caches, config):
+        return init_model(data, caches)
+
+    def observe(self, model, data, caches, config):
+        """Projections of ``model`` and em_objective evaluated through them."""
+        proj = _project(model, caches)
+        bg, pair = _numerators(model, proj)
+        value = float(np.sum(np.log(bg + np.bincount(data.child, weights=pair, minlength=data.n_events))))
+        compensators, penalties = [], []
+        for n in COMPONENTS:
+            comp, integral = getattr(model, n), float(caches[n].quad.weights @ sigmoid(proj[n][1]))
+            compensators.append(data.component(n)[1] * (comp.lambda_star * integral))
+            penalties.append(penalty(comp, caches[n].gm))
+        for term in compensators + penalties:
+            value -= term
+        return proj, value
+
+    def sweep(self, model, proj, data, caches, config):
+        pg = estep_pg(model, data, caches, proj)
+        lat = {n: estep_latent_rate(getattr(model, n), caches[n], proj[n][1]) for n in COMPONENTS}
+        branching = estep_branching(model, data, caches, proj)
+        new = mstep(model, data, caches, pg, lat["mu"], lat["phi"], branching)
+        return new, lambda: _stats(data, caches, pg, lat, branching)
+
+    def u_fixed(self, model, name):
+        return getattr(model, name).u
+
+    def set_gaussian(self, model, name, mean, cov, cache, config):
+        return replace(model, **{name: replace(getattr(model, name), hp=cache.hp, u=mean)})
+
+    def estimates(self, model, grids, config):
+        rates = model_rates(model)
+        return {f"{n}_hat": np.asarray(getattr(rates, n)(grids[n]), dtype=float) for n in COMPONENTS}
 
 
 def fit_em(
     seqs: EventSequence | Sequence[EventSequence], config: FitConfig
 ) -> tuple[EmModel, FitReport]:
-    """Run EM to convergence of the penalized objective.
-
-    Convergence: relative objective change below config.tol, capped at
-    config.max_iter sweeps. Kernel hyperparameters are re-searched every
-    config.hyper_refresh_every sweeps (0 disables refresh).
-    """
-    t_start = time.perf_counter()
-    data = build_dataset(seqs, config.T_phi)
-    if abs(data.T - config.T) > 1e-9 * max(1.0, config.T):
-        raise ValueError(f"config T={config.T} does not match sequence window T={data.T}")
-    caches = build_caches(data, config)
-    model = init_model(data, caches)
-    trace: list[float] = []
-    hyper_history: list[dict] = []
-    warnings: list[str] = []
-    converged = False
-    previous = None
-    iteration = 0
-    for iteration in range(1, config.max_iter + 1):
-        pg = estep_pg(model, data, caches)
-        lat_mu = estep_latent_rate(model.mu, caches["mu"])
-        lat_phi = estep_latent_rate(model.phi, caches["phi"])
-        branching = estep_branching(model, data, caches)
-        model = mstep(model, data, caches, pg, lat_mu, lat_phi, branching)
-
-        if config.hyper_refresh_every and iteration % config.hyper_refresh_every == 0:
-            specs = [("mu", _stats_mu(data, caches, pg, lat_mu, branching))]
-            if data.n_events:
-                specs.append(("phi", _stats_phi(data, caches, pg, lat_phi, branching)))
-            record = {"iteration": iteration}
-            for name, stats in specs:
-                comp = getattr(model, name)
-                hp_new, accepted = refresh_hyperparams(stats, comp.grid, comp.hp, kind="em", u_fixed=comp.u)
-                if accepted and hp_new != comp.hp:
-                    caches[name] = caches[name].with_hp(hp_new)
-                    u_mat, c_vec = assemble_system(stats, caches[name].k_points, caches[name].k_quad)
-                    u_new, _ = solve_gaussian_update(caches[name].gm, u_mat, c_vec)
-                    model = replace(model, **{name: replace(comp, hp=hp_new, u=u_new)})
-                record[name] = {
-                    "theta0": getattr(model, name).hp.theta0,
-                    "theta1": getattr(model, name).hp.theta1,
-                    "accepted": accepted,
-                }
-                if not accepted:
-                    warnings.append(f"hyperparameter search for {name} kept theta at iteration {iteration}")
-            hyper_history.append(record)
-
-        objective = _objective_cached(model, data, caches)
-        if not np.isfinite(objective):
-            raise FloatingPointError(f"EM objective became non-finite at iteration {iteration}")
-        trace.append(objective)
-        if previous is not None and relative_change(objective, previous) < config.tol:
-            converged = True
-            break
-        previous = objective
-
-    grid_mu = np.linspace(0.0, data.T, config.eval_grid)
-    grid_phi = np.linspace(0.0, data.T_phi, config.eval_grid)
-    rates = model_rates(model)
-    report = FitReport(
-        method="em",
-        converged=converged,
-        n_iter=iteration,
-        runtime_seconds=time.perf_counter() - t_start,
-        objective_trace=trace,
-        hyper_history=hyper_history,
-        warnings=warnings,
-        grid_mu=grid_mu,
-        mu_hat=np.asarray(rates.mu(grid_mu), dtype=float),
-        grid_phi=grid_phi,
-        phi_hat=np.asarray(rates.phi(grid_phi), dtype=float),
-    )
-    return model, report
+    """Run EM to convergence of the penalized objective (see fitbase.run_sweeps)."""
+    return run_sweeps(_EmEngine(), seqs, config)

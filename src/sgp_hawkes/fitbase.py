@@ -1,16 +1,17 @@
-"""Shared plumbing for the EM and variational engines.
+"""Shared plumbing and the sweep loop of the EM and variational engines.
 
 Both engines consume the same sufficient-statistic shapes: Dirac weights at
 event locations (baseline component) or pairwise lags (trigger component),
 plus weighted rate densities on a fixed quadrature grid. The Gaussian-map
-update, the posterior covariance, and the kernel-hyperparameter profile
-search all run off one assembly routine, so the two engines cannot drift
-apart numerically.
+update, the posterior covariance, the kernel-hyperparameter profile search
+and the sweep driver ``run_sweeps`` are shared, so the two engines cannot
+drift apart numerically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import time
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -23,13 +24,16 @@ from .kernels import (
     InducingGrid,
     KernelHyperparams,
     SingularMatrixError,
+    gp_projector,
     gram,
     se_cross,
+    uniform_inducing_grid,
 )
-from .process import EventSequence, admissible_pairs
+from .process import EventSequence, admissible_pairs, trigger_support
 from .quadrature import DEFAULT_GH_ORDER, QuadratureGrid, gauss_legendre
 
 _SEARCH_BINS = 2048
+COMPONENTS = ("mu", "phi")
 
 
 @dataclass
@@ -47,10 +51,8 @@ class FitConfig:
     hyper_refresh_every: int = 20
     theta0_init: float = 1.0
     theta1_init: float | None = None  # None -> per-component 1/spacing^2
-    seed: int = 0
     gh_order: int = DEFAULT_GH_ORDER
     eval_grid: int = 200
-    band_quantile: float | None = None  # reserved for future interval reporting
     fix_variance: bool = False  # debug: pin the GP factor covariance near zero
 
     def __post_init__(self):
@@ -104,6 +106,17 @@ class Dataset:
     def n_pairs(self) -> int:
         return self.lag.size
 
+    @property
+    def active(self) -> tuple[str, ...]:
+        """Components that are updated; without events phi keeps its initial state."""
+        return COMPONENTS if self.n_events else ("mu",)
+
+    def component(self, name: str) -> tuple[np.ndarray, int, float]:
+        """(data locations, replication scale, domain) of component mu or phi."""
+        if name == "mu":
+            return self.events, self.n_sequences, self.T
+        return self.lag, self.n_events, self.T_phi
+
 
 def build_dataset(seqs: EventSequence | Sequence[EventSequence], t_phi: float) -> Dataset:
     if isinstance(seqs, EventSequence):
@@ -127,9 +140,9 @@ def build_dataset(seqs: EventSequence | Sequence[EventSequence], t_phi: float) -
         sequences=seqs,
         T=float(T),
         T_phi=float(t_phi),
-        events=np.concatenate(events) if events else np.empty(0),
-        child=np.concatenate(children) if children else np.empty(0, dtype=np.int64),
-        lag=np.concatenate(lags) if lags else np.empty(0),
+        events=np.concatenate(events),
+        child=np.concatenate(children),
+        lag=np.concatenate(lags),
     )
 
 
@@ -151,6 +164,10 @@ class BranchingPosterior:
         return self.background + np.bincount(
             self.child, weights=self.parent, minlength=self.n_events
         )
+
+    def weights(self, name: str) -> np.ndarray:
+        """Responsibilities at the data locations of component mu or phi."""
+        return self.background if name == "mu" else self.parent
 
 
 def normalize_branching(bg_numer, pair_numer, child, n_events) -> BranchingPosterior:
@@ -203,18 +220,46 @@ class ComponentCache:
 
     def project_mean(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(projection at data points, projection at quadrature nodes)."""
-        alpha = self.gm.solve(np.asarray(u, dtype=float))
-        return self.k_points @ alpha, self.k_quad @ alpha
+        at = gp_projector(self.gm, u)
+        return at(self.k_points), at(self.k_quad)
 
     def project_meanvar(self, mean_u: np.ndarray, cov_u: np.ndarray):
         """Projected marginal mean/variance at data points and quad nodes."""
-        alpha = self.gm.solve(np.asarray(mean_u, dtype=float))
-        w = self.gm.solve(self.gm.solve(np.asarray(cov_u, dtype=float)).T)
-        m_pts = self.k_points @ alpha
-        m_q = self.k_quad @ alpha
-        v_pts = np.maximum(np.einsum("ns,ns->n", self.k_points @ w, self.k_points), 0.0)
-        v_q = np.maximum(np.einsum("ns,ns->n", self.k_quad @ w, self.k_quad), 0.0)
-        return m_pts, v_pts, m_q, v_q
+        at = gp_projector(self.gm, mean_u, cov_u)
+        return (*at(self.k_points), *at(self.k_quad))
+
+
+def component_rate(grid: InducingGrid, hp: KernelHyperparams, mean, cov, link, t_phi: float | None = None):
+    """Shape-preserving x -> link(gp_projector output at x), zero outside (0, t_phi] if given."""
+    project = gp_projector(gram(grid, hp), mean, cov)
+
+    def rate(x):
+        x = np.asarray(x, dtype=float)
+        out = link(project(se_cross(x.ravel(), grid.points, hp))).reshape(x.shape)
+        return out if t_phi is None else np.where(trigger_support(x, t_phi), out, 0.0)
+
+    return rate
+
+
+def build_caches(data: Dataset, config: FitConfig) -> dict[str, ComponentCache]:
+    caches = {}
+    for name, count, domain, order in (
+        ("mu", config.S_mu, config.T, config.quad_order_T),
+        ("phi", config.S_phi, config.T_phi, config.quad_order_Tphi),
+    ):
+        grid = uniform_inducing_grid(count, domain)
+        quad = gauss_legendre(order, 0.0, domain)
+        caches[name] = ComponentCache.build(data.component(name)[0], grid, auto_theta(config, grid), quad)
+    return caches
+
+
+@dataclass(frozen=True)
+class LatentRate:
+    """Marginalized thinned-point rate of one component on its quadrature grid."""
+
+    marginal: np.ndarray  # thinned-point rate at the nodes
+    first_moment: np.ndarray  # marginal * E[omega] at the nodes
+    mass: float  # integral of the marginal over one window
 
 
 @dataclass(frozen=True)
@@ -238,6 +283,33 @@ class ComponentStats:
     domain: float
 
 
+def component_stats(data: Dataset, caches, branching, pg_weight, latent) -> dict[str, ComponentStats]:
+    """Statistics of the updated components from their E-step quantities:
+    ``pg_weight`` and ``latent`` map each component to E[omega] at its data
+    locations and to its ``LatentRate`` (per window for mu, per event for phi).
+    """
+    stats = {}
+    for name in data.active:
+        points, scale, domain = data.component(name)
+        weights = branching.weights(name)
+        stats[name] = ComponentStats(
+            points=points,
+            a_point=pg_weight[name] * weights,
+            b_point=0.5 * weights,
+            quad=caches[name].quad,
+            a_quad=scale * latent[name].first_moment,
+            b_quad=-0.5 * scale * latent[name].marginal,
+            domain=domain,
+        )
+    return stats
+
+
+def rate_bound_counts(data: Dataset, name: str, branching: BranchingPosterior, mass: float):
+    """(expected point count, exposure) of one component's lambda* update."""
+    _, scale, domain = data.component(name)
+    return float(np.sum(branching.weights(name))) + scale * mass, scale * domain
+
+
 def assemble_system(stats: ComponentStats, k_points: np.ndarray, k_quad: np.ndarray):
     """(U, c) from precomputed kernel matrices at the stat locations."""
     wa = stats.quad.weights * stats.a_quad
@@ -252,15 +324,20 @@ def assemble_system(stats: ComponentStats, k_points: np.ndarray, k_quad: np.ndar
 
 def solve_gaussian_update(gm: GramMatrix, u_mat: np.ndarray, c_vec: np.ndarray):
     """(mean, cov) of the penalized-Gaussian update; cov = K (U+K)^{-1} K."""
-    system = u_mat + gm.values
     try:
-        chol = np.linalg.cholesky(system)
+        chol = np.linalg.cholesky(u_mat + gm.values)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("GP update system U + K is not positive definite") from None
     mean = gm.values @ cho_solve((chol, True), c_vec)
     cov = gm.values @ cho_solve((chol, True), gm.values)
     cov = 0.5 * (cov + cov.T)
     return mean, cov
+
+
+def gaussian_update(stats: ComponentStats, cache: ComponentCache):
+    """(mean, cov) of one component's Gaussian-form update from its statistics."""
+    u_mat, c_vec = assemble_system(stats, cache.k_points, cache.k_quad)
+    return solve_gaussian_update(cache.gm, u_mat, c_vec)
 
 
 def _profile_objective(
@@ -296,9 +373,8 @@ def _profile_objective(
         value -= 0.5 * float(u_fixed @ alpha) + 0.5 * gm.logdet()
         return value if np.isfinite(value) else -np.inf
     u_mat, c_vec = assemble_system(stats, k_points, k_quad)
-    system = u_mat + gm.values
     try:
-        chol = np.linalg.cholesky(system)
+        chol = np.linalg.cholesky(u_mat + gm.values)
     except np.linalg.LinAlgError:
         return -np.inf
     value = 0.5 * float(c_vec @ cho_solve((chol, True), c_vec))
@@ -324,14 +400,14 @@ def search_theta(
     grid: InducingGrid,
     hp: KernelHyperparams,
     kind: str,
-    extra_starts: tuple[KernelHyperparams, ...] = (),
     u_fixed: np.ndarray | None = None,
 ) -> tuple[KernelHyperparams, bool]:
     """Bounded derivative-free refresh of (theta0, theta1) for one component.
 
-    Runs Nelder-Mead in log-theta space on compacted statistics, then checks
-    the exact objective at the winner; the incumbent is kept (and the move
-    flagged as rejected) unless the exact objective does not decrease.
+    Runs Nelder-Mead in log-theta space on compacted statistics, from the
+    incumbent and from theta1 = 1/spacing^2, then checks the exact objective
+    at the winner; the incumbent is kept (and the move flagged as rejected)
+    unless the exact objective does not decrease.
     """
     compact = _compact_stats(stats)
     lo, hi = np.log(THETA_BOUNDS[0]), np.log(THETA_BOUNDS[1])
@@ -342,8 +418,7 @@ def search_theta(
         return -val if np.isfinite(val) else 1e300
 
     best_x, best_val = None, np.inf
-    starts = (hp,) + tuple(extra_starts)
-    for start in starts:
+    for start in (hp, KernelHyperparams(hp.theta0, 1.0 / grid.spacing**2)):
         x0 = np.log([start.theta0, start.theta1])
         res = minimize(
             negative,
@@ -354,8 +429,6 @@ def search_theta(
         )
         if res.fun < best_val:
             best_val, best_x = res.fun, res.x
-    if best_x is None:
-        return hp, False
     t0, t1 = np.exp(np.clip(best_x, lo, hi))
     candidate = KernelHyperparams(float(t0), float(t1))
     j_old = _profile_objective(stats, grid, hp, kind, u_fixed)
@@ -375,12 +448,69 @@ def auto_theta(config: FitConfig, grid: InducingGrid) -> KernelHyperparams:
     return KernelHyperparams(theta0, theta1)
 
 
-def component_quads(config: FitConfig) -> tuple[QuadratureGrid, QuadratureGrid]:
-    return (
-        gauss_legendre(config.quad_order_T, 0.0, config.T),
-        gauss_legendre(config.quad_order_Tphi, 0.0, config.T_phi),
-    )
-
-
 def relative_change(new: float, old: float) -> float:
     return abs(new - old) / max(1.0, abs(old))
+
+
+def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: FitConfig):
+    """Sweep an engine to convergence: the loop of both fit_em and fit_vi.
+
+    Stops when the relative objective change falls below config.tol, or after
+    config.max_iter sweeps; theta is re-searched every hyper_refresh_every
+    sweeps (0: never). The engine supplies the rest: ``kind``, ``label``,
+    ``init``; ``observe`` projects a model state once and returns (what the
+    updates need, objective); ``sweep`` returns the updated model and a builder
+    of the statistics it used; ``u_fixed`` gives the inducing values the theta
+    objective holds fixed; ``set_gaussian`` installs an update re-solved after
+    a theta move; ``estimates`` fills the report's rates.
+    """
+    t_start = time.perf_counter()
+    data = build_dataset(seqs, config.T_phi)
+    if abs(data.T - config.T) > 1e-9 * max(1.0, config.T):
+        raise ValueError(f"config T={config.T} does not match sequence window T={data.T}")
+    caches = build_caches(data, config)
+    model = engine.init(data, caches, config)
+    seen, _ = engine.observe(model, data, caches, config)
+    trace: list[float] = []
+    hyper_history: list[dict] = []
+    warnings: list[str] = []
+    converged = False
+    for iteration in range(1, config.max_iter + 1):
+        model, build_stats = engine.sweep(model, seen, data, caches, config)
+
+        if config.hyper_refresh_every and iteration % config.hyper_refresh_every == 0:
+            stats = build_stats()
+            record = {"iteration": iteration}
+            for name in data.active:
+                cache = caches[name]
+                u_fixed = engine.u_fixed(model, name)
+                hp_new, accepted = search_theta(stats[name], cache.grid, cache.hp, engine.kind, u_fixed)
+                if accepted and hp_new != cache.hp:
+                    caches[name] = cache = cache.with_hp(hp_new)
+                    model = engine.set_gaussian(model, name, *gaussian_update(stats[name], cache), cache, config)
+                record[name] = {"theta0": cache.hp.theta0, "theta1": cache.hp.theta1, "accepted": accepted}
+                if not accepted:
+                    warnings.append(f"hyperparameter search for {name} kept theta at iteration {iteration}")
+            hyper_history.append(record)
+
+        seen, objective = engine.observe(model, data, caches, config)
+        if not np.isfinite(objective):
+            raise FloatingPointError(f"{engine.label} became non-finite at iteration {iteration}")
+        trace.append(objective)
+        if len(trace) > 1 and relative_change(objective, trace[-2]) < config.tol:
+            converged = True
+            break
+
+    grids = {name: np.linspace(0.0, data.component(name)[2], config.eval_grid) for name in COMPONENTS}
+    return model, FitReport(
+        method=engine.kind,
+        converged=converged,
+        n_iter=iteration,
+        runtime_seconds=time.perf_counter() - t_start,
+        objective_trace=trace,
+        hyper_history=hyper_history,
+        warnings=warnings,
+        grid_mu=grids["mu"],
+        grid_phi=grids["phi"],
+        **engine.estimates(model, grids, config),
+    )

@@ -145,12 +145,25 @@ def gram(grid: InducingGrid, hp: KernelHyperparams, jitter: float | None = None)
     return GramMatrix(values=values, jitter=float(jitter), chol=chol)
 
 
+def gp_projector(gm: GramMatrix, mean: np.ndarray, cov: np.ndarray | None = None):
+    """Kernel rows k(x, inducing) -> projected mean of f(x) = k K^{-1} u, or
+    (mean, variance) under u ~ N(mean, cov) when ``cov`` is given."""
+    alpha = gm.solve(np.asarray(mean, dtype=float))
+    w = None if cov is None else gm.solve(gm.solve(np.asarray(cov, dtype=float)).T)
+
+    def project(k: np.ndarray):
+        if w is None:
+            return k @ alpha
+        return k @ alpha, np.maximum(np.einsum("ns,ns->n", k @ w, k), 0.0)
+
+    return project
+
+
 def sparse_mean(t, grid: InducingGrid, gm: GramMatrix, u: np.ndarray, hp: KernelHyperparams):
     """Sparse GP projection k(t, s)^T K^{-1} u evaluated at t (scalar or array)."""
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.count,):
         raise ValueError(f"u has shape {u.shape}, expected ({grid.count},)")
     scalar = np.isscalar(t) or np.ndim(t) == 0
-    kt = se_cross(t, grid.points, hp)
-    out = kt @ gm.solve(u)
+    out = gp_projector(gm, u)(se_cross(t, grid.points, hp))
     return float(out[0]) if scalar else out

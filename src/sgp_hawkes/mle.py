@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .fitbase import FitReport
-from .process import EventSequence, RateFunctions
+from .process import EventSequence, RateFunctions, trigger_support
 
 _BOUNDS = ((1e-8, 1e4), (1e-8, 0.999), (1e-4, 1e3))  # mu, rho, beta
 
@@ -107,7 +107,7 @@ def model_rates(params: ExpHawkesParams, t_phi: float) -> RateFunctions:
 
     def phi(tau):
         tau = np.asarray(tau, dtype=float)
-        return np.where((tau > 0.0) & (tau <= t_phi), alpha * np.exp(-beta * tau), 0.0)
+        return np.where(trigger_support(tau, t_phi), alpha * np.exp(-beta * tau), 0.0)
 
     def mu_integral(t):
         return mu * np.asarray(t, dtype=float)

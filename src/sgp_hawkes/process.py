@@ -78,6 +78,12 @@ class RateFunctions:
             raise ValueError(f"trigger support length must be positive, got {self.T_phi}")
 
 
+def trigger_support(tau, t_phi: float) -> np.ndarray:
+    """Mask of the trigger support (0, T_phi]."""
+    tau = np.asarray(tau, dtype=float)
+    return (tau > 0.0) & (tau <= t_phi)
+
+
 def admissible_pairs(times: np.ndarray, t_phi: float) -> tuple[np.ndarray, np.ndarray]:
     """Index/lag arrays of all (child i, parent j) pairs with 0 < t_i - t_j <= T_phi.
 
@@ -243,7 +249,7 @@ def case1_rates() -> RateFunctions:
 
     def phi(tau):
         tau = np.asarray(tau, dtype=float)
-        return np.where((tau > 0.0) & (tau <= np.pi), 0.33 * np.sin(tau), 0.0)
+        return np.where(trigger_support(tau, np.pi), 0.33 * np.sin(tau), 0.0)
 
     def mu_integral(t):
         return np.asarray(t, dtype=float).copy()
@@ -267,7 +273,7 @@ def case2_rates(T: float = CASE_T) -> RateFunctions:
     def phi(tau):
         tau = np.asarray(tau, dtype=float)
         val = 0.3 * (np.sin(b * tau) + 1.0) * np.exp(-a * tau)
-        return np.where((tau > 0.0) & (tau <= CASE_T_PHI), val, 0.0)
+        return np.where(trigger_support(tau, CASE_T_PHI), val, 0.0)
 
     def mu_integral(t):
         t = np.asarray(t, dtype=float)
@@ -304,7 +310,7 @@ def table_rates(mu_t, mu_value, phi_tau, phi_value, t_phi: float) -> RateFunctio
 
     def phi(tau):
         tau = np.asarray(tau, dtype=float)
-        return np.where((tau > 0.0) & (tau <= t_phi), np.interp(tau, phi_tau, phi_value), 0.0)
+        return np.where(trigger_support(tau, t_phi), np.interp(tau, phi_tau, phi_value), 0.0)
 
     return RateFunctions(mu, phi, T_phi=float(t_phi))
 

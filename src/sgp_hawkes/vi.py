@@ -17,7 +17,6 @@ trend/monotonicity only.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -25,24 +24,24 @@ import numpy as np
 from scipy.special import digamma, gammaln, xlogy
 
 from .fitbase import (
+    COMPONENTS,
     BranchingPosterior,
     ComponentCache,
-    ComponentStats,
     Dataset,
     FitConfig,
     FitReport,
-    assemble_system,
-    build_dataset,
+    LatentRate,
+    assemble_system,  # noqa: F401  re-export; perfbench's tracing test rebinds it here
+    component_rate,
+    component_stats,
+    gaussian_update,
     normalize_branching,
-    relative_change,
-    search_theta,
-    solve_gaussian_update,
-    uniform_branching,
+    rate_bound_counts,
+    run_sweeps,
 )
-from .em import build_caches, refresh_hyperparams
-from .kernels import InducingGrid, KernelHyperparams, gram, se_cross
+from .kernels import InducingGrid, KernelHyperparams, gp_projector, gram, se_cross
 from .pg import pg_mean
-from .process import EventSequence, RateFunctions
+from .process import EventSequence, RateFunctions, trigger_support
 from .quadrature import expected_log_sigmoid, expected_sigmoid_moments
 
 _COV_FLOOR = 1e-12  # covariance scale used by the fix_variance debug mode
@@ -112,104 +111,61 @@ class PoissonRates:
     mass_phi: float
 
 
-@dataclass(frozen=True)
-class _Projections:
-    """Projected marginals of the Gaussian factors at all fit locations."""
-
-    mean_ev: np.ndarray
-    var_ev: np.ndarray
-    mean_pair: np.ndarray
-    var_pair: np.ndarray
-    mean_qmu: np.ndarray
-    var_qmu: np.ndarray
-    mean_qphi: np.ndarray
-    var_qphi: np.ndarray
+def _project(model: ViModel, caches: dict[str, ComponentCache]) -> dict[str, tuple]:
+    """Projected q(f) of each component: (mean, var) at data points, then at quad nodes."""
+    factors = {n: getattr(model, f"gp_{n}") for n in COMPONENTS}
+    return {n: caches[n].project_meanvar(f.mean, f.cov) for n, f in factors.items()}
 
 
-def _project(model: ViModel, caches: dict[str, ComponentCache]) -> _Projections:
-    m_ev, v_ev, m_qm, v_qm = caches["mu"].project_meanvar(model.gp_mu.mean, model.gp_mu.cov)
-    m_pr, v_pr, m_qp, v_qp = caches["phi"].project_meanvar(model.gp_phi.mean, model.gp_phi.cov)
-    return _Projections(m_ev, v_ev, m_pr, v_pr, m_qm, v_qm, m_qp, v_qp)
+def _expected_log_sigmoid(proj: dict[str, tuple], gh_order: int) -> dict[str, np.ndarray]:
+    """E[log sigma(f)] at each component's data points."""
+    return {n: expected_log_sigmoid(proj[n][0], proj[n][1], gh_order) for n in COMPONENTS}
 
 
 def _tilt(mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     return np.sqrt(mean * mean + var)
 
 
-def _poisson_rate(lam_geo: float, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """lambda~ * sigma(-c) * exp((c - mean)/2) with c the PG tilt, stably."""
-    c = _tilt(mean, var)
-    return lam_geo * np.exp(0.5 * (c - mean) - np.logaddexp(0.0, c))
+def _gaussian(mean: np.ndarray, cov: np.ndarray, cache: ComponentCache, config: FitConfig) -> GaussianFactor:
+    """q(u) = N(mean, cov); fix_variance pins cov near zero."""
+    return GaussianFactor(mean, _COV_FLOOR * cache.gm.values if config.fix_variance else cov)
 
 
-def vi_pg_update(model: ViModel, data: Dataset, caches: dict[str, ComponentCache]) -> PgTilts:
-    proj = _project(model, caches)
-    return PgTilts(
-        events=_tilt(proj.mean_ev, proj.var_ev), pairs=_tilt(proj.mean_pair, proj.var_pair)
-    )
+def vi_pg_update(model: ViModel, data: Dataset, caches: dict[str, ComponentCache], proj=None) -> PgTilts:
+    proj = proj or _project(model, caches)
+    return PgTilts(events=_tilt(*proj["mu"][:2]), pairs=_tilt(*proj["phi"][:2]))
 
 
-def vi_poisson_update(model: ViModel, caches: dict[str, ComponentCache]) -> PoissonRates:
-    proj = _project(model, caches)
-    return _poisson_from(model, proj, caches)
-
-
-def _poisson_from(model: ViModel, proj: _Projections, caches) -> PoissonRates:
-    rate_mu = _poisson_rate(model.lam_mu.geometric_mean(), proj.mean_qmu, proj.var_qmu)
-    rate_phi = _poisson_rate(model.lam_phi.geometric_mean(), proj.mean_qphi, proj.var_qphi)
-    tilt_mu = _tilt(proj.mean_qmu, proj.var_qmu)
-    tilt_phi = _tilt(proj.mean_qphi, proj.var_qphi)
-    return PoissonRates(
-        marginal_mu=rate_mu,
-        first_mu=rate_mu * pg_mean(1.0, tilt_mu),
-        mass_mu=float(caches["mu"].quad.weights @ rate_mu),
-        marginal_phi=rate_phi,
-        first_phi=rate_phi * pg_mean(1.0, tilt_phi),
-        mass_phi=float(caches["phi"].quad.weights @ rate_phi),
-    )
+def vi_poisson_update(model: ViModel, caches: dict[str, ComponentCache], proj=None) -> PoissonRates:
+    """Optimal thinned-point rates lambda~ sigma(-c) exp((c - mean)/2), c the PG tilt."""
+    proj = proj or _project(model, caches)
+    fields = {}
+    for name in COMPONENTS:
+        _, _, mean, var = proj[name]
+        tilt = _tilt(mean, var)
+        lam_geo = getattr(model, f"lam_{name}").geometric_mean()
+        rate = lam_geo * np.exp(0.5 * (tilt - mean) - np.logaddexp(0.0, tilt))
+        fields[f"marginal_{name}"] = rate
+        fields[f"first_{name}"] = rate * pg_mean(1.0, tilt)
+        fields[f"mass_{name}"] = float(caches[name].quad.weights @ rate)
+    return PoissonRates(**fields)
 
 
 def vi_lambda_update(
     branching: BranchingPosterior, rates: PoissonRates, data: Dataset
-) -> tuple[GammaFactor, GammaFactor]:
-    r = data.n_sequences
-    alpha_mu = float(np.sum(branching.background)) + r * rates.mass_mu
-    lam_mu = GammaFactor(max(alpha_mu, 1e-12), r * data.T)
-    if data.n_events == 0:
-        return lam_mu, None
-    alpha_phi = float(np.sum(branching.parent)) + data.n_events * rates.mass_phi
-    lam_phi = GammaFactor(max(alpha_phi, 1e-12), data.n_events * data.T_phi)
-    return lam_mu, lam_phi
+) -> tuple[GammaFactor, GammaFactor | None]:
+    factors = {}
+    for name in data.active:
+        count, exposure = rate_bound_counts(data, name, branching, getattr(rates, f"mass_{name}"))
+        factors[name] = GammaFactor(max(count, 1e-12), exposure)
+    return factors.get("mu"), factors.get("phi")
 
 
-def _vi_stats(
-    data: Dataset,
-    caches: dict[str, ComponentCache],
-    tilts: PgTilts,
-    branching: BranchingPosterior,
-    rates: PoissonRates,
-) -> tuple[ComponentStats, ComponentStats]:
-    r = data.n_sequences
-    n = data.n_events
-    stats_mu = ComponentStats(
-        points=data.events,
-        a_point=pg_mean(1.0, tilts.events) * branching.background,
-        b_point=0.5 * branching.background,
-        quad=caches["mu"].quad,
-        a_quad=r * rates.first_mu,
-        b_quad=-0.5 * r * rates.marginal_mu,
-        domain=data.T,
-    )
-    stats_phi = ComponentStats(
-        points=data.lag,
-        a_point=pg_mean(1.0, tilts.pairs) * branching.parent,
-        b_point=0.5 * branching.parent,
-        quad=caches["phi"].quad,
-        a_quad=n * rates.first_phi,
-        b_quad=-0.5 * n * rates.marginal_phi,
-        domain=data.T_phi,
-    )
-    return stats_mu, stats_phi
+def _stats(data, caches, tilts: PgTilts, branching, rates: PoissonRates) -> dict:
+    pg_weight = {n: pg_mean(1.0, t) for n, t in zip(data.active, (tilts.events, tilts.pairs))}
+    keys = ("marginal", "first", "mass")
+    latent = {n: LatentRate(*(getattr(rates, f"{key}_{n}") for key in keys)) for n in COMPONENTS}
+    return component_stats(data, caches, branching, pg_weight, latent)
 
 
 def vi_gp_update(
@@ -218,28 +174,17 @@ def vi_gp_update(
     rates: PoissonRates,
     data: Dataset,
     caches: dict[str, ComponentCache],
-) -> tuple[GaussianFactor, GaussianFactor]:
-    stats_mu, stats_phi = _vi_stats(data, caches, tilts, branching, rates)
-    u_mat, c_vec = assemble_system(stats_mu, caches["mu"].k_points, caches["mu"].k_quad)
-    mean, cov = solve_gaussian_update(caches["mu"].gm, u_mat, c_vec)
-    gp_mu = GaussianFactor(mean, cov)
-    u_mat, c_vec = assemble_system(stats_phi, caches["phi"].k_points, caches["phi"].k_quad)
-    mean, cov = solve_gaussian_update(caches["phi"].gm, u_mat, c_vec)
-    return gp_mu, GaussianFactor(mean, cov)
+) -> tuple[GaussianFactor, GaussianFactor | None]:
+    stats = _stats(data, caches, tilts, branching, rates)
+    factors = {n: GaussianFactor(*gaussian_update(s, caches[n])) for n, s in stats.items()}
+    return factors.get("mu"), factors.get("phi")
 
 
 def vi_branching_update(
-    model: ViModel, data: Dataset, caches: dict[str, ComponentCache], gh_order: int = 30
+    model: ViModel, data: Dataset, caches: dict[str, ComponentCache], gh_order: int = 30, els=None
 ) -> BranchingPosterior:
-    proj = _project(model, caches)
-    els_ev = expected_log_sigmoid(proj.mean_ev, proj.var_ev, gh_order)
-    els_pair = expected_log_sigmoid(proj.mean_pair, proj.var_pair, gh_order)
-    return _branching_from(model, els_ev, els_pair, data)
-
-
-def _branching_from(model: ViModel, els_ev, els_pair, data: Dataset) -> BranchingPosterior:
-    bg = model.lam_mu.geometric_mean() * np.exp(els_ev)
-    pair = model.lam_phi.geometric_mean() * np.exp(els_pair)
+    els = els or _expected_log_sigmoid(_project(model, caches), gh_order)
+    bg, pair = (getattr(model, f"lam_{n}").geometric_mean() * np.exp(els[n]) for n in COMPONENTS)
     return normalize_branching(bg, pair, data.child, data.n_events)
 
 
@@ -266,79 +211,51 @@ def vi_monitor(
     data: Dataset,
     caches: dict[str, ComponentCache],
     gh_order: int = 30,
+    els=None,
+    rates=None,
 ) -> float:
     """Negative variational free energy surrogate at the current factors."""
-    proj = _project(model, caches)
-    els_ev = expected_log_sigmoid(proj.mean_ev, proj.var_ev, gh_order)
-    els_pair = expected_log_sigmoid(proj.mean_pair, proj.var_pair, gh_order)
-    rates = _poisson_from(model, proj, caches)
-    return _monitor_from(model, branching, els_ev, els_pair, rates, data, caches)
-
-
-def _monitor_from(model, branching, els_ev, els_pair, rates, data, caches) -> float:
-    r = data.n_sequences
-    n = data.n_events
-    value = float(branching.background @ (model.lam_mu.mean_log() + els_ev)) if n else 0.0
-    value -= float(np.sum(xlogy(branching.background, branching.background)))
-    if data.n_pairs:
-        value += float(branching.parent @ (model.lam_phi.mean_log() + els_pair))
-        value -= float(np.sum(xlogy(branching.parent, branching.parent)))
-    value += r * rates.mass_mu - model.lam_mu.mean() * r * data.T
-    value += n * rates.mass_phi - model.lam_phi.mean() * n * data.T_phi
-    value -= _gaussian_kl(model.gp_mu, caches["mu"].gm)
-    value -= _gaussian_kl(model.gp_phi, caches["phi"].gm)
-    value += _gamma_elbo_term(model.lam_mu) + _gamma_elbo_term(model.lam_phi)
-    return value
+    els = els or _expected_log_sigmoid(_project(model, caches), gh_order)
+    rates = rates or vi_poisson_update(model, caches)
+    lam = {n: getattr(model, f"lam_{n}") for n in COMPONENTS}
+    value = 0.0
+    for n in COMPONENTS:
+        weights = branching.weights(n)
+        value += float(weights @ (lam[n].mean_log() + els[n]))
+        value -= float(np.sum(xlogy(weights, weights)))
+    for n in COMPONENTS:
+        _, scale, domain = data.component(n)
+        value += scale * getattr(rates, f"mass_{n}") - lam[n].mean() * scale * domain
+    for n in COMPONENTS:
+        value -= _gaussian_kl(getattr(model, f"gp_{n}"), caches[n].gm)
+    return value + sum(_gamma_elbo_term(lam[n]) for n in COMPONENTS)
 
 
 def init_vi_model(data: Dataset, caches: dict[str, ComponentCache], config: FitConfig) -> ViModel:
     """Prior Gaussian factors, Gamma factors matching the EM initialization."""
-    cov_scale = _COV_FLOOR if config.fix_variance else 1.0
-    gp_mu = GaussianFactor(np.zeros(caches["mu"].grid.count), cov_scale * caches["mu"].gm.values)
-    gp_phi = GaussianFactor(np.zeros(caches["phi"].grid.count), cov_scale * caches["phi"].gm.values)
-    lam_mu = GammaFactor(max(2.0 * data.n_events, 0.5), data.n_sequences * data.T)
-    lam_phi = GammaFactor(max(float(data.n_events), 0.5), max(data.n_events, 1) * data.T_phi)
-    return ViModel(
-        gp_mu=gp_mu,
-        gp_phi=gp_phi,
-        lam_mu=lam_mu,
-        lam_phi=lam_phi,
-        grid_mu=caches["mu"].grid,
-        grid_phi=caches["phi"].grid,
-        hp_mu=caches["mu"].hp,
-        hp_phi=caches["phi"].hp,
-        T=data.T,
-        T_phi=data.T_phi,
-    )
+    counts = {"mu": 2.0 * data.n_events, "phi": float(data.n_events)}
+    parts = {}
+    for name, cache in caches.items():
+        _, scale, domain = data.component(name)
+        parts[f"gp_{name}"] = _gaussian(np.zeros(cache.grid.count), cache.gm.values, cache, config)
+        parts[f"lam_{name}"] = GammaFactor(max(counts[name], 0.5), max(scale, 1) * domain)
+        parts[f"grid_{name}"], parts[f"hp_{name}"] = cache.grid, cache.hp
+    return ViModel(**parts, T=data.T, T_phi=data.T_phi)
 
 
 def model_rates(model: ViModel, gh_order: int = 30) -> RateFunctions:
     """Posterior-mean rates E[lambda*] E[sigma(f(.))] of a fitted VI model."""
-    gm_mu = gram(model.grid_mu, model.hp_mu)
-    gm_phi = gram(model.grid_phi, model.hp_phi)
 
-    def make(comp_grid, hp, gm, factor, lam):
-        alpha = gm.solve(factor.mean)
-        w = gm.solve(gm.solve(factor.cov).T)
+    def rate(name, t_phi=None):
+        factor, lam = getattr(model, f"gp_{name}"), getattr(model, f"lam_{name}")
 
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            kx = se_cross(x.ravel(), comp_grid.points, hp)
-            mean = kx @ alpha
-            var = np.maximum(np.einsum("ns,ns->n", kx @ w, kx), 0.0)
-            s1, _ = expected_sigmoid_moments(mean, var, gh_order)
-            return (lam.mean() * s1).reshape(x.shape)
+        def link(marginal):
+            return lam.mean() * expected_sigmoid_moments(*marginal, gh_order)[0]
 
-        return fn
+        grid, hp = getattr(model, f"grid_{name}"), getattr(model, f"hp_{name}")
+        return component_rate(grid, hp, factor.mean, factor.cov, link, t_phi)
 
-    mu_fn = make(model.grid_mu, model.hp_mu, gm_mu, model.gp_mu, model.lam_mu)
-    phi_inner = make(model.grid_phi, model.hp_phi, gm_phi, model.gp_phi, model.lam_phi)
-
-    def phi(tau):
-        tau = np.asarray(tau, dtype=float)
-        return np.where((tau > 0.0) & (tau <= model.T_phi), phi_inner(tau), 0.0)
-
-    return RateFunctions(mu=mu_fn, phi=phi, T_phi=model.T_phi)
+    return RateFunctions(mu=rate("mu"), phi=rate("phi", model.T_phi), T_phi=model.T_phi)
 
 
 def posterior_bands(model: ViModel, grid: np.ndarray, component: str, gh_order: int = 30):
@@ -347,126 +264,57 @@ def posterior_bands(model: ViModel, grid: np.ndarray, component: str, gh_order: 
     Gamma and Gaussian uncertainties combine multiplicatively:
     var = E[lambda*^2] E[sigma^2] - (E[lambda*] E[sigma])^2.
     """
-    if component == "mu":
-        grid_c, hp, factor, lam = model.grid_mu, model.hp_mu, model.gp_mu, model.lam_mu
-    else:
-        grid_c, hp, factor, lam = model.grid_phi, model.hp_phi, model.gp_phi, model.lam_phi
-    gm = gram(grid_c, hp)
-    alpha = gm.solve(factor.mean)
-    w = gm.solve(gm.solve(factor.cov).T)
-    kx = se_cross(np.asarray(grid, dtype=float), grid_c.points, hp)
-    mean_f = kx @ alpha
-    var_f = np.maximum(np.einsum("ns,ns->n", kx @ w, kx), 0.0)
-    s1, s2 = expected_sigmoid_moments(mean_f, var_f, gh_order)
-    lam_m1 = lam.mean()
-    lam_m2 = lam.alpha * (lam.alpha + 1.0) / (lam.beta**2)
-    mean = lam_m1 * s1
-    var = np.maximum(lam_m2 * s2 - mean * mean, 0.0)
-    if component == "phi":
-        inside = (grid > 0.0) & (grid <= model.T_phi)
-        mean = np.where(inside, mean, 0.0)
-        var = np.where(inside, var, 0.0)
-    return mean, np.sqrt(var)
+    grid_c, hp = getattr(model, f"grid_{component}"), getattr(model, f"hp_{component}")
+    factor, lam = getattr(model, f"gp_{component}"), getattr(model, f"lam_{component}")
+    project = gp_projector(gram(grid_c, hp), factor.mean, factor.cov)
+    k = se_cross(np.asarray(grid, dtype=float), grid_c.points, hp)
+    s1, s2 = expected_sigmoid_moments(*project(k), gh_order)
+    mean = lam.mean() * s1
+    var = np.maximum(lam.alpha * (lam.alpha + 1.0) / (lam.beta**2) * s2 - mean * mean, 0.0)
+    inside = trigger_support(grid, model.T_phi) if component == "phi" else True
+    return np.where(inside, mean, 0.0), np.sqrt(np.where(inside, var, 0.0))
+
+
+class _ViEngine:
+    """The mean-field pieces of the shared sweep driver (see fitbase.run_sweeps)."""
+
+    kind, label = "vi", "VI monitor"
+
+    init = staticmethod(init_vi_model)
+
+    def observe(self, model, data, caches, config):
+        proj = _project(model, caches)
+        els = _expected_log_sigmoid(proj, config.gh_order)
+        branching = vi_branching_update(model, data, caches, els=els)
+        rates = vi_poisson_update(model, caches, proj)
+        return (proj, branching, rates), vi_monitor(model, branching, data, caches, els=els, rates=rates)
+
+    def sweep(self, model, seen, data, caches, config):
+        proj, branching, rates = seen
+        tilts = vi_pg_update(model, data, caches, proj)
+        lams = vi_lambda_update(branching, rates, data)
+        gps = vi_gp_update(tilts, branching, rates, data, caches)
+        for name, lam, gp in zip(COMPONENTS, lams, gps):
+            if gp is not None:
+                model = replace(model, **{f"lam_{name}": lam})
+                model = self.set_gaussian(model, name, gp.mean, gp.cov, caches[name], config)
+        return model, lambda: _stats(data, caches, tilts, branching, rates)
+
+    def u_fixed(self, model, name):
+        return None
+
+    def set_gaussian(self, model, name, mean, cov, cache, config):
+        return replace(model, **{f"gp_{name}": _gaussian(mean, cov, cache, config), f"hp_{name}": cache.hp})
+
+    def estimates(self, model, grids, config):
+        out = {}
+        for name in COMPONENTS:
+            out[f"{name}_hat"], out[f"{name}_std"] = posterior_bands(model, grids[name], name, config.gh_order)
+        return out
 
 
 def fit_vi(
     seqs: EventSequence | Sequence[EventSequence], config: FitConfig
 ) -> tuple[ViModel, FitReport]:
     """Coordinate-ascent sweeps to convergence of the free-energy monitor."""
-    t_start = time.perf_counter()
-    data = build_dataset(seqs, config.T_phi)
-    if abs(data.T - config.T) > 1e-9 * max(1.0, config.T):
-        raise ValueError(f"config T={config.T} does not match sequence window T={data.T}")
-    caches = build_caches(data, config)
-    model = init_vi_model(data, caches, config)
-    proj = _project(model, caches)
-    if data.n_events:
-        els_ev = expected_log_sigmoid(proj.mean_ev, proj.var_ev, config.gh_order)
-        els_pair = expected_log_sigmoid(proj.mean_pair, proj.var_pair, config.gh_order)
-        branching = _branching_from(model, els_ev, els_pair, data)
-    else:
-        branching = uniform_branching(data)
-    rates = _poisson_from(model, proj, caches)
-    trace: list[float] = []
-    hyper_history: list[dict] = []
-    warnings: list[str] = []
-    converged = False
-    previous = None
-    iteration = 0
-    for iteration in range(1, config.max_iter + 1):
-        tilts = PgTilts(
-            events=_tilt(proj.mean_ev, proj.var_ev), pairs=_tilt(proj.mean_pair, proj.var_pair)
-        )
-        lam_mu, lam_phi = vi_lambda_update(branching, rates, data)
-        model = replace(model, lam_mu=lam_mu, lam_phi=lam_phi or model.lam_phi)
-        if data.n_events:
-            gp_mu, gp_phi = vi_gp_update(tilts, branching, rates, data, caches)
-        else:
-            stats_mu, _ = _vi_stats(data, caches, tilts, branching, rates)
-            u_mat, c_vec = assemble_system(stats_mu, caches["mu"].k_points, caches["mu"].k_quad)
-            mean, cov = solve_gaussian_update(caches["mu"].gm, u_mat, c_vec)
-            gp_mu, gp_phi = GaussianFactor(mean, cov), model.gp_phi
-        if config.fix_variance:
-            gp_mu = GaussianFactor(gp_mu.mean, _COV_FLOOR * caches["mu"].gm.values)
-            gp_phi = GaussianFactor(gp_phi.mean, _COV_FLOOR * caches["phi"].gm.values)
-        model = replace(model, gp_mu=gp_mu, gp_phi=gp_phi)
-
-        if config.hyper_refresh_every and iteration % config.hyper_refresh_every == 0:
-            stats_mu, stats_phi = _vi_stats(data, caches, tilts, branching, rates)
-            specs = [("mu", stats_mu, "gp_mu", "hp_mu")]
-            if data.n_events:
-                specs.append(("phi", stats_phi, "gp_phi", "hp_phi"))
-            record = {"iteration": iteration}
-            for name, stats, gp_attr, hp_attr in specs:
-                hp_new, accepted = refresh_hyperparams(stats, caches[name].grid, caches[name].hp, kind="vi")
-                if accepted and hp_new != caches[name].hp:
-                    caches[name] = caches[name].with_hp(hp_new)
-                    u_mat, c_vec = assemble_system(stats, caches[name].k_points, caches[name].k_quad)
-                    mean, cov = solve_gaussian_update(caches[name].gm, u_mat, c_vec)
-                    if config.fix_variance:
-                        cov = _COV_FLOOR * caches[name].gm.values
-                    model = replace(model, **{gp_attr: GaussianFactor(mean, cov), hp_attr: hp_new})
-                record[name] = {
-                    "theta0": caches[name].hp.theta0,
-                    "theta1": caches[name].hp.theta1,
-                    "accepted": accepted,
-                }
-                if not accepted:
-                    warnings.append(f"hyperparameter search for {name} kept theta at iteration {iteration}")
-            hyper_history.append(record)
-
-        proj = _project(model, caches)
-        els_ev = expected_log_sigmoid(proj.mean_ev, proj.var_ev, config.gh_order)
-        els_pair = expected_log_sigmoid(proj.mean_pair, proj.var_pair, config.gh_order)
-        if data.n_events:
-            branching = _branching_from(model, els_ev, els_pair, data)
-        rates = _poisson_from(model, proj, caches)
-        monitor = _monitor_from(model, branching, els_ev, els_pair, rates, data, caches)
-        if not np.isfinite(monitor):
-            raise FloatingPointError(f"VI monitor became non-finite at iteration {iteration}")
-        trace.append(monitor)
-        if previous is not None and relative_change(monitor, previous) < config.tol:
-            converged = True
-            break
-        previous = monitor
-
-    grid_mu = np.linspace(0.0, data.T, config.eval_grid)
-    grid_phi = np.linspace(0.0, data.T_phi, config.eval_grid)
-    mu_hat, mu_std = posterior_bands(model, grid_mu, "mu", config.gh_order)
-    phi_hat, phi_std = posterior_bands(model, grid_phi, "phi", config.gh_order)
-    report = FitReport(
-        method="vi",
-        converged=converged,
-        n_iter=iteration,
-        runtime_seconds=time.perf_counter() - t_start,
-        objective_trace=trace,
-        hyper_history=hyper_history,
-        warnings=warnings,
-        grid_mu=grid_mu,
-        mu_hat=mu_hat,
-        grid_phi=grid_phi,
-        phi_hat=phi_hat,
-        mu_std=mu_std,
-        phi_std=phi_std,
-    )
-    return model, report
+    return run_sweeps(_ViEngine(), seqs, config)

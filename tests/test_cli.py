@@ -267,6 +267,13 @@ def test_bench_rejects_bad_sizes(tmp_path):
         assert rc == 1
 
 
+def test_bench_honours_quadrature_keys(tmp_path, capsys):
+    payload = {"method": "em", "sizes": [50], "iters": 2, "quad_order_T": 0, "gh_order": 0}
+    rc, _ = run(tmp_path, "bench", payload, "b")
+    assert rc == 1
+    assert "quadrature order" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # shared plumbing
 
@@ -279,20 +286,6 @@ def test_seed_flag_overrides_config(tmp_path):
     assert echo["config"]["seed"] == 9
     _, native = run(tmp_path, "simulate", {**payload, "seed": 9}, "native")
     assert (forced / "train_000.csv").read_bytes() == (native / "train_000.csv").read_bytes()
-
-
-def test_thread_cap_env(tmp_path, monkeypatch):
-    payload = {"preset": "case1", "T": 20.0, "n_train": 2, "n_test": 0, "seed": 0}
-    monkeypatch.setenv("HAWKES_SGP_THREADS", "abc")
-    rc, _ = run(tmp_path, "simulate", payload, "x1", config_name="c1.json")
-    assert rc == 1
-    monkeypatch.setenv("HAWKES_SGP_THREADS", "0")
-    rc, _ = run(tmp_path, "simulate", payload, "x2", config_name="c2.json")
-    assert rc == 1
-    monkeypatch.setenv("HAWKES_SGP_THREADS", "2")
-    rc, out = run(tmp_path, "simulate", payload, "x3", config_name="c3.json")
-    assert rc == 0
-    assert (out / "train_001.csv").exists()
 
 
 def test_usage_errors(tmp_path):

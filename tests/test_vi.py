@@ -384,6 +384,24 @@ def test_model_rates_and_bands_consistency(small_case1_seqs):
     assert rates.phi(np.array([3.0]))[0] > 0.0
 
 
+def test_fit_vi_zero_event_input():
+    """No events: the trigger factors stay at their initialization while the
+    baseline is updated and refreshed (refresh every 2 sweeps)."""
+    seqs = [EventSequence(np.array([]), 50.0)]
+    config = FitConfig(T=50.0, T_phi=3.0, max_iter=5, tol=0.0, hyper_refresh_every=2)
+    model, report = fit_vi(seqs, config)
+    assert np.isfinite(report.objective_trace).all()
+    assert len(report.objective_trace) == 5
+    data = build_dataset(seqs, 3.0)
+    init = init_vi_model(data, build_caches(data, config), config)
+    np.testing.assert_array_equal(model.gp_phi.mean, init.gp_phi.mean)
+    np.testing.assert_array_equal(model.gp_phi.cov, init.gp_phi.cov)
+    assert model.lam_phi == init.lam_phi
+    assert model.hp_phi == init.hp_phi
+    assert [sorted(record) for record in report.hyper_history] == [["iteration", "mu"]] * 2
+    assert model.lam_mu.mean() < init.lam_mu.mean()
+
+
 def test_fit_vi_rejects_mismatched_window(small_case1_seqs):
     with pytest.raises(ValueError):
         fit_vi(small_case1_seqs, FitConfig(T=50.0, T_phi=6.0))
