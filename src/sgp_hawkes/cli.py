@@ -4,7 +4,6 @@ Every command reads one JSON config (--config), writes its artifacts plus a
 ``config_echo.json`` into --out, and is fully reproducible from config + seed.
 Exit codes: 0 success, 1 usage or I/O problem, 2 numerical failure or
 non-convergence (partial artifacts are still written and flagged).
-Per-replicate work (simulation, holdout scoring) runs serially.
 """
 
 from __future__ import annotations
