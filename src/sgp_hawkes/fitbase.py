@@ -378,7 +378,7 @@ def _profile_objective(
     except np.linalg.LinAlgError:
         return -np.inf
     value = 0.5 * float(c_vec @ cho_solve((chol, True), c_vec))
-    value += 0.5 * gm.logdet() - float(np.sum(np.log(np.diag(chol))))  # 0.5 log|U+K|
+    value += 0.5 * gm.logdet() - 2.0 * float(np.sum(np.log(np.diag(chol))))
     return value
 
 

@@ -149,31 +149,6 @@ def test_gaussian_update_matches_dense_assembly(rng):
     np.testing.assert_allclose(cov, gm.values @ solve @ gm.values, rtol=0, atol=1e-8)
 
 
-def test_vi_theta_objective_matches_bruteforce_evidence(rng):
-    """S=2 toy: the VI theta objective is the log evidence of the Gaussian-form
-    likelihood under the N(0, K) prior, 0.5 c'(U+K)^-1 c + 0.5 log|K| -
-    0.5 log|U+K|; checked against a 400x400 Gauss-Legendre integral over u."""
-    grid = uniform_inducing_grid(2, 2.0)
-    hp = KernelHyperparams(1.1, 0.9)
-    stats = toy_stats(rng, grid)
-    kmat = gram(grid, hp).values
-    half = 10.0 * np.sqrt(np.max(np.diag(kmat)))
-    rule = gauss_legendre(400, -half, half)
-    u1, u2 = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-    u = np.stack([u1.ravel(), u2.ravel()])
-    v = np.linalg.solve(kmat, u)  # f(x) = k(x)' K^-1 u
-    f_pts = se_cross(stats.points, grid.points, hp) @ v
-    f_q = se_cross(stats.quad.nodes, grid.points, hp) @ v
-    w = stats.quad.weights
-    log_lik = stats.b_point @ f_pts - 0.5 * (stats.a_point @ f_pts**2)
-    log_lik += (w * stats.b_quad) @ f_q - 0.5 * ((w * stats.a_quad) @ f_q**2)
-    log_prior = -0.5 * np.sum(u * v, axis=0) - 0.5 * np.linalg.slogdet(2.0 * np.pi * kmat)[1]
-    terms = log_lik + log_prior + np.log(np.outer(rule.weights, rule.weights).ravel())
-    top = terms.max()
-    want = top + np.log(np.sum(np.exp(terms - top)))
-    assert _profile_objective(stats, grid, hp, "vi") == pytest.approx(want, abs=1e-9)
-
-
 def test_search_theta_respects_bounds_and_contract(rng):
     grid = uniform_inducing_grid(5, 10.0)
     hp = KernelHyperparams(1.0, 1.0)
