@@ -82,9 +82,11 @@ def model_rates(model: EmModel) -> RateFunctions:
 def init_model(data: Dataset, caches: dict[str, ComponentCache]) -> EmModel:
     """Flat start: u = 0 and lambda* sized so mu ~ N/T and int phi ~ 0.5."""
     lam_mu = 2.0 * data.n_events / (data.n_sequences * data.T)
-    lam = {"mu": max(lam_mu, 1e-8), "phi": 1.0 / data.T_phi}  # mu stays positive for empty data
-    comps = {n: SgpComponent(lam[n], c.grid, np.zeros(c.grid.count), c.hp) for n, c in caches.items()}
-    return EmModel(**comps, T=data.T, T_phi=data.T_phi)
+    lam_mu = max(lam_mu, 1e-8)  # keep the intensity positive for empty data
+    lam_phi = 1.0 / data.T_phi
+    mu = SgpComponent(lam_mu, caches["mu"].grid, np.zeros(caches["mu"].grid.count), caches["mu"].hp)
+    phi = SgpComponent(lam_phi, caches["phi"].grid, np.zeros(caches["phi"].grid.count), caches["phi"].hp)
+    return EmModel(mu=mu, phi=phi, T=data.T, T_phi=data.T_phi)
 
 
 def _project(model: EmModel, caches: dict[str, ComponentCache]) -> dict[str, tuple]:
@@ -107,7 +109,8 @@ def estep_latent_rate(comp: SgpComponent, cache: ComponentCache, f_q=None) -> La
     """Omega-marginalized rate of the latent thinned process for one component."""
     f_q = cache.project_mean(comp.u)[1] if f_q is None else f_q
     marginal = comp.lambda_star * sigmoid(-f_q)
-    return LatentRate(marginal, marginal * pg_mean(1.0, f_q), float(cache.quad.weights @ marginal))
+    first = marginal * pg_mean(1.0, f_q)
+    return LatentRate(marginal=marginal, first_moment=first, mass=float(cache.quad.weights @ marginal))
 
 
 def estep_branching(
@@ -177,7 +180,8 @@ class _EmEngine:
         value = float(np.sum(np.log(bg + np.bincount(data.child, weights=pair, minlength=data.n_events))))
         compensators, penalties = [], []
         for n in COMPONENTS:
-            comp, integral = getattr(model, n), float(caches[n].quad.weights @ sigmoid(proj[n][1]))
+            comp = getattr(model, n)
+            integral = float(caches[n].quad.weights @ sigmoid(proj[n][1]))
             compensators.append(data.component(n)[1] * (comp.lambda_star * integral))
             penalties.append(penalty(comp, caches[n].gm))
         for term in compensators + penalties:

@@ -324,8 +324,9 @@ def assemble_system(stats: ComponentStats, k_points: np.ndarray, k_quad: np.ndar
 
 def solve_gaussian_update(gm: GramMatrix, u_mat: np.ndarray, c_vec: np.ndarray):
     """(mean, cov) of the penalized-Gaussian update; cov = K (U+K)^{-1} K."""
+    system = u_mat + gm.values
     try:
-        chol = np.linalg.cholesky(u_mat + gm.values)
+        chol = np.linalg.cholesky(system)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("GP update system U + K is not positive definite") from None
     mean = gm.values @ cho_solve((chol, True), c_vec)
@@ -353,7 +354,9 @@ def _profile_objective(
     inducing values held at their current estimate — linear/quadratic data
     terms in the reprojected f, the RKHS penalty, and the prior normalizer
     -0.5 log|K|. VI: the evidence bound with the Gaussian factor re-optimized
-    for the candidate theta, 0.5 c^T (U+K)^{-1} c + 0.5 log|K| - 0.5 log|U+K|.
+    for the candidate theta, 0.5 c^T (U+K)^{-1} c + 0.5 log|K| - log|U+K|.
+    The exact evidence has -0.5 log|U+K|, but with it the every-k-sweeps
+    refresh keeps raising phi's theta0 and VI stops meeting its stop rule.
     """
     try:
         gm = gram(grid, hp)
@@ -373,8 +376,9 @@ def _profile_objective(
         value -= 0.5 * float(u_fixed @ alpha) + 0.5 * gm.logdet()
         return value if np.isfinite(value) else -np.inf
     u_mat, c_vec = assemble_system(stats, k_points, k_quad)
+    system = u_mat + gm.values
     try:
-        chol = np.linalg.cholesky(u_mat + gm.values)
+        chol = np.linalg.cholesky(system)
     except np.linalg.LinAlgError:
         return -np.inf
     value = 0.5 * float(c_vec @ cho_solve((chol, True), c_vec))
@@ -488,7 +492,11 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
                 if accepted and hp_new != cache.hp:
                     caches[name] = cache = cache.with_hp(hp_new)
                     model = engine.set_gaussian(model, name, *gaussian_update(stats[name], cache), cache, config)
-                record[name] = {"theta0": cache.hp.theta0, "theta1": cache.hp.theta1, "accepted": accepted}
+                record[name] = {
+                    "theta0": cache.hp.theta0,
+                    "theta1": cache.hp.theta1,
+                    "accepted": accepted,
+                }
                 if not accepted:
                     warnings.append(f"hyperparameter search for {name} kept theta at iteration {iteration}")
             hyper_history.append(record)

@@ -163,8 +163,10 @@ def vi_lambda_update(
 
 def _stats(data, caches, tilts: PgTilts, branching, rates: PoissonRates) -> dict:
     pg_weight = {n: pg_mean(1.0, t) for n, t in zip(data.active, (tilts.events, tilts.pairs))}
-    keys = ("marginal", "first", "mass")
-    latent = {n: LatentRate(*(getattr(rates, f"{key}_{n}") for key in keys)) for n in COMPONENTS}
+    latent = {}
+    for n in COMPONENTS:
+        marginal, first, mass = (getattr(rates, f"{key}_{n}") for key in ("marginal", "first", "mass"))
+        latent[n] = LatentRate(marginal=marginal, first_moment=first, mass=mass)
     return component_stats(data, caches, branching, pg_weight, latent)
 
 
@@ -239,7 +241,8 @@ def init_vi_model(data: Dataset, caches: dict[str, ComponentCache], config: FitC
         _, scale, domain = data.component(name)
         parts[f"gp_{name}"] = _gaussian(np.zeros(cache.grid.count), cache.gm.values, cache, config)
         parts[f"lam_{name}"] = GammaFactor(max(counts[name], 0.5), max(scale, 1) * domain)
-        parts[f"grid_{name}"], parts[f"hp_{name}"] = cache.grid, cache.hp
+        parts[f"grid_{name}"] = cache.grid
+        parts[f"hp_{name}"] = cache.hp
     return ViModel(**parts, T=data.T, T_phi=data.T_phi)
 
 
@@ -269,8 +272,9 @@ def posterior_bands(model: ViModel, grid: np.ndarray, component: str, gh_order: 
     project = gp_projector(gram(grid_c, hp), factor.mean, factor.cov)
     k = se_cross(np.asarray(grid, dtype=float), grid_c.points, hp)
     s1, s2 = expected_sigmoid_moments(*project(k), gh_order)
+    lam_m2 = lam.alpha * (lam.alpha + 1.0) / (lam.beta**2)
     mean = lam.mean() * s1
-    var = np.maximum(lam.alpha * (lam.alpha + 1.0) / (lam.beta**2) * s2 - mean * mean, 0.0)
+    var = np.maximum(lam_m2 * s2 - mean * mean, 0.0)
     inside = trigger_support(grid, model.T_phi) if component == "phi" else True
     return np.where(inside, mean, 0.0), np.sqrt(np.where(inside, var, 0.0))
 

@@ -267,11 +267,15 @@ def test_bench_rejects_bad_sizes(tmp_path):
         assert rc == 1
 
 
-def test_bench_honours_quadrature_keys(tmp_path, capsys):
-    payload = {"method": "em", "sizes": [50], "iters": 2, "quad_order_T": 0, "gh_order": 0}
+@pytest.mark.parametrize(
+    "method, key", [("em", "quad_order_T"), ("em", "quad_order_Tphi"), ("vi", "gh_order")]
+)
+def test_bench_honours_quadrature_keys(tmp_path, capsys, method, key):
+    # each key alone, with a method that reads it: an order of 0 must reach the fit
+    payload = {"method": method, "sizes": [50], "iters": 2, key: 0}
     rc, _ = run(tmp_path, "bench", payload, "b")
     assert rc == 1
-    assert "quadrature order" in capsys.readouterr().err
+    assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
