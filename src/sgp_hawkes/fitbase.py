@@ -499,6 +499,14 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
                 }
                 if not accepted:
                     warnings.append(f"hyperparameter search for {name} kept theta at iteration {iteration}")
+                for param in ("theta0", "theta1"):
+                    value = getattr(cache.hp, param)
+                    # the search clips in log space: 1e-3 comes back as 1.0000000000000002e-3
+                    for bound in (b for b in THETA_BOUNDS if abs(value - b) <= 1e-9 * b):
+                        warnings.append(
+                            f"{name} {param} = {value:.6g} sits on its bound {bound:g}"
+                            f" after the refresh at iteration {iteration}"
+                        )
             hyper_history.append(record)
 
         seen, objective = engine.observe(model, data, caches, config)

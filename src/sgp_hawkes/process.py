@@ -23,10 +23,15 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from .quadrature import QuadratureGrid, gauss_legendre
 
 _TRIGGER_QUAD_ORDER = 48
+_TABLE_NODES = 257  # first size of a rate table; each refinement doubles the cells
+_TABLE_MAX_NODES = 2**20 + 1
+_TABLE_RTOL = 1e-10  # allowed midpoint error, relative to the rate's maximum
+_TABLE_CHUNK = 65536  # points per call of the rate being tabulated, to bound its temporaries
 
 
 class NonFiniteLikelihoodError(ValueError):
@@ -151,6 +156,8 @@ def log_likelihood(
     if abs(quad.lower) > 1e-12 or abs(quad.upper - seq.T) > 1e-9 * max(1.0, seq.T):
         raise ValueError(f"quadrature grid [{quad.lower}, {quad.upper}] does not cover [0, {seq.T}]")
     mu_comp = float(quad.weights @ np.asarray(rates.mu(quad.nodes), dtype=float))
+    if not np.isfinite(mu_comp):
+        raise NonFiniteLikelihoodError(f"background compensator {mu_comp} over [0, {seq.T}] is not finite")
     if len(seq) == 0:
         return -mu_comp
     lam = intensities_at_events(seq, rates)
@@ -313,6 +320,73 @@ def table_rates(mu_t, mu_value, phi_tau, phi_value, t_phi: float) -> RateFunctio
         return np.where(trigger_support(tau, t_phi), np.interp(tau, phi_tau, phi_value), 0.0)
 
     return RateFunctions(mu, phi, T_phi=float(t_phi))
+
+
+class TabulationError(FloatingPointError):
+    """A spline table of a rate missed its tolerance at the largest allowed size."""
+
+
+def _checked_spline(f, upper: float, name: str) -> CubicSpline:
+    """Cubic spline of f on [0, upper] that matches f at every cell midpoint.
+
+    The nodes double (each level adds the previous midpoints) until the
+    midpoint error is within _TABLE_RTOL of max |f|; NaN outside [0, upper].
+    """
+
+    def values(x):
+        chunks = [f(x[i : i + _TABLE_CHUNK]) for i in range(0, x.size, _TABLE_CHUNK)]
+        return np.concatenate([np.asarray(c, dtype=float) for c in chunks])
+
+    x = np.linspace(0.0, upper, _TABLE_NODES)
+    y = values(x)
+    while True:
+        mid = 0.5 * (x[:-1] + x[1:])
+        y_mid = values(mid)
+        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(y_mid))):
+            raise TabulationError(f"{name} is not finite on [0, {upper}]")
+        spline = CubicSpline(x, y, extrapolate=False)
+        error = float(np.max(np.abs(spline(mid) - y_mid)))
+        if error <= _TABLE_RTOL * max(float(np.max(np.abs(y))), float(np.max(np.abs(y_mid)))):
+            return spline
+        if x.size >= _TABLE_MAX_NODES:
+            raise TabulationError(
+                f"{name} table of {x.size} nodes misses its tolerance: midpoint error {error:.3g}"
+            )
+        x = np.insert(x, np.arange(1, x.size), mid)
+        y = np.insert(y, np.arange(1, y.size), y_mid)
+
+
+def tabulate(rates: RateFunctions, T: float) -> RateFunctions:
+    """Spline tables of smooth rates with the exact antiderivatives of the splines.
+
+    ``mu`` is tabulated on [0, T] and ``phi`` on [0, T_phi]; each table checks
+    itself against the given rates (see ``_checked_spline``) and raises
+    ``TabulationError`` rather than return a table that misses. ``phi`` is
+    tabulated through its unmasked limit at lag 0 and masked again when
+    evaluated. Values are clipped at zero, a change no larger than the
+    tolerance; outside their windows the tables give NaN.
+    """
+    mu_spline = _checked_spline(rates.mu, float(T), "mu")
+    # The smallest positive lag stands in for 0, where the support mask would
+    # put a kink into the table.
+    phi_spline = _checked_spline(
+        lambda tau: rates.phi(np.maximum(tau, np.nextafter(0.0, 1.0))), rates.T_phi, "phi"
+    )
+
+    def mu(t):
+        return np.maximum(mu_spline(np.asarray(t, dtype=float)), 0.0)
+
+    def phi(tau):
+        tau = np.asarray(tau, dtype=float)
+        return np.where(trigger_support(tau, rates.T_phi), np.maximum(phi_spline(tau), 0.0), 0.0)
+
+    return RateFunctions(
+        mu,
+        phi,
+        T_phi=rates.T_phi,
+        mu_integral=mu_spline.antiderivative(),
+        phi_integral=phi_spline.antiderivative(),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
+from scipy.special import expit
 
 DEFAULT_GH_ORDER = 30
-_GH_CHUNK = 65536
+_GH_CHUNK = 1024  # rows per Gauss-Hermite block: 1024 x 30 temporaries stay near 245 KB
 
 
 class QuadratureError(ValueError):
@@ -109,8 +110,6 @@ def expected_log_sigmoid(mean, var, n: int = DEFAULT_GH_ORDER):
 
 def expected_sigmoid_moments(mean, var, n: int = DEFAULT_GH_ORDER):
     """(E[sigma(X)], E[sigma(X)^2]) for X ~ N(mean, var), elementwise."""
-    from scipy.special import expit
-
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     var = np.atleast_1d(np.asarray(var, dtype=float))
     mean, var = np.broadcast_arrays(mean, var)

@@ -15,7 +15,7 @@ import numpy as np
 from .em import EmModel, SgpComponent
 from .kernels import InducingGrid, KernelHyperparams
 from .mle import ExpHawkesParams
-from .process import RateFunctions
+from .process import RateFunctions, tabulate
 from .vi import GammaFactor, GaussianFactor, ViModel
 
 
@@ -172,19 +172,22 @@ def load_model(path):
 
 
 def rates_for_eval(model, t_phi: float | None = None) -> RateFunctions:
-    """Rate functions of any fitted model, for scoring and rescaling.
+    """Rate functions of any fitted model, for scoring, rescaling and simulation.
 
-    For the exponential-kernel baseline ``t_phi`` must be given (pass the
-    holdout window length to keep its compensator effectively untruncated).
+    EM and VI rates are compiled once into self-checked spline tables with
+    exact antiderivatives (``process.tabulate``) on the model's windows. For
+    the exponential-kernel baseline, whose rates are closed forms, ``t_phi``
+    must be given (pass the holdout window length to keep its compensator
+    effectively untruncated).
     """
     from .em import model_rates as em_rates
     from .mle import model_rates as mle_rates
     from .vi import model_rates as vi_rates
 
     if isinstance(model, EmModel):
-        return em_rates(model)
+        return tabulate(em_rates(model), model.T)
     if isinstance(model, ViModel):
-        return vi_rates(model)
+        return tabulate(vi_rates(model), model.T)
     if isinstance(model, ExpHawkesParams):
         if t_phi is None:
             raise ValueError("t_phi is required to evaluate the exponential baseline")

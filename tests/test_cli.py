@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from sgp_hawkes.cli import main
+from sgp_hawkes.em import EmModel, SgpComponent
+from sgp_hawkes.kernels import KernelHyperparams, uniform_inducing_grid
 from sgp_hawkes.process import EventSequence, write_events_csv, write_manifest
 from sgp_hawkes.serialize import save_model
 from sgp_hawkes.mle import ExpHawkesParams
@@ -235,6 +237,18 @@ def test_eval_empty_holdout(tmp_path):
     assert metrics["ks_distance"] is None and metrics["ks_p"] is None
     assert metrics["est_err_mu"] is None  # no preset recorded, no truth to compare
     assert (out / "qq.csv").read_text() == "theoretical,empirical\n"
+
+
+def test_eval_rate_table_miss_exits_2(tmp_path, sim_dir, capsys):
+    # length scale 1e-3: no spline table within the size cap meets its tolerance
+    def comp(span):
+        return SgpComponent(2.0, uniform_inducing_grid(10, span), np.full(10, 3.0), KernelHyperparams(1.0, 1e6))
+
+    model_path = tmp_path / "model.json"
+    save_model(model_path, EmModel(mu=comp(100.0), phi=comp(6.0), T=100.0, T_phi=6.0))
+    rc, _ = run(tmp_path, "eval", {"model": str(model_path), "data": str(sim_dir)}, "e")
+    assert rc == 2
+    assert "misses its tolerance" in capsys.readouterr().err
 
 
 def test_eval_missing_model(tmp_path, sim_dir, capsys):

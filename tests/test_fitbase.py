@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sgp_hawkes import FitConfig
+from sgp_hawkes import FitConfig, fit_em
+from sgp_hawkes import fitbase
 from sgp_hawkes.fitbase import (
     ComponentStats,
     _profile_objective,
@@ -17,6 +18,7 @@ from sgp_hawkes.fitbase import (
     uniform_branching,
 )
 from sgp_hawkes.kernels import (
+    THETA_BOUNDS,
     KernelHyperparams,
     gram,
     se_cross,
@@ -162,3 +164,21 @@ def test_search_theta_respects_bounds_and_contract(rng):
         assert j_new >= j_old - 1e-9 - 1e-12 * abs(j_old)
         if accepted:
             assert j_new >= j_old - 1e-9
+
+
+def test_refresh_onto_a_theta_bound_is_reported(monkeypatch, small_case1_seqs):
+    low = float(np.exp(np.log(THETA_BOUNDS[0])))  # what the log-space clip returns
+    assert low != THETA_BOUNDS[0]
+
+    def onto_lower_bound(stats, grid, hp, kind, u_fixed=None):
+        return KernelHyperparams(low, hp.theta1), True
+
+    monkeypatch.setattr(fitbase, "search_theta", onto_lower_bound)
+    config = FitConfig(T=100.0, T_phi=6.0, max_iter=2, tol=0.0, hyper_refresh_every=1)
+    _, report = fit_em(small_case1_seqs, config)
+    bound_warnings = [w for w in report.warnings if "bound" in w]
+    assert bound_warnings == [
+        f"{name} theta0 = 0.001 sits on its bound 0.001 after the refresh at iteration {it}"
+        for it in (1, 2)
+        for name in ("mu", "phi")
+    ]

@@ -7,7 +7,9 @@ from sgp_hawkes.process import (
     CASE_T,
     CASE_T_PHI,
     EventSequence,
+    NonFiniteLikelihoodError,
     RateFunctions,
+    TabulationError,
     admissible_pairs,
     case1_rates,
     case2_rates,
@@ -18,6 +20,7 @@ from sgp_hawkes.process import (
     read_manifest,
     simulate_thinning,
     table_rates,
+    tabulate,
     trigger_integral,
     write_events_csv,
     write_manifest,
@@ -249,6 +252,46 @@ def test_table_rates_interpolation():
     np.testing.assert_allclose(rates.mu(t), np.interp(t, mu_t, mu_v), rtol=1e-15)
     assert rates.phi(np.array([0.5]))[0] == pytest.approx(0.25, rel=1e-15)
     assert rates.T_phi == 2.0
+
+
+def test_tabulate_matches_smooth_rates_and_their_integrals():
+    exact = case2_rates()
+    table = tabulate(exact, CASE_T)
+    t = np.linspace(0.0, CASE_T, 10_001)
+    tau = np.linspace(1e-9, CASE_T_PHI, 10_001)
+    # 1e-10 of the maximum at cell midpoints; elsewhere in a cell within 10x that
+    np.testing.assert_allclose(table.mu(t), exact.mu(t), rtol=0, atol=1e-9 * exact.mu(t).max())
+    np.testing.assert_allclose(table.phi(tau), exact.phi(tau), rtol=0, atol=1e-9 * exact.phi(tau).max())
+    np.testing.assert_allclose(table.mu_integral(t), exact.mu_integral(t), rtol=0, atol=1e-8)
+    np.testing.assert_allclose(table.phi_integral(tau), exact.phi_integral(tau), rtol=0, atol=1e-9)
+    assert table.T_phi == exact.T_phi
+    # the support mask is applied again outside the table
+    np.testing.assert_array_equal(table.phi(np.array([-1.0, 0.0, CASE_T_PHI + 1.0])), 0.0)
+    assert table.phi(np.array([1e-300]))[0] == pytest.approx(0.3, rel=1e-9)
+    # no extrapolation beyond the tabulated window
+    assert np.isnan(table.mu(np.array([CASE_T + 1.0]))[0])
+    with pytest.raises(NonFiniteLikelihoodError, match="background compensator"):
+        log_likelihood(EventSequence(np.empty(0), 2 * CASE_T), table, gauss_legendre(50, 0.0, 2 * CASE_T))
+
+
+def test_tabulate_never_goes_negative():
+    # zero on [0, 50]: the spline rings slightly below zero there, the table clips
+    ramp = RateFunctions(
+        mu=lambda t: (np.maximum(np.asarray(t) - 50.0, 0.0) / 50.0) ** 4, phi=case2_rates().phi, T_phi=CASE_T_PHI
+    )
+    table = tabulate(ramp, CASE_T)
+    t = np.linspace(0.0, CASE_T, 200_001)
+    assert np.all(table.mu(t) >= 0.0)
+    np.testing.assert_allclose(table.mu(t), ramp.mu(t), rtol=0, atol=1e-9)
+
+
+def test_tabulate_raises_rather_than_miss_its_tolerance():
+    # case 1's trigger has a kink at pi that no cubic-spline table resolves
+    with pytest.raises(TabulationError, match="phi table of 1048577 nodes"):
+        tabulate(case1_rates(), CASE_T)
+    nan_rates = RateFunctions(mu=lambda t: np.full_like(t, np.nan), phi=case2_rates().phi, T_phi=CASE_T_PHI)
+    with pytest.raises(TabulationError, match="mu is not finite"):
+        tabulate(nan_rates, CASE_T)
 
 
 def test_events_csv_roundtrip(tmp_path, rng):

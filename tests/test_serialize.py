@@ -1,14 +1,19 @@
 """Deterministic JSON output and exact model round trips."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
+from sgp_hawkes import FitConfig, fit_em, fit_vi, rescale, simulate_thinning
 from sgp_hawkes.em import EmModel, SgpComponent, model_rates as em_rates
+from sgp_hawkes.evaluation import test_ll as held_out_ll
 from sgp_hawkes.fitbase import FitReport
-from sgp_hawkes.kernels import InducingGrid, KernelHyperparams, gram
-from sgp_hawkes.mle import ExpHawkesParams
+from sgp_hawkes.kernels import InducingGrid, KernelHyperparams, gram, uniform_inducing_grid
+from sgp_hawkes.mle import ExpHawkesParams, model_rates as mle_rates
+from sgp_hawkes.process import CASE_T, CASE_T_PHI, PRESETS
+from sgp_hawkes.quadrature import gauss_legendre
 from sgp_hawkes.serialize import (
     dumps_json,
     load_json,
@@ -144,6 +149,59 @@ def test_mle_round_trip_and_rates_guard(tmp_path):
     rates = rates_for_eval(back, t_phi=50.0)
     assert rates.T_phi == 50.0
     assert float(rates.mu(np.array([3.0]))[0]) == 1.1
+
+
+def test_rates_for_eval_keeps_mle_closed_forms():
+    params = ExpHawkesParams(1.1, 0.3, 0.9)
+    rates, exact = rates_for_eval(params, t_phi=50.0), mle_rates(params, 50.0)
+    x = np.linspace(0.0, 50.0, 1001)
+    for name in ("mu", "phi", "mu_integral", "phi_integral"):
+        np.testing.assert_array_equal(getattr(rates, name)(x), getattr(exact, name)(x))
+
+
+@pytest.mark.parametrize("case", ["case1", "case2"])
+@pytest.mark.parametrize("fit", [fit_em, fit_vi])
+def test_rates_for_eval_tables_match_exact_adapters(case, fit):
+    truth = PRESETS[case]()
+    train = [simulate_thinning(truth, CASE_T, seed=s) for s in range(3)]
+    model, _ = fit(train, FitConfig(T=CASE_T, T_phi=CASE_T_PHI, max_iter=40))
+    exact = (em_rates if fit is fit_em else vi_rates)(model)
+    table = rates_for_eval(model)
+    quad = gauss_legendre(200, 0.0, CASE_T)
+    for s in range(900, 903):
+        seq = simulate_thinning(truth, CASE_T, seed=s)
+        assert abs(held_out_ll(table, seq, quad) - held_out_ll(exact, seq, quad)) <= 1e-6
+        np.testing.assert_allclose(rescale(table, seq, quad).z, rescale(exact, seq, quad).z, rtol=0, atol=1e-9)
+
+
+def em_model(u, theta1=None):
+    """EM model with the same inducing values on both components."""
+
+    def comp(span):
+        grid = uniform_inducing_grid(u.size, span)
+        return SgpComponent(2.0, grid, u, KernelHyperparams(1.0, theta1 or 1.0 / grid.spacing**2))
+
+    return EmModel(mu=comp(CASE_T), phi=comp(CASE_T_PHI), T=CASE_T, T_phi=CASE_T_PHI)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        em_model(np.random.default_rng(0).normal(scale=3.0, size=10), theta1=1e3),  # narrow bumps
+        em_model(20.0 * np.array([1, 1, 1, 1, -1, -1, 1, 1, 1, 1.0])),  # dips to ~1e-13 of the maximum
+    ],
+    ids=["theta1-1e3", "deep-dip"],
+)
+def test_rate_tables_of_stress_models(model):
+    start = time.perf_counter()
+    table = rates_for_eval(model)
+    assert time.perf_counter() - start < 1.0
+    exact = em_rates(model)
+    for name, x in (("mu", np.linspace(0.0, CASE_T, 200_001)), ("phi", np.linspace(1e-9, CASE_T_PHI, 200_001))):
+        want, got = getattr(exact, name)(x), getattr(table, name)(x)
+        assert np.all(got >= 0.0)
+        # 1e-10 of the maximum at cell midpoints; elsewhere in a cell within 10x that
+        assert np.max(np.abs(got - want)) <= 1e-9 * want.max()
 
 
 def test_model_dict_rejects_unknown():
