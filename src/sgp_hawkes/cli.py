@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from statistics import median
 
@@ -46,20 +47,7 @@ _NUMERICAL_ERRORS = (
     RuntimeError,
 )
 
-_FIT_KEYS = {
-    "S_mu",
-    "S_phi",
-    "quad_order_T",
-    "quad_order_Tphi",
-    "max_iter",
-    "tol",
-    "hyper_refresh_every",
-    "theta0_init",
-    "theta1_init",
-    "gh_order",
-    "eval_grid",
-    "fix_variance",
-}
+_FIT_KEYS = {f.name for f in fields(FitConfig)} - {"T", "T_phi"}
 
 
 class CliError(Exception):
@@ -202,11 +190,13 @@ def _write_estimates(path: Path, grid, values, std=None) -> None:
 
 def cmd_fit(args) -> int:
     config = _load_config(args)
-    # "seed" is accepted for the config echo; the fits are deterministic.
-    _check_keys(config, _FIT_KEYS | {"method", "data", "split", "max_sequences", "seed"}, "fit")
     method = config.get("method")
     if method not in ("em", "vi", "mle"):
         raise CliError(f"fit method must be one of em, vi, mle; got {method!r}")
+    # "seed" is accepted for the config echo; the fits are deterministic. The
+    # exponential MLE baseline honours none of the EM/VI settings.
+    engine_keys = set() if method == "mle" else _FIT_KEYS
+    _check_keys(config, engine_keys | {"method", "data", "split", "max_sequences", "seed"}, "fit")
     if "data" not in config:
         raise CliError("fit config needs a 'data' directory")
     out = _out_dir(args)
@@ -216,13 +206,14 @@ def cmd_fit(args) -> int:
     manifest, seqs = _load_split(Path(config["data"]), config.get("split", "train"), limit)
     if not seqs:
         raise CliError(f"no {config.get('split', 'train')}_*.csv sequences in {config['data']}")
+    if method != "mle":
+        settings = {k: config[k] for k in _FIT_KEYS if k in config}
+        fit_config = FitConfig(T=manifest["T"], T_phi=manifest["T_phi"], **settings)
     _echo_config(out, "fit", config)
 
     if method == "mle":
         model, report = fit_mle(seqs, t_phi_report=manifest["T_phi"])
     else:
-        engine_keys = {k: config[k] for k in _FIT_KEYS if k in config}
-        fit_config = FitConfig(T=manifest["T"], T_phi=manifest["T_phi"], **engine_keys)
         model, report = (fit_em if method == "em" else fit_vi)(seqs, fit_config)
 
     save_model(out / "model.json", model)

@@ -28,7 +28,6 @@ from .fitbase import (
     FitReport,
     LatentRate,
     assemble_system,  # noqa: F401  re-export; perfbench's tracing test rebinds it here
-    build_caches,  # noqa: F401  re-export
     component_rate,
     component_stats,
     gaussian_update,
@@ -58,14 +57,6 @@ class EmModel:
     phi: SgpComponent
     T: float
     T_phi: float
-
-
-@dataclass(frozen=True)
-class PgMeans:
-    """E[omega] at each observed event (baseline) and admissible pair (trigger)."""
-
-    events: np.ndarray
-    pairs: np.ndarray
 
 
 def component_function(comp: SgpComponent, t_phi: float | None = None):
@@ -99,10 +90,12 @@ def _numerators(model: EmModel, proj: dict[str, tuple]) -> tuple[np.ndarray, ...
     return tuple(getattr(model, n).lambda_star * sigmoid(proj[n][0]) for n in COMPONENTS)
 
 
-def estep_pg(model: EmModel, data: Dataset, caches: dict[str, ComponentCache], proj=None) -> PgMeans:
-    """Conditional PG means at the current point estimates."""
+def estep_pg(
+    model: EmModel, data: Dataset, caches: dict[str, ComponentCache], proj=None
+) -> dict[str, np.ndarray]:
+    """Conditional PG means E[omega] at each component's data points (events, pairs)."""
     proj = proj or _project(model, caches)
-    return PgMeans(events=pg_mean(1.0, proj["mu"][0]), pairs=pg_mean(1.0, proj["phi"][0]))
+    return {n: pg_mean(1.0, proj[n][0]) for n in COMPONENTS}
 
 
 def estep_latent_rate(comp: SgpComponent, cache: ComponentCache, f_q=None) -> LatentRate:
@@ -121,23 +114,17 @@ def estep_branching(
     return normalize_branching(bg, pair, data.child, data.n_events)
 
 
-def _stats(data, caches, pg: PgMeans, lat: dict[str, LatentRate], branching) -> dict:
-    return component_stats(data, caches, branching, {"mu": pg.events, "phi": pg.pairs}, lat)
-
-
 def mstep(
     model: EmModel,
     data: Dataset,
     caches: dict[str, ComponentCache],
-    pg: PgMeans,
-    lat_mu: LatentRate,
-    lat_phi: LatentRate,
+    pg: dict[str, np.ndarray],
+    lat: dict[str, LatentRate],
     branching: BranchingPosterior,
 ) -> EmModel:
     """Joint maximizer of the expected augmented objective over (lambda*, u)."""
-    lat = {"mu": lat_mu, "phi": lat_phi}
     updated = {}
-    for name, stats in _stats(data, caches, pg, lat, branching).items():
+    for name, stats in component_stats(data, caches, branching, pg, lat).items():
         count, exposure = rate_bound_counts(data, name, branching, lat[name].mass)
         u, _ = gaussian_update(stats, caches[name])
         updated[name] = replace(getattr(model, name), lambda_star=max(count / exposure, 1e-300), u=u)
@@ -192,8 +179,8 @@ class _EmEngine:
         pg = estep_pg(model, data, caches, proj)
         lat = {n: estep_latent_rate(getattr(model, n), caches[n], proj[n][1]) for n in COMPONENTS}
         branching = estep_branching(model, data, caches, proj)
-        new = mstep(model, data, caches, pg, lat["mu"], lat["phi"], branching)
-        return new, lambda: _stats(data, caches, pg, lat, branching)
+        new = mstep(model, data, caches, pg, lat, branching)
+        return new, lambda: component_stats(data, caches, branching, pg, lat)
 
     def u_fixed(self, model, name):
         return getattr(model, name).u

@@ -34,6 +34,14 @@ from .quadrature import DEFAULT_GH_ORDER, QuadratureGrid, gauss_legendre
 
 _SEARCH_BINS = 2048
 COMPONENTS = ("mu", "phi")
+_INT_MINIMUMS = {  # smallest accepted value of each integer FitConfig field
+    "S_mu": 2, "S_phi": 2, "quad_order_T": 1, "quad_order_Tphi": 1,
+    "max_iter": 1, "hyper_refresh_every": 0, "gh_order": 1, "eval_grid": 2,
+}
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -58,10 +66,20 @@ class FitConfig:
     def __post_init__(self):
         if self.T <= 0 or self.T_phi <= 0:
             raise ValueError("T and T_phi must be positive")
-        if self.S_mu < 2 or self.S_phi < 2:
-            raise ValueError("need at least two inducing points per component")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        for key, low in _INT_MINIMUMS.items():
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+        if not (_is_real(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be a number >= 0, got {self.tol!r}")
+        for key in ("theta0_init", "theta1_init"):
+            value = getattr(self, key)
+            if key == "theta1_init" and value is None:
+                continue
+            if not (_is_real(value) and 0 < value < np.inf):
+                raise ValueError(f"{key} must be a positive finite number, got {value!r}")
+        if not isinstance(self.fix_variance, bool):
+            raise ValueError(f"fix_variance must be true or false, got {self.fix_variance!r}")
 
 
 @dataclass

@@ -12,11 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import em, mle, vi
 from .em import EmModel, SgpComponent
+from .fitbase import COMPONENTS
 from .kernels import InducingGrid, KernelHyperparams
 from .mle import ExpHawkesParams
 from .process import RateFunctions, tabulate
-from .vi import GammaFactor, GaussianFactor, ViModel
+from .vi import GammaFactor, GaussianFactor, ViComponent, ViModel
 
 
 def _emit(obj, level: int, indent: int):
@@ -78,47 +80,33 @@ def load_json(path):
 # Model <-> dict
 
 
-def _em_component_dict(comp: SgpComponent) -> dict:
-    return {
-        "lambda_star": comp.lambda_star,
-        "inducing_points": comp.grid.points,
-        "domain": comp.grid.domain,
-        "u": comp.u,
-        "theta0": comp.hp.theta0,
-        "theta1": comp.hp.theta1,
-    }
+_SGP_MODELS = {"em": EmModel, "vi": ViModel}
 
 
-def _vi_component_dict(gp: GaussianFactor, lam: GammaFactor, grid: InducingGrid, hp: KernelHyperparams) -> dict:
-    return {
-        "alpha": lam.alpha,
-        "beta": lam.beta,
-        "inducing_points": grid.points,
-        "domain": grid.domain,
-        "mean": gp.mean,
-        "cov": gp.cov,
-        "theta0": hp.theta0,
-        "theta1": hp.theta1,
-    }
+def _component_dict(comp: SgpComponent | ViComponent) -> dict:
+    if isinstance(comp, SgpComponent):
+        head, values = {"lambda_star": comp.lambda_star}, {"u": comp.u}
+    else:
+        head = {"alpha": comp.lam.alpha, "beta": comp.lam.beta}
+        values = {"mean": comp.gp.mean, "cov": comp.gp.cov}
+    grid = {"inducing_points": comp.grid.points, "domain": comp.grid.domain}
+    return {**head, **grid, **values, "theta0": comp.hp.theta0, "theta1": comp.hp.theta1}
+
+
+def _component_from_dict(method: str, d: dict) -> SgpComponent | ViComponent:
+    grid = InducingGrid(np.asarray(d["inducing_points"], dtype=float), float(d["domain"]))
+    hp = KernelHyperparams(float(d["theta0"]), float(d["theta1"]))
+    if method == "em":
+        return SgpComponent(float(d["lambda_star"]), grid, np.asarray(d["u"], dtype=float), hp)
+    gp = GaussianFactor(np.asarray(d["mean"], dtype=float), np.asarray(d["cov"], dtype=float))
+    return ViComponent(gp, GammaFactor(float(d["alpha"]), float(d["beta"])), grid, hp)
 
 
 def model_to_dict(model) -> dict:
-    if isinstance(model, EmModel):
-        return {
-            "method": "em",
-            "T": model.T,
-            "T_phi": model.T_phi,
-            "mu": _em_component_dict(model.mu),
-            "phi": _em_component_dict(model.phi),
-        }
-    if isinstance(model, ViModel):
-        return {
-            "method": "vi",
-            "T": model.T,
-            "T_phi": model.T_phi,
-            "mu": _vi_component_dict(model.gp_mu, model.lam_mu, model.grid_mu, model.hp_mu),
-            "phi": _vi_component_dict(model.gp_phi, model.lam_phi, model.grid_phi, model.hp_phi),
-        }
+    if isinstance(model, (EmModel, ViModel)):
+        method = "em" if isinstance(model, EmModel) else "vi"
+        components = {n: _component_dict(getattr(model, n)) for n in COMPONENTS}
+        return {"method": method, "T": model.T, "T_phi": model.T_phi, **components}
     if isinstance(model, ExpHawkesParams):
         return {"method": "mle", "mu": model.mu, "alpha": model.alpha, "beta": model.beta}
     raise TypeError(f"cannot serialize model of type {type(model).__name__}")
@@ -126,38 +114,9 @@ def model_to_dict(model) -> dict:
 
 def model_from_dict(data: dict):
     method = data.get("method")
-    if method == "em":
-        def comp(d):
-            return SgpComponent(
-                lambda_star=float(d["lambda_star"]),
-                grid=InducingGrid(np.asarray(d["inducing_points"], dtype=float), float(d["domain"])),
-                u=np.asarray(d["u"], dtype=float),
-                hp=KernelHyperparams(float(d["theta0"]), float(d["theta1"])),
-            )
-
-        return EmModel(mu=comp(data["mu"]), phi=comp(data["phi"]), T=float(data["T"]), T_phi=float(data["T_phi"]))
-    if method == "vi":
-        def parts(d):
-            gp = GaussianFactor(np.asarray(d["mean"], dtype=float), np.asarray(d["cov"], dtype=float))
-            lam = GammaFactor(float(d["alpha"]), float(d["beta"]))
-            grid = InducingGrid(np.asarray(d["inducing_points"], dtype=float), float(d["domain"]))
-            hp = KernelHyperparams(float(d["theta0"]), float(d["theta1"]))
-            return gp, lam, grid, hp
-
-        gp_mu, lam_mu, grid_mu, hp_mu = parts(data["mu"])
-        gp_phi, lam_phi, grid_phi, hp_phi = parts(data["phi"])
-        return ViModel(
-            gp_mu=gp_mu,
-            gp_phi=gp_phi,
-            lam_mu=lam_mu,
-            lam_phi=lam_phi,
-            grid_mu=grid_mu,
-            grid_phi=grid_phi,
-            hp_mu=hp_mu,
-            hp_phi=hp_phi,
-            T=float(data["T"]),
-            T_phi=float(data["T_phi"]),
-        )
+    if method in _SGP_MODELS:
+        components = {n: _component_from_dict(method, data[n]) for n in COMPONENTS}
+        return _SGP_MODELS[method](**components, T=float(data["T"]), T_phi=float(data["T_phi"]))
     if method == "mle":
         return ExpHawkesParams(float(data["mu"]), float(data["alpha"]), float(data["beta"]))
     raise ValueError(f"unknown model method {method!r}")
@@ -180,18 +139,12 @@ def rates_for_eval(model, t_phi: float | None = None) -> RateFunctions:
     must be given (pass the holdout window length to keep its compensator
     effectively untruncated).
     """
-    from .em import model_rates as em_rates
-    from .mle import model_rates as mle_rates
-    from .vi import model_rates as vi_rates
-
-    if isinstance(model, EmModel):
-        return tabulate(em_rates(model), model.T)
-    if isinstance(model, ViModel):
-        return tabulate(vi_rates(model), model.T)
+    if isinstance(model, (EmModel, ViModel)):
+        return tabulate((em if isinstance(model, EmModel) else vi).model_rates(model), model.T)
     if isinstance(model, ExpHawkesParams):
         if t_phi is None:
             raise ValueError("t_phi is required to evaluate the exponential baseline")
-        return mle_rates(model, t_phi)
+        return mle.model_rates(model, t_phi)
     raise TypeError(f"cannot build rates for model of type {type(model).__name__}")
 
 

@@ -42,7 +42,7 @@ from .fitbase import (
 from .kernels import InducingGrid, KernelHyperparams, gp_projector, gram, se_cross
 from .pg import pg_mean
 from .process import EventSequence, RateFunctions, trigger_support
-from .quadrature import expected_log_sigmoid, expected_sigmoid_moments
+from .quadrature import DEFAULT_GH_ORDER, expected_log_sigmoid, expected_sigmoid_moments
 
 _COV_FLOOR = 1e-12  # covariance scale used by the fix_variance debug mode
 
@@ -78,42 +78,26 @@ class GammaFactor:
 
 
 @dataclass(frozen=True)
+class ViComponent:
+    """The variational factors of one component: rate(x) = lambda* sigma(f(x))."""
+
+    gp: GaussianFactor
+    lam: GammaFactor
+    grid: InducingGrid
+    hp: KernelHyperparams
+
+
+@dataclass(frozen=True)
 class ViModel:
-    gp_mu: GaussianFactor
-    gp_phi: GaussianFactor
-    lam_mu: GammaFactor
-    lam_phi: GammaFactor
-    grid_mu: InducingGrid
-    grid_phi: InducingGrid
-    hp_mu: KernelHyperparams
-    hp_phi: KernelHyperparams
+    mu: ViComponent
+    phi: ViComponent
     T: float
     T_phi: float
 
 
-@dataclass(frozen=True)
-class PgTilts:
-    """Tilt c = sqrt(mean^2 + var) of the PG factors at events and pairs."""
-
-    events: np.ndarray
-    pairs: np.ndarray
-
-
-@dataclass(frozen=True)
-class PoissonRates:
-    """Optimal thinned-process rates on the quadrature grids (one window/event)."""
-
-    marginal_mu: np.ndarray
-    first_mu: np.ndarray
-    mass_mu: float
-    marginal_phi: np.ndarray
-    first_phi: np.ndarray
-    mass_phi: float
-
-
 def _project(model: ViModel, caches: dict[str, ComponentCache]) -> dict[str, tuple]:
     """Projected q(f) of each component: (mean, var) at data points, then at quad nodes."""
-    factors = {n: getattr(model, f"gp_{n}") for n in COMPONENTS}
+    factors = {n: getattr(model, n).gp for n in COMPONENTS}
     return {n: caches[n].project_meanvar(f.mean, f.cov) for n, f in factors.items()}
 
 
@@ -131,62 +115,63 @@ def _gaussian(mean: np.ndarray, cov: np.ndarray, cache: ComponentCache, config: 
     return GaussianFactor(mean, _COV_FLOOR * cache.gm.values if config.fix_variance else cov)
 
 
-def vi_pg_update(model: ViModel, data: Dataset, caches: dict[str, ComponentCache], proj=None) -> PgTilts:
+def vi_pg_update(
+    model: ViModel, data: Dataset, caches: dict[str, ComponentCache], proj=None
+) -> dict[str, np.ndarray]:
+    """Tilt c = sqrt(mean^2 + var) of the PG factors at each component's data points."""
     proj = proj or _project(model, caches)
-    return PgTilts(events=_tilt(*proj["mu"][:2]), pairs=_tilt(*proj["phi"][:2]))
+    return {n: _tilt(*proj[n][:2]) for n in COMPONENTS}
 
 
-def vi_poisson_update(model: ViModel, caches: dict[str, ComponentCache], proj=None) -> PoissonRates:
+def vi_poisson_update(model: ViModel, caches: dict[str, ComponentCache], proj=None) -> dict[str, LatentRate]:
     """Optimal thinned-point rates lambda~ sigma(-c) exp((c - mean)/2), c the PG tilt."""
     proj = proj or _project(model, caches)
-    fields = {}
+    rates = {}
     for name in COMPONENTS:
         _, _, mean, var = proj[name]
         tilt = _tilt(mean, var)
-        lam_geo = getattr(model, f"lam_{name}").geometric_mean()
+        lam_geo = getattr(model, name).lam.geometric_mean()
         rate = lam_geo * np.exp(0.5 * (tilt - mean) - np.logaddexp(0.0, tilt))
-        fields[f"marginal_{name}"] = rate
-        fields[f"first_{name}"] = rate * pg_mean(1.0, tilt)
-        fields[f"mass_{name}"] = float(caches[name].quad.weights @ rate)
-    return PoissonRates(**fields)
+        mass = float(caches[name].quad.weights @ rate)
+        rates[name] = LatentRate(marginal=rate, first_moment=rate * pg_mean(1.0, tilt), mass=mass)
+    return rates
 
 
 def vi_lambda_update(
-    branching: BranchingPosterior, rates: PoissonRates, data: Dataset
-) -> tuple[GammaFactor, GammaFactor | None]:
+    branching: BranchingPosterior, rates: dict[str, LatentRate], data: Dataset
+) -> dict[str, GammaFactor]:
     factors = {}
     for name in data.active:
-        count, exposure = rate_bound_counts(data, name, branching, getattr(rates, f"mass_{name}"))
+        count, exposure = rate_bound_counts(data, name, branching, rates[name].mass)
         factors[name] = GammaFactor(max(count, 1e-12), exposure)
-    return factors.get("mu"), factors.get("phi")
+    return factors
 
 
-def _stats(data, caches, tilts: PgTilts, branching, rates: PoissonRates) -> dict:
-    pg_weight = {n: pg_mean(1.0, t) for n, t in zip(data.active, (tilts.events, tilts.pairs))}
-    latent = {}
-    for n in COMPONENTS:
-        marginal, first, mass = (getattr(rates, f"{key}_{n}") for key in ("marginal", "first", "mass"))
-        latent[n] = LatentRate(marginal=marginal, first_moment=first, mass=mass)
-    return component_stats(data, caches, branching, pg_weight, latent)
+def _stats(data, caches, tilts: dict[str, np.ndarray], branching, rates: dict[str, LatentRate]) -> dict:
+    pg_weight = {n: pg_mean(1.0, tilts[n]) for n in data.active}
+    return component_stats(data, caches, branching, pg_weight, rates)
 
 
 def vi_gp_update(
-    tilts: PgTilts,
+    tilts: dict[str, np.ndarray],
     branching: BranchingPosterior,
-    rates: PoissonRates,
+    rates: dict[str, LatentRate],
     data: Dataset,
     caches: dict[str, ComponentCache],
-) -> tuple[GaussianFactor, GaussianFactor | None]:
+) -> dict[str, GaussianFactor]:
     stats = _stats(data, caches, tilts, branching, rates)
-    factors = {n: GaussianFactor(*gaussian_update(s, caches[n])) for n, s in stats.items()}
-    return factors.get("mu"), factors.get("phi")
+    return {n: GaussianFactor(*gaussian_update(s, caches[n])) for n, s in stats.items()}
 
 
 def vi_branching_update(
-    model: ViModel, data: Dataset, caches: dict[str, ComponentCache], gh_order: int = 30, els=None
+    model: ViModel,
+    data: Dataset,
+    caches: dict[str, ComponentCache],
+    gh_order: int = DEFAULT_GH_ORDER,
+    els=None,
 ) -> BranchingPosterior:
     els = els or _expected_log_sigmoid(_project(model, caches), gh_order)
-    bg, pair = (getattr(model, f"lam_{n}").geometric_mean() * np.exp(els[n]) for n in COMPONENTS)
+    bg, pair = (getattr(model, n).lam.geometric_mean() * np.exp(els[n]) for n in COMPONENTS)
     return normalize_branching(bg, pair, data.child, data.n_events)
 
 
@@ -212,65 +197,64 @@ def vi_monitor(
     branching: BranchingPosterior,
     data: Dataset,
     caches: dict[str, ComponentCache],
-    gh_order: int = 30,
+    gh_order: int = DEFAULT_GH_ORDER,
     els=None,
     rates=None,
 ) -> float:
     """Negative variational free energy surrogate at the current factors."""
     els = els or _expected_log_sigmoid(_project(model, caches), gh_order)
     rates = rates or vi_poisson_update(model, caches)
-    lam = {n: getattr(model, f"lam_{n}") for n in COMPONENTS}
+    comps = {n: getattr(model, n) for n in COMPONENTS}
     value = 0.0
     for n in COMPONENTS:
         weights = branching.weights(n)
-        value += float(weights @ (lam[n].mean_log() + els[n]))
+        value += float(weights @ (comps[n].lam.mean_log() + els[n]))
         value -= float(np.sum(xlogy(weights, weights)))
     for n in COMPONENTS:
         _, scale, domain = data.component(n)
-        value += scale * getattr(rates, f"mass_{n}") - lam[n].mean() * scale * domain
+        value += scale * rates[n].mass - comps[n].lam.mean() * scale * domain
     for n in COMPONENTS:
-        value -= _gaussian_kl(getattr(model, f"gp_{n}"), caches[n].gm)
-    return value + sum(_gamma_elbo_term(lam[n]) for n in COMPONENTS)
+        value -= _gaussian_kl(comps[n].gp, caches[n].gm)
+    return value + sum(_gamma_elbo_term(comps[n].lam) for n in COMPONENTS)
 
 
 def init_vi_model(data: Dataset, caches: dict[str, ComponentCache], config: FitConfig) -> ViModel:
     """Prior Gaussian factors, Gamma factors matching the EM initialization."""
     counts = {"mu": 2.0 * data.n_events, "phi": float(data.n_events)}
-    parts = {}
+    comps = {}
     for name, cache in caches.items():
         _, scale, domain = data.component(name)
-        parts[f"gp_{name}"] = _gaussian(np.zeros(cache.grid.count), cache.gm.values, cache, config)
-        parts[f"lam_{name}"] = GammaFactor(max(counts[name], 0.5), max(scale, 1) * domain)
-        parts[f"grid_{name}"] = cache.grid
-        parts[f"hp_{name}"] = cache.hp
-    return ViModel(**parts, T=data.T, T_phi=data.T_phi)
+        gp = _gaussian(np.zeros(cache.grid.count), cache.gm.values, cache, config)
+        lam = GammaFactor(max(counts[name], 0.5), max(scale, 1) * domain)
+        comps[name] = ViComponent(gp=gp, lam=lam, grid=cache.grid, hp=cache.hp)
+    return ViModel(**comps, T=data.T, T_phi=data.T_phi)
 
 
-def model_rates(model: ViModel, gh_order: int = 30) -> RateFunctions:
+def component_function(comp: ViComponent, t_phi: float | None = None, gh_order: int = DEFAULT_GH_ORDER):
+    """Shape-preserving x -> E[lambda*] E[sigma(f(x))], zero outside (0, t_phi] if given."""
+
+    def link(marginal):
+        return comp.lam.mean() * expected_sigmoid_moments(*marginal, gh_order)[0]
+
+    return component_rate(comp.grid, comp.hp, comp.gp.mean, comp.gp.cov, link, t_phi)
+
+
+def model_rates(model: ViModel, gh_order: int = DEFAULT_GH_ORDER) -> RateFunctions:
     """Posterior-mean rates E[lambda*] E[sigma(f(.))] of a fitted VI model."""
-
-    def rate(name, t_phi=None):
-        factor, lam = getattr(model, f"gp_{name}"), getattr(model, f"lam_{name}")
-
-        def link(marginal):
-            return lam.mean() * expected_sigmoid_moments(*marginal, gh_order)[0]
-
-        grid, hp = getattr(model, f"grid_{name}"), getattr(model, f"hp_{name}")
-        return component_rate(grid, hp, factor.mean, factor.cov, link, t_phi)
-
-    return RateFunctions(mu=rate("mu"), phi=rate("phi", model.T_phi), T_phi=model.T_phi)
+    phi = component_function(model.phi, model.T_phi, gh_order)
+    return RateFunctions(mu=component_function(model.mu, None, gh_order), phi=phi, T_phi=model.T_phi)
 
 
-def posterior_bands(model: ViModel, grid: np.ndarray, component: str, gh_order: int = 30):
+def posterior_bands(model: ViModel, grid: np.ndarray, component: str, gh_order: int = DEFAULT_GH_ORDER):
     """(mean, std) of lambda* sigma(f(x)) pointwise under the fitted factors.
 
     Gamma and Gaussian uncertainties combine multiplicatively:
     var = E[lambda*^2] E[sigma^2] - (E[lambda*] E[sigma])^2.
     """
-    grid_c, hp = getattr(model, f"grid_{component}"), getattr(model, f"hp_{component}")
-    factor, lam = getattr(model, f"gp_{component}"), getattr(model, f"lam_{component}")
-    project = gp_projector(gram(grid_c, hp), factor.mean, factor.cov)
-    k = se_cross(np.asarray(grid, dtype=float), grid_c.points, hp)
+    comp = getattr(model, component)
+    lam = comp.lam
+    project = gp_projector(gram(comp.grid, comp.hp), comp.gp.mean, comp.gp.cov)
+    k = se_cross(np.asarray(grid, dtype=float), comp.grid.points, comp.hp)
     s1, s2 = expected_sigmoid_moments(*project(k), gh_order)
     lam_m2 = lam.alpha * (lam.alpha + 1.0) / (lam.beta**2)
     mean = lam.mean() * s1
@@ -297,18 +281,17 @@ class _ViEngine:
         proj, branching, rates = seen
         tilts = vi_pg_update(model, data, caches, proj)
         lams = vi_lambda_update(branching, rates, data)
-        gps = vi_gp_update(tilts, branching, rates, data, caches)
-        for name, lam, gp in zip(COMPONENTS, lams, gps):
-            if gp is not None:
-                model = replace(model, **{f"lam_{name}": lam})
-                model = self.set_gaussian(model, name, gp.mean, gp.cov, caches[name], config)
+        for name, gp in vi_gp_update(tilts, branching, rates, data, caches).items():
+            model = replace(model, **{name: replace(getattr(model, name), lam=lams[name])})
+            model = self.set_gaussian(model, name, gp.mean, gp.cov, caches[name], config)
         return model, lambda: _stats(data, caches, tilts, branching, rates)
 
     def u_fixed(self, model, name):
         return None
 
     def set_gaussian(self, model, name, mean, cov, cache, config):
-        return replace(model, **{f"gp_{name}": _gaussian(mean, cov, cache, config), f"hp_{name}": cache.hp})
+        comp = replace(getattr(model, name), gp=_gaussian(mean, cov, cache, config), hp=cache.hp)
+        return replace(model, **{name: comp})
 
     def estimates(self, model, grids, config):
         out = {}

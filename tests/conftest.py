@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from sgp_hawkes import FitConfig, case1_rates, simulate_thinning
-from sgp_hawkes.em import build_caches
-from sgp_hawkes.fitbase import build_dataset
+from sgp_hawkes.fitbase import build_caches, build_dataset
 
 
 @pytest.fixture(scope="session")

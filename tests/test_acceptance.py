@@ -24,7 +24,6 @@ from scipy.special import expit
 from sgp_hawkes import FitConfig, fit_em, fit_vi
 from sgp_hawkes.cli import main
 from sgp_hawkes.em import (
-    build_caches,
     estep_branching,
     estep_latent_rate,
     estep_pg,
@@ -33,7 +32,7 @@ from sgp_hawkes.em import (
 )
 from sgp_hawkes.evaluation import RescaledSample, ks_statistic, rescale
 from sgp_hawkes.evaluation import test_ll as held_out_ll
-from sgp_hawkes.fitbase import build_dataset
+from sgp_hawkes.fitbase import build_caches, build_dataset
 from sgp_hawkes.kernels import InducingGrid, KernelHyperparams, gram, se_cross, sparse_mean
 from sgp_hawkes.mle import ExpHawkesParams, _window_nll_grad, exp_hawkes_nll
 from sgp_hawkes.pg import pg_mean
@@ -203,17 +202,17 @@ def test_criterion_4_monotone_traces_and_pure_updates():
     branching = vi_branching_update(model, data, caches)
     gaps = []
     t2 = vi_pg_update(model, data, caches)
-    gaps.append(max(np.max(np.abs(tilts.events - t2.events)), np.max(np.abs(tilts.pairs - t2.pairs))))
+    gaps.append(max(np.max(np.abs(tilts["mu"] - t2["mu"])), np.max(np.abs(tilts["phi"] - t2["phi"]))))
     r2 = vi_poisson_update(model, caches)
-    gaps.append(max(np.max(np.abs(rates_q.marginal_mu - r2.marginal_mu)), abs(rates_q.mass_phi - r2.mass_phi)))
+    gaps.append(max(np.max(np.abs(rates_q["mu"].marginal - r2["mu"].marginal)), abs(rates_q["phi"].mass - r2["phi"].mass)))
     b2 = vi_branching_update(model, data, caches)
     gaps.append(max(np.max(np.abs(branching.background - b2.background)), np.max(np.abs(branching.parent - b2.parent))))
     l1 = vi_lambda_update(branching, rates_q, data)
     l2 = vi_lambda_update(branching, rates_q, data)
-    gaps.append(max(abs(l1[0].alpha - l2[0].alpha), abs(l1[1].beta - l2[1].beta)))
+    gaps.append(max(abs(l1["mu"].alpha - l2["mu"].alpha), abs(l1["phi"].beta - l2["phi"].beta)))
     g1 = vi_gp_update(tilts, branching, rates_q, data, caches)
     g2 = vi_gp_update(tilts, branching, rates_q, data, caches)
-    gaps.append(max(np.max(np.abs(g1[0].mean - g2[0].mean)), np.max(np.abs(g1[1].cov - g2[1].cov))))
+    gaps.append(max(np.max(np.abs(g1["mu"].mean - g2["mu"].mean)), np.max(np.abs(g1["phi"].cov - g2["phi"].cov))))
     worst = max(gaps)
     parts.append(worst <= 1e-12)
     detail.append(f"update re-run gap={worst:.2e}")
@@ -294,14 +293,14 @@ def test_criterion_6_oracle_equivalence():
         lat_mu = estep_latent_rate(model.mu, caches["mu"])
         lat_phi = estep_latent_rate(model.phi, caches["phi"])
         br = estep_branching(model, data, caches)
-        model = mstep(model, data, caches, pg, lat_mu, lat_phi, br)
+        model = mstep(model, data, caches, pg, {"mu": lat_mu, "phi": lat_phi}, br)
     pg = estep_pg(model, data, caches)
     lat_mu = estep_latent_rate(model.mu, caches["mu"])
     lat_phi = estep_latent_rate(model.phi, caches["phi"])
     br = estep_branching(model, data, caches)
-    new = mstep(model, data, caches, pg, lat_mu, lat_phi, br)
+    new = mstep(model, data, caches, pg, {"mu": lat_mu, "phi": lat_phi}, br)
     want_u, _ = dense_gaussian(
-        pg.events * br.background,
+        pg["mu"] * br.background,
         0.5 * br.background,
         data.events,
         lat_mu.first_moment,
@@ -317,13 +316,13 @@ def test_criterion_6_oracle_equivalence():
     tilts = vi_pg_update(vi_model, data, caches)
     branching = vi_branching_update(vi_model, data, caches)
     rates_q = vi_poisson_update(vi_model, caches)
-    gp_mu, _ = vi_gp_update(tilts, branching, rates_q, data, caches)
+    gp_mu = vi_gp_update(tilts, branching, rates_q, data, caches)["mu"]
     want_mean, want_cov = dense_gaussian(
-        pg_of(tilts.events) * branching.background,
+        pg_of(tilts["mu"]) * branching.background,
         0.5 * branching.background,
         data.events,
-        rates_q.first_mu,
-        -0.5 * rates_q.marginal_mu,
+        rates_q["mu"].first_moment,
+        -0.5 * rates_q["mu"].marginal,
         caches["mu"].quad,
         caches["mu"],
     )
@@ -343,7 +342,7 @@ def test_criterion_6_oracle_equivalence():
         lm = estep_latent_rate(model8.mu, caches8["mu"])
         lp = estep_latent_rate(model8.phi, caches8["phi"])
         br8 = estep_branching(model8, data8, caches8)
-        model8 = mstep(model8, data8, caches8, pg8, lm, lp, br8)
+        model8 = mstep(model8, data8, caches8, pg8, {"mu": lm, "phi": lp}, br8)
     br8 = estep_branching(model8, data8, caches8)
 
     def dense_eval(comp, pts):

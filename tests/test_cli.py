@@ -189,6 +189,42 @@ def test_fit_config_validation(tmp_path, sim_dir, capsys):
     assert "n_iter" in capsys.readouterr().err  # unknown key is named
 
 
+def test_fit_mle_rejects_engine_keys(tmp_path, sim_dir, capsys):
+    rc, _ = run(tmp_path, "fit", {"method": "mle", "data": str(sim_dir), "tol": 5}, "f")
+    assert rc == 1
+    assert "tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("fix_variance", "no"),
+        ("fix_variance", 1),
+        ("tol", -1),
+        ("tol", float("nan")),
+        ("hyper_refresh_every", -2),
+        ("eval_grid", 0),
+        ("eval_grid", 1),
+        ("theta0_init", -5),
+        ("theta0_init", 0),
+        ("theta0_init", float("inf")),
+        ("theta1_init", -1.0),
+        ("theta1_init", float("nan")),
+        ("quad_order_T", 0),
+        ("quad_order_Tphi", 0),
+        ("gh_order", 0),
+        ("S_mu", 4.5),
+        ("S_phi", "10"),
+        ("max_iter", True),
+    ],
+)
+def test_fit_rejects_invalid_settings(tmp_path, sim_dir, capsys, key, value):
+    rc, out = run(tmp_path, "fit", {"method": "em", "data": str(sim_dir), key: value}, "f")
+    assert rc == 1
+    assert key in capsys.readouterr().err
+    assert not (out / "model.json").exists()
+
+
 def test_broken_config_file(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")

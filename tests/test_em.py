@@ -9,7 +9,6 @@ from sgp_hawkes import FitConfig, fit_em
 from sgp_hawkes.em import (
     EmModel,
     SgpComponent,
-    build_caches,
     component_function,
     em_objective,
     estep_branching,
@@ -20,7 +19,7 @@ from sgp_hawkes.em import (
     mstep,
     penalty,
 )
-from sgp_hawkes.fitbase import build_dataset
+from sgp_hawkes.fitbase import build_caches, build_dataset
 from sgp_hawkes.kernels import (
     InducingGrid,
     KernelHyperparams,
@@ -42,7 +41,7 @@ def em_state(seqs, config, n_iter):
         lat_mu = estep_latent_rate(model.mu, caches["mu"])
         lat_phi = estep_latent_rate(model.phi, caches["phi"])
         branching = estep_branching(model, data, caches)
-        model = mstep(model, data, caches, pg, lat_mu, lat_phi, branching)
+        model = mstep(model, data, caches, pg, {"mu": lat_mu, "phi": lat_phi}, branching)
     return model, data, caches
 
 
@@ -53,8 +52,8 @@ def test_estep_pg_zero_function():
     caches = build_caches(data, config)
     model = init_model(data, caches)  # u = 0 for both components
     pg = estep_pg(model, data, caches)
-    np.testing.assert_array_equal(pg.events, 0.25 * np.ones(3))
-    assert pg.pairs.size == 0
+    np.testing.assert_array_equal(pg["mu"], 0.25 * np.ones(3))
+    assert pg["phi"].size == 0
 
 
 def test_estep_pg_single_inducing_point_closed_form():
@@ -73,7 +72,7 @@ def test_estep_pg_single_inducing_point_closed_form():
     comp = SgpComponent(model.mu.lambda_star, grid, np.array([2.0 * jitter_factor]), hp)
     model = EmModel(mu=comp, phi=model.phi, T=model.T, T_phi=model.T_phi)
     pg = estep_pg(model, data, {"mu": cache_mu, "phi": caches["phi"]})
-    assert pg.events[0] == pytest.approx(np.tanh(1.0) / 4.0, abs=1e-15)
+    assert pg["mu"][0] == pytest.approx(np.tanh(1.0) / 4.0, abs=1e-15)
 
 
 def test_latent_rate_constant_function():
@@ -184,7 +183,7 @@ def test_mstep_background_rate_closed_form():
     lat_mu = estep_latent_rate(model.mu, caches["mu"])
     lat_phi = estep_latent_rate(model.phi, caches["phi"])
     br = estep_branching(model, data, caches)
-    new = mstep(model, data, caches, pg, lat_mu, lat_phi, br)
+    new = mstep(model, data, caches, pg, {"mu": lat_mu, "phi": lat_phi}, br)
     want = (4.0 + lam0 * 50.0) / 100.0
     assert new.mu.lambda_star == pytest.approx(want, rel=1e-12)
 
@@ -200,7 +199,7 @@ def test_mstep_zero_events_keeps_zero_coefficients():
     lat_mu = estep_latent_rate(model.mu, caches["mu"])
     lat_phi = estep_latent_rate(model.phi, caches["phi"])
     br = estep_branching(model, data, caches)
-    new = mstep(model, data, caches, pg, lat_mu, lat_phi, br)
+    new = mstep(model, data, caches, pg, {"mu": lat_mu, "phi": lat_phi}, br)
     # the right-hand side is not identically zero: the thinned-point linear
     # term -1/2 int Lambda k survives, but it scales with the empty-data
     # initialization lambda* ~ 1e-8, so the coefficients stay at that level
@@ -220,11 +219,11 @@ def test_mstep_matches_dense_assembly_small_grid(rng):
     lat_mu = estep_latent_rate(model.mu, caches["mu"])
     lat_phi = estep_latent_rate(model.phi, caches["phi"])
     br = estep_branching(model, data, caches)
-    new = mstep(model, data, caches, pg, lat_mu, lat_phi, br)
+    new = mstep(model, data, caches, pg, {"mu": lat_mu, "phi": lat_phi}, br)
 
     cache = caches["mu"]
     hp, grid = cache.hp, cache.grid
-    a_pt = pg.events * br.background
+    a_pt = pg["mu"] * br.background
     b_pt = 0.5 * br.background
     quad = cache.quad
     f_q = cache.project_mean(model.mu.u)[1]

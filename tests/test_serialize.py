@@ -25,7 +25,7 @@ from sgp_hawkes.serialize import (
     save_json,
     save_model,
 )
-from sgp_hawkes.vi import GammaFactor, GaussianFactor, ViModel, model_rates as vi_rates
+from sgp_hawkes.vi import GammaFactor, GaussianFactor, ViComponent, ViModel, model_rates as vi_rates
 
 AWKWARD_FLOATS = [
     np.pi,
@@ -113,27 +113,25 @@ def test_em_model_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(em_rates(back).phi(x), em_rates(model).phi(x))
 
 
-def test_vi_model_round_trip(tmp_path, rng):
-    def parts(span, s):
+def vi_model_fixture(rng):
+    def comp(span, s):
         grid = InducingGrid(np.linspace(0.0, span, s), span)
         hp = KernelHyperparams(1.0, 0.08)
         cov = gram(grid, hp).values  # any SPD matrix works here
-        return GaussianFactor(rng.normal(size=s), cov), GammaFactor(3.2, 1.1), grid, hp
+        return ViComponent(GaussianFactor(rng.normal(size=s), cov), GammaFactor(3.2, 1.1), grid, hp)
 
-    gp_mu, lam_mu, grid_mu, hp_mu = parts(15.0, 6)
-    gp_phi, lam_phi, grid_phi, hp_phi = parts(3.0, 4)
-    model = ViModel(
-        gp_mu=gp_mu, gp_phi=gp_phi, lam_mu=lam_mu, lam_phi=lam_phi,
-        grid_mu=grid_mu, grid_phi=grid_phi, hp_mu=hp_mu, hp_phi=hp_phi,
-        T=15.0, T_phi=3.0,
-    )
+    return ViModel(mu=comp(15.0, 6), phi=comp(3.0, 4), T=15.0, T_phi=3.0)
+
+
+def test_vi_model_round_trip(tmp_path, rng):
+    model = vi_model_fixture(rng)
     path = tmp_path / "vi.json"
     save_model(path, model)
     back = load_model(path)
     assert isinstance(back, ViModel)
-    np.testing.assert_array_equal(back.gp_mu.mean, model.gp_mu.mean)
-    np.testing.assert_array_equal(back.gp_phi.cov, model.gp_phi.cov)
-    assert back.lam_mu.alpha == 3.2 and back.lam_phi.beta == 1.1
+    np.testing.assert_array_equal(back.mu.gp.mean, model.mu.gp.mean)
+    np.testing.assert_array_equal(back.phi.gp.cov, model.phi.gp.cov)
+    assert back.mu.lam.alpha == 3.2 and back.phi.lam.beta == 1.1
     t = np.linspace(0.0, 15.0, 31)
     np.testing.assert_array_equal(vi_rates(back).mu(t), vi_rates(model).mu(t))
 
@@ -202,6 +200,18 @@ def test_rate_tables_of_stress_models(model):
         assert np.all(got >= 0.0)
         # 1e-10 of the maximum at cell midpoints; elsewhere in a cell within 10x that
         assert np.max(np.abs(got - want)) <= 1e-9 * want.max()
+
+
+def test_model_dict_layout(rng):
+    """The on-disk model format: exact keys, in order, for every method."""
+    em_keys = ["lambda_star", "inducing_points", "domain", "u", "theta0", "theta1"]
+    vi_keys = ["alpha", "beta", "inducing_points", "domain", "mean", "cov", "theta0", "theta1"]
+    for method, model, keys in (("em", em_model_fixture(rng), em_keys), ("vi", vi_model_fixture(rng), vi_keys)):
+        d = model_to_dict(model)
+        assert list(d) == ["method", "T", "T_phi", "mu", "phi"] and d["method"] == method
+        assert list(d["mu"]) == list(d["phi"]) == keys
+    d = model_to_dict(ExpHawkesParams(0.5, 0.3, 1.2))
+    assert list(d) == ["method", "mu", "alpha", "beta"] and d["method"] == "mle"
 
 
 def test_model_dict_rejects_unknown():

@@ -8,15 +8,14 @@ import pytest
 from scipy.special import digamma, expit
 
 from sgp_hawkes import FitConfig, fit_em, fit_vi
-from sgp_hawkes.em import build_caches, estep_branching, init_model
+from sgp_hawkes.em import estep_branching, init_model
 from sgp_hawkes.em import model_rates as em_model_rates
-from sgp_hawkes.fitbase import build_dataset
+from sgp_hawkes.fitbase import LatentRate, build_caches, build_dataset
 from sgp_hawkes.kernels import gram, se_cross
 from sgp_hawkes.process import EventSequence
 from sgp_hawkes.vi import (
     GammaFactor,
     GaussianFactor,
-    PoissonRates,
     ViModel,
     init_vi_model,
     model_rates,
@@ -38,6 +37,13 @@ def vi_state(seqs, config, n_sweeps=4):
     caches = build_caches(data, config)
     model, _ = fit_vi(seqs, replace(config, max_iter=n_sweeps, tol=0.0))
     return model, data, caches
+
+
+def collapsed(comp, mean=None, **changes):
+    """``comp`` with its Gaussian factor collapsed onto ``mean`` (zeros by default)."""
+    count = comp.grid.count
+    mean = np.zeros(count) if mean is None else mean
+    return replace(comp, gp=GaussianFactor(mean, 1e-300 * np.eye(count)), **changes)
 
 
 @pytest.fixture(scope="module")
@@ -69,35 +75,20 @@ def test_gamma_factor_validation():
 
 def test_tilt_closed_forms(state):
     model, data, caches = state
-    zero = ViModel(
-        gp_mu=GaussianFactor(np.zeros(model.grid_mu.count), 1e-300 * np.eye(model.grid_mu.count)),
-        gp_phi=GaussianFactor(np.zeros(model.grid_phi.count), 1e-300 * np.eye(model.grid_phi.count)),
-        lam_mu=model.lam_mu,
-        lam_phi=model.lam_phi,
-        grid_mu=model.grid_mu,
-        grid_phi=model.grid_phi,
-        hp_mu=model.hp_mu,
-        hp_phi=model.hp_phi,
-        T=model.T,
-        T_phi=model.T_phi,
-    )
+    zero = ViModel(mu=collapsed(model.mu), phi=collapsed(model.phi), T=model.T, T_phi=model.T_phi)
     tilts = vi_pg_update(zero, data, caches)
-    np.testing.assert_allclose(tilts.events, 0.0, atol=1e-148)
+    np.testing.assert_allclose(tilts["mu"], 0.0, atol=1e-148)
     # mean 3, variance 4 -> tilt sqrt(13); build via a carefully scaled factor
     assert np.hypot(3.0, 2.0) == pytest.approx(np.sqrt(13.0), rel=1e-15)
 
 
 def test_poisson_rate_flat_state(state):
     model, data, caches = state
-    ngrid = model.grid_mu.count
-    flat = replace(
-        model,
-        gp_mu=GaussianFactor(np.zeros(ngrid), 1e-300 * np.eye(ngrid)),
-    )
+    flat = replace(model, mu=collapsed(model.mu))
     rates = vi_poisson_update(flat, caches)
-    lam_geo = flat.lam_mu.geometric_mean()
-    np.testing.assert_allclose(rates.marginal_mu, lam_geo / 2.0, rtol=1e-12)
-    np.testing.assert_allclose(rates.mass_mu, lam_geo / 2.0 * model.T, rtol=1e-12)
+    lam_geo = flat.mu.lam.geometric_mean()
+    np.testing.assert_allclose(rates["mu"].marginal, lam_geo / 2.0, rtol=1e-12)
+    np.testing.assert_allclose(rates["mu"].mass, lam_geo / 2.0 * model.T, rtol=1e-12)
 
 
 def test_poisson_rate_decreases_with_variance(state):
@@ -106,12 +97,12 @@ def test_poisson_rate_decreases_with_variance(state):
     e^{c/2} sigma(-c) has derivative 1/2 - sigma(c) < 0 for c > 0 (log-sigmoid
     concavity: extra uncertainty can only lower exp(E[log sigma(-f)]))."""
     model, data, caches = state
-    ngrid = model.grid_mu.count
+    ngrid = model.mu.grid.count
     gm = caches["mu"].gm
     masses = []
     for scale in (1e-12, 0.25, 1.0, 4.0):
-        m = replace(model, gp_mu=GaussianFactor(np.zeros(ngrid), scale * gm.values))
-        masses.append(vi_poisson_update(m, caches).mass_mu)
+        m = replace(model, mu=replace(model.mu, gp=GaussianFactor(np.zeros(ngrid), scale * gm.values)))
+        masses.append(vi_poisson_update(m, caches)["mu"].mass)
     assert np.all(np.diff(masses) < 0)
     # direct scan of the scalar factor
     c = np.linspace(0.0, 6.0, 100)
@@ -121,15 +112,10 @@ def test_poisson_rate_decreases_with_variance(state):
 
 def test_poisson_rate_gamma_one_one(state):
     model, data, caches = state
-    ngrid = model.grid_mu.count
-    m = replace(
-        model,
-        gp_mu=GaussianFactor(np.zeros(ngrid), 1e-300 * np.eye(ngrid)),
-        lam_mu=GammaFactor(1.0, 1.0),
-    )
+    m = replace(model, mu=collapsed(model.mu, lam=GammaFactor(1.0, 1.0)))
     rates = vi_poisson_update(m, caches)
     want = np.exp(-EULER_GAMMA) / 2.0
-    np.testing.assert_allclose(rates.marginal_mu, want, atol=1e-10)
+    np.testing.assert_allclose(rates["mu"].marginal, want, atol=1e-10)
 
 
 def test_lambda_update_no_events():
@@ -138,14 +124,11 @@ def test_lambda_update_no_events():
     from sgp_hawkes.fitbase import uniform_branching
 
     branching = uniform_branching(data)
-    rates = PoissonRates(
-        marginal_mu=np.zeros(1), first_mu=np.zeros(1), mass_mu=7.5,
-        marginal_phi=np.zeros(1), first_phi=np.zeros(1), mass_phi=0.0,
-    )
-    lam_mu, lam_phi = vi_lambda_update(branching, rates, data)
-    assert lam_mu.alpha == pytest.approx(7.5)
-    assert lam_mu.beta == pytest.approx(20.0)
-    assert lam_phi is None
+    rates = {"mu": LatentRate(np.zeros(1), np.zeros(1), 7.5), "phi": LatentRate(np.zeros(1), np.zeros(1), 0.0)}
+    lams = vi_lambda_update(branching, rates, data)
+    assert lams["mu"].alpha == pytest.approx(7.5)
+    assert lams["mu"].beta == pytest.approx(20.0)
+    assert "phi" not in lams
 
 
 def test_lambda_update_all_background():
@@ -155,11 +138,9 @@ def test_lambda_update_all_background():
     from sgp_hawkes.fitbase import uniform_branching
 
     branching = uniform_branching(data)
-    rates = PoissonRates(
-        marginal_mu=np.zeros(1), first_mu=np.zeros(1), mass_mu=0.0,
-        marginal_phi=np.zeros(1), first_phi=np.zeros(1), mass_phi=0.0,
-    )
-    lam_mu, lam_phi = vi_lambda_update(branching, rates, data)
+    rates = {n: LatentRate(np.zeros(1), np.zeros(1), 0.0) for n in ("mu", "phi")}
+    lams = vi_lambda_update(branching, rates, data)
+    lam_mu, lam_phi = lams["mu"], lams["phi"]
     assert lam_mu.alpha == pytest.approx(5.0, abs=1e-10)
     assert lam_mu.mean() == pytest.approx(5.0 / 20.0, rel=1e-10)
     # no pairwise evidence: the trigger factor degenerates to the alpha floor,
@@ -176,17 +157,16 @@ def test_gp_update_prior_recovery(state):
         empty_data, FitConfig(T=model.T, T_phi=model.T_phi, hyper_refresh_every=0)
     )
     from sgp_hawkes.fitbase import uniform_branching
-    from sgp_hawkes.vi import PgTilts
 
-    tilts = PgTilts(events=np.zeros(0), pairs=np.zeros(0))
+    tilts = {"mu": np.zeros(0), "phi": np.zeros(0)}
     branching = uniform_branching(empty_data)
     nq = empty_caches["mu"].quad.nodes.size
     nq_phi = empty_caches["phi"].quad.nodes.size
-    rates = PoissonRates(
-        marginal_mu=np.zeros(nq), first_mu=np.zeros(nq), mass_mu=0.0,
-        marginal_phi=np.zeros(nq_phi), first_phi=np.zeros(nq_phi), mass_phi=0.0,
-    )
-    gp_mu, gp_phi = vi_gp_update(tilts, branching, rates, empty_data, empty_caches)
+    rates = {
+        "mu": LatentRate(np.zeros(nq), np.zeros(nq), 0.0),
+        "phi": LatentRate(np.zeros(nq_phi), np.zeros(nq_phi), 0.0),
+    }
+    gp_mu = vi_gp_update(tilts, branching, rates, empty_data, empty_caches)["mu"]
     np.testing.assert_allclose(gp_mu.mean, 0.0, atol=1e-13)
     np.testing.assert_allclose(gp_mu.cov, empty_caches["mu"].gm.values, atol=1e-9)
 
@@ -201,7 +181,7 @@ def test_gp_update_matches_dense_assembly(rng):
     tilts = vi_pg_update(model, data, caches)
     branching = vi_branching_update(model, data, caches)
     rates = vi_poisson_update(model, caches)
-    gp_mu, _ = vi_gp_update(tilts, branching, rates, data, caches)
+    gp_mu = vi_gp_update(tilts, branching, rates, data, caches)["mu"]
 
     cache = caches["mu"]
 
@@ -209,10 +189,10 @@ def test_gp_update_matches_dense_assembly(rng):
         c = np.asarray(c, dtype=float)
         return np.where(np.abs(c) < 1e-4, 0.25 - c * c / 48.0, np.tanh(c / 2.0) / (2.0 * c))
 
-    a_pt = pg_of(tilts.events) * branching.background
+    a_pt = pg_of(tilts["mu"]) * branching.background
     b_pt = 0.5 * branching.background
-    a_q = rates.first_mu
-    b_q = -0.5 * rates.marginal_mu
+    a_q = rates["mu"].first_moment
+    b_q = -0.5 * rates["mu"].marginal
     u_dense = np.zeros((2, 2))
     c_dense = np.zeros(2)
     for a, b, x in zip(a_pt, b_pt, data.events):
@@ -236,8 +216,8 @@ def test_gp_update_contracts_prior_covariance(state):
     tilts = vi_pg_update(model, data, caches)
     branching = vi_branching_update(model, data, caches)
     rates = vi_poisson_update(model, caches)
-    gp_mu, gp_phi = vi_gp_update(tilts, branching, rates, data, caches)
-    for factor, cache in ((gp_mu, caches["mu"]), (gp_phi, caches["phi"])):
+    gps = vi_gp_update(tilts, branching, rates, data, caches)
+    for factor, cache in ((gps["mu"], caches["mu"]), (gps["phi"], caches["phi"])):
         gap = cache.gm.values - factor.cov
         eigs = np.linalg.eigvalsh(0.5 * (gap + gap.T))
         assert eigs.min() > -1e-8
@@ -258,10 +238,8 @@ def test_branching_symmetric_two_event_toy():
     model = init_vi_model(data, caches, config)
     sym = replace(
         model,
-        gp_mu=GaussianFactor(np.zeros(model.grid_mu.count), 1e-300 * np.eye(model.grid_mu.count)),
-        gp_phi=GaussianFactor(np.zeros(model.grid_phi.count), 1e-300 * np.eye(model.grid_phi.count)),
-        lam_mu=GammaFactor(40.0, 10.0),
-        lam_phi=GammaFactor(40.0, 10.0),
+        mu=collapsed(model.mu, lam=GammaFactor(40.0, 10.0)),
+        phi=collapsed(model.phi, lam=GammaFactor(40.0, 10.0)),
     )
     br = vi_branching_update(sym, data, caches)
     assert br.background[1] == pytest.approx(0.5, abs=1e-12)
@@ -277,10 +255,8 @@ def test_branching_degenerate_variance_matches_em(state):
     big = 1e12
     degenerate = replace(
         model,
-        gp_mu=GaussianFactor(model.gp_mu.mean, 1e-300 * np.eye(model.grid_mu.count)),
-        gp_phi=GaussianFactor(model.gp_phi.mean, 1e-300 * np.eye(model.grid_phi.count)),
-        lam_mu=GammaFactor(big, big / lam_mu_hat),
-        lam_phi=GammaFactor(big, big / lam_phi_hat),
+        mu=collapsed(model.mu, model.mu.gp.mean, lam=GammaFactor(big, big / lam_mu_hat)),
+        phi=collapsed(model.phi, model.phi.gp.mean, lam=GammaFactor(big, big / lam_phi_hat)),
     )
     br_vi = vi_branching_update(degenerate, data, caches)
 
@@ -288,8 +264,8 @@ def test_branching_degenerate_variance_matches_em(state):
     from sgp_hawkes.em import EmModel, SgpComponent
 
     em_point = EmModel(
-        mu=SgpComponent(lam_mu_hat, model.grid_mu, model.gp_mu.mean, model.hp_mu),
-        phi=SgpComponent(lam_phi_hat, model.grid_phi, model.gp_phi.mean, model.hp_phi),
+        mu=SgpComponent(lam_mu_hat, model.mu.grid, model.mu.gp.mean, model.mu.hp),
+        phi=SgpComponent(lam_phi_hat, model.phi.grid, model.phi.gp.mean, model.phi.hp),
         T=model.T,
         T_phi=model.T_phi,
     )
@@ -304,13 +280,13 @@ def test_single_updates_are_idempotent(state):
     model, data, caches = state
     t1 = vi_pg_update(model, data, caches)
     t2 = vi_pg_update(model, data, caches)
-    assert np.max(np.abs(t1.events - t2.events)) <= 1e-12
-    assert np.max(np.abs(t1.pairs - t2.pairs)) <= 1e-12
+    assert np.max(np.abs(t1["mu"] - t2["mu"])) <= 1e-12
+    assert np.max(np.abs(t1["phi"] - t2["phi"])) <= 1e-12
 
     r1 = vi_poisson_update(model, caches)
     r2 = vi_poisson_update(model, caches)
-    assert abs(r1.mass_mu - r2.mass_mu) <= 1e-12
-    assert np.max(np.abs(r1.marginal_phi - r2.marginal_phi)) <= 1e-12
+    assert abs(r1["mu"].mass - r2["mu"].mass) <= 1e-12
+    assert np.max(np.abs(r1["phi"].marginal - r2["phi"].marginal)) <= 1e-12
 
     b1 = vi_branching_update(model, data, caches)
     b2 = vi_branching_update(model, data, caches)
@@ -319,13 +295,13 @@ def test_single_updates_are_idempotent(state):
 
     l1 = vi_lambda_update(b1, r1, data)
     l2 = vi_lambda_update(b1, r1, data)
-    assert abs(l1[0].alpha - l2[0].alpha) <= 1e-12
-    assert abs(l1[1].beta - l2[1].beta) <= 1e-12
+    assert abs(l1["mu"].alpha - l2["mu"].alpha) <= 1e-12
+    assert abs(l1["phi"].beta - l2["phi"].beta) <= 1e-12
 
     g1 = vi_gp_update(t1, b1, r1, data, caches)
     g2 = vi_gp_update(t1, b1, r1, data, caches)
-    assert np.max(np.abs(g1[0].mean - g2[0].mean)) <= 1e-12
-    assert np.max(np.abs(g1[1].cov - g2[1].cov)) <= 1e-12
+    assert np.max(np.abs(g1["mu"].mean - g2["mu"].mean)) <= 1e-12
+    assert np.max(np.abs(g1["phi"].cov - g2["phi"].cov)) <= 1e-12
 
 
 def test_monitor_monotone_and_factors_valid():
@@ -342,9 +318,9 @@ def test_monitor_monotone_and_factors_valid():
     floor = -1e-3 * np.maximum(1.0, np.abs(trace[:-1]))
     assert np.all(diffs >= floor)
     # final factors in valid domains
-    assert model.lam_mu.alpha > 0 and model.lam_mu.beta > 0
-    assert model.lam_phi.alpha > 0 and model.lam_phi.beta > 0
-    np.linalg.cholesky(model.gp_mu.cov + 1e-12 * np.eye(model.grid_mu.count))
+    assert model.mu.lam.alpha > 0 and model.mu.lam.beta > 0
+    assert model.phi.lam.alpha > 0 and model.phi.lam.beta > 0
+    np.linalg.cholesky(model.mu.gp.cov + 1e-12 * np.eye(model.mu.grid.count))
 
 
 def test_monitor_evaluates_finite(state):
@@ -394,12 +370,12 @@ def test_fit_vi_zero_event_input():
     assert len(report.objective_trace) == 5
     data = build_dataset(seqs, 3.0)
     init = init_vi_model(data, build_caches(data, config), config)
-    np.testing.assert_array_equal(model.gp_phi.mean, init.gp_phi.mean)
-    np.testing.assert_array_equal(model.gp_phi.cov, init.gp_phi.cov)
-    assert model.lam_phi == init.lam_phi
-    assert model.hp_phi == init.hp_phi
+    np.testing.assert_array_equal(model.phi.gp.mean, init.phi.gp.mean)
+    np.testing.assert_array_equal(model.phi.gp.cov, init.phi.gp.cov)
+    assert model.phi.lam == init.phi.lam
+    assert model.phi.hp == init.phi.hp
     assert [sorted(record) for record in report.hyper_history] == [["iteration", "mu"]] * 2
-    assert model.lam_mu.mean() < init.lam_mu.mean()
+    assert model.mu.lam.mean() < init.mu.lam.mean()
 
 
 def test_fit_vi_rejects_mismatched_window(small_case1_seqs):
