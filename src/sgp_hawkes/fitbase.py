@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from .kernels import (
     THETA_BOUNDS,
@@ -33,6 +33,7 @@ from .process import EventSequence, admissible_pairs, trigger_support
 from .quadrature import DEFAULT_GH_ORDER, QuadratureGrid, gauss_legendre
 
 _SEARCH_BINS = 2048
+_COARSE_THETA1 = 15  # log-spaced theta1 values of the EM search's bracketing grid
 COMPONENTS = ("mu", "phi")
 _INT_MINIMUMS = {  # smallest accepted value of each integer FitConfig field
     "S_mu": 2, "S_phi": 2, "quad_order_T": 1, "quad_order_Tphi": 1,
@@ -359,6 +360,45 @@ def gaussian_update(stats: ComponentStats, cache: ComponentCache):
     return solve_gaussian_update(cache.gm, u_mat, c_vec)
 
 
+def _kernel_rows(stats: ComponentStats, grid: InducingGrid, hp: KernelHyperparams):
+    """Kernel rows at the statistics' data points and quadrature nodes."""
+    k_points = se_cross(stats.points, grid.points, hp) if stats.points.size else np.empty((0, grid.count))
+    return k_points, se_cross(stats.quad.nodes, grid.points, hp)
+
+
+def _em_terms(stats: ComponentStats, grid: InducingGrid, theta1: float, u_fixed: np.ndarray | None):
+    """(D, q, log|K1|) of the EM theta objective at (1, theta1).
+
+    K = theta0 K1 exactly, jitter included, so the reprojected f = k1 K1^{-1} u
+    and the data terms D do not depend on theta0, and the objective at any
+    theta0 is D - 0.5 q / theta0 - 0.5 (log|K1| + S log theta0) with
+    q = u^T K1^{-1} u (``_em_profile``). Raises SingularMatrixError.
+    """
+    if u_fixed is None:
+        raise ValueError("the EM theta objective needs the current inducing values")
+    hp = KernelHyperparams(1.0, theta1)
+    gm = gram(grid, hp)
+    k_points, k_quad = _kernel_rows(stats, grid, hp)
+    alpha = gm.solve(u_fixed)
+    f_pts = k_points @ alpha
+    f_q = k_quad @ alpha
+    w = stats.quad.weights
+    data = float(stats.b_point @ f_pts) + float(w @ (stats.b_quad * f_q))
+    data -= 0.5 * (float(stats.a_point @ f_pts**2) + float(w @ (stats.a_quad * f_q**2)))
+    return data, float(u_fixed @ alpha), gm.logdet()
+
+
+def _em_profile(stats: ComponentStats, grid: InducingGrid, theta1: float, u_fixed, theta0: float | None = None):
+    """(theta0, EM objective at (theta0, theta1)). Without ``theta0``, its
+    maximizer in THETA_BOUNDS: the theta0 term -0.5 q / theta0 - 0.5 S log theta0
+    is concave in log theta0 and peaks at q / S. Raises SingularMatrixError."""
+    data, q, logdet = _em_terms(stats, grid, theta1, u_fixed)
+    if theta0 is None:
+        theta0 = float(np.clip(q / grid.count, *THETA_BOUNDS))
+    value = data - 0.5 * q / theta0 - 0.5 * (logdet + grid.count * np.log(theta0))
+    return theta0, value if np.isfinite(value) else -np.inf
+
+
 def _profile_objective(
     stats: ComponentStats,
     grid: InducingGrid,
@@ -371,29 +411,20 @@ def _profile_objective(
     EM (``u_fixed`` required): the expected complete-data objective with the
     inducing values held at their current estimate — linear/quadratic data
     terms in the reprojected f, the RKHS penalty, and the prior normalizer
-    -0.5 log|K|. VI: the evidence bound with the Gaussian factor re-optimized
-    for the candidate theta, 0.5 c^T (U+K)^{-1} c + 0.5 log|K| - log|U+K|.
+    -0.5 log|K|, evaluated through ``_em_terms`` at theta0 = 1 and scaled to
+    ``hp.theta0`` (the same formula the EM search profiles over). VI: the
+    evidence bound with the Gaussian factor re-optimized for the candidate
+    theta, 0.5 c^T (U+K)^{-1} c + 0.5 log|K| - log|U+K|.
     The exact evidence has -0.5 log|U+K|, but with it the every-k-sweeps
     refresh keeps raising phi's theta0 and VI stops meeting its stop rule.
     """
     try:
+        if kind == "em":
+            return _em_profile(stats, grid, hp.theta1, u_fixed, hp.theta0)[1]
         gm = gram(grid, hp)
     except SingularMatrixError:
         return -np.inf
-    k_points = se_cross(stats.points, grid.points, hp) if stats.points.size else np.empty((0, grid.count))
-    k_quad = se_cross(stats.quad.nodes, grid.points, hp)
-    if kind == "em":
-        if u_fixed is None:
-            raise ValueError("the EM theta objective needs the current inducing values")
-        alpha = gm.solve(u_fixed)
-        f_pts = k_points @ alpha
-        f_q = k_quad @ alpha
-        w = stats.quad.weights
-        value = float(stats.b_point @ f_pts) + float(w @ (stats.b_quad * f_q))
-        value -= 0.5 * (float(stats.a_point @ f_pts**2) + float(w @ (stats.a_quad * f_q**2)))
-        value -= 0.5 * float(u_fixed @ alpha) + 0.5 * gm.logdet()
-        return value if np.isfinite(value) else -np.inf
-    u_mat, c_vec = assemble_system(stats, k_points, k_quad)
+    u_mat, c_vec = assemble_system(stats, *_kernel_rows(stats, grid, hp))
     system = u_mat + gm.values
     try:
         chol = np.linalg.cholesky(system)
@@ -417,26 +448,39 @@ def _compact_stats(stats: ComponentStats, n_bins: int = _SEARCH_BINS) -> Compone
     return replace(stats, points=centers[keep], a_point=a[keep], b_point=b[keep])
 
 
-def search_theta(
-    stats: ComponentStats,
-    grid: InducingGrid,
-    hp: KernelHyperparams,
-    kind: str,
-    u_fixed: np.ndarray | None = None,
-) -> tuple[KernelHyperparams, bool]:
-    """Bounded derivative-free refresh of (theta0, theta1) for one component.
+def _search_theta_em(compact: ComponentStats, grid: InducingGrid, hp: KernelHyperparams, u_fixed) -> KernelHyperparams:
+    """Best theta1 of a coarse log grid over THETA_BOUNDS plus the incumbent
+    and 1/spacing^2, refined by bounded Brent in its bracket to 1e-3 in log
+    theta1; theta0 is the closed-form maximizer at every theta1."""
+    lo, hi = np.log(THETA_BOUNDS[0]), np.log(THETA_BOUNDS[1])
+    best_value, best_hp = -np.inf, hp
 
-    Runs Nelder-Mead in log-theta space on compacted statistics, from the
-    incumbent and from theta1 = 1/spacing^2, then checks the exact objective
-    at the winner; the incumbent is kept (and the move flagged as rejected)
-    unless the exact objective does not decrease.
-    """
-    compact = _compact_stats(stats)
+    def negative(x):
+        nonlocal best_value, best_hp
+        theta1 = float(np.exp(x))
+        try:
+            theta0, value = _em_profile(compact, grid, theta1, u_fixed)
+        except SingularMatrixError:
+            return 1e300
+        if value > best_value:
+            best_value, best_hp = value, KernelHyperparams(theta0, theta1)
+        return -value if np.isfinite(value) else 1e300
+
+    starts = np.clip(np.log([hp.theta1, 1.0 / grid.spacing**2]), lo, hi)
+    xs = np.unique(np.concatenate([np.linspace(lo, hi, _COARSE_THETA1), starts]))
+    i = int(np.argmin([negative(x) for x in xs]))
+    bracket = (xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)])
+    minimize_scalar(negative, bounds=bracket, method="bounded", options={"xatol": 1e-3})
+    return best_hp
+
+
+def _search_theta_vi(compact: ComponentStats, grid: InducingGrid, hp: KernelHyperparams) -> KernelHyperparams:
+    """Nelder-Mead in log (theta0, theta1) from the incumbent and from theta1 = 1/spacing^2."""
     lo, hi = np.log(THETA_BOUNDS[0]), np.log(THETA_BOUNDS[1])
 
     def negative(x):
         t0, t1 = np.exp(np.clip(x, lo, hi))
-        val = _profile_objective(compact, grid, KernelHyperparams(t0, t1), kind, u_fixed)
+        val = _profile_objective(compact, grid, KernelHyperparams(t0, t1), "vi")
         return -val if np.isfinite(val) else 1e300
 
     best_x, best_val = None, np.inf
@@ -452,7 +496,31 @@ def search_theta(
         if res.fun < best_val:
             best_val, best_x = res.fun, res.x
     t0, t1 = np.exp(np.clip(best_x, lo, hi))
-    candidate = KernelHyperparams(float(t0), float(t1))
+    return KernelHyperparams(float(t0), float(t1))
+
+
+def search_theta(
+    stats: ComponentStats,
+    grid: InducingGrid,
+    hp: KernelHyperparams,
+    kind: str,
+    u_fixed: np.ndarray | None = None,
+) -> tuple[KernelHyperparams, bool]:
+    """Bounded refresh of (theta0, theta1) for one component.
+
+    Searches on compacted statistics, then checks the exact objective at the
+    winner; the incumbent is kept (and the move flagged as rejected) unless
+    the exact objective does not decrease. EM: a 1-D search over theta1 with
+    theta0 = clip(u^T K1^{-1} u / S), the exact maximizer at each theta1
+    (``_search_theta_em``). VI: local 2-D Nelder-Mead (``_search_theta_vi``);
+    its objective has no closed-form theta0, and until its log|U+K| weight is
+    corrected a global search finds spurious optima at the small-theta corner.
+    """
+    compact = _compact_stats(stats)
+    if kind == "em":
+        candidate = _search_theta_em(compact, grid, hp, u_fixed)
+    else:
+        candidate = _search_theta_vi(compact, grid, hp)
     j_old = _profile_objective(stats, grid, hp, kind, u_fixed)
     j_new = _profile_objective(stats, grid, candidate, kind, u_fixed)
     if np.isfinite(j_new) and j_new >= j_old - 1e-9 - 1e-12 * abs(j_old):

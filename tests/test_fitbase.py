@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from sgp_hawkes import FitConfig, fit_em
+from sgp_hawkes import FitConfig, case2_rates, fit_em, simulate_thinning
 from sgp_hawkes import fitbase
 from sgp_hawkes.fitbase import (
     ComponentStats,
+    _compact_stats,
+    _em_profile,
     _profile_objective,
     assemble_system,
     auto_theta,
@@ -41,6 +44,66 @@ def toy_stats(rng, grid, n_points=3, quad_order=12):
         b_quad=rng.uniform(-0.3, 0.3, quad_order),
         domain=grid.domain,
     )
+
+
+def nelder_mead_theta(stats, grid, hp, kind, u_fixed=None):
+    """Reference refresh: two-start Nelder-Mead in log (theta0, theta1) on the
+    compacted statistics, with the exact accept check of ``search_theta``."""
+    compact = _compact_stats(stats)
+    lo, hi = np.log(THETA_BOUNDS[0]), np.log(THETA_BOUNDS[1])
+
+    def negative(x):
+        t0, t1 = np.exp(np.clip(x, lo, hi))
+        val = _profile_objective(compact, grid, KernelHyperparams(t0, t1), kind, u_fixed)
+        return -val if np.isfinite(val) else 1e300
+
+    best_x, best_val = None, np.inf
+    for start in (hp, KernelHyperparams(hp.theta0, 1.0 / grid.spacing**2)):
+        res = minimize(
+            negative,
+            np.log([start.theta0, start.theta1]),
+            method="Nelder-Mead",
+            bounds=[(lo, hi), (lo, hi)],
+            options={"maxfev": 200, "xatol": 1e-3, "fatol": 1e-10},
+        )
+        if res.fun < best_val:
+            best_val, best_x = res.fun, res.x
+    candidate = KernelHyperparams(*(float(v) for v in np.exp(np.clip(best_x, lo, hi))))
+    j_old = _profile_objective(stats, grid, hp, kind, u_fixed)
+    j_new = _profile_objective(stats, grid, candidate, kind, u_fixed)
+    if np.isfinite(j_new) and j_new >= j_old - 1e-9 - 1e-12 * abs(j_old):
+        return candidate, True
+    return hp, False
+
+
+def toy_em_searches(rng, n=6):
+    """search_theta arguments on random toy statistics, grids and incumbents."""
+    out = []
+    for _ in range(n):
+        count = int(rng.integers(3, 12))
+        grid = uniform_inducing_grid(count, float(rng.uniform(2.0, 50.0)))
+        stats = toy_stats(rng, grid, n_points=int(rng.integers(0, 40)), quad_order=16)
+        hp = KernelHyperparams(float(rng.uniform(0.1, 5.0)), float(rng.uniform(0.01, 2.0)))
+        out.append((stats, grid, hp, "em", rng.normal(size=count) * rng.uniform(0.05, 3.0)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def em_refresh_args(small_case1_seqs):
+    """search_theta arguments of every refresh of small case1 and case2 EM fits."""
+    calls = {"case1": [], "case2": []}
+    case2 = [simulate_thinning(case2_rates(), 100.0, seed=s) for s in range(2)]
+    with pytest.MonkeyPatch.context() as mp:
+        for name, seqs, t_phi in (("case1", small_case1_seqs, 6.0), ("case2", case2, case2_rates().T_phi)):
+
+            def recording(*args, calls=calls[name]):
+                calls.append(args)
+                return search_theta(*args)
+
+            mp.setattr(fitbase, "search_theta", recording)
+            fit_em(seqs, FitConfig(T=100.0, T_phi=t_phi, max_iter=40, tol=0.0, hyper_refresh_every=20))
+    assert [len(c) for c in calls.values()] == [4, 4]  # two refreshes of mu and phi each
+    return calls
 
 
 def test_build_dataset_pools_sequences():
@@ -182,3 +245,42 @@ def test_refresh_onto_a_theta_bound_is_reported(monkeypatch, small_case1_seqs):
         for it in (1, 2)
         for name in ("mu", "phi")
     ]
+
+
+def test_em_theta0_closed_form_maximizes_the_objective(rng, em_refresh_args):
+    """theta0* = clip(q/S) beats a dense log-theta0 scan of the exact objective,
+    and the search's value there is the exact objective."""
+    cases = [(stats, grid, u) for stats, grid, _, _, u in toy_em_searches(rng, n=2)]
+    cases += [(_compact_stats(stats), grid, u) for stats, grid, _, _, u in em_refresh_args["case1"][:2]]
+    scan = np.exp(np.linspace(np.log(THETA_BOUNDS[0]), np.log(THETA_BOUNDS[1]), 2001))
+    for stats, grid, u_fixed in cases:
+        for theta1 in (1e-3, 1.0 / grid.spacing**2, 30.0):
+            theta0, value = _em_profile(stats, grid, theta1, u_fixed)
+            exact = _profile_objective(stats, grid, KernelHyperparams(theta0, theta1), "em", u_fixed)
+            assert value == pytest.approx(exact, rel=1e-10)
+            scanned = [_profile_objective(stats, grid, KernelHyperparams(t0, theta1), "em", u_fixed) for t0 in scan]
+            assert max(scanned) <= value + 1e-12 * max(1.0, abs(value))
+
+
+def test_em_search_reaches_the_nelder_mead_objective(rng, em_refresh_args):
+    for stats, grid, hp, kind, u_fixed in toy_em_searches(rng) + em_refresh_args["case1"] + em_refresh_args["case2"]:
+        ours, _ = search_theta(stats, grid, hp, kind, u_fixed)
+        ref, _ = nelder_mead_theta(stats, grid, hp, kind, u_fixed)
+        j_ours = _profile_objective(stats, grid, ours, kind, u_fixed)
+        j_ref = _profile_objective(stats, grid, ref, kind, u_fixed)
+        assert j_ours >= j_ref - 1e-6 * max(1.0, abs(j_ref))
+
+
+def test_em_search_assembles_at_most_64_kernel_systems(monkeypatch, rng, em_refresh_args):
+    assembled = 0
+
+    def counting_gram(*args, **kwargs):
+        nonlocal assembled
+        assembled += 1
+        return gram(*args, **kwargs)
+
+    monkeypatch.setattr(fitbase, "gram", counting_gram)
+    for args in toy_em_searches(rng) + em_refresh_args["case1"] + em_refresh_args["case2"]:
+        assembled = 0
+        search_theta(*args)
+        assert 0 < assembled <= 64

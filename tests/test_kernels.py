@@ -57,6 +57,20 @@ def test_gram_toeplitz_on_uniform_grid():
     np.testing.assert_array_equal(gm.values, toeplitz(gm.values[0]))
 
 
+@pytest.mark.parametrize(
+    "theta0, theta1", [(1e-3, 1e-3), (0.37, 2.5), (4.0, 0.05), (17.3, 0.9), (1e3, 1e-3), (1e3, 1e3)]
+)
+def test_gram_scales_with_theta0_jitter_included(theta0, theta1):
+    """K(theta0, theta1) = theta0 K(1, theta1): the EM theta search takes
+    theta0 in closed form from this, so the default jitter must scale too."""
+    grid = uniform_inducing_grid(8, 10.0)
+    gm = gram(grid, KernelHyperparams(theta0, theta1))
+    unit = gram(grid, KernelHyperparams(1.0, theta1))
+    np.testing.assert_allclose(gm.values, theta0 * unit.values, rtol=1e-15, atol=0)
+    # Cholesky rounding on the near-singular theta1 = 1e-3 matrices reaches 6e-10
+    assert gm.logdet() - unit.logdet() == pytest.approx(grid.count * np.log(theta0), abs=1e-8)
+
+
 def test_gram_two_point_determinant():
     grid = InducingGrid(points=np.array([0.0, 0.5]), domain=0.5)
     hp = KernelHyperparams(1.0, 1.0)

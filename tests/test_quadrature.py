@@ -14,6 +14,7 @@ from sgp_hawkes.kernels import (
 from sgp_hawkes.quadrature import (
     expected_log_sigmoid,
     expected_sigmoid_moments,
+    gauss_hermite,
     gauss_legendre,
     gaussian_expectation,
     integrate,
@@ -73,6 +74,18 @@ def test_gaussian_expectation_moments():
     assert gaussian_expectation(lambda x: x, mean, var) == pytest.approx(mean, rel=1e-12)
     second = gaussian_expectation(lambda x: x * x, mean, var)
     assert second == pytest.approx(var + mean * mean, rel=1e-12)
+
+
+def test_gauss_hermite_rule_is_cached_and_read_only():
+    z, w = gauss_hermite(12)
+    assert gauss_hermite(12)[0] is z
+    x, wx = np.polynomial.hermite.hermgauss(12)
+    np.testing.assert_array_equal(z, np.sqrt(2.0) * x)
+    np.testing.assert_array_equal(w, wx / np.sqrt(np.pi))
+    with pytest.raises(ValueError):
+        z[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
 
 
 def test_expected_log_sigmoid_zero_variance():
