@@ -36,7 +36,6 @@ from .process import (
     write_events_csv,
     write_manifest,
 )
-from .quadrature import gauss_legendre
 from .serialize import load_model, rates_for_eval, report_to_dict, save_json, save_model
 from .vi import fit_vi
 
@@ -234,7 +233,7 @@ def cmd_fit(args) -> int:
 def cmd_eval(args) -> int:
     config = _load_config(args)
     _check_keys(
-        config, {"model", "data", "split", "truth_preset", "quad_order", "seed"}, "eval"
+        config, {"model", "data", "split", "truth_preset", "seed"}, "eval"
     )
     for key in ("model", "data"):
         if key not in config:
@@ -250,11 +249,9 @@ def cmd_eval(args) -> int:
     _echo_config(out, "eval", config)
     t_window, t_phi = float(manifest["T"]), float(manifest["T_phi"])
     rates = rates_for_eval(model, t_phi=t_window)
-    quad_order = _get_int(config, "quad_order", 200, 2)
-    quad = gauss_legendre(quad_order, 0.0, t_window)
 
-    lls = [test_ll(rates, s, quad) for s in seqs]
-    samples = [rescale(rates, s, quad) for s in seqs]
+    lls = [test_ll(rates, s) for s in seqs]
+    samples = [rescale(rates, s) for s in seqs]
     z_all = np.concatenate([s.z for s in samples])
     pooled = RescaledSample(
         z=z_all,
@@ -336,7 +333,9 @@ def cmd_bench(args) -> int:
     _echo_config(out, "bench", config)
 
     fitter = fit_em if method == "em" else fit_vi
-    quad_keys = {k: config[k] for k in ("quad_order_T", "quad_order_Tphi", "gh_order") if k in config}
+    settings = {
+        k: config[k] for k in ("S_mu", "S_phi", "quad_order_T", "quad_order_Tphi", "gh_order") if k in config
+    }
     rows = []
     for idx, n_events in enumerate(sizes):
         times = []
@@ -348,9 +347,7 @@ def cmd_bench(args) -> int:
                 max_iter=iters,
                 tol=0.0,
                 hyper_refresh_every=0,
-                S_mu=_get_int(config, "S_mu", 10, 2),
-                S_phi=_get_int(config, "S_phi", 10, 2),
-                **quad_keys,
+                **settings,
             )
             start = time.perf_counter()
             fitter(seq, fit_config)

@@ -37,8 +37,7 @@ from .fitbase import (
 )
 from .kernels import InducingGrid, KernelHyperparams, gram
 from .pg import pg_mean, sigmoid
-from .process import EventSequence, RateFunctions, log_likelihood
-from .quadrature import gauss_legendre
+from .process import EventSequence, RateFunctions
 
 
 @dataclass(frozen=True)
@@ -138,20 +137,6 @@ def penalty(comp: SgpComponent, gm=None) -> float:
     return 0.5 * float(half @ half)
 
 
-def em_objective(model: EmModel, seqs: EventSequence | Sequence[EventSequence], quad_order: int = 50) -> float:
-    """Penalized log posterior objective (trigger compensator untruncated).
-
-    Equals the sum over sequences of log_likelihood(..., truncate_trigger=False)
-    at the point-estimate rates, minus the RKHS penalties.
-    """
-    if isinstance(seqs, EventSequence):
-        seqs = [seqs]
-    rates = model_rates(model)
-    quad = gauss_legendre(quad_order, 0.0, model.T)
-    total = sum(log_likelihood(s, rates, quad, truncate_trigger=False) for s in seqs)
-    return total - penalty(model.mu) - penalty(model.phi)
-
-
 class _EmEngine:
     """The EM pieces of the shared sweep driver (see fitbase.run_sweeps)."""
 
@@ -161,7 +146,8 @@ class _EmEngine:
         return init_model(data, caches)
 
     def observe(self, model, data, caches, config):
-        """Projections of ``model`` and em_objective evaluated through them."""
+        """Projections of ``model`` and, through them, the penalized log posterior
+        (untruncated trigger compensator, on the fit's quadrature grids)."""
         proj = _project(model, caches)
         bg, pair = _numerators(model, proj)
         value = float(np.sum(np.log(bg + np.bincount(data.child, weights=pair, minlength=data.n_events))))
@@ -185,7 +171,7 @@ class _EmEngine:
     def u_fixed(self, model, name):
         return getattr(model, name).u
 
-    def set_gaussian(self, model, name, mean, cov, cache, config):
+    def set_gaussian(self, model, name, mean, cov, cache):
         return replace(model, **{name: replace(getattr(model, name), hp=cache.hp, u=mean)})
 
     def estimates(self, model, grids, config):

@@ -5,6 +5,9 @@ Lambda(t) = int_0^t lambda; if the fitted model is the true generator, the
 increments tau_i = Lambda(t_i) - Lambda(t_{i-1}) are i.i.d. Exponential(1),
 so z_i = 1 - exp(-tau_i) are i.i.d. Uniform(0,1) and can be checked with a
 one-sample Kolmogorov-Smirnov test or a Q-Q plot.
+
+Both the held-out likelihood and the rescaling take Lambda from the rates'
+exact antiderivatives ``mu_integral`` and ``phi_integral``.
 """
 
 from __future__ import annotations
@@ -15,9 +18,7 @@ import numpy as np
 from scipy import stats
 
 from .process import EventSequence, RateFunctions, admissible_pairs, log_likelihood, trigger_integral
-from .quadrature import QuadratureGrid, gauss_legendre
-
-_RESCALE_QUAD_ORDER = 32  # per-gap background integration when no exact form exists
+from .quadrature import QuadratureGrid
 
 
 @dataclass(frozen=True)
@@ -42,9 +43,16 @@ class RescaledSample:
             raise ValueError("rescaled values must lie in [0, 1)")
 
 
-def test_ll(fitted: RateFunctions, holdout: EventSequence, quad: QuadratureGrid) -> float:
+def _check_window(quad: QuadratureGrid | None, T: float) -> None:
+    """An optional ``quad`` of test_ll/rescale is not integrated with, only checked to span [0, T]."""
+    if quad is not None and (abs(quad.lower) > 1e-12 or abs(quad.upper - T) > 1e-9 * max(1.0, T)):
+        raise ValueError(f"quadrature grid [{quad.lower}, {quad.upper}] does not cover [0, {T}]")
+
+
+def test_ll(fitted: RateFunctions, holdout: EventSequence, quad: QuadratureGrid | None = None) -> float:
     """Log likelihood of one held-out sequence, history empty at its origin."""
-    return log_likelihood(holdout, fitted, quad, truncate_trigger=True)
+    _check_window(quad, holdout.T)
+    return log_likelihood(holdout, fitted, truncate_trigger=True)
 
 
 def est_err(estimate, truth, grid: np.ndarray) -> float:
@@ -60,30 +68,18 @@ def est_err(estimate, truth, grid: np.ndarray) -> float:
     return float(np.mean((est - tru) ** 2))
 
 
-def _background_compensator(rates: RateFunctions, times: np.ndarray) -> np.ndarray:
-    """int_0^{t_i} mu for every event, exact or per-gap Gauss-Legendre."""
-    if rates.mu_integral is not None:
-        return np.asarray(rates.mu_integral(times), dtype=float)
-    base = gauss_legendre(_RESCALE_QUAD_ORDER, 0.0, 1.0)
-    left = np.concatenate(([0.0], times[:-1]))
-    gaps = times - left
-    nodes = left[:, None] + gaps[:, None] * base.nodes[None, :]
-    vals = np.asarray(rates.mu(nodes), dtype=float)
-    return np.cumsum((vals @ base.weights) * gaps)
-
-
-def rescale(fitted: RateFunctions, seq: EventSequence, quad: QuadratureGrid) -> RescaledSample:
+def rescale(fitted: RateFunctions, seq: EventSequence, quad: QuadratureGrid | None = None) -> RescaledSample:
     """Time-rescaling transform of a sequence under fitted rates.
 
-    The trigger part of the compensator uses exact kernel integrals where the
-    rates provide them; the background part uses the exact antiderivative when
-    available and otherwise a fixed-order rule on each inter-event gap (the
-    ``quad`` argument only documents the window and is not consulted here).
+    Lambda(t_i) is ``mu_integral(t_i)`` plus ``phi_integral`` of every lag to
+    an earlier event, capped at T_phi.
     """
+    _check_window(quad, seq.T)
+    mu_integral = fitted.antiderivative("mu")
     times = seq.times
     if times.size == 0:
         return RescaledSample(np.empty(0), np.empty(0), np.empty(0), 0)
-    lam = _background_compensator(fitted, times)
+    lam = np.asarray(mu_integral(times), dtype=float)
     child, lag = admissible_pairs(times, fitted.T_phi)
     if child.size:
         lam = lam + np.bincount(child, weights=trigger_integral(fitted, lag), minlength=times.size)

@@ -62,7 +62,6 @@ class FitConfig:
     theta1_init: float | None = None  # None -> per-component 1/spacing^2
     gh_order: int = DEFAULT_GH_ORDER
     eval_grid: int = 200
-    fix_variance: bool = False  # debug: pin the GP factor covariance near zero
 
     def __post_init__(self):
         if self.T <= 0 or self.T_phi <= 0:
@@ -79,8 +78,6 @@ class FitConfig:
                 continue
             if not (_is_real(value) and 0 < value < np.inf):
                 raise ValueError(f"{key} must be a positive finite number, got {value!r}")
-        if not isinstance(self.fix_variance, bool):
-            raise ValueError(f"fix_variance must be true or false, got {self.fix_variance!r}")
 
 
 @dataclass
@@ -577,7 +574,7 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
                 hp_new, accepted = search_theta(stats[name], cache.grid, cache.hp, engine.kind, u_fixed)
                 if accepted and hp_new != cache.hp:
                     caches[name] = cache = cache.with_hp(hp_new)
-                    model = engine.set_gaussian(model, name, *gaussian_update(stats[name], cache), cache, config)
+                    model = engine.set_gaussian(model, name, *gaussian_update(stats[name], cache), cache)
                 record[name] = {
                     "theta0": cache.hp.theta0,
                     "theta1": cache.hp.theta1,

@@ -5,7 +5,10 @@ A process on the window [0, T] has conditional intensity
     lambda(t) = mu(t) + sum_{t_i < t, t - t_i <= T_phi} phi(t - t_i)
 
 with a nonnegative background mu on [0, T] and a trigger kernel phi supported
-on (0, T_phi]. Two compensator conventions coexist deliberately:
+on (0, T_phi]. Both compensators are exact antiderivatives carried by the
+rates (``mu_integral``, ``phi_integral``): the likelihood here and the time
+rescaling in ``evaluation`` integrate one rate the same way. The trigger
+compensator has two conventions:
 
 * ``log_likelihood(..., truncate_trigger=True)`` (default) charges each event
   the exact integral of phi up to min(T_phi, T - t_i) — the proper likelihood
@@ -25,9 +28,6 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .quadrature import QuadratureGrid, gauss_legendre
-
-_TRIGGER_QUAD_ORDER = 48
 _TABLE_NODES = 257  # first size of a rate table; each refinement doubles the cells
 _TABLE_MAX_NODES = 2**20 + 1
 _TABLE_RTOL = 1e-10  # allowed midpoint error, relative to the rate's maximum
@@ -67,9 +67,10 @@ class RateFunctions:
     """Background and trigger rate of a Hawkes model.
 
     ``mu`` and ``phi`` must accept numpy arrays. ``phi`` is treated as zero
-    outside (0, T_phi]; callers never evaluate it there. The optional exact
-    antiderivatives (``mu_integral(t) = int_0^t mu``, ``phi_integral(x) =
-    int_0^x phi`` for x in [0, T_phi]) let compensators skip quadrature.
+    outside (0, T_phi]; callers never evaluate it there. The exact
+    antiderivatives ``mu_integral(t) = int_0^t mu`` and ``phi_integral(x) =
+    int_0^x phi`` for x in [0, T_phi] are the compensators; simulation runs
+    without them, scoring requires them (see ``antiderivative``).
     """
 
     mu: Callable
@@ -81,6 +82,17 @@ class RateFunctions:
     def __post_init__(self):
         if not np.isfinite(self.T_phi) or self.T_phi <= 0.0:
             raise ValueError(f"trigger support length must be positive, got {self.T_phi}")
+
+    def antiderivative(self, name: str) -> Callable:
+        """``mu_integral`` or ``phi_integral``; raises ValueError if it is missing."""
+        field = f"{name}_integral"
+        value = getattr(self, field)
+        if value is None:
+            raise ValueError(
+                f"rates have no {field}: scoring needs exact antiderivatives; build rates "
+                "with them through process.tabulate or serialize.rates_for_eval"
+            )
+        return value
 
 
 def trigger_support(tau, t_phi: float) -> np.ndarray:
@@ -131,31 +143,19 @@ def intensity(t: float, history: EventSequence, rates: RateFunctions) -> float:
 
 
 def trigger_integral(rates: RateFunctions, upper) -> np.ndarray:
-    """int_0^x phi for x clipped to [0, T_phi], exact when available."""
+    """int_0^x phi for x clipped to [0, T_phi], from ``phi_integral``."""
     x = np.clip(np.atleast_1d(np.asarray(upper, dtype=float)), 0.0, rates.T_phi)
-    if rates.phi_integral is not None:
-        return np.asarray(rates.phi_integral(x), dtype=float)
-    base = gauss_legendre(_TRIGGER_QUAD_ORDER, 0.0, 1.0)
-    # Affine-rescale one reference rule onto [0, x_i] for every upper limit.
-    nodes = x[:, None] * base.nodes[None, :]
-    vals = np.asarray(rates.phi(nodes), dtype=float)
-    return (vals @ base.weights) * x
+    return np.asarray(rates.antiderivative("phi")(x), dtype=float)
 
 
-def log_likelihood(
-    seq: EventSequence,
-    rates: RateFunctions,
-    quad: QuadratureGrid,
-    truncate_trigger: bool = True,
-) -> float:
+def log_likelihood(seq: EventSequence, rates: RateFunctions, *, truncate_trigger: bool = True) -> float:
     """Log likelihood of the sequence under the given rates.
 
-    ``quad`` must cover [0, T] and is used for the background compensator.
-    See the module docstring for the two trigger-compensator conventions.
+    The background compensator is ``mu_integral(T) - mu_integral(0)``; see the
+    module docstring for the two trigger-compensator conventions.
     """
-    if abs(quad.lower) > 1e-12 or abs(quad.upper - seq.T) > 1e-9 * max(1.0, seq.T):
-        raise ValueError(f"quadrature grid [{quad.lower}, {quad.upper}] does not cover [0, {seq.T}]")
-    mu_comp = float(quad.weights @ np.asarray(rates.mu(quad.nodes), dtype=float))
+    ends = np.asarray(rates.antiderivative("mu")(np.array([0.0, seq.T])), dtype=float)
+    mu_comp = float(ends[1] - ends[0])
     if not np.isfinite(mu_comp):
         raise NonFiniteLikelihoodError(f"background compensator {mu_comp} over [0, {seq.T}] is not finite")
     if len(seq) == 0:

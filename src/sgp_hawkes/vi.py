@@ -44,8 +44,6 @@ from .pg import pg_mean
 from .process import EventSequence, RateFunctions, trigger_support
 from .quadrature import DEFAULT_GH_ORDER, expected_log_sigmoid, expected_sigmoid_moments
 
-_COV_FLOOR = 1e-12  # covariance scale used by the fix_variance debug mode
-
 
 @dataclass(frozen=True)
 class GaussianFactor:
@@ -108,11 +106,6 @@ def _expected_log_sigmoid(proj: dict[str, tuple], gh_order: int) -> dict[str, np
 
 def _tilt(mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     return np.sqrt(mean * mean + var)
-
-
-def _gaussian(mean: np.ndarray, cov: np.ndarray, cache: ComponentCache, config: FitConfig) -> GaussianFactor:
-    """q(u) = N(mean, cov); fix_variance pins cov near zero."""
-    return GaussianFactor(mean, _COV_FLOOR * cache.gm.values if config.fix_variance else cov)
 
 
 def vi_pg_update(
@@ -224,7 +217,7 @@ def init_vi_model(data: Dataset, caches: dict[str, ComponentCache], config: FitC
     comps = {}
     for name, cache in caches.items():
         _, scale, domain = data.component(name)
-        gp = _gaussian(np.zeros(cache.grid.count), cache.gm.values, cache, config)
+        gp = GaussianFactor(np.zeros(cache.grid.count), cache.gm.values)
         lam = GammaFactor(max(counts[name], 0.5), max(scale, 1) * domain)
         comps[name] = ViComponent(gp=gp, lam=lam, grid=cache.grid, hp=cache.hp)
     return ViModel(**comps, T=data.T, T_phi=data.T_phi)
@@ -283,14 +276,14 @@ class _ViEngine:
         lams = vi_lambda_update(branching, rates, data)
         for name, gp in vi_gp_update(tilts, branching, rates, data, caches).items():
             model = replace(model, **{name: replace(getattr(model, name), lam=lams[name])})
-            model = self.set_gaussian(model, name, gp.mean, gp.cov, caches[name], config)
+            model = self.set_gaussian(model, name, gp.mean, gp.cov, caches[name])
         return model, lambda: _stats(data, caches, tilts, branching, rates)
 
     def u_fixed(self, model, name):
         return None
 
-    def set_gaussian(self, model, name, mean, cov, cache, config):
-        comp = replace(getattr(model, name), gp=_gaussian(mean, cov, cache, config), hp=cache.hp)
+    def set_gaussian(self, model, name, mean, cov, cache):
+        comp = replace(getattr(model, name), gp=GaussianFactor(mean, cov), hp=cache.hp)
         return replace(model, **{name: comp})
 
     def estimates(self, model, grids, config):

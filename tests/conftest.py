@@ -1,10 +1,13 @@
 """Shared fixtures: small simulated datasets reused across test modules."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sgp_hawkes import FitConfig, case1_rates, simulate_thinning
 from sgp_hawkes.fitbase import build_caches, build_dataset
+from sgp_hawkes.quadrature import gauss_legendre
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +33,29 @@ def small_caches(small_dataset, small_config):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def _legendre_integral(f, upper, order: int) -> np.ndarray:
+    """int_0^x f for every x in ``upper``: one Gauss-Legendre rule rescaled onto each [0, x]."""
+    base = gauss_legendre(order, 0.0, 1.0)
+    x = np.atleast_1d(np.asarray(upper, dtype=float))
+    return (np.asarray(f(x[:, None] * base.nodes), dtype=float) @ base.weights) * x
+
+
+@pytest.fixture(scope="session")
+def quadrature_antiderivatives():
+    """Rates -> the same rates with Gauss-Legendre antiderivatives attached.
+
+    Scoring needs ``mu_integral`` and ``phi_integral``; the exact EM/VI rate
+    adapters have none, so oracle tests that score them use these (200 nodes
+    on [0, t] for mu, 48 on [0, x] for phi).
+    """
+
+    def attach(rates):
+        return replace(
+            rates,
+            mu_integral=lambda t: _legendre_integral(rates.mu, t, 200),
+            phi_integral=lambda x: _legendre_integral(rates.phi, x, 48),
+        )
+
+    return attach

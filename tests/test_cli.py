@@ -1,10 +1,15 @@
 """End-to-end command-line behavior, run in process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sgp_hawkes
 from sgp_hawkes.cli import main
 from sgp_hawkes.em import EmModel, SgpComponent
 from sgp_hawkes.kernels import KernelHyperparams, uniform_inducing_grid
@@ -159,6 +164,28 @@ def test_fit_vi_writes_uncertainty_column(tmp_path, sim_dir):
     assert header == "x,value,std"
 
 
+def test_fit_vi_output_does_not_depend_on_blas_threads(tmp_path):
+    # the same config must give the same bytes whatever the BLAS thread count
+    rc, data = run(tmp_path, "simulate", {"preset": "case2", "n_train": 2, "n_test": 0, "seed": 3}, "data")
+    assert rc == 0
+    cfg = write_config(
+        tmp_path / "fit.json",
+        {"method": "vi", "data": str(data), "max_iter": 12, "tol": 0.0, "hyper_refresh_every": 5},
+    )
+    src = str(Path(sgp_hawkes.__file__).resolve().parents[1])
+    names = ("model.json", "estimates_mu.csv", "estimates_phi.csv")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"fit_{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "sgp_hawkes.cli", "fit", "--config", cfg, "--out", str(out)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr  # a fixed 12-sweep budget with tol 0 ends at the cap
+        outputs.append({name: (out / name).read_bytes() for name in names})
+    assert outputs[0] == outputs[1]
+
+
 def test_fit_mle_model_schema(tmp_path, sim_dir):
     rc, out = run(tmp_path, "fit", {"method": "mle", "data": str(sim_dir)}, "f")
     assert rc == 0
@@ -293,6 +320,15 @@ def test_eval_missing_model(tmp_path, sim_dir, capsys):
     )
     assert rc == 1
     assert "nope.json" in capsys.readouterr().err
+
+
+def test_eval_rejects_quad_order(tmp_path, sim_dir, em_fit_dir, capsys):
+    # both compensators are exact antiderivatives: no quadrature order is read
+    payload = {"model": str(em_fit_dir / "model.json"), "data": str(sim_dir), "quad_order": 200}
+    rc, out = run(tmp_path, "eval", payload, "e")
+    assert rc == 1
+    assert "quad_order" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
 
 
 # ---------------------------------------------------------------------------

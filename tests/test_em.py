@@ -10,7 +10,6 @@ from sgp_hawkes.em import (
     EmModel,
     SgpComponent,
     component_function,
-    em_objective,
     estep_branching,
     estep_latent_rate,
     estep_pg,
@@ -28,7 +27,6 @@ from sgp_hawkes.kernels import (
     uniform_inducing_grid,
 )
 from sgp_hawkes.process import EventSequence, RateFunctions, log_likelihood
-from sgp_hawkes.quadrature import gauss_legendre
 
 
 def em_state(seqs, config, n_iter):
@@ -257,7 +255,24 @@ def test_penalty_zero_for_zero_coefficients():
     assert penalty(model.phi) == 0.0
 
 
-def test_objective_reduces_to_constant_rate_likelihood():
+@pytest.fixture()
+def em_objective(quadrature_antiderivatives):
+    """Penalized log posterior objective (trigger compensator untruncated).
+
+    The sum over sequences of log_likelihood(..., truncate_trigger=False) at
+    the point-estimate rates, minus the RKHS penalties; the compensators come
+    from Gauss-Legendre, since the exact EM rates carry no antiderivatives.
+    """
+
+    def objective(model, seqs):
+        rates = quadrature_antiderivatives(model_rates(model))
+        total = sum(log_likelihood(s, rates, truncate_trigger=False) for s in seqs)
+        return total - penalty(model.mu) - penalty(model.phi)
+
+    return objective
+
+
+def test_objective_reduces_to_constant_rate_likelihood(em_objective):
     # u = 0 means mu = lambda_mu/2 and phi = lambda_phi/2 everywhere; the
     # penalized objective must equal the plain log-likelihood in the
     # untruncated-compensator convention
@@ -276,12 +291,11 @@ def test_objective_reduces_to_constant_rate_likelihood():
         mu_integral=lambda t: mu_c * np.asarray(t, dtype=float),
         phi_integral=lambda x: phi_c * np.asarray(x, dtype=float),
     )
-    quad = gauss_legendre(50, 0.0, 10.0)
-    want = log_likelihood(seqs[0], rates, quad, truncate_trigger=False)
+    want = log_likelihood(seqs[0], rates, truncate_trigger=False)
     assert got == pytest.approx(want, abs=1e-10)
 
 
-def test_objective_penalizes_large_coefficients(rng):
+def test_objective_penalizes_large_coefficients(rng, em_objective):
     seqs = [EventSequence(np.sort(rng.uniform(0, 10, 6)), 10.0)]
     config = FitConfig(T=10.0, T_phi=2.0)
     model, data, caches = em_state(seqs, config, n_iter=2)

@@ -1,8 +1,11 @@
 """Held-out scoring, estimation error, and time-rescaling diagnostics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from sgp_hawkes import fit_em, rates_for_eval
 from sgp_hawkes.evaluation import RescaledSample, est_err, ks_statistic, qq_pairs, rescale
 from sgp_hawkes.evaluation import test_ll as held_out_ll
 from sgp_hawkes.process import (
@@ -63,12 +66,20 @@ def test_test_ll_splits_across_a_quiet_gap():
         x = np.asarray(x, dtype=float)
         return np.where((x > 0) & (x <= 2.0), 0.3 * np.exp(-x), 0.0)
 
+    def mu_integral(t):
+        t = np.asarray(t, dtype=float)
+        return 1.2 * t + 0.4 * (30.0 / (2 * np.pi)) * (1.0 - np.cos(2 * np.pi * t / 30.0))
+
     def phi_integral(x):
         return 0.3 * -np.expm1(-np.asarray(x, dtype=float))
 
-    full = RateFunctions(mu, phi, T_phi=2.0, phi_integral=phi_integral)
+    full = RateFunctions(mu, phi, T_phi=2.0, mu_integral=mu_integral, phi_integral=phi_integral)
     shifted = RateFunctions(
-        lambda t: mu(np.asarray(t, dtype=float) + 15.0), phi, T_phi=2.0, phi_integral=phi_integral
+        lambda t: mu(np.asarray(t, dtype=float) + 15.0),
+        phi,
+        T_phi=2.0,
+        mu_integral=lambda t: mu_integral(np.asarray(t, dtype=float) + 15.0),
+        phi_integral=phi_integral,
     )
     quad_full = gauss_legendre(200, 0.0, 30.0)
     quad_half = gauss_legendre(200, 0.0, 15.0)
@@ -82,7 +93,31 @@ def test_test_ll_is_plain_truncated_log_likelihood():
     truth = case1_rates()
     seq = simulate_thinning(truth, 100.0, seed=11)
     quad = gauss_legendre(200, 0.0, 100.0)
-    assert held_out_ll(truth, seq, quad) == log_likelihood(seq, truth, quad, truncate_trigger=True)
+    assert held_out_ll(truth, seq, quad) == log_likelihood(seq, truth, truncate_trigger=True)
+
+
+def test_scoring_uses_the_exact_antiderivatives_only(small_case1_seqs, small_config):
+    # the held-out likelihood and the time rescaling charge one compensator:
+    # the table's own antiderivatives, with no quadrature in between
+    rates = rates_for_eval(fit_em(small_case1_seqs, small_config)[0])
+    seq = simulate_thinning(case1_rates(), 100.0, seed=901)
+    t, T, t_phi = seq.times, seq.T, rates.T_phi
+    lags = t[:, None] - t[None, :]
+    earlier = lags > 0.0
+    lam = rates.mu(t) + np.where(earlier, rates.phi(lags), 0.0).sum(axis=1)
+    mu_mass = rates.mu_integral(T) - rates.mu_integral(0.0)
+    want = np.sum(np.log(lam)) - mu_mass - np.sum(rates.phi_integral(np.minimum(t_phi, T - t)))
+    assert held_out_ll(rates, seq) == pytest.approx(want, rel=1e-12)
+    # what is charged is the antiderivative itself, not an integral of mu
+    doubled = replace(rates, mu_integral=lambda x: 2.0 * rates.mu_integral(x))
+    assert held_out_ll(doubled, seq) == pytest.approx(want - mu_mass, rel=1e-12)
+    trigger = np.where(earlier, rates.phi_integral(np.clip(lags, 0.0, t_phi)), 0.0).sum(axis=1)
+    np.testing.assert_allclose(rescale(rates, seq).lam, rates.mu_integral(t) + trigger, rtol=1e-12)
+    # quad is optional and only checked against the window
+    with pytest.raises(ValueError, match="does not cover"):
+        held_out_ll(rates, seq, gauss_legendre(50, 0.0, 50.0))
+    with pytest.raises(ValueError, match="does not cover"):
+        rescale(rates, seq, gauss_legendre(50, 0.0, 50.0))
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +162,16 @@ def test_rescale_unit_poisson_gives_exact_z_values():
     assert samp.n_clamped == 0
 
 
-def test_rescale_quadrature_fallback_matches_exact_path():
-    quad = gauss_legendre(100, 0.0, 10.0)
+def test_rescale_raises_without_an_antiderivative():
+    # no quadrature stands in for a missing antiderivative; the error names it
     seq = EventSequence(np.array([0.7, 2.0, 3.1, 9.9]), 10.0)
     exact = poisson_rates(1.3)
-    no_antideriv = RateFunctions(
-        mu=exact.mu, phi=exact.phi, T_phi=exact.T_phi, phi_integral=exact.phi_integral
-    )
-    a = rescale(exact, seq, quad)
-    b = rescale(no_antideriv, seq, quad)
-    np.testing.assert_allclose(b.lam, a.lam, rtol=1e-12)
-    np.testing.assert_allclose(b.z, a.z, rtol=1e-12)
+    for field in ("mu_integral", "phi_integral"):
+        bare = replace(exact, **{field: None})
+        with pytest.raises(ValueError, match=field):
+            rescale(bare, seq)
+        with pytest.raises(ValueError, match=field):
+            held_out_ll(bare, seq)
 
 
 def test_rescale_flags_negative_increments():

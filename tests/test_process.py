@@ -1,5 +1,7 @@
 """Event-sequence plumbing, intensities, likelihoods, and the thinning sampler."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -108,17 +110,15 @@ def test_intensities_match_bruteforce_pair_sum(rng):
 
 def test_log_likelihood_empty_sequence():
     rates = constant_rates(1.0, 0.0, 2.0)
-    quad = gauss_legendre(50, 0.0, 10.0)
     seq = EventSequence(np.array([]), 10.0)
-    assert log_likelihood(seq, rates, quad) == pytest.approx(-10.0, rel=1e-13)
+    assert log_likelihood(seq, rates) == pytest.approx(-10.0, rel=1e-13)
 
 
 def test_log_likelihood_single_event_constant_background():
     rates = constant_rates(2.0, 0.0, 2.0)
-    quad = gauss_legendre(50, 0.0, 10.0)
     seq = EventSequence(np.array([5.0]), 10.0)
     want = np.log(2.0) - 20.0
-    assert log_likelihood(seq, rates, quad) == pytest.approx(want, rel=1e-13)
+    assert log_likelihood(seq, rates) == pytest.approx(want, rel=1e-13)
 
 
 def test_log_likelihood_exponential_kernel_closed_form():
@@ -132,8 +132,7 @@ def test_log_likelihood_exponential_kernel_closed_form():
     lam3 = mu0 + alpha * np.exp(-beta * 3.5) + alpha * np.exp(-beta * 2.5)
     comp = mu0 * T + (alpha / beta) * sum(1.0 - np.exp(-beta * (T - t)) for t in times)
     want = np.log(lam1) + np.log(lam2) + np.log(lam3) - comp
-    quad = gauss_legendre(50, 0.0, T)
-    got = log_likelihood(EventSequence(times, T), rates, quad, truncate_trigger=True)
+    got = log_likelihood(EventSequence(times, T), rates, truncate_trigger=True)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -142,35 +141,35 @@ def test_log_likelihood_trigger_truncation_convention():
     # how close the event sits to the right edge
     rates = exp_rates(1.0, 0.5, 1.0, 2.0)
     times = np.array([9.5])
-    quad = gauss_legendre(50, 0.0, 10.0)
     seq = EventSequence(times, 10.0)
-    full = log_likelihood(seq, rates, quad, truncate_trigger=False)
-    trunc = log_likelihood(seq, rates, quad, truncate_trigger=True)
+    full = log_likelihood(seq, rates, truncate_trigger=False)
+    trunc = log_likelihood(seq, rates, truncate_trigger=True)
     phi_int = rates.phi_integral
     want_gap = phi_int(np.array([2.0]))[0] - phi_int(np.array([0.5]))[0]
     assert trunc - full == pytest.approx(want_gap, rel=1e-12)
 
 
-def test_trigger_integral_exact_vs_quadrature_fallback():
+def test_trigger_integral_raises_without_an_antiderivative():
+    # scoring has one compensator per rate: no quadrature stands in for a
+    # missing phi_integral, and the error names the field
     exact = exp_rates(1.0, 0.8, 1.1, 6.0)
-    fallback = RateFunctions(
-        mu=exact.mu, phi=exact.phi, T_phi=exact.T_phi,
-        mu_integral=exact.mu_integral, phi_integral=None,
-    )
     upper = np.array([0.0, 0.3, 1.7, np.pi, 5.9])
-    np.testing.assert_allclose(
-        trigger_integral(fallback, upper), trigger_integral(exact, upper), rtol=0, atol=1e-10
-    )
-    # on a kernel with an interior kink (case 1 support ends at pi) the
-    # fallback is only quadrature-accurate; the preset supplies the exact form
-    kinked = case1_rates()
-    approx = RateFunctions(
-        mu=kinked.mu, phi=kinked.phi, T_phi=kinked.T_phi,
-        mu_integral=kinked.mu_integral, phi_integral=None,
-    )
-    np.testing.assert_allclose(
-        trigger_integral(approx, upper), trigger_integral(kinked, upper), rtol=0, atol=5e-3
-    )
+    want = (0.8 / 1.1) * -np.expm1(-1.1 * upper)
+    np.testing.assert_allclose(trigger_integral(exact, upper), want, rtol=1e-15)
+    bare = replace(exact, phi_integral=None)
+    with pytest.raises(ValueError, match="phi_integral"):
+        trigger_integral(bare, upper)
+    with pytest.raises(ValueError, match="phi_integral"):
+        log_likelihood(EventSequence(np.array([1.0, 2.0]), 10.0), bare)
+    with pytest.raises(ValueError, match="mu_integral"):
+        log_likelihood(EventSequence(np.array([1.0, 2.0]), 10.0), replace(exact, mu_integral=None))
+
+
+def test_log_likelihood_truncation_flag_is_keyword_only():
+    # a stray positional third argument must raise, not bind to truncate_trigger
+    rates = exp_rates(1.0, 0.5, 1.0, 2.0)
+    with pytest.raises(TypeError):
+        log_likelihood(EventSequence(np.array([9.5]), 10.0), rates, False)
 
 
 def test_simulation_is_deterministic():
@@ -271,7 +270,7 @@ def test_tabulate_matches_smooth_rates_and_their_integrals():
     # no extrapolation beyond the tabulated window
     assert np.isnan(table.mu(np.array([CASE_T + 1.0]))[0])
     with pytest.raises(NonFiniteLikelihoodError, match="background compensator"):
-        log_likelihood(EventSequence(np.empty(0), 2 * CASE_T), table, gauss_legendre(50, 0.0, 2 * CASE_T))
+        log_likelihood(EventSequence(np.empty(0), 2 * CASE_T), table)
 
 
 def test_tabulate_never_goes_negative():

@@ -159,11 +159,11 @@ def test_rates_for_eval_keeps_mle_closed_forms():
 
 @pytest.mark.parametrize("case", ["case1", "case2"])
 @pytest.mark.parametrize("fit", [fit_em, fit_vi])
-def test_rates_for_eval_tables_match_exact_adapters(case, fit):
+def test_rates_for_eval_tables_match_exact_adapters(case, fit, quadrature_antiderivatives):
     truth = PRESETS[case]()
     train = [simulate_thinning(truth, CASE_T, seed=s) for s in range(3)]
     model, _ = fit(train, FitConfig(T=CASE_T, T_phi=CASE_T_PHI, max_iter=40))
-    exact = (em_rates if fit is fit_em else vi_rates)(model)
+    exact = quadrature_antiderivatives((em_rates if fit is fit_em else vi_rates)(model))
     table = rates_for_eval(model)
     quad = gauss_legendre(200, 0.0, CASE_T)
     for s in range(900, 903):

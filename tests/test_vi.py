@@ -10,7 +10,7 @@ from scipy.special import digamma, expit
 from sgp_hawkes import FitConfig, fit_em, fit_vi
 from sgp_hawkes.em import estep_branching, init_model
 from sgp_hawkes.em import model_rates as em_model_rates
-from sgp_hawkes.fitbase import LatentRate, build_caches, build_dataset
+from sgp_hawkes.fitbase import COMPONENTS, LatentRate, build_caches, build_dataset, run_sweeps
 from sgp_hawkes.kernels import gram, se_cross
 from sgp_hawkes.process import EventSequence
 from sgp_hawkes.vi import (
@@ -27,6 +27,7 @@ from sgp_hawkes.vi import (
     vi_pg_update,
     vi_poisson_update,
 )
+from sgp_hawkes.vi import _ViEngine
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -330,6 +331,19 @@ def test_monitor_evaluates_finite(state):
     assert np.isfinite(value)
 
 
+class _PinnedCovariance(_ViEngine):
+    """VI sweeps with every Gaussian factor's covariance pinned at 1e-12 K."""
+
+    def init(self, data, caches, config):
+        model = init_vi_model(data, caches, config)
+        for name in COMPONENTS:
+            model = self.set_gaussian(model, name, getattr(model, name).gp.mean, None, caches[name])
+        return model
+
+    def set_gaussian(self, model, name, mean, cov, cache):
+        return super().set_gaussian(model, name, mean, 1e-12 * cache.gm.values, cache)
+
+
 def test_fix_variance_trajectory_tracks_em(small_case1_seqs):
     """Near-zero-variance sweeps reduce to the EM fixed-point iteration: the
     background estimates agree within 5% over the first iterations."""
@@ -337,7 +351,7 @@ def test_fix_variance_trajectory_tracks_em(small_case1_seqs):
     for k in (3, 10):
         cfg = dict(T=100.0, T_phi=6.0, max_iter=k, tol=0.0, hyper_refresh_every=0)
         em_model, _ = fit_em(small_case1_seqs, FitConfig(**cfg))
-        vi_model, _ = fit_vi(small_case1_seqs, FitConfig(**cfg, fix_variance=True))
+        vi_model, _ = run_sweeps(_PinnedCovariance(), small_case1_seqs, FitConfig(**cfg))
         em_mu = em_model_rates(em_model).mu(grid)
         vi_mu = model_rates(vi_model).mu(grid)
         rel = np.max(np.abs(vi_mu - em_mu) / np.maximum(np.abs(em_mu), 1e-12))
