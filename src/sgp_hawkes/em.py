@@ -168,8 +168,8 @@ class _EmEngine:
         new = mstep(model, data, caches, pg, lat, branching)
         return new, lambda: component_stats(data, caches, branching, pg, lat)
 
-    def u_fixed(self, model, name):
-        return getattr(model, name).u
+    def gaussian(self, model, name):
+        return getattr(model, name).u, None
 
     def set_gaussian(self, model, name, mean, cov, cache):
         return replace(model, **{name: replace(getattr(model, name), hp=cache.hp, u=mean)})

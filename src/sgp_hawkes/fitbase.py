@@ -3,9 +3,11 @@
 Both engines consume the same sufficient-statistic shapes: Dirac weights at
 event locations (baseline component) or pairwise lags (trigger component),
 plus weighted rate densities on a fixed quadrature grid. The Gaussian-map
-update, the posterior covariance, the kernel-hyperparameter profile search
-and the sweep driver ``run_sweeps`` are shared, so the two engines cannot
-drift apart numerically.
+update, the posterior covariance, the sweep driver ``run_sweeps`` and the
+kernel-hyperparameter refresh are shared, so the two engines cannot drift
+apart numerically. The refresh is one M-step for both: it maximizes the
+engine's own objective over theta with the Gaussian factor of the inducing
+values held fixed, a point mass for EM and q(u) = N(m, cov) for VI.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .kernels import (
     THETA_BOUNDS,
@@ -33,7 +35,7 @@ from .process import EventSequence, admissible_pairs, trigger_support
 from .quadrature import DEFAULT_GH_ORDER, QuadratureGrid, gauss_legendre
 
 _SEARCH_BINS = 2048
-_COARSE_THETA1 = 15  # log-spaced theta1 values of the EM search's bracketing grid
+_COARSE_THETA1 = 15  # log-spaced theta1 values of the theta search's bracketing grid
 COMPONENTS = ("mu", "phi")
 _INT_MINIMUMS = {  # smallest accepted value of each integer FitConfig field
     "S_mu": 2, "S_phi": 2, "quad_order_T": 1, "quad_order_Tphi": 1,
@@ -363,73 +365,55 @@ def _kernel_rows(stats: ComponentStats, grid: InducingGrid, hp: KernelHyperparam
     return k_points, se_cross(stats.quad.nodes, grid.points, hp)
 
 
-def _em_terms(stats: ComponentStats, grid: InducingGrid, theta1: float, u_fixed: np.ndarray | None):
-    """(D, q, log|K1|) of the EM theta objective at (1, theta1).
+def _theta_terms(stats: ComponentStats, grid: InducingGrid, theta1: float, fixed: tuple):
+    """(D, q, log|K1|) of the theta objective at (1, theta1), holding the
+    Gaussian factor ``fixed`` = (mean, cov) of the inducing values (cov None:
+    EM's point mass at u = mean).
 
-    K = theta0 K1 exactly, jitter included, so the reprojected f = k1 K1^{-1} u
-    and the data terms D do not depend on theta0, and the objective at any
-    theta0 is D - 0.5 q / theta0 - 0.5 (log|K1| + S log theta0) with
-    q = u^T K1^{-1} u (``_em_profile``). Raises SingularMatrixError.
+    The objective is E[sum b f - 0.5 a f^2] - KL(q(u) || N(0, K)) up to terms
+    free of theta. K = theta0 K1 exactly, jitter included, so the projected
+    moments of f and the data terms D do not depend on theta0, and the
+    objective at any theta0 is D - 0.5 q / theta0 - 0.5 (log|K1| + S log theta0)
+    with q = m^T K1^{-1} m + tr(K1^{-1} cov) (``_theta_profile``).
+    Raises SingularMatrixError.
     """
-    if u_fixed is None:
-        raise ValueError("the EM theta objective needs the current inducing values")
+    mean, cov = fixed
     hp = KernelHyperparams(1.0, theta1)
     gm = gram(grid, hp)
     k_points, k_quad = _kernel_rows(stats, grid, hp)
-    alpha = gm.solve(u_fixed)
+    alpha = gm.solve(mean)
     f_pts = k_points @ alpha
     f_q = k_quad @ alpha
+    sq_pts, sq_q, q = f_pts**2, f_q**2, float(mean @ alpha)
+    if cov is not None:
+        project = gp_projector(gm, mean, cov)
+        sq_pts = sq_pts + project(k_points)[1]
+        sq_q = sq_q + project(k_quad)[1]
+        q += float(np.trace(gm.solve(cov)))
     w = stats.quad.weights
     data = float(stats.b_point @ f_pts) + float(w @ (stats.b_quad * f_q))
-    data -= 0.5 * (float(stats.a_point @ f_pts**2) + float(w @ (stats.a_quad * f_q**2)))
-    return data, float(u_fixed @ alpha), gm.logdet()
+    data -= 0.5 * (float(stats.a_point @ sq_pts) + float(w @ (stats.a_quad * sq_q)))
+    return data, q, gm.logdet()
 
 
-def _em_profile(stats: ComponentStats, grid: InducingGrid, theta1: float, u_fixed, theta0: float | None = None):
-    """(theta0, EM objective at (theta0, theta1)). Without ``theta0``, its
+def _theta_profile(stats: ComponentStats, grid: InducingGrid, theta1: float, fixed, theta0: float | None = None):
+    """(theta0, objective at (theta0, theta1)). Without ``theta0``, its
     maximizer in THETA_BOUNDS: the theta0 term -0.5 q / theta0 - 0.5 S log theta0
-    is concave in log theta0 and peaks at q / S. Raises SingularMatrixError."""
-    data, q, logdet = _em_terms(stats, grid, theta1, u_fixed)
+    is concave in log theta0 and peaks at q / S. The value is -inf where the
+    Gram matrix does not factor."""
+    try:
+        data, q, logdet = _theta_terms(stats, grid, theta1, fixed)
+    except SingularMatrixError:
+        return theta0, -np.inf
     if theta0 is None:
         theta0 = float(np.clip(q / grid.count, *THETA_BOUNDS))
     value = data - 0.5 * q / theta0 - 0.5 * (logdet + grid.count * np.log(theta0))
     return theta0, value if np.isfinite(value) else -np.inf
 
 
-def _profile_objective(
-    stats: ComponentStats,
-    grid: InducingGrid,
-    hp: KernelHyperparams,
-    kind: str,
-    u_fixed: np.ndarray | None = None,
-) -> float:
-    """Theta objective for the hyperparameter refresh, coefficients frozen.
-
-    EM (``u_fixed`` required): the expected complete-data objective with the
-    inducing values held at their current estimate — linear/quadratic data
-    terms in the reprojected f, the RKHS penalty, and the prior normalizer
-    -0.5 log|K|, evaluated through ``_em_terms`` at theta0 = 1 and scaled to
-    ``hp.theta0`` (the same formula the EM search profiles over). VI: the
-    evidence bound with the Gaussian factor re-optimized for the candidate
-    theta, 0.5 c^T (U+K)^{-1} c + 0.5 log|K| - log|U+K|.
-    The exact evidence has -0.5 log|U+K|, but with it the every-k-sweeps
-    refresh keeps raising phi's theta0 and VI stops meeting its stop rule.
-    """
-    try:
-        if kind == "em":
-            return _em_profile(stats, grid, hp.theta1, u_fixed, hp.theta0)[1]
-        gm = gram(grid, hp)
-    except SingularMatrixError:
-        return -np.inf
-    u_mat, c_vec = assemble_system(stats, *_kernel_rows(stats, grid, hp))
-    system = u_mat + gm.values
-    try:
-        chol = np.linalg.cholesky(system)
-    except np.linalg.LinAlgError:
-        return -np.inf
-    value = 0.5 * float(c_vec @ cho_solve((chol, True), c_vec))
-    value += 0.5 * gm.logdet() - 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return value
+def _profile_objective(stats: ComponentStats, grid: InducingGrid, hp: KernelHyperparams, fixed) -> float:
+    """Theta objective of the refresh at ``hp`` (``_theta_terms``)."""
+    return _theta_profile(stats, grid, hp.theta1, fixed, hp.theta0)[1]
 
 
 def _compact_stats(stats: ComponentStats, n_bins: int = _SEARCH_BINS) -> ComponentStats:
@@ -445,22 +429,31 @@ def _compact_stats(stats: ComponentStats, n_bins: int = _SEARCH_BINS) -> Compone
     return replace(stats, points=centers[keep], a_point=a[keep], b_point=b[keep])
 
 
-def _search_theta_em(compact: ComponentStats, grid: InducingGrid, hp: KernelHyperparams, u_fixed) -> KernelHyperparams:
-    """Best theta1 of a coarse log grid over THETA_BOUNDS plus the incumbent
-    and 1/spacing^2, refined by bounded Brent in its bracket to 1e-3 in log
-    theta1; theta0 is the closed-form maximizer at every theta1."""
+def search_theta(
+    stats: ComponentStats, grid: InducingGrid, hp: KernelHyperparams, fixed: tuple
+) -> tuple[KernelHyperparams, bool]:
+    """Bounded refresh of (theta0, theta1) for one component, holding the
+    Gaussian factor ``fixed`` = (mean, cov) of its inducing values (cov None
+    for EM's point estimate).
+
+    theta0 is the closed-form maximizer clip(q / S) at every theta1 (see
+    ``_theta_terms``), so the search is over log theta1 alone: the best of a
+    coarse log grid over THETA_BOUNDS plus the incumbent and 1/spacing^2,
+    refined by bounded Brent in its bracket to 1e-3. It runs on compacted
+    statistics, then checks the exact objective at the winner; the incumbent
+    is kept (and the move flagged as rejected) unless the exact objective
+    does not decrease.
+    """
+    compact = _compact_stats(stats)
     lo, hi = np.log(THETA_BOUNDS[0]), np.log(THETA_BOUNDS[1])
-    best_value, best_hp = -np.inf, hp
+    best_value, candidate = -np.inf, hp
 
     def negative(x):
-        nonlocal best_value, best_hp
+        nonlocal best_value, candidate
         theta1 = float(np.exp(x))
-        try:
-            theta0, value = _em_profile(compact, grid, theta1, u_fixed)
-        except SingularMatrixError:
-            return 1e300
+        theta0, value = _theta_profile(compact, grid, theta1, fixed)
         if value > best_value:
-            best_value, best_hp = value, KernelHyperparams(theta0, theta1)
+            best_value, candidate = value, KernelHyperparams(theta0, theta1)
         return -value if np.isfinite(value) else 1e300
 
     starts = np.clip(np.log([hp.theta1, 1.0 / grid.spacing**2]), lo, hi)
@@ -468,58 +461,8 @@ def _search_theta_em(compact: ComponentStats, grid: InducingGrid, hp: KernelHype
     i = int(np.argmin([negative(x) for x in xs]))
     bracket = (xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)])
     minimize_scalar(negative, bounds=bracket, method="bounded", options={"xatol": 1e-3})
-    return best_hp
-
-
-def _search_theta_vi(compact: ComponentStats, grid: InducingGrid, hp: KernelHyperparams) -> KernelHyperparams:
-    """Nelder-Mead in log (theta0, theta1) from the incumbent and from theta1 = 1/spacing^2."""
-    lo, hi = np.log(THETA_BOUNDS[0]), np.log(THETA_BOUNDS[1])
-
-    def negative(x):
-        t0, t1 = np.exp(np.clip(x, lo, hi))
-        val = _profile_objective(compact, grid, KernelHyperparams(t0, t1), "vi")
-        return -val if np.isfinite(val) else 1e300
-
-    best_x, best_val = None, np.inf
-    for start in (hp, KernelHyperparams(hp.theta0, 1.0 / grid.spacing**2)):
-        x0 = np.log([start.theta0, start.theta1])
-        res = minimize(
-            negative,
-            x0,
-            method="Nelder-Mead",
-            bounds=[(lo, hi), (lo, hi)],
-            options={"maxfev": 200, "xatol": 1e-3, "fatol": 1e-10},
-        )
-        if res.fun < best_val:
-            best_val, best_x = res.fun, res.x
-    t0, t1 = np.exp(np.clip(best_x, lo, hi))
-    return KernelHyperparams(float(t0), float(t1))
-
-
-def search_theta(
-    stats: ComponentStats,
-    grid: InducingGrid,
-    hp: KernelHyperparams,
-    kind: str,
-    u_fixed: np.ndarray | None = None,
-) -> tuple[KernelHyperparams, bool]:
-    """Bounded refresh of (theta0, theta1) for one component.
-
-    Searches on compacted statistics, then checks the exact objective at the
-    winner; the incumbent is kept (and the move flagged as rejected) unless
-    the exact objective does not decrease. EM: a 1-D search over theta1 with
-    theta0 = clip(u^T K1^{-1} u / S), the exact maximizer at each theta1
-    (``_search_theta_em``). VI: local 2-D Nelder-Mead (``_search_theta_vi``);
-    its objective has no closed-form theta0, and until its log|U+K| weight is
-    corrected a global search finds spurious optima at the small-theta corner.
-    """
-    compact = _compact_stats(stats)
-    if kind == "em":
-        candidate = _search_theta_em(compact, grid, hp, u_fixed)
-    else:
-        candidate = _search_theta_vi(compact, grid, hp)
-    j_old = _profile_objective(stats, grid, hp, kind, u_fixed)
-    j_new = _profile_objective(stats, grid, candidate, kind, u_fixed)
+    j_old = _profile_objective(stats, grid, hp, fixed)
+    j_new = _profile_objective(stats, grid, candidate, fixed)
     if np.isfinite(j_new) and j_new >= j_old - 1e-9 - 1e-12 * abs(j_old):
         return candidate, True
     return hp, False
@@ -547,9 +490,10 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
     sweeps (0: never). The engine supplies the rest: ``kind``, ``label``,
     ``init``; ``observe`` projects a model state once and returns (what the
     updates need, objective); ``sweep`` returns the updated model and a builder
-    of the statistics it used; ``u_fixed`` gives the inducing values the theta
-    objective holds fixed; ``set_gaussian`` installs an update re-solved after
-    a theta move; ``estimates`` fills the report's rates.
+    of the statistics it used; ``gaussian`` gives the factor (mean, cov) of
+    the inducing values that the theta search holds fixed (cov None for EM's
+    point estimate); ``set_gaussian`` installs an update re-solved after a
+    theta move; ``estimates`` fills the report's rates.
     """
     t_start = time.perf_counter()
     data = build_dataset(seqs, config.T_phi)
@@ -570,8 +514,7 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
             record = {"iteration": iteration}
             for name in data.active:
                 cache = caches[name]
-                u_fixed = engine.u_fixed(model, name)
-                hp_new, accepted = search_theta(stats[name], cache.grid, cache.hp, engine.kind, u_fixed)
+                hp_new, accepted = search_theta(stats[name], cache.grid, cache.hp, engine.gaussian(model, name))
                 if accepted and hp_new != cache.hp:
                     caches[name] = cache = cache.with_hp(hp_new)
                     model = engine.set_gaussian(model, name, *gaussian_update(stats[name], cache), cache)

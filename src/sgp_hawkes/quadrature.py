@@ -17,6 +17,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import expit
 
 DEFAULT_GH_ORDER = 30
+# (largest variance, Gauss-Hermite order) steps of ``hermite_order``
+_HERMITE_STEPS = ((0.05, 10), (0.2, 15), (0.4, 20))
 _GH_CHUNK = 1024  # rows per Gauss-Hermite block: 1024 x 30 temporaries stay near 245 KB
 
 
@@ -83,6 +85,19 @@ def gauss_hermite(n: int = DEFAULT_GH_ORDER) -> tuple[np.ndarray, np.ndarray]:
     z.flags.writeable = False
     w.flags.writeable = False
     return z, w
+
+
+def hermite_order(var) -> int:
+    """Gauss-Hermite order for the sigmoid moments of Gaussians whose largest
+    variance is max(var): 10, 15 or 20 nodes up to a variance of 0.05, 0.2 or
+    0.4, which keeps both moments within 1e-13 of a 150-node rule for means
+    in [-20, 20]; DEFAULT_GH_ORDER above that (20 nodes at a variance of 0.5
+    miss E[sigma^2] by 8e-13 near mean 0)."""
+    top = float(np.max(var, initial=0.0))
+    for limit, order in _HERMITE_STEPS:
+        if top <= limit:
+            return order
+    return DEFAULT_GH_ORDER
 
 
 def _gaussian_nodes(mean, var, z):

@@ -42,7 +42,7 @@ from .fitbase import (
 from .kernels import InducingGrid, KernelHyperparams, gp_projector, gram, se_cross
 from .pg import pg_mean
 from .process import EventSequence, RateFunctions, trigger_support
-from .quadrature import DEFAULT_GH_ORDER, expected_log_sigmoid, expected_sigmoid_moments
+from .quadrature import DEFAULT_GH_ORDER, expected_log_sigmoid, expected_sigmoid_moments, hermite_order
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ def vi_monitor(
     return value + sum(_gamma_elbo_term(comps[n].lam) for n in COMPONENTS)
 
 
-def init_vi_model(data: Dataset, caches: dict[str, ComponentCache], config: FitConfig) -> ViModel:
+def init_vi_model(data: Dataset, caches: dict[str, ComponentCache]) -> ViModel:
     """Prior Gaussian factors, Gamma factors matching the EM initialization."""
     counts = {"mu": 2.0 * data.n_events, "phi": float(data.n_events)}
     comps = {}
@@ -223,22 +223,23 @@ def init_vi_model(data: Dataset, caches: dict[str, ComponentCache], config: FitC
     return ViModel(**comps, T=data.T, T_phi=data.T_phi)
 
 
-def component_function(comp: ViComponent, t_phi: float | None = None, gh_order: int = DEFAULT_GH_ORDER):
+def component_function(comp: ViComponent, t_phi: float | None = None):
     """Shape-preserving x -> E[lambda*] E[sigma(f(x))], zero outside (0, t_phi] if given."""
 
     def link(marginal):
-        return comp.lam.mean() * expected_sigmoid_moments(*marginal, gh_order)[0]
+        mean, var = marginal
+        return comp.lam.mean() * expected_sigmoid_moments(mean, var, hermite_order(var))[0]
 
     return component_rate(comp.grid, comp.hp, comp.gp.mean, comp.gp.cov, link, t_phi)
 
 
-def model_rates(model: ViModel, gh_order: int = DEFAULT_GH_ORDER) -> RateFunctions:
+def model_rates(model: ViModel) -> RateFunctions:
     """Posterior-mean rates E[lambda*] E[sigma(f(.))] of a fitted VI model."""
-    phi = component_function(model.phi, model.T_phi, gh_order)
-    return RateFunctions(mu=component_function(model.mu, None, gh_order), phi=phi, T_phi=model.T_phi)
+    phi = component_function(model.phi, model.T_phi)
+    return RateFunctions(mu=component_function(model.mu), phi=phi, T_phi=model.T_phi)
 
 
-def posterior_bands(model: ViModel, grid: np.ndarray, component: str, gh_order: int = DEFAULT_GH_ORDER):
+def posterior_bands(model: ViModel, grid: np.ndarray, component: str):
     """(mean, std) of lambda* sigma(f(x)) pointwise under the fitted factors.
 
     Gamma and Gaussian uncertainties combine multiplicatively:
@@ -248,7 +249,8 @@ def posterior_bands(model: ViModel, grid: np.ndarray, component: str, gh_order: 
     lam = comp.lam
     project = gp_projector(gram(comp.grid, comp.hp), comp.gp.mean, comp.gp.cov)
     k = se_cross(np.asarray(grid, dtype=float), comp.grid.points, comp.hp)
-    s1, s2 = expected_sigmoid_moments(*project(k), gh_order)
+    mean_f, var_f = project(k)
+    s1, s2 = expected_sigmoid_moments(mean_f, var_f, hermite_order(var_f))
     lam_m2 = lam.alpha * (lam.alpha + 1.0) / (lam.beta**2)
     mean = lam.mean() * s1
     var = np.maximum(lam_m2 * s2 - mean * mean, 0.0)
@@ -261,7 +263,8 @@ class _ViEngine:
 
     kind, label = "vi", "VI monitor"
 
-    init = staticmethod(init_vi_model)
+    def init(self, data, caches, config):
+        return init_vi_model(data, caches)
 
     def observe(self, model, data, caches, config):
         proj = _project(model, caches)
@@ -279,8 +282,9 @@ class _ViEngine:
             model = self.set_gaussian(model, name, gp.mean, gp.cov, caches[name])
         return model, lambda: _stats(data, caches, tilts, branching, rates)
 
-    def u_fixed(self, model, name):
-        return None
+    def gaussian(self, model, name):
+        gp = getattr(model, name).gp
+        return gp.mean, gp.cov
 
     def set_gaussian(self, model, name, mean, cov, cache):
         comp = replace(getattr(model, name), gp=GaussianFactor(mean, cov), hp=cache.hp)
@@ -289,7 +293,7 @@ class _ViEngine:
     def estimates(self, model, grids, config):
         out = {}
         for name in COMPONENTS:
-            out[f"{name}_hat"], out[f"{name}_std"] = posterior_bands(model, grids[name], name, config.gh_order)
+            out[f"{name}_hat"], out[f"{name}_std"] = posterior_bands(model, grids[name], name)
         return out
 
 

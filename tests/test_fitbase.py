@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from sgp_hawkes import FitConfig, case2_rates, fit_em, simulate_thinning
+from sgp_hawkes import FitConfig, case2_rates, fit_em, fit_vi, simulate_thinning
 from sgp_hawkes import fitbase
 from sgp_hawkes.fitbase import (
     ComponentStats,
     _compact_stats,
-    _em_profile,
     _profile_objective,
+    _theta_profile,
     assemble_system,
     auto_theta,
     build_dataset,
@@ -46,7 +46,7 @@ def toy_stats(rng, grid, n_points=3, quad_order=12):
     )
 
 
-def nelder_mead_theta(stats, grid, hp, kind, u_fixed=None):
+def nelder_mead_theta(stats, grid, hp, fixed):
     """Reference refresh: two-start Nelder-Mead in log (theta0, theta1) on the
     compacted statistics, with the exact accept check of ``search_theta``."""
     compact = _compact_stats(stats)
@@ -54,7 +54,7 @@ def nelder_mead_theta(stats, grid, hp, kind, u_fixed=None):
 
     def negative(x):
         t0, t1 = np.exp(np.clip(x, lo, hi))
-        val = _profile_objective(compact, grid, KernelHyperparams(t0, t1), kind, u_fixed)
+        val = _profile_objective(compact, grid, KernelHyperparams(t0, t1), fixed)
         return -val if np.isfinite(val) else 1e300
 
     best_x, best_val = None, np.inf
@@ -69,8 +69,8 @@ def nelder_mead_theta(stats, grid, hp, kind, u_fixed=None):
         if res.fun < best_val:
             best_val, best_x = res.fun, res.x
     candidate = KernelHyperparams(*(float(v) for v in np.exp(np.clip(best_x, lo, hi))))
-    j_old = _profile_objective(stats, grid, hp, kind, u_fixed)
-    j_new = _profile_objective(stats, grid, candidate, kind, u_fixed)
+    j_old = _profile_objective(stats, grid, hp, fixed)
+    j_new = _profile_objective(stats, grid, candidate, fixed)
     if np.isfinite(j_new) and j_new >= j_old - 1e-9 - 1e-12 * abs(j_old):
         return candidate, True
     return hp, False
@@ -84,13 +84,12 @@ def toy_em_searches(rng, n=6):
         grid = uniform_inducing_grid(count, float(rng.uniform(2.0, 50.0)))
         stats = toy_stats(rng, grid, n_points=int(rng.integers(0, 40)), quad_order=16)
         hp = KernelHyperparams(float(rng.uniform(0.1, 5.0)), float(rng.uniform(0.01, 2.0)))
-        out.append((stats, grid, hp, "em", rng.normal(size=count) * rng.uniform(0.05, 3.0)))
+        out.append((stats, grid, hp, (rng.normal(size=count) * rng.uniform(0.05, 3.0), None)))
     return out
 
 
-@pytest.fixture(scope="module")
-def em_refresh_args(small_case1_seqs):
-    """search_theta arguments of every refresh of small case1 and case2 EM fits."""
+def record_refreshes(fit, small_case1_seqs):
+    """search_theta arguments of every refresh of small case1 and case2 fits."""
     calls = {"case1": [], "case2": []}
     case2 = [simulate_thinning(case2_rates(), 100.0, seed=s) for s in range(2)]
     with pytest.MonkeyPatch.context() as mp:
@@ -101,9 +100,19 @@ def em_refresh_args(small_case1_seqs):
                 return search_theta(*args)
 
             mp.setattr(fitbase, "search_theta", recording)
-            fit_em(seqs, FitConfig(T=100.0, T_phi=t_phi, max_iter=40, tol=0.0, hyper_refresh_every=20))
+            fit(seqs, FitConfig(T=100.0, T_phi=t_phi, max_iter=40, tol=0.0, hyper_refresh_every=20))
     assert [len(c) for c in calls.values()] == [4, 4]  # two refreshes of mu and phi each
     return calls
+
+
+@pytest.fixture(scope="module")
+def em_refresh_args(small_case1_seqs):
+    return record_refreshes(fit_em, small_case1_seqs)
+
+
+@pytest.fixture(scope="module")
+def vi_refresh_args(small_case1_seqs):
+    return record_refreshes(fit_vi, small_case1_seqs)
 
 
 def test_build_dataset_pools_sequences():
@@ -218,12 +227,14 @@ def test_search_theta_respects_bounds_and_contract(rng):
     grid = uniform_inducing_grid(5, 10.0)
     hp = KernelHyperparams(1.0, 1.0)
     stats = toy_stats(rng, grid, n_points=6, quad_order=16)
-    for kind, u_fixed in (("em", rng.normal(size=5) * 0.3), ("vi", None)):
-        hp_new, accepted = search_theta(stats, grid, hp, kind, u_fixed=u_fixed)
+    u = rng.normal(size=5) * 0.3
+    root = rng.normal(size=(5, 5)) * 0.3
+    for fixed in ((u, None), (u, root @ root.T)):
+        hp_new, accepted = search_theta(stats, grid, hp, fixed)
         assert 1e-3 <= hp_new.theta0 <= 1e3
         assert 1e-3 <= hp_new.theta1 <= 1e3
-        j_old = _profile_objective(stats, grid, hp, kind, u_fixed=u_fixed)
-        j_new = _profile_objective(stats, grid, hp_new, kind, u_fixed=u_fixed)
+        j_old = _profile_objective(stats, grid, hp, fixed)
+        j_new = _profile_objective(stats, grid, hp_new, fixed)
         assert j_new >= j_old - 1e-9 - 1e-12 * abs(j_old)
         if accepted:
             assert j_new >= j_old - 1e-9
@@ -233,7 +244,7 @@ def test_refresh_onto_a_theta_bound_is_reported(monkeypatch, small_case1_seqs):
     low = float(np.exp(np.log(THETA_BOUNDS[0])))  # what the log-space clip returns
     assert low != THETA_BOUNDS[0]
 
-    def onto_lower_bound(stats, grid, hp, kind, u_fixed=None):
+    def onto_lower_bound(stats, grid, hp, fixed):
         return KernelHyperparams(low, hp.theta1), True
 
     monkeypatch.setattr(fitbase, "search_theta", onto_lower_bound)
@@ -247,31 +258,33 @@ def test_refresh_onto_a_theta_bound_is_reported(monkeypatch, small_case1_seqs):
     ]
 
 
-def test_em_theta0_closed_form_maximizes_the_objective(rng, em_refresh_args):
+def test_em_theta0_closed_form_maximizes_the_objective(rng, em_refresh_args, vi_refresh_args):
     """theta0* = clip(q/S) beats a dense log-theta0 scan of the exact objective,
     and the search's value there is the exact objective."""
-    cases = [(stats, grid, u) for stats, grid, _, _, u in toy_em_searches(rng, n=2)]
-    cases += [(_compact_stats(stats), grid, u) for stats, grid, _, _, u in em_refresh_args["case1"][:2]]
+    cases = [(stats, grid, fixed) for stats, grid, _, fixed in toy_em_searches(rng, n=2)]
+    for recorded in (em_refresh_args, vi_refresh_args):
+        cases += [(_compact_stats(stats), grid, fixed) for stats, grid, _, fixed in recorded["case1"][:2]]
     scan = np.exp(np.linspace(np.log(THETA_BOUNDS[0]), np.log(THETA_BOUNDS[1]), 2001))
-    for stats, grid, u_fixed in cases:
+    for stats, grid, fixed in cases:
         for theta1 in (1e-3, 1.0 / grid.spacing**2, 30.0):
-            theta0, value = _em_profile(stats, grid, theta1, u_fixed)
-            exact = _profile_objective(stats, grid, KernelHyperparams(theta0, theta1), "em", u_fixed)
+            theta0, value = _theta_profile(stats, grid, theta1, fixed)
+            exact = _profile_objective(stats, grid, KernelHyperparams(theta0, theta1), fixed)
             assert value == pytest.approx(exact, rel=1e-10)
-            scanned = [_profile_objective(stats, grid, KernelHyperparams(t0, theta1), "em", u_fixed) for t0 in scan]
+            scanned = [_profile_objective(stats, grid, KernelHyperparams(t0, theta1), fixed) for t0 in scan]
             assert max(scanned) <= value + 1e-12 * max(1.0, abs(value))
 
 
-def test_em_search_reaches_the_nelder_mead_objective(rng, em_refresh_args):
-    for stats, grid, hp, kind, u_fixed in toy_em_searches(rng) + em_refresh_args["case1"] + em_refresh_args["case2"]:
-        ours, _ = search_theta(stats, grid, hp, kind, u_fixed)
-        ref, _ = nelder_mead_theta(stats, grid, hp, kind, u_fixed)
-        j_ours = _profile_objective(stats, grid, ours, kind, u_fixed)
-        j_ref = _profile_objective(stats, grid, ref, kind, u_fixed)
+def test_em_search_reaches_the_nelder_mead_objective(rng, em_refresh_args, vi_refresh_args):
+    recorded = [args for calls in (em_refresh_args, vi_refresh_args) for args in calls["case1"] + calls["case2"]]
+    for stats, grid, hp, fixed in toy_em_searches(rng) + recorded:
+        ours, _ = search_theta(stats, grid, hp, fixed)
+        ref, _ = nelder_mead_theta(stats, grid, hp, fixed)
+        j_ours = _profile_objective(stats, grid, ours, fixed)
+        j_ref = _profile_objective(stats, grid, ref, fixed)
         assert j_ours >= j_ref - 1e-6 * max(1.0, abs(j_ref))
 
 
-def test_em_search_assembles_at_most_64_kernel_systems(monkeypatch, rng, em_refresh_args):
+def test_em_search_assembles_at_most_64_kernel_systems(monkeypatch, rng, em_refresh_args, vi_refresh_args):
     assembled = 0
 
     def counting_gram(*args, **kwargs):
@@ -280,7 +293,38 @@ def test_em_search_assembles_at_most_64_kernel_systems(monkeypatch, rng, em_refr
         return gram(*args, **kwargs)
 
     monkeypatch.setattr(fitbase, "gram", counting_gram)
-    for args in toy_em_searches(rng) + em_refresh_args["case1"] + em_refresh_args["case2"]:
+    recorded = [args for calls in (em_refresh_args, vi_refresh_args) for args in calls["case1"] + calls["case2"]]
+    for args in toy_em_searches(rng) + recorded:
         assembled = 0
         search_theta(*args)
         assert 0 < assembled <= 64
+
+
+def test_vi_theta_objective_matches_the_dense_bound(rng):
+    """S=2: with q(u) = N(m, cov) held, differences of the theta objective are
+    differences of E_q[sum b f - 0.5 a f^2] - KL(q(u) || N(0, K)), computed by
+    dense loops over the statistics' points and quadrature nodes."""
+    grid = uniform_inducing_grid(2, 2.0)
+    stats = toy_stats(rng, grid)
+    root = rng.normal(size=(2, 2))
+    fixed = (rng.normal(size=2), root @ root.T + 0.1 * np.eye(2))
+    terms = list(zip(stats.a_point, stats.b_point, stats.points))
+    terms += list(zip(stats.quad.weights * stats.a_quad, stats.quad.weights * stats.b_quad, stats.quad.nodes))
+
+    def dense(hp):
+        mean, cov = fixed
+        k_inv = np.linalg.inv(gram(grid, hp).values)
+        value = 0.0
+        for a, b, x in terms:
+            k = se_cross(np.array([x]), grid.points, hp)[0]
+            f = k @ k_inv @ mean
+            var = k @ k_inv @ cov @ k_inv @ k
+            value += b * f - 0.5 * a * (f * f + var)
+        logdet_k = -np.linalg.slogdet(k_inv)[1]
+        kl = 0.5 * (np.trace(k_inv @ cov) + mean @ k_inv @ mean - 2 + logdet_k - np.linalg.slogdet(cov)[1])
+        return value - kl
+
+    hps = [KernelHyperparams(0.7, 0.4), KernelHyperparams(2.5, 3.0), KernelHyperparams(0.05, 20.0)]
+    for hp_a, hp_b in zip(hps, hps[1:] + hps[:1]):
+        ours = _profile_objective(stats, grid, hp_a, fixed) - _profile_objective(stats, grid, hp_b, fixed)
+        assert ours == pytest.approx(dense(hp_a) - dense(hp_b), rel=0, abs=1e-10)

@@ -17,6 +17,7 @@ from sgp_hawkes.quadrature import (
     gauss_hermite,
     gauss_legendre,
     gaussian_expectation,
+    hermite_order,
     integrate,
 )
 
@@ -126,3 +127,16 @@ def test_expected_sigmoid_moments_vs_adaptive_quadrature():
     m1, m2 = expected_sigmoid_moments(np.array([mean]), np.array([0.0]))
     assert m1[0] == pytest.approx(expit(mean), abs=1e-12)
     assert m2[0] == pytest.approx(expit(mean) ** 2, abs=1e-12)
+
+
+def test_hermite_order_keeps_both_sigmoid_moments_exact():
+    """The order picked for a variance keeps E[sigma] and E[sigma^2] within
+    1e-13 of a 150-node rule for variances up to 0.5 and means in [-20, 20]."""
+    mean = np.linspace(-20.0, 20.0, 4001)
+    for var in np.concatenate([np.linspace(0.0, 0.5, 51), [0.05, 0.2, 0.4]]):
+        var_arr = np.full_like(mean, var)
+        got = expected_sigmoid_moments(mean, var_arr, hermite_order(var_arr))
+        ref = expected_sigmoid_moments(mean, var_arr, 150)
+        for moment, exact in zip(got, ref):
+            assert np.max(np.abs(moment - exact)) <= 1e-13, var
+    assert hermite_order(np.array([0.01, 0.3])) == hermite_order(0.3)

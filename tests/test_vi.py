@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma, expit
 
-from sgp_hawkes import FitConfig, fit_em, fit_vi
+from sgp_hawkes import FitConfig, case1_rates, case2_rates, fit_em, fit_vi, simulate_thinning
 from sgp_hawkes.em import estep_branching, init_model
 from sgp_hawkes.em import model_rates as em_model_rates
 from sgp_hawkes.fitbase import COMPONENTS, LatentRate, build_caches, build_dataset, run_sweeps
@@ -236,7 +236,7 @@ def test_branching_symmetric_two_event_toy():
     config = FitConfig(T=10.0, T_phi=2.0, hyper_refresh_every=0)
     data = build_dataset(seqs, 2.0)
     caches = build_caches(data, config)
-    model = init_vi_model(data, caches, config)
+    model = init_vi_model(data, caches)
     sym = replace(
         model,
         mu=collapsed(model.mu, lam=GammaFactor(40.0, 10.0)),
@@ -324,6 +324,21 @@ def test_monitor_monotone_and_factors_valid():
     np.linalg.cholesky(model.mu.gp.cov + 1e-12 * np.eye(model.mu.grid.count))
 
 
+@pytest.mark.parametrize("preset", [case1_rates, case2_rates])
+def test_monitor_does_not_fall_at_a_theta_refresh(preset):
+    """The refresh maximizes the variational bound over theta with q(u) held
+    fixed, then re-solves q(u) at the new theta: the monitor must not fall at
+    a refresh sweep (2 windows, 4 seeds, a refresh every 5 of 30 sweeps)."""
+    rates = preset()
+    config = FitConfig(T=100.0, T_phi=rates.T_phi, max_iter=30, tol=0.0, hyper_refresh_every=5)
+    for seed in range(4):
+        seqs = [simulate_thinning(rates, 100.0, seed=2 * seed + w) for w in range(2)]
+        trace = fit_vi(seqs, config)[1].objective_trace
+        for sweep in range(5, 31, 5):
+            before, after = trace[sweep - 2], trace[sweep - 1]
+            assert after >= before - 1e-9 * abs(before), (seed, sweep, before, after)
+
+
 def test_monitor_evaluates_finite(state):
     model, data, caches = state
     branching = vi_branching_update(model, data, caches)
@@ -335,7 +350,7 @@ class _PinnedCovariance(_ViEngine):
     """VI sweeps with every Gaussian factor's covariance pinned at 1e-12 K."""
 
     def init(self, data, caches, config):
-        model = init_vi_model(data, caches, config)
+        model = init_vi_model(data, caches)
         for name in COMPONENTS:
             model = self.set_gaussian(model, name, getattr(model, name).gp.mean, None, caches[name])
         return model
@@ -383,7 +398,7 @@ def test_fit_vi_zero_event_input():
     assert np.isfinite(report.objective_trace).all()
     assert len(report.objective_trace) == 5
     data = build_dataset(seqs, 3.0)
-    init = init_vi_model(data, build_caches(data, config), config)
+    init = init_vi_model(data, build_caches(data, config))
     np.testing.assert_array_equal(model.phi.gp.mean, init.phi.gp.mean)
     np.testing.assert_array_equal(model.phi.gp.cov, init.phi.gp.cov)
     assert model.phi.lam == init.phi.lam
