@@ -314,7 +314,7 @@ def cmd_bench(args) -> int:
     _check_keys(
         config,
         {"method", "sizes", "iters", "repeats", "preset", "seed", "S_mu", "S_phi",
-         "quad_order_T", "quad_order_Tphi", "gh_order"},
+         "quad_order_T", "quad_order_Tphi"},
         "bench",
     )
     method = config.get("method", "em")
@@ -334,7 +334,7 @@ def cmd_bench(args) -> int:
 
     fitter = fit_em if method == "em" else fit_vi
     settings = {
-        k: config[k] for k in ("S_mu", "S_phi", "quad_order_T", "quad_order_Tphi", "gh_order") if k in config
+        k: config[k] for k in ("S_mu", "S_phi", "quad_order_T", "quad_order_Tphi") if k in config
     }
     rows = []
     for idx, n_events in enumerate(sizes):

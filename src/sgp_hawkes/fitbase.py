@@ -32,14 +32,14 @@ from .kernels import (
     uniform_inducing_grid,
 )
 from .process import EventSequence, admissible_pairs, trigger_support
-from .quadrature import DEFAULT_GH_ORDER, QuadratureGrid, gauss_legendre
+from .quadrature import QuadratureGrid, gauss_legendre
 
 _SEARCH_BINS = 2048
 _COARSE_THETA1 = 15  # log-spaced theta1 values of the theta search's bracketing grid
 COMPONENTS = ("mu", "phi")
 _INT_MINIMUMS = {  # smallest accepted value of each integer FitConfig field
     "S_mu": 2, "S_phi": 2, "quad_order_T": 1, "quad_order_Tphi": 1,
-    "max_iter": 1, "hyper_refresh_every": 0, "gh_order": 1, "eval_grid": 2,
+    "max_iter": 1, "hyper_refresh_every": 0, "eval_grid": 2,
 }
 
 
@@ -62,19 +62,16 @@ class FitConfig:
     hyper_refresh_every: int = 20
     theta0_init: float = 1.0
     theta1_init: float | None = None  # None -> per-component 1/spacing^2
-    gh_order: int = DEFAULT_GH_ORDER
     eval_grid: int = 200
 
     def __post_init__(self):
-        if self.T <= 0 or self.T_phi <= 0:
-            raise ValueError("T and T_phi must be positive")
         for key, low in _INT_MINIMUMS.items():
             value = getattr(self, key)
             if not isinstance(value, int) or isinstance(value, bool) or value < low:
                 raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
         if not (_is_real(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be a number >= 0, got {self.tol!r}")
-        for key in ("theta0_init", "theta1_init"):
+        for key in ("T", "T_phi", "theta0_init", "theta1_init"):
             value = getattr(self, key)
             if key == "theta1_init" and value is None:
                 continue

@@ -1,7 +1,8 @@
 """Polya-Gamma moment helpers for the sigmoid augmentation.
 
 Only first moments of tilted PG(b, c) variables are ever needed: the sigmoid
-is represented as sigma(z) = integral exp(h(omega, z)) p_PG(omega | 1, 0) domega
+is represented as
+sigma(z) = integral exp(z/2 - z^2 omega/2 - log 2) p_PG(omega | 1, 0) domega
 and every expectation that touches omega collapses onto pg_mean.
 """
 
@@ -11,7 +12,6 @@ import numpy as np
 from scipy.special import expit
 
 _SMALL_C = 1e-4
-_LOG2 = float(np.log(2.0))
 
 
 def sigmoid(z):
@@ -32,16 +32,6 @@ def pg_mean(b, c):
     # result there is overwritten by the series branch.
     c_safe = np.where(small, 1.0, c)
     out = np.where(small, b * (0.25 - c * c / 48.0), b * np.tanh(c_safe / 2.0) / (2.0 * c_safe))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def h_fn(omega, z):
-    """Exponent of the PG sigmoid representation: z/2 - z^2 omega / 2 - log 2."""
-    omega = np.asarray(omega, dtype=float)
-    z = np.asarray(z, dtype=float)
-    out = 0.5 * z - 0.5 * z * z * omega - _LOG2
     if out.ndim == 0:
         return float(out)
     return out

@@ -130,18 +130,6 @@ def intensities_at_events(seq: EventSequence, rates: RateFunctions) -> np.ndarra
     return lam
 
 
-def intensity(t: float, history: EventSequence, rates: RateFunctions) -> float:
-    """lambda(t) given the events of ``history`` strictly before t."""
-    t = float(t)
-    times = history.times
-    lo = np.searchsorted(times, t - rates.T_phi, side="left")
-    hi = np.searchsorted(times, t, side="left")
-    total = float(np.asarray(rates.mu(np.array([t])), dtype=float)[0])
-    if hi > lo:
-        total += float(np.sum(np.asarray(rates.phi(t - times[lo:hi]), dtype=float)))
-    return total
-
-
 def trigger_integral(rates: RateFunctions, upper) -> np.ndarray:
     """int_0^x phi for x clipped to [0, T_phi], from ``phi_integral``."""
     x = np.clip(np.atleast_1d(np.asarray(upper, dtype=float)), 0.0, rates.T_phi)
@@ -294,9 +282,6 @@ def case2_rates(T: float = CASE_T) -> RateFunctions:
         return 0.3 * (i_sin + i_exp)
 
     return RateFunctions(mu, phi, T_phi=CASE_T_PHI, mu_integral=mu_integral, phi_integral=phi_integral)
-
-
-PRESETS: dict[str, Callable[[], RateFunctions]] = {"case1": case1_rates, "case2": case2_rates}
 
 
 def table_rates(mu_t, mu_value, phi_tau, phi_value, t_phi: float) -> RateFunctions:

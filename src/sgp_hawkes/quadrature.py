@@ -2,8 +2,10 @@
 
 All continuous-time integrals (compensators, latent-process masses, the
 A/B statistics of the inference engines) run over frozen Gauss-Legendre
-grids; Gaussian expectations of sigmoid transforms run over Gauss-Hermite
-rules with the change of variables mean + sqrt(2 var) * node.
+grids; Gaussian expectations of sigmoid transforms (E[log sigma] in the VI
+sweeps, E[sigma] and E[sigma^2] in rate tables and posterior bands) run over
+Gauss-Hermite rules with the change of variables mean + sqrt(2 var) * node,
+at the order ``hermite_order`` picks from the largest variance.
 """
 
 from __future__ import annotations
@@ -88,11 +90,11 @@ def gauss_hermite(n: int = DEFAULT_GH_ORDER) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hermite_order(var) -> int:
-    """Gauss-Hermite order for the sigmoid moments of Gaussians whose largest
-    variance is max(var): 10, 15 or 20 nodes up to a variance of 0.05, 0.2 or
-    0.4, which keeps both moments within 1e-13 of a 150-node rule for means
-    in [-20, 20]; DEFAULT_GH_ORDER above that (20 nodes at a variance of 0.5
-    miss E[sigma^2] by 8e-13 near mean 0)."""
+    """Gauss-Hermite order for the sigmoid expectations of Gaussians whose
+    largest variance is max(var): 10, 15 or 20 nodes up to a variance of 0.05,
+    0.2 or 0.4, which keeps E[sigma], E[sigma^2] and E[log sigma] within 1e-13
+    of a 150-node rule for means in [-20, 20]; DEFAULT_GH_ORDER above that (20
+    nodes at a variance of 0.5 miss E[sigma^2] by 8e-13 near mean 0)."""
     top = float(np.max(var, initial=0.0))
     for limit, order in _HERMITE_STEPS:
         if top <= limit:
@@ -105,13 +107,6 @@ def _gaussian_nodes(mean, var, z):
     var = np.asarray(var, dtype=float)
     sd = np.sqrt(np.maximum(var, 0.0))
     return mean[..., None] + sd[..., None] * z
-
-
-def gaussian_expectation(g, mean, var, n: int = DEFAULT_GH_ORDER):
-    """E[g(X)] for X ~ N(mean, var), vectorized over mean/var arrays."""
-    z, w = gauss_hermite(n)
-    vals = g(_gaussian_nodes(mean, var, z))
-    return vals @ w
 
 
 def expected_log_sigmoid(mean, var, n: int = DEFAULT_GH_ORDER):

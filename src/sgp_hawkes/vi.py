@@ -8,6 +8,10 @@ updates in the order: PG tilts, latent-Poisson rates, Gamma, Gaussian,
 branching. Every update is a pure function of the *other* factors, so
 re-applying any single update is exactly idempotent.
 
+E[log sigma(f)] at events and pairs (branching update, monitor) runs over the
+Gauss-Hermite order ``quadrature.hermite_order`` picks from each component's
+largest projected variance, as do the rate tables and posterior bands.
+
 The convergence monitor is a negative variational free energy in which the
 PG and latent-Poisson factors are collapsed to their optimal forms (their
 entropy terms cancel analytically, leaving the masses and -E[lambda*]*volume);
@@ -42,7 +46,7 @@ from .fitbase import (
 from .kernels import InducingGrid, KernelHyperparams, gp_projector, gram, se_cross
 from .pg import pg_mean
 from .process import EventSequence, RateFunctions, trigger_support
-from .quadrature import DEFAULT_GH_ORDER, expected_log_sigmoid, expected_sigmoid_moments, hermite_order
+from .quadrature import expected_log_sigmoid, expected_sigmoid_moments, hermite_order
 
 
 @dataclass(frozen=True)
@@ -99,9 +103,9 @@ def _project(model: ViModel, caches: dict[str, ComponentCache]) -> dict[str, tup
     return {n: caches[n].project_meanvar(f.mean, f.cov) for n, f in factors.items()}
 
 
-def _expected_log_sigmoid(proj: dict[str, tuple], gh_order: int) -> dict[str, np.ndarray]:
-    """E[log sigma(f)] at each component's data points."""
-    return {n: expected_log_sigmoid(proj[n][0], proj[n][1], gh_order) for n in COMPONENTS}
+def _expected_log_sigmoid(proj: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """E[log sigma(f)] at each component's data points, at the order its variance calls for."""
+    return {n: expected_log_sigmoid(mean, var, hermite_order(var)) for n, (mean, var, *_) in proj.items()}
 
 
 def _tilt(mean: np.ndarray, var: np.ndarray) -> np.ndarray:
@@ -160,10 +164,9 @@ def vi_branching_update(
     model: ViModel,
     data: Dataset,
     caches: dict[str, ComponentCache],
-    gh_order: int = DEFAULT_GH_ORDER,
     els=None,
 ) -> BranchingPosterior:
-    els = els or _expected_log_sigmoid(_project(model, caches), gh_order)
+    els = els or _expected_log_sigmoid(_project(model, caches))
     bg, pair = (getattr(model, n).lam.geometric_mean() * np.exp(els[n]) for n in COMPONENTS)
     return normalize_branching(bg, pair, data.child, data.n_events)
 
@@ -190,12 +193,11 @@ def vi_monitor(
     branching: BranchingPosterior,
     data: Dataset,
     caches: dict[str, ComponentCache],
-    gh_order: int = DEFAULT_GH_ORDER,
     els=None,
     rates=None,
 ) -> float:
     """Negative variational free energy surrogate at the current factors."""
-    els = els or _expected_log_sigmoid(_project(model, caches), gh_order)
+    els = els or _expected_log_sigmoid(_project(model, caches))
     rates = rates or vi_poisson_update(model, caches)
     comps = {n: getattr(model, n) for n in COMPONENTS}
     value = 0.0
@@ -268,7 +270,7 @@ class _ViEngine:
 
     def observe(self, model, data, caches, config):
         proj = _project(model, caches)
-        els = _expected_log_sigmoid(proj, config.gh_order)
+        els = _expected_log_sigmoid(proj)
         branching = vi_branching_update(model, data, caches, els=els)
         rates = vi_poisson_update(model, caches, proj)
         return (proj, branching, rates), vi_monitor(model, branching, data, caches, els=els, rates=rates)

@@ -353,15 +353,24 @@ def test_bench_rejects_bad_sizes(tmp_path):
         assert rc == 1
 
 
-@pytest.mark.parametrize(
-    "method, key", [("em", "quad_order_T"), ("em", "quad_order_Tphi"), ("vi", "gh_order")]
-)
+@pytest.mark.parametrize("method, key", [("em", "quad_order_T"), ("em", "quad_order_Tphi")])
 def test_bench_honours_quadrature_keys(tmp_path, capsys, method, key):
     # each key alone, with a method that reads it: an order of 0 must reach the fit
     payload = {"method": method, "sizes": [50], "iters": 2, key: 0}
     rc, _ = run(tmp_path, "bench", payload, "b")
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "bench"])
+def test_gh_order_is_an_unknown_key(tmp_path, sim_dir, capsys, command):
+    # the Gauss-Hermite order follows the variance (quadrature.hermite_order)
+    payload = {"method": "vi", "data": str(sim_dir)} if command == "fit" else {"method": "vi", "sizes": [50]}
+    rc, out = run(tmp_path, command, {**payload, "gh_order": 30}, "o")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "unknown" in err and "gh_order" in err
+    assert not (out / "model.json").exists() and not (out / "bench.csv").exists()
 
 
 # ---------------------------------------------------------------------------

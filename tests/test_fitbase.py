@@ -185,6 +185,14 @@ def test_auto_theta_from_grid_spacing():
     assert auto_theta(explicit, grid).theta1 == 0.42
 
 
+@pytest.mark.parametrize(
+    "key, value", [("T", np.nan), ("T", np.inf), ("T", 0.0), ("T_phi", np.nan), ("T_phi", np.inf), ("T_phi", -6.0)]
+)
+def test_fit_config_rejects_windows_that_are_not_positive_finite(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be a positive finite number"):
+        FitConfig(**{"T": 100.0, "T_phi": 6.0, key: value})
+
+
 def test_gaussian_update_prior_recovery():
     grid = uniform_inducing_grid(4, 5.0)
     gm = gram(grid, KernelHyperparams(1.0, 0.5))

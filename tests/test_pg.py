@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from sgp_hawkes.pg import h_fn, pg_mean, sigmoid
+from sgp_hawkes.pg import pg_mean, sigmoid
 
 # Reference values computed with 50-digit mpmath: (b/2c)*tanh(c/2).
 PG_REFERENCE = {
@@ -70,10 +70,3 @@ def test_sigmoid_saturates_without_overflow():
         assert sigmoid(700.0) == 1.0
         tail = sigmoid(-700.0)
     assert 0.0 <= tail < 1e-300
-
-
-def test_h_fn_substitutions():
-    log2 = np.log(2.0)
-    assert np.isclose(h_fn(0.0, 2.0), 1.0 - log2, rtol=0, atol=1e-15)
-    assert np.isclose(h_fn(1.0, 0.0), -log2, rtol=0, atol=1e-15)
-    assert np.isclose(h_fn(0.25, 1.5), 0.75 - 0.28125 - log2, rtol=0, atol=1e-15)

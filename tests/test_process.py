@@ -16,7 +16,6 @@ from sgp_hawkes.process import (
     case1_rates,
     case2_rates,
     intensities_at_events,
-    intensity,
     log_likelihood,
     read_events_csv,
     read_manifest,
@@ -81,17 +80,6 @@ def test_admissible_pairs_empty_when_spread_out():
     times = np.array([0.0, 10.0, 20.0])
     child, lag = admissible_pairs(times, 3.0)
     assert child.size == 0 and lag.size == 0
-
-
-def test_intensity_empty_history():
-    rates = constant_rates(1.0, 0.0, 2.0)
-    assert intensity(4.2, EventSequence(np.array([]), 10.0), rates) == 1.0
-
-
-def test_intensity_single_parent():
-    rates = exp_rates(1.0, 1.0, 1.0, 50.0)
-    history = EventSequence(np.array([1.0]), 10.0)
-    assert intensity(2.0, history, rates) == pytest.approx(1.0 + np.exp(-1.0), rel=1e-15)
 
 
 def test_intensities_match_bruteforce_pair_sum(rng):

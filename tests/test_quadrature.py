@@ -16,7 +16,6 @@ from sgp_hawkes.quadrature import (
     expected_sigmoid_moments,
     gauss_hermite,
     gauss_legendre,
-    gaussian_expectation,
     hermite_order,
     integrate,
 )
@@ -71,10 +70,11 @@ def test_quadrature_validation_errors():
 
 def test_gaussian_expectation_moments():
     mean, var = 0.7, 2.3
-    assert gaussian_expectation(lambda x: np.ones_like(x), mean, var) == pytest.approx(1.0, rel=1e-13)
-    assert gaussian_expectation(lambda x: x, mean, var) == pytest.approx(mean, rel=1e-12)
-    second = gaussian_expectation(lambda x: x * x, mean, var)
-    assert second == pytest.approx(var + mean * mean, rel=1e-12)
+    z, w = gauss_hermite()
+    x = mean + np.sqrt(var) * z
+    assert w.sum() == pytest.approx(1.0, rel=1e-13)
+    assert w @ x == pytest.approx(mean, rel=1e-12)
+    assert w @ (x * x) == pytest.approx(var + mean * mean, rel=1e-12)
 
 
 def test_gauss_hermite_rule_is_cached_and_read_only():
@@ -130,13 +130,15 @@ def test_expected_sigmoid_moments_vs_adaptive_quadrature():
 
 
 def test_hermite_order_keeps_both_sigmoid_moments_exact():
-    """The order picked for a variance keeps E[sigma] and E[sigma^2] within
-    1e-13 of a 150-node rule for variances up to 0.5 and means in [-20, 20]."""
+    """The order picked for a variance keeps E[sigma], E[sigma^2] and
+    E[log sigma] within 1e-13 of a 150-node rule for variances up to 0.5 and
+    means in [-20, 20]."""
     mean = np.linspace(-20.0, 20.0, 4001)
     for var in np.concatenate([np.linspace(0.0, 0.5, 51), [0.05, 0.2, 0.4]]):
         var_arr = np.full_like(mean, var)
-        got = expected_sigmoid_moments(mean, var_arr, hermite_order(var_arr))
-        ref = expected_sigmoid_moments(mean, var_arr, 150)
+        order = hermite_order(var_arr)
+        got = (*expected_sigmoid_moments(mean, var_arr, order), expected_log_sigmoid(mean, var_arr, order))
+        ref = (*expected_sigmoid_moments(mean, var_arr, 150), expected_log_sigmoid(mean, var_arr, 150))
         for moment, exact in zip(got, ref):
             assert np.max(np.abs(moment - exact)) <= 1e-13, var
     assert hermite_order(np.array([0.01, 0.3])) == hermite_order(0.3)

@@ -12,7 +12,7 @@ from sgp_hawkes.evaluation import test_ll as held_out_ll
 from sgp_hawkes.fitbase import FitReport
 from sgp_hawkes.kernels import InducingGrid, KernelHyperparams, gram, uniform_inducing_grid
 from sgp_hawkes.mle import ExpHawkesParams, model_rates as mle_rates
-from sgp_hawkes.process import CASE_T, CASE_T_PHI, PRESETS
+from sgp_hawkes.process import CASE_T, CASE_T_PHI, case1_rates, case2_rates
 from sgp_hawkes.quadrature import gauss_legendre
 from sgp_hawkes.serialize import (
     dumps_json,
@@ -157,10 +157,10 @@ def test_rates_for_eval_keeps_mle_closed_forms():
         np.testing.assert_array_equal(getattr(rates, name)(x), getattr(exact, name)(x))
 
 
-@pytest.mark.parametrize("case", ["case1", "case2"])
+@pytest.mark.parametrize("preset", [case1_rates, case2_rates], ids=["case1", "case2"])
 @pytest.mark.parametrize("fit", [fit_em, fit_vi])
-def test_rates_for_eval_tables_match_exact_adapters(case, fit, quadrature_antiderivatives):
-    truth = PRESETS[case]()
+def test_rates_for_eval_tables_match_exact_adapters(preset, fit, quadrature_antiderivatives):
+    truth = preset()
     train = [simulate_thinning(truth, CASE_T, seed=s) for s in range(3)]
     model, _ = fit(train, FitConfig(T=CASE_T, T_phi=CASE_T_PHI, max_iter=40))
     exact = quadrature_antiderivatives((em_rates if fit is fit_em else vi_rates)(model))
