@@ -122,12 +122,14 @@ def cmd_simulate(args) -> int:
     _check_keys(
         config, {"preset", "rates", "T", "T_phi", "n_train", "n_test", "seed"}, "simulate"
     )
-    out = _out_dir(args)
     n_train = _get_int(config, "n_train", 100, 0)
     n_test = _get_int(config, "n_test", 10, 0)
     seed = _get_int(config, "seed", 0, 0)
     preset = config.get("preset")
     if preset is not None:
+        for key in ("rates", "T_phi"):
+            if key in config:
+                raise CliError(f"simulate config key '{key}' cannot be combined with 'preset'")
         t_window = float(config.get("T", CASE_T))
         rates = _preset_rates(preset, t_window)
         t_phi = rates.T_phi
@@ -148,6 +150,7 @@ def cmd_simulate(args) -> int:
             raise CliError(str(exc)) from None
     else:
         raise CliError("simulate config needs either 'preset' or 'rates'")
+    out = _out_dir(args)
     _echo_config(out, "simulate", config)
 
     def one(task):

@@ -199,12 +199,6 @@ def normalize_branching(bg_numer, pair_numer, child, n_events) -> BranchingPoste
     )
 
 
-def uniform_branching(data: Dataset) -> BranchingPosterior:
-    return normalize_branching(
-        np.ones(data.n_events), np.ones(data.n_pairs), data.child, data.n_events
-    )
-
-
 @dataclass
 class ComponentCache:
     """Kernel matrices from one component's data locations to its inducing grid."""

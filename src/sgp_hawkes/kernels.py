@@ -157,13 +157,3 @@ def gp_projector(gm: GramMatrix, mean: np.ndarray, cov: np.ndarray | None = None
         return k @ alpha, np.maximum(np.einsum("ns,ns->n", k @ w, k), 0.0)
 
     return project
-
-
-def sparse_mean(t, grid: InducingGrid, gm: GramMatrix, u: np.ndarray, hp: KernelHyperparams):
-    """Sparse GP projection k(t, s)^T K^{-1} u evaluated at t (scalar or array)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (grid.count,):
-        raise ValueError(f"u has shape {u.shape}, expected ({grid.count},)")
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    out = gp_projector(gm, u)(se_cross(t, grid.points, hp))
-    return float(out[0]) if scalar else out

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from sgp_hawkes import FitConfig, case1_rates, simulate_thinning
-from sgp_hawkes.fitbase import build_caches, build_dataset
-from sgp_hawkes.quadrature import gauss_legendre
+from sgp_hawkes.fitbase import BranchingPosterior, build_caches, build_dataset, normalize_branching
+from sgp_hawkes.kernels import gp_projector, se_cross
+from sgp_hawkes.quadrature import QuadratureGrid, gauss_legendre
 
 
 @pytest.fixture(scope="session")
@@ -59,3 +60,45 @@ def quadrature_antiderivatives():
         )
 
     return attach
+
+
+def _integrate(grid: QuadratureGrid, f) -> float:
+    vals = np.asarray(f(grid.nodes), dtype=float)
+    if vals.shape != grid.nodes.shape:
+        raise ValueError("integrand must return one value per node")
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        idx = int(np.argmax(bad))
+        raise ValueError(f"non-finite integrand value {vals[idx]} at node index {idx} (t={grid.nodes[idx]})")
+    return float(grid.weights @ vals)
+
+
+@pytest.fixture(scope="session")
+def integrate():
+    """(grid, f) -> the rule applied to the callable f; rejects non-finite integrand values."""
+    return _integrate
+
+
+def _sparse_mean(t, grid, gm, u, hp):
+    u = np.asarray(u, dtype=float)
+    if u.shape != (grid.count,):
+        raise ValueError(f"u has shape {u.shape}, expected ({grid.count},)")
+    scalar = np.isscalar(t) or np.ndim(t) == 0
+    out = gp_projector(gm, u)(se_cross(t, grid.points, hp))
+    return float(out[0]) if scalar else out
+
+
+@pytest.fixture(scope="session")
+def sparse_mean():
+    """(t, grid, gm, u, hp) -> the sparse GP projection k(t, s)^T K^{-1} u at t (scalar or array)."""
+    return _sparse_mean
+
+
+def _uniform_branching(data) -> BranchingPosterior:
+    return normalize_branching(np.ones(data.n_events), np.ones(data.n_pairs), data.child, data.n_events)
+
+
+@pytest.fixture(scope="session")
+def uniform_branching():
+    """data -> the branching posterior that weighs background and every admissible parent equally."""
+    return _uniform_branching

@@ -33,7 +33,7 @@ from sgp_hawkes.em import (
 from sgp_hawkes.evaluation import RescaledSample, ks_statistic, rescale
 from sgp_hawkes.evaluation import test_ll as held_out_ll
 from sgp_hawkes.fitbase import build_caches, build_dataset
-from sgp_hawkes.kernels import InducingGrid, KernelHyperparams, gram, se_cross, sparse_mean
+from sgp_hawkes.kernels import InducingGrid, KernelHyperparams, gram, se_cross
 from sgp_hawkes.mle import ExpHawkesParams, _window_nll_grad, exp_hawkes_nll
 from sgp_hawkes.pg import pg_mean
 from sgp_hawkes.process import (
@@ -241,7 +241,7 @@ def test_criterion_5_near_linear_scaling(tmp_path):
     )
 
 
-def test_criterion_6_oracle_equivalence():
+def test_criterion_6_oracle_equivalence(sparse_mean):
     """Six independent re-derivations agree with the library at the stated
     tolerances: sparse projection vs dense solve (1e-10), EM and VI Gaussian
     updates vs explicit dense assembly on S=2 toys (1e-8), branching

@@ -125,6 +125,15 @@ def test_simulate_rejects_unknown_preset_and_keys(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("T_phi", 2.0), ("rates", {"bogus": 1})])
+def test_simulate_rejects_preset_overrides(tmp_path, capsys, key, value):
+    """A preset fixes its own trigger window and rates, so either key next to it is an error."""
+    rc, out = run(tmp_path, "simulate", {"preset": "case1", "T": 20.0, "n_train": 1, key: value}, "x")
+    assert rc == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # fit
 

@@ -18,7 +18,6 @@ from sgp_hawkes.fitbase import (
     relative_change,
     search_theta,
     solve_gaussian_update,
-    uniform_branching,
 )
 from sgp_hawkes.kernels import (
     THETA_BOUNDS,
@@ -162,7 +161,7 @@ def test_normalize_branching_rows(rng):
     )
 
 
-def test_uniform_branching_rows(rng):
+def test_uniform_branching_rows(rng, uniform_branching):
     seqs = [EventSequence(np.sort(rng.uniform(0, 20, 12)), 20.0)]
     data = build_dataset(seqs, 4.0)
     br = uniform_branching(data)

@@ -12,7 +12,6 @@ from sgp_hawkes.kernels import (
     gram,
     se_cross,
     se_kernel,
-    sparse_mean,
     uniform_inducing_grid,
 )
 
@@ -107,14 +106,14 @@ def test_gram_degenerate_grid_raises():
         gram(grid, KernelHyperparams(1.0, 1.0), jitter=0.0)
 
 
-def test_sparse_mean_zero_coefficients():
+def test_sparse_mean_zero_coefficients(sparse_mean):
     grid = uniform_inducing_grid(5, 10.0)
     hp = KernelHyperparams(1.0, 1.0)
     gm = gram(grid, hp)
     assert sparse_mean(np.array([0.37]), grid, gm, np.zeros(5), hp)[0] == 0.0
 
 
-def test_sparse_mean_interpolates_at_inducing_points(rng):
+def test_sparse_mean_interpolates_at_inducing_points(rng, sparse_mean):
     grid = uniform_inducing_grid(5, 10.0)
     hp = KernelHyperparams(1.0, 0.5)
     gm = gram(grid, hp, jitter=1e-12)
@@ -123,7 +122,7 @@ def test_sparse_mean_interpolates_at_inducing_points(rng):
     np.testing.assert_allclose(at_points, u, rtol=0, atol=1e-6)
 
 
-def test_sparse_mean_matches_dense_solve(rng):
+def test_sparse_mean_matches_dense_solve(rng, sparse_mean):
     """Projection k(t,.)' K^{-1} u against an independent dense solve, 1e-10."""
     grid = uniform_inducing_grid(5, 10.0)
     hp = KernelHyperparams(1.3, 0.4)

@@ -26,7 +26,7 @@ from sgp_hawkes.process import (
     write_events_csv,
     write_manifest,
 )
-from sgp_hawkes.quadrature import gauss_legendre, integrate
+from sgp_hawkes.quadrature import gauss_legendre
 
 CASE2_BRANCHING_RATIO = 0.54905907532430  # quadrature value of the trigger mass
 
@@ -181,7 +181,7 @@ def test_simulation_poisson_mean_count():
     assert abs(np.mean(counts) - 1000.0) < 3.0 * np.sqrt(1000.0)
 
 
-def test_simulation_case2_mean_count_matches_branching_theory():
+def test_simulation_case2_mean_count_matches_branching_theory(integrate):
     rates = case2_rates()
     quad_mu = gauss_legendre(200, 0.0, CASE_T)
     quad_phi = gauss_legendre(200, 0.0, CASE_T_PHI)
@@ -211,7 +211,7 @@ def test_case2_rate_definitions():
     np.testing.assert_allclose(rates.phi(tau), want, rtol=1e-15)
 
 
-def test_preset_integrals_match_quadrature():
+def test_preset_integrals_match_quadrature(integrate):
     for rates in (case1_rates(), case2_rates()):
         quad = gauss_legendre(400, 0.0, CASE_T)
         upper = np.array([13.7])

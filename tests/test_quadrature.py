@@ -5,42 +5,37 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.special import expit
 
-from sgp_hawkes.kernels import (
-    KernelHyperparams,
-    gram,
-    sparse_mean,
-    uniform_inducing_grid,
-)
+from sgp_hawkes import quadrature
+from sgp_hawkes.kernels import KernelHyperparams, gram, uniform_inducing_grid
 from sgp_hawkes.quadrature import (
     expected_log_sigmoid,
     expected_sigmoid_moments,
     gauss_hermite,
     gauss_legendre,
     hermite_order,
-    integrate,
 )
 
 
-def test_legendre_exact_for_low_degree():
+def test_legendre_exact_for_low_degree(integrate):
     grid = gauss_legendre(1, 0.0, 1.0)
     assert integrate(grid, lambda x: x) == pytest.approx(0.5, abs=1e-15)
     grid = gauss_legendre(3, -1.0, 1.0)
     assert abs(integrate(grid, lambda x: x**3)) < 1e-14
 
 
-def test_legendre_sin_integral():
+def test_legendre_sin_integral(integrate):
     grid = gauss_legendre(20, 0.0, np.pi)
     assert abs(integrate(grid, np.sin) - 2.0) < 1e-12
 
 
-def test_legendre_constant_functions():
+def test_legendre_constant_functions(integrate):
     grid = gauss_legendre(10, 0.0, 37.5)
     assert integrate(grid, lambda x: np.ones_like(x)) == pytest.approx(37.5, rel=1e-14)
     grid = gauss_legendre(50, 0.0, 100.0)
     assert integrate(grid, lambda x: expit(np.zeros_like(x))) == pytest.approx(50.0, rel=1e-14)
 
 
-def test_legendre_vs_dense_trapezoid_on_latent_rate_integrand(rng):
+def test_legendre_vs_dense_trapezoid_on_latent_rate_integrand(rng, integrate, sparse_mean):
     """lambda* . sigmoid(-f(t)) for a sampled sparse-GP f against a 1e5-point
     trapezoid reference, to 1e-6 relative."""
     grid = uniform_inducing_grid(10, 100.0)
@@ -134,7 +129,10 @@ def test_hermite_order_keeps_both_sigmoid_moments_exact():
     E[log sigma] within 1e-13 of a 150-node rule for variances up to 0.5 and
     means in [-20, 20]."""
     mean = np.linspace(-20.0, 20.0, 4001)
-    for var in np.concatenate([np.linspace(0.0, 0.5, 51), [0.05, 0.2, 0.4]]):
+    limits = np.array([limit for limit, _ in quadrature._HERMITE_STEPS])
+    # every step at its largest variance, and the next step just past it
+    edges = np.concatenate([limits, limits * (1.0 + 1e-9)])
+    for var in np.concatenate([np.linspace(0.0, 0.5, 51), edges]):
         var_arr = np.full_like(mean, var)
         order = hermite_order(var_arr)
         got = (*expected_sigmoid_moments(mean, var_arr, order), expected_log_sigmoid(mean, var_arr, order))
@@ -142,3 +140,19 @@ def test_hermite_order_keeps_both_sigmoid_moments_exact():
         for moment, exact in zip(got, ref):
             assert np.max(np.abs(moment - exact)) <= 1e-13, var
     assert hermite_order(np.array([0.01, 0.3])) == hermite_order(0.3)
+
+
+def test_expected_log_sigmoid_matches_logaddexp_reference():
+    """The min(x, 0) - log1p(exp(-|x|)) kernel against -logaddexp(0, -x) on
+    the same nodes and weights, to 1e-15, deep into both tails and without
+    a floating-point warning; NaN propagates."""
+    mean = np.array([-1e3, -745.0, -20.0, 0.0, 20.0, 745.0, 1e3])
+    z, w = gauss_hermite(30)
+    for var in (0.0, 0.5):
+        with np.errstate(under="ignore"):
+            want = -np.logaddexp(0.0, -(mean[:, None] + np.sqrt(var) * z)) @ w
+        with np.errstate(all="raise"):
+            got = expected_log_sigmoid(mean, np.full_like(mean, var), 30)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    got = expected_log_sigmoid(np.array([np.nan, 0.0]), np.array([0.5, np.nan]), 10)
+    assert np.isnan(got).all()

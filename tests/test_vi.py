@@ -119,11 +119,9 @@ def test_poisson_rate_gamma_one_one(state):
     np.testing.assert_allclose(rates["mu"].marginal, want, atol=1e-10)
 
 
-def test_lambda_update_no_events():
+def test_lambda_update_no_events(uniform_branching):
     seqs = [EventSequence(np.array([]), 20.0)]
     data = build_dataset(seqs, 2.0)
-    from sgp_hawkes.fitbase import uniform_branching
-
     branching = uniform_branching(data)
     rates = {"mu": LatentRate(np.zeros(1), np.zeros(1), 7.5), "phi": LatentRate(np.zeros(1), np.zeros(1), 0.0)}
     lams = vi_lambda_update(branching, rates, data)
@@ -132,12 +130,10 @@ def test_lambda_update_no_events():
     assert "phi" not in lams
 
 
-def test_lambda_update_all_background():
+def test_lambda_update_all_background(uniform_branching):
     times = np.array([2.0, 6.0, 10.0, 14.0, 18.0])
     seqs = [EventSequence(times, 20.0)]
     data = build_dataset(seqs, 1.0)  # spacing 4 > T_phi: no admissible pairs
-    from sgp_hawkes.fitbase import uniform_branching
-
     branching = uniform_branching(data)
     rates = {n: LatentRate(np.zeros(1), np.zeros(1), 0.0) for n in ("mu", "phi")}
     lams = vi_lambda_update(branching, rates, data)
@@ -151,14 +147,12 @@ def test_lambda_update_all_background():
     assert lam_phi.geometric_mean() == 0.0
 
 
-def test_gp_update_prior_recovery(state):
+def test_gp_update_prior_recovery(state, uniform_branching):
     model, data, caches = state
     empty_data = build_dataset([EventSequence(np.array([]), model.T)], model.T_phi)
     empty_caches = build_caches(
         empty_data, FitConfig(T=model.T, T_phi=model.T_phi, hyper_refresh_every=0)
     )
-    from sgp_hawkes.fitbase import uniform_branching
-
     tilts = {"mu": np.zeros(0), "phi": np.zeros(0)}
     branching = uniform_branching(empty_data)
     nq = empty_caches["mu"].quad.nodes.size
