@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from statistics import median
 
@@ -201,7 +201,6 @@ def cmd_fit(args) -> int:
     _check_keys(config, engine_keys | {"method", "data", "split", "max_sequences", "seed"}, "fit")
     if "data" not in config:
         raise CliError("fit config needs a 'data' directory")
-    out = _out_dir(args)
     limit = config.get("max_sequences")
     if limit is not None:
         limit = _get_int(config, "max_sequences", 0, 1)
@@ -211,6 +210,7 @@ def cmd_fit(args) -> int:
     if method != "mle":
         settings = {k: config[k] for k in _FIT_KEYS if k in config}
         fit_config = FitConfig(T=manifest["T"], T_phi=manifest["T_phi"], **settings)
+    out = _out_dir(args)
     _echo_config(out, "fit", config)
 
     if method == "mle":
@@ -241,7 +241,6 @@ def cmd_eval(args) -> int:
     for key in ("model", "data"):
         if key not in config:
             raise CliError(f"eval config needs key '{key}'")
-    out = _out_dir(args)
     model_path = Path(config["model"])
     if not model_path.exists():
         raise CliError(f"model file not found: {model_path}")
@@ -249,6 +248,7 @@ def cmd_eval(args) -> int:
     manifest, seqs = _load_split(Path(config["data"]), config.get("split", "test"))
     if not seqs:
         raise CliError(f"no holdout sequences found in {config['data']}")
+    out = _out_dir(args)
     _echo_config(out, "eval", config)
     t_window, t_phi = float(manifest["T"]), float(manifest["T_phi"])
     rates = rates_for_eval(model, t_phi=t_window)
@@ -332,26 +332,22 @@ def cmd_bench(args) -> int:
     repeats = _get_int(config, "repeats", 1, 1)
     preset = config.get("preset", "case1")
     seed = _get_int(config, "seed", 0, 0)
+    settings = {
+        k: config[k] for k in ("S_mu", "S_phi", "quad_order_T", "quad_order_Tphi") if k in config
+    }
+    # the preset and the fit settings are checked before --out exists; every fit shares base but its T
+    _preset_rates(preset, CASE_T)
+    base = FitConfig(T=CASE_T, T_phi=CASE_T_PHI, max_iter=iters, tol=0.0, hyper_refresh_every=0, **settings)
     out = _out_dir(args)
     _echo_config(out, "bench", config)
 
     fitter = fit_em if method == "em" else fit_vi
-    settings = {
-        k: config[k] for k in ("S_mu", "S_phi", "quad_order_T", "quad_order_Tphi") if k in config
-    }
     rows = []
     for idx, n_events in enumerate(sizes):
         times = []
         for r in range(repeats):
             seq = _bench_sequence(preset, n_events, seed + 101 * idx + r)
-            fit_config = FitConfig(
-                T=seq.T,
-                T_phi=CASE_T_PHI,
-                max_iter=iters,
-                tol=0.0,
-                hyper_refresh_every=0,
-                **settings,
-            )
+            fit_config = replace(base, T=seq.T)
             start = time.perf_counter()
             fitter(seq, fit_config)
             times.append(time.perf_counter() - start)

@@ -2,10 +2,11 @@
 
 All continuous-time integrals (compensators, latent-process masses, the
 A/B statistics of the inference engines) run over frozen Gauss-Legendre
-grids; Gaussian expectations of sigmoid transforms (E[log sigma] in the VI
-sweeps, E[sigma] and E[sigma^2] in rate tables and posterior bands) run over
-Gauss-Hermite rules with the change of variables mean + sqrt(2 var) * node,
-at the order ``hermite_order`` picks from the largest variance.
+grids; E[sigma] and E[sigma^2] under a Gaussian, in the VI rate tables and
+posterior bands, run over Gauss-Hermite rules with the change of variables
+mean + sqrt(2 var) * node, at the order ``hermite_order`` picks from the
+largest variance. The VI sweep itself runs none: it uses the closed-form
+Polya-Gamma bound on E[log sigma].
 """
 
 from __future__ import annotations
@@ -74,12 +75,12 @@ def gauss_hermite(n: int = DEFAULT_GH_ORDER) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hermite_order(var) -> int:
-    """Gauss-Hermite order for the sigmoid expectations of Gaussians whose
-    largest variance is max(var): the first ``_HERMITE_STEPS`` step whose limit
-    covers it (4 nodes up to a variance of 0.001, 8 up to 0.05, 20 up to 0.4),
-    which keeps E[sigma], E[sigma^2] and E[log sigma] within 1e-13 of a
-    150-node rule for means in [-20, 20]; DEFAULT_GH_ORDER above that (20
-    nodes at a variance of 0.5 miss E[sigma^2] by 8e-13 near mean 0)."""
+    """Gauss-Hermite order for E[sigma] and E[sigma^2] (rate tables, posterior
+    bands) of Gaussians whose largest variance is max(var): the first
+    ``_HERMITE_STEPS`` step whose limit covers it (4 nodes up to 0.001, 8 up to
+    0.05, 20 up to 0.4), which keeps both within 1e-13 of a 150-node rule for
+    means in [-20, 20]; DEFAULT_GH_ORDER above that (20 nodes at a variance of
+    0.5 miss E[sigma^2] by 8e-13 near mean 0)."""
     top = float(np.max(var, initial=0.0))
     for limit, order in _HERMITE_STEPS:
         if top <= limit:

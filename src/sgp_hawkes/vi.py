@@ -8,15 +8,14 @@ updates in the order: PG tilts, latent-Poisson rates, Gamma, Gaussian,
 branching. Every update is a pure function of the *other* factors, so
 re-applying any single update is exactly idempotent.
 
-E[log sigma(f)] at events and pairs (branching update, monitor) runs over the
-Gauss-Hermite order ``quadrature.hermite_order`` picks from each component's
-largest projected variance, as do the rate tables and posterior bands.
-
-The convergence monitor is a negative variational free energy in which the
-PG and latent-Poisson factors are collapsed to their optimal forms (their
-entropy terms cancel analytically, leaving the masses and -E[lambda*]*volume);
-constant reference-measure offsets are dropped, so the value is useful for
-trend/monotonicity only.
+Each sweep projects q(f) once, with its PG tilts c = sqrt(mean^2 + var). The
+branching update and the monitor read the bound log sigma(c) + (mean - c)/2 on
+E[log sigma(f)], the Jaakkola-Jordan tangent at its optimal c, so no quadrature
+runs in the sweep. The monitor is the PG-augmented evidence lower bound without
+its constants: with q(omega) and the marked-Poisson factor at their optimal
+forms, their KL terms fold into that bound and into the thinned-point masses
+minus E[lambda*]*volume. Every VI step, the theta refresh included, ascends
+this one bound.
 """
 
 from __future__ import annotations
@@ -46,7 +45,8 @@ from .fitbase import (
 from .kernels import InducingGrid, KernelHyperparams, gp_projector, gram, se_cross
 from .pg import pg_mean
 from .process import EventSequence, RateFunctions, trigger_support
-from .quadrature import expected_log_sigmoid, expected_sigmoid_moments, hermite_order
+from .quadrature import expected_log_sigmoid  # noqa: F401  re-export; perfbench's layer targets pin it here
+from .quadrature import expected_sigmoid_moments, hermite_order
 
 
 @dataclass(frozen=True)
@@ -97,19 +97,25 @@ class ViModel:
     T_phi: float
 
 
+def _log_sigmoid_bound(mean: np.ndarray, tilt: np.ndarray) -> np.ndarray:
+    """log sigma(c) + (mean - c)/2: the PG bound on E[log sigma(f)] at tilt c >= 0.
+
+    For f ~ N(mean, var) and c = sqrt(mean^2 + var) this is the tightest
+    Jaakkola-Jordan tangent, and log sigma(mean) at var = 0.
+    """
+    return 0.5 * (mean - tilt) - np.log1p(np.exp(-tilt))
+
+
 def _project(model: ViModel, caches: dict[str, ComponentCache]) -> dict[str, tuple]:
-    """Projected q(f) of each component: (mean, var) at data points, then at quad nodes."""
-    factors = {n: getattr(model, n).gp for n in COMPONENTS}
-    return {n: caches[n].project_meanvar(f.mean, f.cov) for n, f in factors.items()}
-
-
-def _expected_log_sigmoid(proj: dict[str, tuple]) -> dict[str, np.ndarray]:
-    """E[log sigma(f)] at each component's data points, at the order its variance calls for."""
-    return {n: expected_log_sigmoid(mean, var, hermite_order(var)) for n, (mean, var, *_) in proj.items()}
-
-
-def _tilt(mean: np.ndarray, var: np.ndarray) -> np.ndarray:
-    return np.sqrt(mean * mean + var)
+    """Projected q(f) of each component, through its PG tilts c = sqrt(mean^2 + var):
+    (bound on E[log sigma(f)], c) at data points, then (bound on E[log sigma(-f)], c) at quad nodes."""
+    proj = {}
+    for name in COMPONENTS:
+        gp = getattr(model, name).gp
+        mean, var, mean_q, var_q = caches[name].project_meanvar(gp.mean, gp.cov)
+        tilt, tilt_q = np.sqrt(mean * mean + var), np.sqrt(mean_q * mean_q + var_q)
+        proj[name] = (_log_sigmoid_bound(mean, tilt), tilt, _log_sigmoid_bound(-mean_q, tilt_q), tilt_q)
+    return proj
 
 
 def vi_pg_update(
@@ -117,7 +123,7 @@ def vi_pg_update(
 ) -> dict[str, np.ndarray]:
     """Tilt c = sqrt(mean^2 + var) of the PG factors at each component's data points."""
     proj = proj or _project(model, caches)
-    return {n: _tilt(*proj[n][:2]) for n in COMPONENTS}
+    return {n: proj[n][1] for n in COMPONENTS}
 
 
 def vi_poisson_update(model: ViModel, caches: dict[str, ComponentCache], proj=None) -> dict[str, LatentRate]:
@@ -125,10 +131,8 @@ def vi_poisson_update(model: ViModel, caches: dict[str, ComponentCache], proj=No
     proj = proj or _project(model, caches)
     rates = {}
     for name in COMPONENTS:
-        _, _, mean, var = proj[name]
-        tilt = _tilt(mean, var)
-        lam_geo = getattr(model, name).lam.geometric_mean()
-        rate = lam_geo * np.exp(0.5 * (tilt - mean) - np.logaddexp(0.0, tilt))
+        _, _, thin_bound, tilt = proj[name]
+        rate = getattr(model, name).lam.geometric_mean() * np.exp(thin_bound)
         mass = float(caches[name].quad.weights @ rate)
         rates[name] = LatentRate(marginal=rate, first_moment=rate * pg_mean(1.0, tilt), mass=mass)
     return rates
@@ -161,13 +165,10 @@ def vi_gp_update(
 
 
 def vi_branching_update(
-    model: ViModel,
-    data: Dataset,
-    caches: dict[str, ComponentCache],
-    els=None,
+    model: ViModel, data: Dataset, caches: dict[str, ComponentCache], proj=None
 ) -> BranchingPosterior:
-    els = els or _expected_log_sigmoid(_project(model, caches))
-    bg, pair = (getattr(model, n).lam.geometric_mean() * np.exp(els[n]) for n in COMPONENTS)
+    proj = proj or _project(model, caches)
+    bg, pair = (getattr(model, n).lam.geometric_mean() * np.exp(proj[n][0]) for n in COMPONENTS)
     return normalize_branching(bg, pair, data.child, data.n_events)
 
 
@@ -189,21 +190,16 @@ def _gamma_elbo_term(factor: GammaFactor) -> float:
 
 
 def vi_monitor(
-    model: ViModel,
-    branching: BranchingPosterior,
-    data: Dataset,
-    caches: dict[str, ComponentCache],
-    els=None,
-    rates=None,
+    model: ViModel, branching: BranchingPosterior, data: Dataset, caches: dict[str, ComponentCache], proj=None, rates=None
 ) -> float:
-    """Negative variational free energy surrogate at the current factors."""
-    els = els or _expected_log_sigmoid(_project(model, caches))
-    rates = rates or vi_poisson_update(model, caches)
+    """PG-augmented evidence lower bound at the current factors, without its constants."""
+    proj = proj or _project(model, caches)
+    rates = rates or vi_poisson_update(model, caches, proj)
     comps = {n: getattr(model, n) for n in COMPONENTS}
     value = 0.0
     for n in COMPONENTS:
         weights = branching.weights(n)
-        value += float(weights @ (comps[n].lam.mean_log() + els[n]))
+        value += float(weights @ (comps[n].lam.mean_log() + proj[n][0]))
         value -= float(np.sum(xlogy(weights, weights)))
     for n in COMPONENTS:
         _, scale, domain = data.component(n)
@@ -270,10 +266,9 @@ class _ViEngine:
 
     def observe(self, model, data, caches, config):
         proj = _project(model, caches)
-        els = _expected_log_sigmoid(proj)
-        branching = vi_branching_update(model, data, caches, els=els)
+        branching = vi_branching_update(model, data, caches, proj)
         rates = vi_poisson_update(model, caches, proj)
-        return (proj, branching, rates), vi_monitor(model, branching, data, caches, els=els, rates=rates)
+        return (proj, branching, rates), vi_monitor(model, branching, data, caches, proj, rates)
 
     def sweep(self, model, seen, data, caches, config):
         proj, branching, rates = seen

@@ -4,11 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sgp_hawkes import FitConfig, case1_rates, simulate_thinning
 from sgp_hawkes.fitbase import BranchingPosterior, build_caches, build_dataset, normalize_branching
 from sgp_hawkes.kernels import gp_projector, se_cross
 from sgp_hawkes.quadrature import QuadratureGrid, gauss_legendre
+
+# Every property test draws the same examples on every run: seeded from the
+# test itself, a fixed count, no deadline and no example database.
+settings.register_profile("deterministic", derandomize=True, max_examples=200, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -382,6 +382,25 @@ def test_gh_order_is_an_unknown_key(tmp_path, sim_dir, capsys, command):
     assert not (out / "model.json").exists() and not (out / "bench.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("fit", {"method": "em", "data": "SIM", "tol": -1}),
+        ("fit", {"method": "em", "data": "no-such-dir"}),
+        ("eval", {"model": "no-such-model.json", "data": "SIM"}),
+        ("bench", {"method": "em", "sizes": [50], "S_mu": 0}),
+    ],
+    ids=["fit-tol", "fit-missing-data", "eval-missing-model", "bench-S_mu"],
+)
+def test_rejected_config_creates_no_output_directory(tmp_path, sim_dir, command, payload):
+    # every check runs before --out is created, so a run that exits 1 leaves nothing behind
+    paths = {"SIM": str(sim_dir)}
+    payload = {k: paths.get(v, str(tmp_path / v)) if k in ("data", "model") else v for k, v in payload.items()}
+    rc, out = run(tmp_path, command, payload, "out")
+    assert rc == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # shared plumbing
 

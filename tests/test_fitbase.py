@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from sgp_hawkes import FitConfig, case2_rates, fit_em, fit_vi, simulate_thinning
@@ -142,6 +144,22 @@ def test_build_dataset_single_sequence_promotion():
     data = build_dataset(seq, 2.0)
     assert len(data.sequences) == 1
     assert data.events.size == 2
+
+
+@st.composite
+def branching_numerators(draw):
+    """(background numerators, pair numerators, child index per pair, event count)."""
+    n_events = draw(st.integers(1, 20))
+    child = draw(st.lists(st.integers(0, n_events - 1), max_size=60))
+    bg = draw(st.lists(st.floats(1e-12, 1e12), min_size=n_events, max_size=n_events))
+    pair = draw(st.lists(st.floats(0.0, 1e12), min_size=len(child), max_size=len(child)))
+    return np.array(bg), np.array(pair), np.array(child, dtype=np.int64), n_events
+
+
+@given(branching_numerators())
+def test_normalize_branching_rows_sum_to_one(numerators):
+    br = normalize_branching(*numerators)
+    np.testing.assert_allclose(br.row_sums(), 1.0, rtol=0, atol=1e-12)
 
 
 def test_normalize_branching_rows(rng):

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sgp_hawkes.process import (
     CASE_T,
@@ -74,6 +76,23 @@ def test_admissible_pairs_bruteforce(rng):
     ]
     assert list(child) == [c for c, _ in want]
     np.testing.assert_allclose(lag, [l for _, l in want], rtol=0, atol=0)
+
+
+@given(
+    times=st.lists(st.floats(0.0, 50.0), max_size=40, unique=True).map(sorted),
+    t_phi=st.floats(1e-3, 20.0),
+)
+def test_admissible_pairs_match_quadratic_scan(times, t_phi):
+    times = np.array(times, dtype=float)
+    child, lag = admissible_pairs(times, t_phi)
+    want = [
+        (i, times[i] - times[j])
+        for i in range(times.size)
+        for j in range(i)
+        if 0.0 < times[i] - times[j] <= t_phi
+    ]
+    assert child.tolist() == [c for c, _ in want]
+    assert lag.tolist() == [l for _, l in want]
 
 
 def test_admissible_pairs_empty_when_spread_out():

@@ -5,7 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import digamma, expit
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import digamma, expit, gammaln, log_expit
 
 from sgp_hawkes import FitConfig, case1_rates, case2_rates, fit_em, fit_vi, simulate_thinning
 from sgp_hawkes.em import estep_branching, init_model
@@ -13,6 +15,7 @@ from sgp_hawkes.em import model_rates as em_model_rates
 from sgp_hawkes.fitbase import COMPONENTS, LatentRate, build_caches, build_dataset, run_sweeps
 from sgp_hawkes.kernels import gram, se_cross
 from sgp_hawkes.process import EventSequence
+from sgp_hawkes.quadrature import expected_log_sigmoid
 from sgp_hawkes.vi import (
     GammaFactor,
     GaussianFactor,
@@ -27,7 +30,7 @@ from sgp_hawkes.vi import (
     vi_pg_update,
     vi_poisson_update,
 )
-from sgp_hawkes.vi import _ViEngine
+from sgp_hawkes.vi import _log_sigmoid_bound, _ViEngine
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -338,6 +341,98 @@ def test_monitor_evaluates_finite(state):
     branching = vi_branching_update(model, data, caches)
     value = vi_monitor(model, branching, data, caches)
     assert np.isfinite(value)
+
+
+def brute_force_elbo(model, data, caches, background, parent):
+    """The PG-augmented evidence lower bound, without its constants, by explicit
+    loops: q(omega) = PG(1, c) and the thinned points at their optimal forms."""
+    total = 0.0
+    for name in ("mu", "phi"):
+        comp, quad = getattr(model, name), caches[name].quad
+        theta0, theta1 = comp.hp.theta0, comp.hp.theta1
+        s_pts = comp.grid.points
+        kmat = np.array([[theta0 * np.exp(-0.5 * theta1 * (a - b) ** 2) for b in s_pts] for a in s_pts])
+        kmat += 1e-6 * theta0 * np.eye(s_pts.size)
+        kinv = np.linalg.inv(kmat)
+        mean_u, cov_u = comp.gp.mean, comp.gp.cov
+        alpha, beta = comp.lam.alpha, comp.lam.beta
+        e_log_lam = digamma(alpha) - np.log(beta)
+
+        def moments(x):
+            k = np.array([theta0 * np.exp(-0.5 * theta1 * (x - s) ** 2) for s in s_pts])
+            m = k @ kinv @ mean_u
+            v = k @ kinv @ cov_u @ kinv @ k
+            return m, np.sqrt(m * m + v), v
+
+        if name == "mu":
+            points, weights, scale, domain = data.events, background, data.n_sequences, data.T
+        else:
+            points, weights, scale, domain = data.lag, parent, data.n_events, data.T_phi
+        for x, w in zip(points, weights):
+            m, c, v = moments(x)
+            e_omega = np.tanh(c / 2.0) / (2.0 * c)
+            # E[log lambda*] + E[log p(point | f, omega)] - KL(PG(1, c) || PG(1, 0))
+            point = e_log_lam + m / 2.0 - e_omega * (m * m + v) / 2.0 - np.log(2.0)
+            point -= np.log(np.cosh(c / 2.0)) - c * c * e_omega / 2.0
+            total += w * point
+            if w > 0.0:
+                total -= w * np.log(w)
+        mass = 0.0
+        for x, qw in zip(quad.nodes, quad.weights):
+            m, c, _ = moments(x)
+            mass += qw * np.exp(e_log_lam) * np.exp(-m / 2.0) / (2.0 * np.cosh(c / 2.0))
+        total += scale * mass - alpha / beta * scale * domain
+        _, logdet_k = np.linalg.slogdet(kmat)
+        _, logdet_cov = np.linalg.slogdet(cov_u)
+        trace = np.trace(kinv @ cov_u) + mean_u @ kinv @ mean_u
+        total -= 0.5 * (trace - s_pts.size + logdet_k - logdet_cov)
+        # E[log p(lambda*)] under the improper prior 1/lambda*, plus the Gamma entropy
+        total += -e_log_lam + alpha - np.log(beta) + gammaln(alpha) + (1.0 - alpha) * digamma(alpha)
+    return total
+
+
+def test_monitor_matches_brute_force_augmented_elbo(rng):
+    """S=2 per component on 7 events: the monitor equals the explicit-loop
+    PG-augmented bound to 1e-10 relative, at the fitted branching and at a
+    random one."""
+    times = np.array([0.7, 1.5, 2.1, 4.0, 5.2, 5.9, 8.3])
+    config = FitConfig(T=10.0, T_phi=2.0, S_mu=2, S_phi=2, hyper_refresh_every=0)
+    model, data, caches = vi_state([EventSequence(times, 10.0)], config, n_sweeps=3)
+    assert data.n_pairs > 0
+    fitted = vi_branching_update(model, data, caches)
+    bg, pair = rng.uniform(0.1, 1.0, data.n_events), rng.uniform(0.0, 1.0, data.n_pairs)
+    denom = bg.copy()
+    for k, i in enumerate(data.child):
+        denom[i] += pair[k]
+    random = replace(fitted, background=bg / denom, parent=pair / denom[data.child])
+    for branching in (fitted, random):
+        got = vi_monitor(model, branching, data, caches)
+        want = brute_force_elbo(model, data, caches, branching.background, branching.parent)
+        assert got == pytest.approx(want, rel=1e-10, abs=0)
+
+
+@given(mean=st.floats(-30.0, 30.0), var=st.floats(0.0, 5.0))
+def test_log_sigmoid_bound_never_exceeds_expectation(mean, var):
+    """The closed form lower-bounds E[log sigma(f)] from a 150-node Gauss-Hermite rule."""
+    bound = _log_sigmoid_bound(mean, np.sqrt(mean * mean + var))
+    assert bound <= expected_log_sigmoid(mean, var, 150)[0] + 1e-12
+
+
+@given(mean=st.floats(-30.0, 30.0))
+def test_log_sigmoid_bound_is_exact_at_zero_variance(mean):
+    bound = _log_sigmoid_bound(mean, np.sqrt(mean * mean + 0.0))
+    assert abs(bound - log_expit(mean)) <= 1e-15 * max(1.0, abs(log_expit(mean)))
+
+
+@given(mean=st.floats(-30.0, 30.0), var=st.floats(0.0, 5.0), other=st.floats(1e-6, 60.0))
+def test_log_sigmoid_bound_is_the_tightest_tangent(mean, var, other):
+    """At c = sqrt(mean^2 + var) the bound is at least the Jaakkola-Jordan
+    tangent log sigma(c') + (mean - c')/2 - tanh(c'/2)/(4c') (mean^2 + var - c'^2)
+    at any other c' > 0."""
+    bound = _log_sigmoid_bound(mean, np.sqrt(mean * mean + var))
+    tangent = log_expit(other) + (mean - other) / 2.0
+    tangent -= np.tanh(other / 2.0) / (4.0 * other) * (mean * mean + var - other * other)
+    assert bound >= tangent - 1e-12
 
 
 class _PinnedCovariance(_ViEngine):
