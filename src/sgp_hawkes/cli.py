@@ -66,6 +66,13 @@ def _get_int(config: dict, key: str, default: int, minimum: int) -> int:
     return value
 
 
+def _get_positive(config: dict, key: str, default: float | None = None) -> float:
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= sys.float_info.max:
+        raise CliError(f"config key '{key}' must be a positive finite number, got {value!r}")
+    return float(value)
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     try:
@@ -130,7 +137,7 @@ def cmd_simulate(args) -> int:
         for key in ("rates", "T_phi"):
             if key in config:
                 raise CliError(f"simulate config key '{key}' cannot be combined with 'preset'")
-        t_window = float(config.get("T", CASE_T))
+        t_window = _get_positive(config, "T", CASE_T)
         rates = _preset_rates(preset, t_window)
         t_phi = rates.T_phi
     elif "rates" in config:
@@ -138,10 +145,8 @@ def cmd_simulate(args) -> int:
         for key in ("mu_t", "mu_value", "phi_tau", "phi_value"):
             if key not in tables:
                 raise CliError(f"custom rates need key '{key}'")
-        if "T" not in config or "T_phi" not in config:
-            raise CliError("custom rates need explicit T and T_phi")
-        t_window = float(config["T"])
-        t_phi = float(config["T_phi"])
+        t_window = _get_positive(config, "T")
+        t_phi = _get_positive(config, "T_phi")
         try:
             rates = table_rates(
                 tables["mu_t"], tables["mu_value"], tables["phi_tau"], tables["phi_value"], t_phi

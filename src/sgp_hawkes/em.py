@@ -7,6 +7,11 @@ and then maximizes the expected complete-data objective jointly over the
 rate bounds lambda* and the inducing values u of both components, with the
 RKHS penalty 0.5 u^T K^{-1} u per component.
 
+This E-step is the only one: ``estep_pg``, ``estep_latent_rate`` and
+``estep_branching`` read just each component's link (numerators and PG tilt at
+its data points, thinned-point rate and tilt at its quadrature nodes), which
+``project`` builds from the point estimate and vi.project from q(f).
+
 Multi-sequence input is treated as i.i.d. replicate windows: Dirac statistics
 pool over all sequences, continuous statistics scale with the number of
 windows (baseline) or the total event count (trigger).
@@ -31,13 +36,14 @@ from .fitbase import (
     component_rate,
     component_stats,
     gaussian_update,
+    model_rates,
     normalize_branching,
     rate_bound_counts,
     run_sweeps,
 )
 from .kernels import InducingGrid, KernelHyperparams, gram
 from .pg import pg_mean, sigmoid
-from .process import EventSequence, RateFunctions
+from .process import EventSequence
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,10 @@ class SgpComponent:
     u: np.ndarray
     hp: KernelHyperparams
 
+    def rate(self, t_phi: float | None = None):
+        """Shape-preserving x -> lambda* sigma(f(x)), zero outside (0, t_phi] if given."""
+        return component_rate(self.grid, self.hp, self.u, None, lambda f: self.lambda_star * sigmoid(f), t_phi)
+
 
 @dataclass(frozen=True)
 class EmModel:
@@ -56,17 +66,6 @@ class EmModel:
     phi: SgpComponent
     T: float
     T_phi: float
-
-
-def component_function(comp: SgpComponent, t_phi: float | None = None):
-    """Shape-preserving x -> lambda* sigma(f(x)), zero outside (0, t_phi] if given."""
-    return component_rate(comp.grid, comp.hp, comp.u, None, lambda f: comp.lambda_star * sigmoid(f), t_phi)
-
-
-def model_rates(model: EmModel) -> RateFunctions:
-    """Point-estimate rate functions of a fitted EM model."""
-    phi = component_function(model.phi, model.T_phi)
-    return RateFunctions(mu=component_function(model.mu), phi=phi, T_phi=model.T_phi)
 
 
 def init_model(data: Dataset, caches: dict[str, ComponentCache]) -> EmModel:
@@ -79,38 +78,31 @@ def init_model(data: Dataset, caches: dict[str, ComponentCache]) -> EmModel:
     return EmModel(mu=mu, phi=phi, T=data.T, T_phi=data.T_phi)
 
 
-def _project(model: EmModel, caches: dict[str, ComponentCache]) -> dict[str, tuple]:
-    """f at (data points, quadrature nodes) of each component."""
-    return {n: caches[n].project_mean(getattr(model, n).u) for n in COMPONENTS}
+def project(model: EmModel, caches: dict[str, ComponentCache]) -> dict[str, tuple]:
+    """The E-step link of each component at the point estimate f: (lambda* sigma(f), f)
+    at its data points, then (lambda* sigma(-f), f) at its quadrature nodes."""
+    links = {}
+    for n in COMPONENTS:
+        comp = getattr(model, n)
+        f, f_q = caches[n].project_mean(comp.u)
+        links[n] = (comp.lambda_star * sigmoid(f), f, comp.lambda_star * sigmoid(-f_q), f_q)
+    return links
 
 
-def _numerators(model: EmModel, proj: dict[str, tuple]) -> tuple[np.ndarray, ...]:
-    """lambda* sigma(f) of each component at its data points."""
-    return tuple(getattr(model, n).lambda_star * sigmoid(proj[n][0]) for n in COMPONENTS)
+def estep_pg(links: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """PG means E[omega] = tanh(c/2) / (2c) at each component's data points, c the tilt there."""
+    return {n: pg_mean(1.0, links[n][1]) for n in COMPONENTS}
 
 
-def estep_pg(
-    model: EmModel, data: Dataset, caches: dict[str, ComponentCache], proj=None
-) -> dict[str, np.ndarray]:
-    """Conditional PG means E[omega] at each component's data points (events, pairs)."""
-    proj = proj or _project(model, caches)
-    return {n: pg_mean(1.0, proj[n][0]) for n in COMPONENTS}
+def estep_latent_rate(link: tuple, cache: ComponentCache) -> LatentRate:
+    """Omega-marginalized rate of one component's latent thinned process on its quadrature grid."""
+    _, _, rate, tilt = link
+    return LatentRate(marginal=rate, first_moment=rate * pg_mean(1.0, tilt), mass=float(cache.quad.weights @ rate))
 
 
-def estep_latent_rate(comp: SgpComponent, cache: ComponentCache, f_q=None) -> LatentRate:
-    """Omega-marginalized rate of the latent thinned process for one component."""
-    f_q = cache.project_mean(comp.u)[1] if f_q is None else f_q
-    marginal = comp.lambda_star * sigmoid(-f_q)
-    first = marginal * pg_mean(1.0, f_q)
-    return LatentRate(marginal=marginal, first_moment=first, mass=float(cache.quad.weights @ marginal))
-
-
-def estep_branching(
-    model: EmModel, data: Dataset, caches: dict[str, ComponentCache], proj=None
-) -> BranchingPosterior:
-    """Responsibilities p(own background) / p(parent j) at current estimates."""
-    bg, pair = _numerators(model, proj or _project(model, caches))
-    return normalize_branching(bg, pair, data.child, data.n_events)
+def estep_branching(links: dict[str, tuple], data: Dataset) -> BranchingPosterior:
+    """Responsibilities p(own background) / p(parent j) from the link numerators."""
+    return normalize_branching(links["mu"][0], links["phi"][0], data.child, data.n_events)
 
 
 def mstep(
@@ -146,25 +138,25 @@ class _EmEngine:
         return init_model(data, caches)
 
     def observe(self, model, data, caches, config):
-        """Projections of ``model`` and, through them, the penalized log posterior
+        """The E-step links of ``model`` and, through them, the penalized log posterior
         (untruncated trigger compensator, on the fit's quadrature grids)."""
-        proj = _project(model, caches)
-        bg, pair = _numerators(model, proj)
+        links = project(model, caches)
+        bg, pair = links["mu"][0], links["phi"][0]
         value = float(np.sum(np.log(bg + np.bincount(data.child, weights=pair, minlength=data.n_events))))
         compensators, penalties = [], []
         for n in COMPONENTS:
             comp = getattr(model, n)
-            integral = float(caches[n].quad.weights @ sigmoid(proj[n][1]))
+            integral = float(caches[n].quad.weights @ sigmoid(links[n][3]))
             compensators.append(data.component(n)[1] * (comp.lambda_star * integral))
             penalties.append(penalty(comp, caches[n].gm))
         for term in compensators + penalties:
             value -= term
-        return proj, value
+        return links, value
 
-    def sweep(self, model, proj, data, caches, config):
-        pg = estep_pg(model, data, caches, proj)
-        lat = {n: estep_latent_rate(getattr(model, n), caches[n], proj[n][1]) for n in COMPONENTS}
-        branching = estep_branching(model, data, caches, proj)
+    def sweep(self, model, links, data, caches, config):
+        pg = estep_pg(links)
+        lat = {n: estep_latent_rate(links[n], caches[n]) for n in COMPONENTS}
+        branching = estep_branching(links, data)
         new = mstep(model, data, caches, pg, lat, branching)
         return new, lambda: component_stats(data, caches, branching, pg, lat)
 

@@ -31,7 +31,7 @@ from .kernels import (
     se_cross,
     uniform_inducing_grid,
 )
-from .process import EventSequence, admissible_pairs, trigger_support
+from .process import EventSequence, RateFunctions, admissible_pairs, trigger_support
 from .quadrature import QuadratureGrid, gauss_legendre
 
 _SEARCH_BINS = 2048
@@ -248,6 +248,11 @@ def component_rate(grid: InducingGrid, hp: KernelHyperparams, mean, cov, link, t
         return out if t_phi is None else np.where(trigger_support(x, t_phi), out, 0.0)
 
     return rate
+
+
+def model_rates(model) -> RateFunctions:
+    """Rate functions of a fitted EM or VI model, each component through its own ``rate``."""
+    return RateFunctions(mu=model.mu.rate(), phi=model.phi.rate(model.T_phi), T_phi=model.T_phi)
 
 
 def build_caches(data: Dataset, config: FitConfig) -> dict[str, ComponentCache]:

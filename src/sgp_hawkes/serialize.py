@@ -12,9 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import em, mle, vi
+from . import mle
 from .em import EmModel, SgpComponent
-from .fitbase import COMPONENTS
+from .fitbase import COMPONENTS, model_rates
 from .kernels import InducingGrid, KernelHyperparams
 from .mle import ExpHawkesParams
 from .process import RateFunctions, tabulate
@@ -57,7 +57,7 @@ def _emit(obj, level: int, indent: int):
         value = float(obj)
         if not np.isfinite(value):
             raise ValueError(f"cannot serialize non-finite float {value}")
-        yield format(value, ".17g")
+        yield "-0.0" if value == 0.0 and np.signbit(value) else format(value, ".17g")  # "-0" parses as int 0
     elif isinstance(obj, str):
         yield json.dumps(obj)
     else:
@@ -140,7 +140,7 @@ def rates_for_eval(model, t_phi: float | None = None) -> RateFunctions:
     effectively untruncated).
     """
     if isinstance(model, (EmModel, ViModel)):
-        return tabulate((em if isinstance(model, EmModel) else vi).model_rates(model), model.T)
+        return tabulate(model_rates(model), model.T)
     if isinstance(model, ExpHawkesParams):
         if t_phi is None:
             raise ValueError("t_phi is required to evaluate the exponential baseline")

@@ -8,14 +8,15 @@ updates in the order: PG tilts, latent-Poisson rates, Gamma, Gaussian,
 branching. Every update is a pure function of the *other* factors, so
 re-applying any single update is exactly idempotent.
 
-Each sweep projects q(f) once, with its PG tilts c = sqrt(mean^2 + var). The
-branching update and the monitor read the bound log sigma(c) + (mean - c)/2 on
-E[log sigma(f)], the Jaakkola-Jordan tangent at its optimal c, so no quadrature
-runs in the sweep. The monitor is the PG-augmented evidence lower bound without
-its constants: with q(omega) and the marked-Poisson factor at their optimal
-forms, their KL terms fold into that bound and into the thinned-point masses
-minus E[lambda*]*volume. Every VI step, the theta refresh included, ascends
-this one bound.
+Each sweep projects q(f) once, with its PG tilts c = sqrt(mean^2 + var), into
+the link that EM's E-step reads: the PG, latent-Poisson and branching updates
+are em.estep_*. The link and the monitor use the bound
+log sigma(c) + (mean - c)/2 on E[log sigma(f)], the Jaakkola-Jordan tangent at
+its optimal c, so no quadrature runs in the sweep. The monitor is the
+PG-augmented evidence lower bound without its constants: with q(omega) and the
+marked-Poisson factor at their optimal forms, their KL terms fold into that
+bound and into the thinned-point masses minus E[lambda*]*volume. Every VI step,
+the theta refresh included, ascends this one bound.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import digamma, gammaln, xlogy
 
+from .em import estep_branching, estep_latent_rate, estep_pg
 from .fitbase import (
     COMPONENTS,
     BranchingPosterior,
@@ -38,13 +40,11 @@ from .fitbase import (
     component_rate,
     component_stats,
     gaussian_update,
-    normalize_branching,
     rate_bound_counts,
     run_sweeps,
 )
 from .kernels import InducingGrid, KernelHyperparams, gp_projector, gram, se_cross
-from .pg import pg_mean
-from .process import EventSequence, RateFunctions, trigger_support
+from .process import EventSequence, trigger_support
 from .quadrature import expected_log_sigmoid  # noqa: F401  re-export; perfbench's layer targets pin it here
 from .quadrature import expected_sigmoid_moments, hermite_order
 
@@ -74,10 +74,6 @@ class GammaFactor:
     def mean_log(self) -> float:
         return float(digamma(self.alpha)) - np.log(self.beta)
 
-    def geometric_mean(self) -> float:
-        """exp(E[log lambda*]) — the intensity scale used by the updates."""
-        return float(np.exp(self.mean_log()))
-
 
 @dataclass(frozen=True)
 class ViComponent:
@@ -87,6 +83,15 @@ class ViComponent:
     lam: GammaFactor
     grid: InducingGrid
     hp: KernelHyperparams
+
+    def rate(self, t_phi: float | None = None):
+        """Shape-preserving x -> E[lambda*] E[sigma(f(x))], zero outside (0, t_phi] if given."""
+
+        def link(marginal):
+            mean, var = marginal
+            return self.lam.mean() * expected_sigmoid_moments(mean, var, hermite_order(var))[0]
+
+        return component_rate(self.grid, self.hp, self.gp.mean, self.gp.cov, link, t_phi)
 
 
 @dataclass(frozen=True)
@@ -106,36 +111,20 @@ def _log_sigmoid_bound(mean: np.ndarray, tilt: np.ndarray) -> np.ndarray:
     return 0.5 * (mean - tilt) - np.log1p(np.exp(-tilt))
 
 
-def _project(model: ViModel, caches: dict[str, ComponentCache]) -> dict[str, tuple]:
-    """Projected q(f) of each component, through its PG tilts c = sqrt(mean^2 + var):
-    (bound on E[log sigma(f)], c) at data points, then (bound on E[log sigma(-f)], c) at quad nodes."""
-    proj = {}
+def project(model: ViModel, caches: dict[str, ComponentCache]) -> tuple[dict[str, tuple], dict[str, np.ndarray]]:
+    """The E-step link of each component's q at its PG tilts c = sqrt(mean^2 + var):
+    (lambda~ e^{bound(mean, c)}, c) at its data points, then (lambda~ e^{bound(-mean, c)}, c)
+    at its quadrature nodes, with lambda~ = exp E[log lambda*] and ``bound`` the bound
+    on E[log sigma]; plus the bounds at the data points, which the monitor reads."""
+    links, bounds = {}, {}
     for name in COMPONENTS:
-        gp = getattr(model, name).gp
-        mean, var, mean_q, var_q = caches[name].project_meanvar(gp.mean, gp.cov)
+        comp = getattr(model, name)
+        mean, var, mean_q, var_q = caches[name].project_meanvar(comp.gp.mean, comp.gp.cov)
         tilt, tilt_q = np.sqrt(mean * mean + var), np.sqrt(mean_q * mean_q + var_q)
-        proj[name] = (_log_sigmoid_bound(mean, tilt), tilt, _log_sigmoid_bound(-mean_q, tilt_q), tilt_q)
-    return proj
-
-
-def vi_pg_update(
-    model: ViModel, data: Dataset, caches: dict[str, ComponentCache], proj=None
-) -> dict[str, np.ndarray]:
-    """Tilt c = sqrt(mean^2 + var) of the PG factors at each component's data points."""
-    proj = proj or _project(model, caches)
-    return {n: proj[n][1] for n in COMPONENTS}
-
-
-def vi_poisson_update(model: ViModel, caches: dict[str, ComponentCache], proj=None) -> dict[str, LatentRate]:
-    """Optimal thinned-point rates lambda~ sigma(-c) exp((c - mean)/2), c the PG tilt."""
-    proj = proj or _project(model, caches)
-    rates = {}
-    for name in COMPONENTS:
-        _, _, thin_bound, tilt = proj[name]
-        rate = getattr(model, name).lam.geometric_mean() * np.exp(thin_bound)
-        mass = float(caches[name].quad.weights @ rate)
-        rates[name] = LatentRate(marginal=rate, first_moment=rate * pg_mean(1.0, tilt), mass=mass)
-    return rates
+        lam = np.exp(comp.lam.mean_log())
+        bounds[name] = _log_sigmoid_bound(mean, tilt)
+        links[name] = (lam * np.exp(bounds[name]), tilt, lam * np.exp(_log_sigmoid_bound(-mean_q, tilt_q)), tilt_q)
+    return links, bounds
 
 
 def vi_lambda_update(
@@ -148,28 +137,15 @@ def vi_lambda_update(
     return factors
 
 
-def _stats(data, caches, tilts: dict[str, np.ndarray], branching, rates: dict[str, LatentRate]) -> dict:
-    pg_weight = {n: pg_mean(1.0, tilts[n]) for n in data.active}
-    return component_stats(data, caches, branching, pg_weight, rates)
-
-
 def vi_gp_update(
-    tilts: dict[str, np.ndarray],
+    pg_weight: dict[str, np.ndarray],
     branching: BranchingPosterior,
     rates: dict[str, LatentRate],
     data: Dataset,
     caches: dict[str, ComponentCache],
 ) -> dict[str, GaussianFactor]:
-    stats = _stats(data, caches, tilts, branching, rates)
+    stats = component_stats(data, caches, branching, pg_weight, rates)
     return {n: GaussianFactor(*gaussian_update(s, caches[n])) for n, s in stats.items()}
-
-
-def vi_branching_update(
-    model: ViModel, data: Dataset, caches: dict[str, ComponentCache], proj=None
-) -> BranchingPosterior:
-    proj = proj or _project(model, caches)
-    bg, pair = (getattr(model, n).lam.geometric_mean() * np.exp(proj[n][0]) for n in COMPONENTS)
-    return normalize_branching(bg, pair, data.child, data.n_events)
 
 
 def _gaussian_kl(factor: GaussianFactor, gm) -> float:
@@ -190,16 +166,16 @@ def _gamma_elbo_term(factor: GammaFactor) -> float:
 
 
 def vi_monitor(
-    model: ViModel, branching: BranchingPosterior, data: Dataset, caches: dict[str, ComponentCache], proj=None, rates=None
+    model: ViModel, branching: BranchingPosterior, rates: dict[str, LatentRate], bounds: dict[str, np.ndarray],
+    data: Dataset, caches: dict[str, ComponentCache],
 ) -> float:
-    """PG-augmented evidence lower bound at the current factors, without its constants."""
-    proj = proj or _project(model, caches)
-    rates = rates or vi_poisson_update(model, caches, proj)
+    """PG-augmented evidence lower bound at the current factors, without its constants;
+    ``rates`` and ``bounds`` come from the factors' ``project``."""
     comps = {n: getattr(model, n) for n in COMPONENTS}
     value = 0.0
     for n in COMPONENTS:
         weights = branching.weights(n)
-        value += float(weights @ (comps[n].lam.mean_log() + proj[n][0]))
+        value += float(weights @ (comps[n].lam.mean_log() + bounds[n]))
         value -= float(np.sum(xlogy(weights, weights)))
     for n in COMPONENTS:
         _, scale, domain = data.component(n)
@@ -221,22 +197,6 @@ def init_vi_model(data: Dataset, caches: dict[str, ComponentCache]) -> ViModel:
     return ViModel(**comps, T=data.T, T_phi=data.T_phi)
 
 
-def component_function(comp: ViComponent, t_phi: float | None = None):
-    """Shape-preserving x -> E[lambda*] E[sigma(f(x))], zero outside (0, t_phi] if given."""
-
-    def link(marginal):
-        mean, var = marginal
-        return comp.lam.mean() * expected_sigmoid_moments(mean, var, hermite_order(var))[0]
-
-    return component_rate(comp.grid, comp.hp, comp.gp.mean, comp.gp.cov, link, t_phi)
-
-
-def model_rates(model: ViModel) -> RateFunctions:
-    """Posterior-mean rates E[lambda*] E[sigma(f(.))] of a fitted VI model."""
-    phi = component_function(model.phi, model.T_phi)
-    return RateFunctions(mu=component_function(model.mu), phi=phi, T_phi=model.T_phi)
-
-
 def posterior_bands(model: ViModel, grid: np.ndarray, component: str):
     """(mean, std) of lambda* sigma(f(x)) pointwise under the fitted factors.
 
@@ -245,9 +205,9 @@ def posterior_bands(model: ViModel, grid: np.ndarray, component: str):
     """
     comp = getattr(model, component)
     lam = comp.lam
-    project = gp_projector(gram(comp.grid, comp.hp), comp.gp.mean, comp.gp.cov)
+    at = gp_projector(gram(comp.grid, comp.hp), comp.gp.mean, comp.gp.cov)
     k = se_cross(np.asarray(grid, dtype=float), comp.grid.points, comp.hp)
-    mean_f, var_f = project(k)
+    mean_f, var_f = at(k)
     s1, s2 = expected_sigmoid_moments(mean_f, var_f, hermite_order(var_f))
     lam_m2 = lam.alpha * (lam.alpha + 1.0) / (lam.beta**2)
     mean = lam.mean() * s1
@@ -265,19 +225,19 @@ class _ViEngine:
         return init_vi_model(data, caches)
 
     def observe(self, model, data, caches, config):
-        proj = _project(model, caches)
-        branching = vi_branching_update(model, data, caches, proj)
-        rates = vi_poisson_update(model, caches, proj)
-        return (proj, branching, rates), vi_monitor(model, branching, data, caches, proj, rates)
+        links, bounds = project(model, caches)
+        branching = estep_branching(links, data)
+        rates = {n: estep_latent_rate(links[n], caches[n]) for n in COMPONENTS}
+        return (links, branching, rates), vi_monitor(model, branching, rates, bounds, data, caches)
 
     def sweep(self, model, seen, data, caches, config):
-        proj, branching, rates = seen
-        tilts = vi_pg_update(model, data, caches, proj)
+        links, branching, rates = seen
+        pg = estep_pg(links)
         lams = vi_lambda_update(branching, rates, data)
-        for name, gp in vi_gp_update(tilts, branching, rates, data, caches).items():
+        for name, gp in vi_gp_update(pg, branching, rates, data, caches).items():
             model = replace(model, **{name: replace(getattr(model, name), lam=lams[name])})
             model = self.set_gaussian(model, name, gp.mean, gp.cov, caches[name])
-        return model, lambda: _stats(data, caches, tilts, branching, rates)
+        return model, lambda: component_stats(data, caches, branching, pg, rates)
 
     def gaussian(self, model, name):
         gp = getattr(model, name).gp

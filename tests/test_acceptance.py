@@ -29,6 +29,7 @@ from sgp_hawkes.em import (
     estep_pg,
     init_model,
     mstep,
+    project,
 )
 from sgp_hawkes.evaluation import RescaledSample, ks_statistic, rescale
 from sgp_hawkes.evaluation import test_ll as held_out_ll
@@ -46,14 +47,8 @@ from sgp_hawkes.process import (
 )
 from sgp_hawkes.quadrature import gauss_legendre
 from sgp_hawkes.serialize import load_model, rates_for_eval
-from sgp_hawkes.vi import (
-    GammaFactor,
-    vi_branching_update,
-    vi_gp_update,
-    vi_lambda_update,
-    vi_pg_update,
-    vi_poisson_update,
-)
+from sgp_hawkes.vi import GammaFactor, vi_gp_update, vi_lambda_update
+from sgp_hawkes.vi import project as vi_project
 
 EULER_GAMMA = 0.5772156649015328606
 SOFT_TESTLL_TARGET = 33.98  # reference mean held-out LL for the matched case1 setup
@@ -197,21 +192,23 @@ def test_criterion_4_monotone_traces_and_pure_updates():
             vi_state = (vi_model, data, build_caches(data, config))
 
     model, data, caches = vi_state
-    tilts = vi_pg_update(model, data, caches)
-    rates_q = vi_poisson_update(model, caches)
-    branching = vi_branching_update(model, data, caches)
+
+    def vi_estep():
+        links, _ = vi_project(model, caches)
+        rates = {n: estep_latent_rate(links[n], caches[n]) for n in ("mu", "phi")}
+        return {n: links[n][1] for n in ("mu", "phi")}, rates, estep_branching(links, data), estep_pg(links)
+
+    tilts, rates_q, branching, pg = vi_estep()
     gaps = []
-    t2 = vi_pg_update(model, data, caches)
+    t2, r2, b2, _ = vi_estep()
     gaps.append(max(np.max(np.abs(tilts["mu"] - t2["mu"])), np.max(np.abs(tilts["phi"] - t2["phi"]))))
-    r2 = vi_poisson_update(model, caches)
     gaps.append(max(np.max(np.abs(rates_q["mu"].marginal - r2["mu"].marginal)), abs(rates_q["phi"].mass - r2["phi"].mass)))
-    b2 = vi_branching_update(model, data, caches)
     gaps.append(max(np.max(np.abs(branching.background - b2.background)), np.max(np.abs(branching.parent - b2.parent))))
     l1 = vi_lambda_update(branching, rates_q, data)
     l2 = vi_lambda_update(branching, rates_q, data)
     gaps.append(max(abs(l1["mu"].alpha - l2["mu"].alpha), abs(l1["phi"].beta - l2["phi"].beta)))
-    g1 = vi_gp_update(tilts, branching, rates_q, data, caches)
-    g2 = vi_gp_update(tilts, branching, rates_q, data, caches)
+    g1 = vi_gp_update(pg, branching, rates_q, data, caches)
+    g2 = vi_gp_update(pg, branching, rates_q, data, caches)
     gaps.append(max(np.max(np.abs(g1["mu"].mean - g2["mu"].mean)), np.max(np.abs(g1["phi"].cov - g2["phi"].cov))))
     worst = max(gaps)
     parts.append(worst <= 1e-12)
@@ -288,17 +285,17 @@ def test_criterion_6_oracle_equivalence(sparse_mean):
     data = build_dataset(seqs, 2.0)
     caches = build_caches(data, config)
     model = init_model(data, caches)
+
+    def em_estep(model, data, caches):
+        links = project(model, caches)
+        lat = {n: estep_latent_rate(links[n], caches[n]) for n in ("mu", "phi")}
+        return estep_pg(links), lat, estep_branching(links, data)
+
     for _ in range(2):
-        pg = estep_pg(model, data, caches)
-        lat_mu = estep_latent_rate(model.mu, caches["mu"])
-        lat_phi = estep_latent_rate(model.phi, caches["phi"])
-        br = estep_branching(model, data, caches)
-        model = mstep(model, data, caches, pg, {"mu": lat_mu, "phi": lat_phi}, br)
-    pg = estep_pg(model, data, caches)
-    lat_mu = estep_latent_rate(model.mu, caches["mu"])
-    lat_phi = estep_latent_rate(model.phi, caches["phi"])
-    br = estep_branching(model, data, caches)
-    new = mstep(model, data, caches, pg, {"mu": lat_mu, "phi": lat_phi}, br)
+        model = mstep(model, data, caches, *em_estep(model, data, caches))
+    pg, lat, br = em_estep(model, data, caches)
+    lat_mu = lat["mu"]
+    new = mstep(model, data, caches, pg, lat, br)
     want_u, _ = dense_gaussian(
         pg["mu"] * br.background,
         0.5 * br.background,
@@ -313,12 +310,12 @@ def test_criterion_6_oracle_equivalence(sparse_mean):
     detail.append(f"em dense {gap_em:.1e}")
 
     vi_model, _ = fit_vi(seqs, replace(config, max_iter=3, tol=0.0))
-    tilts = vi_pg_update(vi_model, data, caches)
-    branching = vi_branching_update(vi_model, data, caches)
-    rates_q = vi_poisson_update(vi_model, caches)
-    gp_mu = vi_gp_update(tilts, branching, rates_q, data, caches)["mu"]
+    links, _ = vi_project(vi_model, caches)
+    branching = estep_branching(links, data)
+    rates_q = {n: estep_latent_rate(links[n], caches[n]) for n in ("mu", "phi")}
+    gp_mu = vi_gp_update(estep_pg(links), branching, rates_q, data, caches)["mu"]
     want_mean, want_cov = dense_gaussian(
-        pg_of(tilts["mu"]) * branching.background,
+        pg_of(links["mu"][1]) * branching.background,
         0.5 * branching.background,
         data.events,
         rates_q["mu"].first_moment,
@@ -338,12 +335,8 @@ def test_criterion_6_oracle_equivalence(sparse_mean):
     caches8 = build_caches(data8, config8)
     model8 = init_model(data8, caches8)
     for _ in range(3):
-        pg8 = estep_pg(model8, data8, caches8)
-        lm = estep_latent_rate(model8.mu, caches8["mu"])
-        lp = estep_latent_rate(model8.phi, caches8["phi"])
-        br8 = estep_branching(model8, data8, caches8)
-        model8 = mstep(model8, data8, caches8, pg8, {"mu": lm, "phi": lp}, br8)
-    br8 = estep_branching(model8, data8, caches8)
+        model8 = mstep(model8, data8, caches8, *em_estep(model8, data8, caches8))
+    br8 = estep_branching(project(model8, caches8), data8)
 
     def dense_eval(comp, pts):
         k = se_cross(np.asarray(pts, dtype=float), comp.grid.points, comp.hp)

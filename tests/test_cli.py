@@ -19,7 +19,7 @@ from sgp_hawkes.mle import ExpHawkesParams
 
 
 def write_config(path, payload):
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -382,6 +382,9 @@ def test_gh_order_is_an_unknown_key(tmp_path, sim_dir, capsys, command):
     assert not (out / "model.json").exists() and not (out / "bench.csv").exists()
 
 
+TABLES = {"mu_t": [0.0, 10.0], "mu_value": [1.0, 1.0], "phi_tau": [0.0, 1.0], "phi_value": [0.1, 0.1]}
+
+
 @pytest.mark.parametrize(
     "command, payload",
     [
@@ -389,13 +392,25 @@ def test_gh_order_is_an_unknown_key(tmp_path, sim_dir, capsys, command):
         ("fit", {"method": "em", "data": "no-such-dir"}),
         ("eval", {"model": "no-such-model.json", "data": "SIM"}),
         ("bench", {"method": "em", "sizes": [50], "S_mu": 0}),
+        ("simulate", {"preset": "case1", "T": -5}),
+        ("simulate", {"preset": "case2", "T": 0}),
+        ("simulate", {"preset": "case1", "T": "NaN"}),
+        ("simulate", '{"preset": "case1", "T": 1e400}'),  # raw JSON text: parses as inf
+        ("simulate", {"rates": TABLES, "T": 10.0, "T_phi": -1.0}),
+        ("simulate", {"rates": TABLES, "T": 10.0, "T_phi": "NaN"}),
+        ("simulate", {"rates": TABLES, "T": 10.0}),
     ],
-    ids=["fit-tol", "fit-missing-data", "eval-missing-model", "bench-S_mu"],
+    ids=[
+        "fit-tol", "fit-missing-data", "eval-missing-model", "bench-S_mu", "simulate-T-negative", "simulate-T-zero",
+        "simulate-T-string", "simulate-T-overflow", "simulate-T_phi-negative", "simulate-T_phi-string",
+        "simulate-T_phi-missing",
+    ],
 )
 def test_rejected_config_creates_no_output_directory(tmp_path, sim_dir, command, payload):
     # every check runs before --out is created, so a run that exits 1 leaves nothing behind
     paths = {"SIM": str(sim_dir)}
-    payload = {k: paths.get(v, str(tmp_path / v)) if k in ("data", "model") else v for k, v in payload.items()}
+    if isinstance(payload, dict):
+        payload = {k: paths.get(v, str(tmp_path / v)) if k in ("data", "model") else v for k, v in payload.items()}
     rc, out = run(tmp_path, command, payload, "out")
     assert rc == 1
     assert not out.exists()

@@ -1,6 +1,8 @@
 """EM engine: expectation formulas against closed forms and brute force,
 maximization identities, objective monotonicity, and degenerate inputs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -9,16 +11,15 @@ from sgp_hawkes import FitConfig, fit_em
 from sgp_hawkes.em import (
     EmModel,
     SgpComponent,
-    component_function,
     estep_branching,
     estep_latent_rate,
     estep_pg,
     init_model,
-    model_rates,
     mstep,
     penalty,
+    project,
 )
-from sgp_hawkes.fitbase import build_caches, build_dataset
+from sgp_hawkes.fitbase import COMPONENTS, build_caches, build_dataset, model_rates
 from sgp_hawkes.kernels import (
     InducingGrid,
     KernelHyperparams,
@@ -29,17 +30,25 @@ from sgp_hawkes.kernels import (
 from sgp_hawkes.process import EventSequence, RateFunctions, log_likelihood
 
 
+def estep(model, data, caches):
+    """(PG means, thinned-point rates, responsibilities) of one E-step at ``model``."""
+    links = project(model, caches)
+    latent = {n: estep_latent_rate(links[n], caches[n]) for n in COMPONENTS}
+    return estep_pg(links), latent, estep_branching(links, data)
+
+
+def latent_mu(model, comp, caches):
+    """Thinned-point rate of the baseline component ``comp``."""
+    return estep_latent_rate(project(replace(model, mu=comp), caches)["mu"], caches["mu"])
+
+
 def em_state(seqs, config, n_iter):
     """Run a few fixed-point iterations and return (model, data, caches)."""
     data = build_dataset(seqs, config.T_phi)
     caches = build_caches(data, config)
     model = init_model(data, caches)
     for _ in range(n_iter):
-        pg = estep_pg(model, data, caches)
-        lat_mu = estep_latent_rate(model.mu, caches["mu"])
-        lat_phi = estep_latent_rate(model.phi, caches["phi"])
-        branching = estep_branching(model, data, caches)
-        model = mstep(model, data, caches, pg, {"mu": lat_mu, "phi": lat_phi}, branching)
+        model = mstep(model, data, caches, *estep(model, data, caches))
     return model, data, caches
 
 
@@ -49,7 +58,7 @@ def test_estep_pg_zero_function():
     data = build_dataset(seqs, 6.0)
     caches = build_caches(data, config)
     model = init_model(data, caches)  # u = 0 for both components
-    pg = estep_pg(model, data, caches)
+    pg = estep_pg(project(model, caches))
     np.testing.assert_array_equal(pg["mu"], 0.25 * np.ones(3))
     assert pg["phi"].size == 0
 
@@ -69,7 +78,7 @@ def test_estep_pg_single_inducing_point_closed_form():
     model = init_model(data, caches)
     comp = SgpComponent(model.mu.lambda_star, grid, np.array([2.0 * jitter_factor]), hp)
     model = EmModel(mu=comp, phi=model.phi, T=model.T, T_phi=model.T_phi)
-    pg = estep_pg(model, data, {"mu": cache_mu, "phi": caches["phi"]})
+    pg = estep_pg(project(model, {"mu": cache_mu, "phi": caches["phi"]}))
     assert pg["mu"][0] == pytest.approx(np.tanh(1.0) / 4.0, abs=1e-15)
 
 
@@ -80,7 +89,7 @@ def test_latent_rate_constant_function():
     caches = build_caches(data, config)
     model = init_model(data, caches)
     comp = SgpComponent(2.0, model.mu.grid, np.zeros(model.mu.grid.count), model.mu.hp)
-    lat = estep_latent_rate(comp, caches["mu"])
+    lat = latent_mu(model, comp, caches)
     np.testing.assert_allclose(lat.marginal, 1.0, rtol=1e-13)  # 2 * sigmoid(0) * pg-free
     assert lat.mass == pytest.approx(10.0, rel=1e-13)
 
@@ -93,7 +102,7 @@ def test_latent_rate_saturated_function_vanishes():
     model = init_model(data, caches)
     # coefficients that push the projection far positive across the domain
     comp = SgpComponent(5.0, model.mu.grid, 30.0 * np.ones(model.mu.grid.count), model.mu.hp)
-    lat = estep_latent_rate(comp, caches["mu"])
+    lat = latent_mu(model, comp, caches)
     assert lat.mass < 1e-3
 
 
@@ -105,7 +114,7 @@ def test_latent_rate_mass_matches_dense_trapezoid(rng):
     model = init_model(data, caches)
     u = rng.normal(0.0, 1.0, model.mu.grid.count)
     comp = SgpComponent(2.3, model.mu.grid, u, model.mu.hp)
-    lat = estep_latent_rate(comp, caches["mu"])
+    lat = latent_mu(model, comp, caches)
     gm = gram(comp.grid, comp.hp)
     dense = np.linspace(0.0, 100.0, 100_001)
     f_dense = se_cross(dense, comp.grid.points, comp.hp) @ np.linalg.solve(gm.values, u)
@@ -119,7 +128,7 @@ def test_branching_first_event_is_background():
     data = build_dataset(seqs, 2.0)
     caches = build_caches(data, config)
     model = init_model(data, caches)
-    br = estep_branching(model, data, caches)
+    br = estep_branching(project(model, caches), data)
     assert br.background[0] == 1.0
 
 
@@ -134,7 +143,7 @@ def test_branching_symmetric_two_event_case():
     mu = SgpComponent(0.7, model.mu.grid, np.zeros(model.mu.grid.count), model.mu.hp)
     phi = SgpComponent(0.7, model.phi.grid, np.zeros(model.phi.grid.count), model.phi.hp)
     model = EmModel(mu=mu, phi=phi, T=10.0, T_phi=2.0)
-    br = estep_branching(model, data, caches)
+    br = estep_branching(project(model, caches), data)
     assert br.background[1] == pytest.approx(0.5, abs=1e-15)
     assert br.parent[0] == pytest.approx(0.5, abs=1e-15)
 
@@ -146,7 +155,7 @@ def test_branching_matches_bruteforce_enumeration(rng):
     seqs = [EventSequence(times, 10.0)]
     config = FitConfig(T=10.0, T_phi=2.0, S_mu=5, S_phi=5)
     model, data, caches = em_state(seqs, config, n_iter=3)
-    br = estep_branching(model, data, caches)
+    br = estep_branching(project(model, caches), data)
 
     def dense_eval(comp, x):
         k_x = se_cross(np.asarray(x), comp.grid.points, comp.hp)
@@ -177,11 +186,8 @@ def test_mstep_background_rate_closed_form():
     caches = build_caches(data, config)
     model = init_model(data, caches)
     lam0 = model.mu.lambda_star
-    pg = estep_pg(model, data, caches)
-    lat_mu = estep_latent_rate(model.mu, caches["mu"])
-    lat_phi = estep_latent_rate(model.phi, caches["phi"])
-    br = estep_branching(model, data, caches)
-    new = mstep(model, data, caches, pg, {"mu": lat_mu, "phi": lat_phi}, br)
+    pg, lat, br = estep(model, data, caches)
+    new = mstep(model, data, caches, pg, lat, br)
     want = (4.0 + lam0 * 50.0) / 100.0
     assert new.mu.lambda_star == pytest.approx(want, rel=1e-12)
 
@@ -193,11 +199,8 @@ def test_mstep_zero_events_keeps_zero_coefficients():
     caches = build_caches(data, config)
     model = init_model(data, caches)
     lam0 = model.mu.lambda_star
-    pg = estep_pg(model, data, caches)
-    lat_mu = estep_latent_rate(model.mu, caches["mu"])
-    lat_phi = estep_latent_rate(model.phi, caches["phi"])
-    br = estep_branching(model, data, caches)
-    new = mstep(model, data, caches, pg, {"mu": lat_mu, "phi": lat_phi}, br)
+    pg, lat, br = estep(model, data, caches)
+    new = mstep(model, data, caches, pg, lat, br)
     # the right-hand side is not identically zero: the thinned-point linear
     # term -1/2 int Lambda k survives, but it scales with the empty-data
     # initialization lambda* ~ 1e-8, so the coefficients stay at that level
@@ -213,11 +216,8 @@ def test_mstep_matches_dense_assembly_small_grid(rng):
     seqs = [EventSequence(times, 10.0)]
     config = FitConfig(T=10.0, T_phi=2.0, S_mu=2, S_phi=2)
     model, data, caches = em_state(seqs, config, n_iter=2)
-    pg = estep_pg(model, data, caches)
-    lat_mu = estep_latent_rate(model.mu, caches["mu"])
-    lat_phi = estep_latent_rate(model.phi, caches["phi"])
-    br = estep_branching(model, data, caches)
-    new = mstep(model, data, caches, pg, {"mu": lat_mu, "phi": lat_phi}, br)
+    pg, lat, br = estep(model, data, caches)
+    new = mstep(model, data, caches, pg, lat, br)
 
     cache = caches["mu"]
     hp, grid = cache.hp, cache.grid
@@ -228,8 +228,8 @@ def test_mstep_matches_dense_assembly_small_grid(rng):
     pg_q = np.where(
         np.abs(f_q) < 1e-4, 0.25 - f_q**2 / 48.0, np.tanh(f_q / 2.0) / (2.0 * f_q)
     )
-    a_q = lat_mu.first_moment  # lambda* sigma(-f) E[omega| tilted]
-    b_q = -0.5 * lat_mu.marginal
+    a_q = lat["mu"].first_moment  # lambda* sigma(-f) E[omega| tilted]
+    b_q = -0.5 * lat["mu"].marginal
     u_dense = np.zeros((2, 2))
     c_dense = np.zeros(2)
     for a, b, x in zip(a_pt, b_pt, data.events):
@@ -353,9 +353,9 @@ def test_model_rates_support_mask(small_case1_seqs, small_config):
     assert np.all(rates.mu(np.linspace(0, 100, 50)) > 0.0)
 
 
-def test_component_function_preserves_input_shape(small_case1_seqs, small_config, rng):
+def test_component_rate_preserves_input_shape(small_case1_seqs, small_config, rng):
     model, _ = fit_em(small_case1_seqs, small_config)
-    fn = component_function(model.phi)
+    fn = model.phi.rate()
     arr = rng.uniform(0.0, 6.0, (4, 5))
     out = fn(arr)
     assert out.shape == (4, 5)

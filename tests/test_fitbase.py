@@ -9,6 +9,7 @@ from scipy.optimize import minimize
 from sgp_hawkes import FitConfig, case2_rates, fit_em, fit_vi, simulate_thinning
 from sgp_hawkes import fitbase
 from sgp_hawkes.fitbase import (
+    ComponentCache,
     ComponentStats,
     _compact_stats,
     _profile_objective,
@@ -16,6 +17,7 @@ from sgp_hawkes.fitbase import (
     assemble_system,
     auto_theta,
     build_dataset,
+    gaussian_update,
     normalize_branching,
     relative_change,
     search_theta,
@@ -246,6 +248,33 @@ def test_gaussian_update_matches_dense_assembly(rng):
     solve = np.linalg.solve(u_dense + gm.values, np.eye(2))
     np.testing.assert_allclose(mean, gm.values @ solve @ c_dense, rtol=0, atol=1e-8)
     np.testing.assert_allclose(cov, gm.values @ solve @ gm.values, rtol=0, atol=1e-8)
+
+
+@st.composite
+def pair_statistics(draw):
+    """(lags, PG-weighted and halved responsibilities, a permutation) of up to 40 admissible pairs."""
+    n = draw(st.integers(1, 40))
+    lags = np.array(draw(st.lists(st.floats(1e-6, 3.0), min_size=n, max_size=n)))
+    a = np.array(draw(st.lists(st.floats(0.0, 0.25), min_size=n, max_size=n)))
+    b = np.array(draw(st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n)))
+    return lags, a, b, np.array(draw(st.permutations(range(n))))
+
+
+@given(pair_statistics())
+def test_gaussian_update_ignores_the_order_of_pairs(drawn):
+    """Permuting the admissible pairs leaves the trigger update (mean, cov) unchanged to 1e-12."""
+    lags, a, b, perm = drawn
+    grid = uniform_inducing_grid(6, 3.0)
+    hp = KernelHyperparams(1.0, 1.0 / grid.spacing**2)
+    quad = gauss_legendre(12, 0.0, 3.0)
+
+    def update(order):
+        cache = ComponentCache.build(lags[order], grid, hp, quad)
+        stats = ComponentStats(lags[order], a[order], b[order], quad, np.full(12, 0.1), np.full(12, -0.2), 3.0)
+        return gaussian_update(stats, cache)
+
+    (mean, cov), (mean_p, cov_p) = update(np.arange(lags.size)), update(perm)
+    assert max(np.max(np.abs(mean_p - mean)), np.max(np.abs(cov_p - cov))) <= 1e-12
 
 
 def test_search_theta_respects_bounds_and_contract(rng):

@@ -5,11 +5,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sgp_hawkes import FitConfig, fit_em, fit_vi, rescale, simulate_thinning
-from sgp_hawkes.em import EmModel, SgpComponent, model_rates as em_rates
+from sgp_hawkes.em import EmModel, SgpComponent
 from sgp_hawkes.evaluation import test_ll as held_out_ll
-from sgp_hawkes.fitbase import FitReport
+from sgp_hawkes.fitbase import FitReport, model_rates
 from sgp_hawkes.kernels import InducingGrid, KernelHyperparams, gram, uniform_inducing_grid
 from sgp_hawkes.mle import ExpHawkesParams, model_rates as mle_rates
 from sgp_hawkes.process import CASE_T, CASE_T_PHI, case1_rates, case2_rates
@@ -25,7 +27,7 @@ from sgp_hawkes.serialize import (
     save_json,
     save_model,
 )
-from sgp_hawkes.vi import GammaFactor, GaussianFactor, ViComponent, ViModel, model_rates as vi_rates
+from sgp_hawkes.vi import GammaFactor, GaussianFactor, ViComponent, ViModel
 
 AWKWARD_FLOATS = [
     np.pi,
@@ -109,8 +111,8 @@ def test_em_model_round_trip(tmp_path, rng):
     assert back.phi.hp.theta1 == model.phi.hp.theta1
     t = np.linspace(0.0, 20.0, 61)
     x = np.linspace(0.0, 4.0, 41)
-    np.testing.assert_array_equal(em_rates(back).mu(t), em_rates(model).mu(t))
-    np.testing.assert_array_equal(em_rates(back).phi(x), em_rates(model).phi(x))
+    np.testing.assert_array_equal(model_rates(back).mu(t), model_rates(model).mu(t))
+    np.testing.assert_array_equal(model_rates(back).phi(x), model_rates(model).phi(x))
 
 
 def vi_model_fixture(rng):
@@ -133,7 +135,62 @@ def test_vi_model_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(back.phi.gp.cov, model.phi.gp.cov)
     assert back.mu.lam.alpha == 3.2 and back.phi.lam.beta == 1.1
     t = np.linspace(0.0, 15.0, 31)
-    np.testing.assert_array_equal(vi_rates(back).mu(t), vi_rates(model).mu(t))
+    np.testing.assert_array_equal(model_rates(back).mu(t), model_rates(model).mu(t))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def any_model(draw):
+    """Any valid EM, VI or exponential-MLE model, its floats drawn from the whole double range."""
+    method = draw(st.sampled_from(["em", "vi", "mle"]))
+    if method == "mle":
+        non_negative = st.floats(min_value=0.0, allow_infinity=False)
+        return ExpHawkesParams(draw(non_negative), draw(non_negative), draw(POSITIVE))
+    windows = {"mu": draw(POSITIVE), "phi": draw(POSITIVE)}
+    comps = {}
+    for name, domain in windows.items():
+        points = np.unique(draw(st.lists(st.floats(0.0, domain), min_size=1, max_size=4)))
+        grid, hp = InducingGrid(points, domain), KernelHyperparams(draw(POSITIVE), draw(POSITIVE))
+        values = np.array(draw(st.lists(FINITE, min_size=points.size, max_size=points.size)))
+        if method == "em":
+            comps[name] = SgpComponent(draw(FINITE), grid, values, hp)
+        else:
+            cov = np.array(draw(st.lists(FINITE, min_size=points.size**2, max_size=points.size**2)))
+            gp = GaussianFactor(values, cov.reshape(points.size, points.size))
+            comps[name] = ViComponent(gp, GammaFactor(draw(POSITIVE), draw(POSITIVE)), grid, hp)
+    return (EmModel if method == "em" else ViModel)(**comps, T=windows["mu"], T_phi=windows["phi"])
+
+
+def float_bits(d: dict) -> np.ndarray:
+    """Every number of a model dict, in order, as the raw bits of its float64."""
+    flat = []
+    for value in d.values():
+        if isinstance(value, dict):
+            flat += float_bits(value).tolist()
+        elif not isinstance(value, str):
+            flat += np.ravel(np.asarray(value, dtype=float)).view(np.int64).tolist()
+    return np.array(flat, dtype=np.int64)
+
+
+NEGATIVE_ZEROS = SgpComponent(-0.0, InducingGrid(np.array([0.0, 1.0]), 1.0), np.array([-0.0, 0.0]), KernelHyperparams(1.0, 1.0))
+
+
+@given(any_model())
+@example(EmModel(mu=NEGATIVE_ZEROS, phi=NEGATIVE_ZEROS, T=1.0, T_phi=1.0))
+def test_any_model_round_trips_byte_for_byte(tmp_path_factory, model):
+    """save_model -> load_model gives the same type and the same float64 bits,
+    signs of zeros included, and saving the loaded model writes the same bytes."""
+    path = tmp_path_factory.getbasetemp() / "round-trip.json"
+    save_model(path, model)
+    written = path.read_bytes()
+    back = load_model(path)
+    assert type(back) is type(model)
+    np.testing.assert_array_equal(float_bits(model_to_dict(back)), float_bits(model_to_dict(model)))
+    save_model(path, back)
+    assert path.read_bytes() == written
 
 
 def test_mle_round_trip_and_rates_guard(tmp_path):
@@ -163,7 +220,7 @@ def test_rates_for_eval_tables_match_exact_adapters(preset, fit, quadrature_anti
     truth = preset()
     train = [simulate_thinning(truth, CASE_T, seed=s) for s in range(3)]
     model, _ = fit(train, FitConfig(T=CASE_T, T_phi=CASE_T_PHI, max_iter=40))
-    exact = quadrature_antiderivatives((em_rates if fit is fit_em else vi_rates)(model))
+    exact = quadrature_antiderivatives(model_rates(model))
     table = rates_for_eval(model)
     quad = gauss_legendre(200, 0.0, CASE_T)
     for s in range(900, 903):
@@ -194,7 +251,7 @@ def test_rate_tables_of_stress_models(model):
     start = time.perf_counter()
     table = rates_for_eval(model)
     assert time.perf_counter() - start < 1.0
-    exact = em_rates(model)
+    exact = model_rates(model)
     for name, x in (("mu", np.linspace(0.0, CASE_T, 200_001)), ("phi", np.linspace(1e-9, CASE_T_PHI, 200_001))):
         want, got = getattr(exact, name)(x), getattr(table, name)(x)
         assert np.all(got >= 0.0)

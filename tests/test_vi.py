@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from scipy.special import digamma, expit, gammaln, log_expit
 
 from sgp_hawkes import FitConfig, case1_rates, case2_rates, fit_em, fit_vi, simulate_thinning
-from sgp_hawkes.em import estep_branching, init_model
-from sgp_hawkes.em import model_rates as em_model_rates
-from sgp_hawkes.fitbase import COMPONENTS, LatentRate, build_caches, build_dataset, run_sweeps
+from sgp_hawkes.em import EmModel, SgpComponent, estep_branching, estep_latent_rate, estep_pg
+from sgp_hawkes.em import project as em_project
+from sgp_hawkes.fitbase import COMPONENTS, LatentRate, build_caches, build_dataset, model_rates, run_sweeps
 from sgp_hawkes.kernels import gram, se_cross
 from sgp_hawkes.process import EventSequence
 from sgp_hawkes.quadrature import expected_log_sigmoid
@@ -21,14 +21,11 @@ from sgp_hawkes.vi import (
     GaussianFactor,
     ViModel,
     init_vi_model,
-    model_rates,
     posterior_bands,
-    vi_branching_update,
+    project,
     vi_gp_update,
     vi_lambda_update,
     vi_monitor,
-    vi_pg_update,
-    vi_poisson_update,
 )
 from sgp_hawkes.vi import _log_sigmoid_bound, _ViEngine
 
@@ -41,6 +38,20 @@ def vi_state(seqs, config, n_sweeps=4):
     caches = build_caches(data, config)
     model, _ = fit_vi(seqs, replace(config, max_iter=n_sweeps, tol=0.0))
     return model, data, caches
+
+
+def vi_estep(model, data, caches):
+    """(PG weights, thinned-point rates, responsibilities) of one E-step at the factors."""
+    links, _ = project(model, caches)
+    rates = {n: estep_latent_rate(links[n], caches[n]) for n in COMPONENTS}
+    return estep_pg(links), rates, estep_branching(links, data)
+
+
+def monitor(model, branching, data, caches):
+    """The VI monitor at ``branching`` and the factors' own thinned-point rates and bounds."""
+    links, bounds = project(model, caches)
+    rates = {n: estep_latent_rate(links[n], caches[n]) for n in COMPONENTS}
+    return vi_monitor(model, branching, rates, bounds, data, caches)
 
 
 def collapsed(comp, mean=None, **changes):
@@ -64,7 +75,6 @@ def test_gamma_factor_moments():
     g = GammaFactor(1.0, 1.0)
     assert g.mean() == 1.0
     assert abs(g.mean_log() - (-EULER_GAMMA)) < 1e-10
-    assert abs(g.geometric_mean() - np.exp(-EULER_GAMMA)) < 1e-10
     h = GammaFactor(3.0, 2.0)
     assert h.mean() == 1.5
     assert h.mean_log() == pytest.approx(digamma(3.0) - np.log(2.0), abs=1e-14)
@@ -80,8 +90,8 @@ def test_gamma_factor_validation():
 def test_tilt_closed_forms(state):
     model, data, caches = state
     zero = ViModel(mu=collapsed(model.mu), phi=collapsed(model.phi), T=model.T, T_phi=model.T_phi)
-    tilts = vi_pg_update(zero, data, caches)
-    np.testing.assert_allclose(tilts["mu"], 0.0, atol=1e-148)
+    links, _ = project(zero, caches)
+    np.testing.assert_allclose(links["mu"][1], 0.0, atol=1e-148)
     # mean 3, variance 4 -> tilt sqrt(13); build via a carefully scaled factor
     assert np.hypot(3.0, 2.0) == pytest.approx(np.sqrt(13.0), rel=1e-15)
 
@@ -89,8 +99,8 @@ def test_tilt_closed_forms(state):
 def test_poisson_rate_flat_state(state):
     model, data, caches = state
     flat = replace(model, mu=collapsed(model.mu))
-    rates = vi_poisson_update(flat, caches)
-    lam_geo = flat.mu.lam.geometric_mean()
+    rates = vi_estep(flat, data, caches)[1]
+    lam_geo = np.exp(flat.mu.lam.mean_log())
     np.testing.assert_allclose(rates["mu"].marginal, lam_geo / 2.0, rtol=1e-12)
     np.testing.assert_allclose(rates["mu"].mass, lam_geo / 2.0 * model.T, rtol=1e-12)
 
@@ -106,7 +116,7 @@ def test_poisson_rate_decreases_with_variance(state):
     masses = []
     for scale in (1e-12, 0.25, 1.0, 4.0):
         m = replace(model, mu=replace(model.mu, gp=GaussianFactor(np.zeros(ngrid), scale * gm.values)))
-        masses.append(vi_poisson_update(m, caches)["mu"].mass)
+        masses.append(vi_estep(m, data, caches)[1]["mu"].mass)
     assert np.all(np.diff(masses) < 0)
     # direct scan of the scalar factor
     c = np.linspace(0.0, 6.0, 100)
@@ -117,7 +127,7 @@ def test_poisson_rate_decreases_with_variance(state):
 def test_poisson_rate_gamma_one_one(state):
     model, data, caches = state
     m = replace(model, mu=collapsed(model.mu, lam=GammaFactor(1.0, 1.0)))
-    rates = vi_poisson_update(m, caches)
+    rates = vi_estep(m, data, caches)[1]
     want = np.exp(-EULER_GAMMA) / 2.0
     np.testing.assert_allclose(rates["mu"].marginal, want, atol=1e-10)
 
@@ -147,7 +157,7 @@ def test_lambda_update_all_background(uniform_branching):
     # which drives its geometric mean (and hence the trigger rate) to zero
     assert lam_phi.alpha == pytest.approx(1e-12)
     assert lam_phi.beta == pytest.approx(5.0)
-    assert lam_phi.geometric_mean() == 0.0
+    assert np.exp(lam_phi.mean_log()) == 0.0
 
 
 def test_gp_update_prior_recovery(state, uniform_branching):
@@ -156,7 +166,7 @@ def test_gp_update_prior_recovery(state, uniform_branching):
     empty_caches = build_caches(
         empty_data, FitConfig(T=model.T, T_phi=model.T_phi, hyper_refresh_every=0)
     )
-    tilts = {"mu": np.zeros(0), "phi": np.zeros(0)}
+    pg = {"mu": np.zeros(0), "phi": np.zeros(0)}
     branching = uniform_branching(empty_data)
     nq = empty_caches["mu"].quad.nodes.size
     nq_phi = empty_caches["phi"].quad.nodes.size
@@ -164,7 +174,7 @@ def test_gp_update_prior_recovery(state, uniform_branching):
         "mu": LatentRate(np.zeros(nq), np.zeros(nq), 0.0),
         "phi": LatentRate(np.zeros(nq_phi), np.zeros(nq_phi), 0.0),
     }
-    gp_mu = vi_gp_update(tilts, branching, rates, empty_data, empty_caches)["mu"]
+    gp_mu = vi_gp_update(pg, branching, rates, empty_data, empty_caches)["mu"]
     np.testing.assert_allclose(gp_mu.mean, 0.0, atol=1e-13)
     np.testing.assert_allclose(gp_mu.cov, empty_caches["mu"].gm.values, atol=1e-9)
 
@@ -176,10 +186,9 @@ def test_gp_update_matches_dense_assembly(rng):
     seqs = [EventSequence(times, 10.0)]
     config = FitConfig(T=10.0, T_phi=2.0, S_mu=2, S_phi=2, hyper_refresh_every=0)
     model, data, caches = vi_state(seqs, config, n_sweeps=3)
-    tilts = vi_pg_update(model, data, caches)
-    branching = vi_branching_update(model, data, caches)
-    rates = vi_poisson_update(model, caches)
-    gp_mu = vi_gp_update(tilts, branching, rates, data, caches)["mu"]
+    tilts = project(model, caches)[0]["mu"][1]
+    pg, rates, branching = vi_estep(model, data, caches)
+    gp_mu = vi_gp_update(pg, branching, rates, data, caches)["mu"]
 
     cache = caches["mu"]
 
@@ -187,7 +196,7 @@ def test_gp_update_matches_dense_assembly(rng):
         c = np.asarray(c, dtype=float)
         return np.where(np.abs(c) < 1e-4, 0.25 - c * c / 48.0, np.tanh(c / 2.0) / (2.0 * c))
 
-    a_pt = pg_of(tilts["mu"]) * branching.background
+    a_pt = pg_of(tilts) * branching.background
     b_pt = 0.5 * branching.background
     a_q = rates["mu"].first_moment
     b_q = -0.5 * rates["mu"].marginal
@@ -211,10 +220,8 @@ def test_gp_update_contracts_prior_covariance(state):
     """Adding a PSD term to the precision can only shrink the covariance:
     eigenvalues of K - cov must be >= -1e-8."""
     model, data, caches = state
-    tilts = vi_pg_update(model, data, caches)
-    branching = vi_branching_update(model, data, caches)
-    rates = vi_poisson_update(model, caches)
-    gps = vi_gp_update(tilts, branching, rates, data, caches)
+    pg, rates, branching = vi_estep(model, data, caches)
+    gps = vi_gp_update(pg, branching, rates, data, caches)
     for factor, cache in ((gps["mu"], caches["mu"]), (gps["phi"], caches["phi"])):
         gap = cache.gm.values - factor.cov
         eigs = np.linalg.eigvalsh(0.5 * (gap + gap.T))
@@ -223,7 +230,7 @@ def test_gp_update_contracts_prior_covariance(state):
 
 def test_branching_first_event_background_one(state):
     model, data, caches = state
-    br = vi_branching_update(model, data, caches)
+    br = vi_estep(model, data, caches)[2]
     assert br.background[0] == 1.0
     np.testing.assert_allclose(br.row_sums(), 1.0, atol=1e-13)
 
@@ -239,55 +246,49 @@ def test_branching_symmetric_two_event_toy():
         mu=collapsed(model.mu, lam=GammaFactor(40.0, 10.0)),
         phi=collapsed(model.phi, lam=GammaFactor(40.0, 10.0)),
     )
-    br = vi_branching_update(sym, data, caches)
+    br = vi_estep(sym, data, caches)[2]
     assert br.background[1] == pytest.approx(0.5, abs=1e-12)
     assert br.parent[0] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_branching_degenerate_variance_matches_em(state):
-    """With huge Gamma shapes (geometric mean -> mean) and collapsed GP
-    covariance the variational responsibilities coincide with EM's."""
+def test_estep_degenerate_variance_matches_em(state):
+    """EM is the zero-variance case of VI: at cov = 1e-12 K and Gamma(1e12, 1e12 / lambda_hat)
+    factors, the VI link gives EM's PG weights, thinned-point rates and masses, and
+    responsibilities at (lambda_hat, mean) to 1e-8."""
     model, data, caches = state
-    lam_mu_hat = 1.1
-    lam_phi_hat = 0.6
+    lam_hat = {"mu": 1.1, "phi": 0.6}
     big = 1e12
-    degenerate = replace(
-        model,
-        mu=collapsed(model.mu, model.mu.gp.mean, lam=GammaFactor(big, big / lam_mu_hat)),
-        phi=collapsed(model.phi, model.phi.gp.mean, lam=GammaFactor(big, big / lam_phi_hat)),
-    )
-    br_vi = vi_branching_update(degenerate, data, caches)
-
-    em_model = init_model(data, caches)
-    from sgp_hawkes.em import EmModel, SgpComponent
-
-    em_point = EmModel(
-        mu=SgpComponent(lam_mu_hat, model.mu.grid, model.mu.gp.mean, model.mu.hp),
-        phi=SgpComponent(lam_phi_hat, model.phi.grid, model.phi.gp.mean, model.phi.hp),
-        T=model.T,
-        T_phi=model.T_phi,
-    )
-    br_em = estep_branching(em_point, data, caches)
-    np.testing.assert_allclose(br_vi.background, br_em.background, atol=1e-8)
-    np.testing.assert_allclose(br_vi.parent, br_em.parent, atol=1e-8)
+    degenerate, points = model, {}
+    for n in COMPONENTS:
+        comp = getattr(model, n)
+        gp = GaussianFactor(comp.gp.mean, 1e-12 * caches[n].gm.values)
+        degenerate = replace(degenerate, **{n: replace(comp, gp=gp, lam=GammaFactor(big, big / lam_hat[n]))})
+        points[n] = SgpComponent(lam_hat[n], comp.grid, comp.gp.mean, comp.hp)
+    pg_vi, rates_vi, br_vi = vi_estep(degenerate, data, caches)
+    em_links = em_project(EmModel(**points, T=model.T, T_phi=model.T_phi), caches)
+    pg_em, br_em = estep_pg(em_links), estep_branching(em_links, data)
+    for n in COMPONENTS:
+        rates_em = estep_latent_rate(em_links[n], caches[n])
+        np.testing.assert_allclose(pg_vi[n], pg_em[n], rtol=0, atol=1e-8)
+        np.testing.assert_allclose(rates_vi[n].marginal, rates_em.marginal, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(rates_vi[n].first_moment, rates_em.first_moment, rtol=0, atol=1e-8)
+        assert abs(rates_vi[n].mass - rates_em.mass) <= 1e-8
+    np.testing.assert_allclose(br_vi.background, br_em.background, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(br_vi.parent, br_em.parent, rtol=0, atol=1e-8)
 
 
 def test_single_updates_are_idempotent(state):
     """Re-running any coordinate update with unchanged neighbors must return
     the same factor (difference below 1e-12)."""
     model, data, caches = state
-    t1 = vi_pg_update(model, data, caches)
-    t2 = vi_pg_update(model, data, caches)
+    t1, r1, b1 = vi_estep(model, data, caches)
+    t2, r2, b2 = vi_estep(model, data, caches)
     assert np.max(np.abs(t1["mu"] - t2["mu"])) <= 1e-12
     assert np.max(np.abs(t1["phi"] - t2["phi"])) <= 1e-12
 
-    r1 = vi_poisson_update(model, caches)
-    r2 = vi_poisson_update(model, caches)
     assert abs(r1["mu"].mass - r2["mu"].mass) <= 1e-12
     assert np.max(np.abs(r1["phi"].marginal - r2["phi"].marginal)) <= 1e-12
 
-    b1 = vi_branching_update(model, data, caches)
-    b2 = vi_branching_update(model, data, caches)
     assert np.max(np.abs(b1.background - b2.background)) <= 1e-12
     assert np.max(np.abs(b1.parent - b2.parent)) <= 1e-12
 
@@ -338,8 +339,8 @@ def test_monitor_does_not_fall_at_a_theta_refresh(preset):
 
 def test_monitor_evaluates_finite(state):
     model, data, caches = state
-    branching = vi_branching_update(model, data, caches)
-    value = vi_monitor(model, branching, data, caches)
+    branching = vi_estep(model, data, caches)[2]
+    value = monitor(model, branching, data, caches)
     assert np.isfinite(value)
 
 
@@ -399,14 +400,14 @@ def test_monitor_matches_brute_force_augmented_elbo(rng):
     config = FitConfig(T=10.0, T_phi=2.0, S_mu=2, S_phi=2, hyper_refresh_every=0)
     model, data, caches = vi_state([EventSequence(times, 10.0)], config, n_sweeps=3)
     assert data.n_pairs > 0
-    fitted = vi_branching_update(model, data, caches)
+    fitted = vi_estep(model, data, caches)[2]
     bg, pair = rng.uniform(0.1, 1.0, data.n_events), rng.uniform(0.0, 1.0, data.n_pairs)
     denom = bg.copy()
     for k, i in enumerate(data.child):
         denom[i] += pair[k]
     random = replace(fitted, background=bg / denom, parent=pair / denom[data.child])
     for branching in (fitted, random):
-        got = vi_monitor(model, branching, data, caches)
+        got = monitor(model, branching, data, caches)
         want = brute_force_elbo(model, data, caches, branching.background, branching.parent)
         assert got == pytest.approx(want, rel=1e-10, abs=0)
 
@@ -456,7 +457,7 @@ def test_fix_variance_trajectory_tracks_em(small_case1_seqs):
         cfg = dict(T=100.0, T_phi=6.0, max_iter=k, tol=0.0, hyper_refresh_every=0)
         em_model, _ = fit_em(small_case1_seqs, FitConfig(**cfg))
         vi_model, _ = run_sweeps(_PinnedCovariance(), small_case1_seqs, FitConfig(**cfg))
-        em_mu = em_model_rates(em_model).mu(grid)
+        em_mu = model_rates(em_model).mu(grid)
         vi_mu = model_rates(vi_model).mu(grid)
         rel = np.max(np.abs(vi_mu - em_mu) / np.maximum(np.abs(em_mu), 1e-12))
         assert rel < 0.05
