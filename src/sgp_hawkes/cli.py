@@ -253,9 +253,12 @@ def cmd_eval(args) -> int:
     manifest, seqs = _load_split(Path(config["data"]), config.get("split", "test"))
     if not seqs:
         raise CliError(f"no holdout sequences found in {config['data']}")
+    t_window, t_phi = float(manifest["T"]), float(manifest["T_phi"])
+    model_window = getattr(model, "T", None)  # EM/VI rates exist only on [0, T]; the MLE's everywhere
+    if model_window is not None and t_window > model_window:
+        raise CliError(f"holdout window T={t_window:g} is longer than the model's window T={model_window:g}")
     out = _out_dir(args)
     _echo_config(out, "eval", config)
-    t_window, t_phi = float(manifest["T"]), float(manifest["T_phi"])
     rates = rates_for_eval(model, t_phi=t_window)
 
     lls = [test_ll(rates, s) for s in seqs]

@@ -7,10 +7,11 @@ and then maximizes the expected complete-data objective jointly over the
 rate bounds lambda* and the inducing values u of both components, with the
 RKHS penalty 0.5 u^T K^{-1} u per component.
 
-This E-step is the only one: ``estep_pg``, ``estep_latent_rate`` and
-``estep_branching`` read just each component's link (numerators and PG tilt at
-its data points, thinned-point rate and tilt at its quadrature nodes), which
-``project`` builds from the point estimate and vi.project from q(f).
+The sweep is fitbase.run_sweeps, shared with VI. EM supplies its link
+(``project``, from the point estimate), its penalized log posterior and the
+install of an M-step update: lambda* = count / exposure and u = mean, the
+point maximizer. The E-step and M-step functions named here (``estep_pg``,
+``estep_latent_rate``, ``estep_branching``, ``mstep``) are fitbase's, re-exported.
 
 Multi-sequence input is treated as i.i.d. replicate windows: Dirac statistics
 pool over all sequences, continuous statistics scale with the number of
@@ -26,23 +27,18 @@ import numpy as np
 
 from .fitbase import (
     COMPONENTS,
-    BranchingPosterior,
     ComponentCache,
     Dataset,
     FitConfig,
     FitReport,
-    LatentRate,
-    assemble_system,  # noqa: F401  re-export; perfbench's tracing test rebinds it here
     component_rate,
-    component_stats,
-    gaussian_update,
     model_rates,
-    normalize_branching,
-    rate_bound_counts,
     run_sweeps,
 )
-from .kernels import InducingGrid, KernelHyperparams, gram
-from .pg import pg_mean, sigmoid
+# re-exports: perfbench pins the E-step and M-step here and rebinds assemble_system
+from .fitbase import assemble_system, estep_branching, estep_latent_rate, estep_pg, mstep  # noqa: F401
+from .kernels import GramMatrix, InducingGrid, KernelHyperparams
+from .pg import sigmoid
 from .process import EventSequence
 
 
@@ -89,58 +85,22 @@ def project(model: EmModel, caches: dict[str, ComponentCache]) -> dict[str, tupl
     return links
 
 
-def estep_pg(links: dict[str, tuple]) -> dict[str, np.ndarray]:
-    """PG means E[omega] = tanh(c/2) / (2c) at each component's data points, c the tilt there."""
-    return {n: pg_mean(1.0, links[n][1]) for n in COMPONENTS}
-
-
-def estep_latent_rate(link: tuple, cache: ComponentCache) -> LatentRate:
-    """Omega-marginalized rate of one component's latent thinned process on its quadrature grid."""
-    _, _, rate, tilt = link
-    return LatentRate(marginal=rate, first_moment=rate * pg_mean(1.0, tilt), mass=float(cache.quad.weights @ rate))
-
-
-def estep_branching(links: dict[str, tuple], data: Dataset) -> BranchingPosterior:
-    """Responsibilities p(own background) / p(parent j) from the link numerators."""
-    return normalize_branching(links["mu"][0], links["phi"][0], data.child, data.n_events)
-
-
-def mstep(
-    model: EmModel,
-    data: Dataset,
-    caches: dict[str, ComponentCache],
-    pg: dict[str, np.ndarray],
-    lat: dict[str, LatentRate],
-    branching: BranchingPosterior,
-) -> EmModel:
-    """Joint maximizer of the expected augmented objective over (lambda*, u)."""
-    updated = {}
-    for name, stats in component_stats(data, caches, branching, pg, lat).items():
-        count, exposure = rate_bound_counts(data, name, branching, lat[name].mass)
-        u, _ = gaussian_update(stats, caches[name])
-        updated[name] = replace(getattr(model, name), lambda_star=max(count / exposure, 1e-300), u=u)
-    return replace(model, **updated)
-
-
-def penalty(comp: SgpComponent, gm=None) -> float:
+def penalty(comp: SgpComponent, gm: GramMatrix) -> float:
     """RKHS penalty 0.5 u^T K^{-1} u of one component."""
-    gm = gram(comp.grid, comp.hp) if gm is None else gm
     half = gm.half_solve(comp.u)
     return 0.5 * float(half @ half)
 
 
 class _EmEngine:
-    """The EM pieces of the shared sweep driver (see fitbase.run_sweeps)."""
+    """EM's hooks of the shared sweep (see fitbase.run_sweeps)."""
 
     kind, label = "em", "EM objective"
+    init = staticmethod(init_model)
+    project = staticmethod(project)
 
-    def init(self, data, caches, config):
-        return init_model(data, caches)
-
-    def observe(self, model, data, caches, config):
-        """The E-step links of ``model`` and, through them, the penalized log posterior
-        (untruncated trigger compensator, on the fit's quadrature grids)."""
-        links = project(model, caches)
+    def objective(self, model, links, expectations, data, caches):
+        """The penalized log posterior at ``model`` from its links (untruncated trigger
+        compensator, on the fit's quadrature grids)."""
         bg, pair = links["mu"][0], links["phi"][0]
         value = float(np.sum(np.log(bg + np.bincount(data.child, weights=pair, minlength=data.n_events))))
         compensators, penalties = [], []
@@ -151,22 +111,17 @@ class _EmEngine:
             penalties.append(penalty(comp, caches[n].gm))
         for term in compensators + penalties:
             value -= term
-        return links, value
+        return value
 
-    def sweep(self, model, links, data, caches, config):
-        pg = estep_pg(links)
-        lat = {n: estep_latent_rate(links[n], caches[n]) for n in COMPONENTS}
-        branching = estep_branching(links, data)
-        new = mstep(model, data, caches, pg, lat, branching)
-        return new, lambda: component_stats(data, caches, branching, pg, lat)
+    def install(self, model, name, hp, count, exposure, mean, cov):
+        """The point maximizer lambda* = count / exposure and u = mean; cov is dropped."""
+        comp = replace(getattr(model, name), lambda_star=max(count / exposure, 1e-300), u=mean, hp=hp)
+        return replace(model, **{name: comp})
 
     def gaussian(self, model, name):
         return getattr(model, name).u, None
 
-    def set_gaussian(self, model, name, mean, cov, cache):
-        return replace(model, **{name: replace(getattr(model, name), hp=cache.hp, u=mean)})
-
-    def estimates(self, model, grids, config):
+    def estimates(self, model, grids):
         rates = model_rates(model)
         return {f"{n}_hat": np.asarray(getattr(rates, n)(grids[n]), dtype=float) for n in COMPONENTS}
 

@@ -1,13 +1,17 @@
-"""Shared plumbing and the sweep loop of the EM and variational engines.
+"""Shared plumbing and the one sweep of the EM and variational engines.
 
 Both engines consume the same sufficient-statistic shapes: Dirac weights at
 event locations (baseline component) or pairwise lags (trigger component),
-plus weighted rate densities on a fixed quadrature grid. The Gaussian-map
-update, the posterior covariance, the sweep driver ``run_sweeps`` and the
-kernel-hyperparameter refresh are shared, so the two engines cannot drift
-apart numerically. The refresh is one M-step for both: it maximizes the
+plus weighted rate densities on a fixed quadrature grid. ``run_sweeps`` runs
+the whole sweep for both: the engine's projection into a per-component link,
+the one E-step (``estep_pg``, ``estep_latent_rate``, ``estep_branching``),
+the one M-step (``mstep``: the lambda* counts and the Gaussian update of each
+active component) and the kernel-hyperparameter refresh, which re-solves the
+Gaussian update from that sweep's statistics. The refresh maximizes the
 engine's own objective over theta with the Gaussian factor of the inducing
-values held fixed, a point mass for EM and q(u) = N(m, cov) for VI.
+values held fixed, a point mass for EM and q(u) = N(m, cov) for VI. An engine
+keeps only what tells the two apart: its link, its objective and how it
+installs an M-step update into its model.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .kernels import (
     se_cross,
     uniform_inducing_grid,
 )
+from .pg import pg_mean
 from .process import EventSequence, RateFunctions, admissible_pairs, trigger_support
 from .quadrature import QuadratureGrid, gauss_legendre
 
@@ -165,20 +170,12 @@ def build_dataset(seqs: EventSequence | Sequence[EventSequence], t_phi: float) -
 class BranchingPosterior:
     """Per-event cause distribution: background weight + flat parent weights.
 
-    ``parent[k]`` is the responsibility of the pair with child ``child[k]``;
-    entries exist only for admissible pairs (lag in (0, T_phi]), so storage
-    is O(number of admissible pairs).
+    ``parent[k]`` is the responsibility of admissible pair k (lag in
+    (0, T_phi]), so storage is O(number of admissible pairs).
     """
 
     background: np.ndarray
     parent: np.ndarray
-    child: np.ndarray
-    n_events: int
-
-    def row_sums(self) -> np.ndarray:
-        return self.background + np.bincount(
-            self.child, weights=self.parent, minlength=self.n_events
-        )
 
     def weights(self, name: str) -> np.ndarray:
         """Responsibilities at the data locations of component mu or phi."""
@@ -194,8 +191,6 @@ def normalize_branching(bg_numer, pair_numer, child, n_events) -> BranchingPoste
     return BranchingPosterior(
         background=bg_numer / denom,
         parent=pair_numer / denom[child] if pair_numer.size else pair_numer,
-        child=child,
-        n_events=n_events,
     )
 
 
@@ -276,6 +271,30 @@ class LatentRate:
     mass: float  # integral of the marginal over one window
 
 
+def estep_pg(links: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """PG means E[omega] = tanh(c/2) / (2c) at each component's data points, c the tilt there."""
+    return {n: pg_mean(1.0, links[n][1]) for n in COMPONENTS}
+
+
+def estep_latent_rate(link: tuple, cache: ComponentCache) -> LatentRate:
+    """Omega-marginalized rate of one component's latent thinned process on its quadrature grid."""
+    rate, tilt = link[2], link[3]
+    return LatentRate(marginal=rate, first_moment=rate * pg_mean(1.0, tilt), mass=float(cache.quad.weights @ rate))
+
+
+def estep_branching(links: dict[str, tuple], data: Dataset) -> BranchingPosterior:
+    """Responsibilities p(own background) / p(parent j) from the link numerators."""
+    return normalize_branching(links["mu"][0], links["phi"][0], data.child, data.n_events)
+
+
+def estep(links: dict[str, tuple], data: Dataset, caches: dict[str, ComponentCache]):
+    """The one E-step of both engines: (PG means, thinned-point rates, responsibilities)
+    from each component's link, which starts (branching numerator, PG tilt) at its
+    data points and (thinned-point rate, PG tilt) at its quadrature nodes."""
+    latent = {n: estep_latent_rate(links[n], caches[n]) for n in COMPONENTS}
+    return estep_pg(links), latent, estep_branching(links, data)
+
+
 @dataclass(frozen=True)
 class ComponentStats:
     """A/B statistics of one GP component, in assembly-ready form.
@@ -353,6 +372,17 @@ def gaussian_update(stats: ComponentStats, cache: ComponentCache):
     """(mean, cov) of one component's Gaussian-form update from its statistics."""
     u_mat, c_vec = assemble_system(stats, cache.k_points, cache.k_quad)
     return solve_gaussian_update(cache.gm, u_mat, c_vec)
+
+
+def mstep(data: Dataset, caches, pg, latent, branching) -> dict[str, tuple]:
+    """The one M-step of both engines, from the E-step's (pg, latent, branching):
+    for each active component, (statistics, count, exposure, mean, cov) with
+    (count, exposure) of its lambda* update and (mean, cov) of its Gaussian update."""
+    updates = {}
+    for name, stats in component_stats(data, caches, branching, pg, latent).items():
+        count, exposure = rate_bound_counts(data, name, branching, latent[name].mass)
+        updates[name] = (stats, count, exposure, *gaussian_update(stats, caches[name]))
+    return updates
 
 
 def _kernel_rows(stats: ComponentStats, grid: InducingGrid, hp: KernelHyperparams):
@@ -479,41 +509,46 @@ def relative_change(new: float, old: float) -> float:
 
 
 def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: FitConfig):
-    """Sweep an engine to convergence: the loop of both fit_em and fit_vi.
+    """Sweep an engine to convergence: the one sweep of both fit_em and fit_vi.
 
-    Stops when the relative objective change falls below config.tol, or after
-    config.max_iter sweeps; theta is re-searched every hyper_refresh_every
-    sweeps (0: never). The engine supplies the rest: ``kind``, ``label``,
-    ``init``; ``observe`` projects a model state once and returns (what the
-    updates need, objective); ``sweep`` returns the updated model and a builder
-    of the statistics it used; ``gaussian`` gives the factor (mean, cov) of
-    the inducing values that the theta search holds fixed (cov None for EM's
-    point estimate); ``set_gaussian`` installs an update re-solved after a
-    theta move; ``estimates`` fills the report's rates.
+    Each sweep runs the M-step from the E-step of the current model, installs
+    each component's update, refreshes theta every hyper_refresh_every sweeps
+    (0: never) and projects the new model once, for its E-step and objective.
+    It stops when the relative objective change falls below config.tol, or
+    after config.max_iter sweeps. The engine supplies ``kind``, ``label`` and
+    six hooks: ``init(data, caches)``; ``project(model, caches)``, the link of
+    each component (see ``estep``); ``objective(model, links, expectations,
+    data, caches)``, with ``expectations`` the E-step at those links;
+    ``install(model, name, hp, count, exposure, mean, cov)``, which puts one
+    component's M-step update into the model; ``gaussian(model, name)``, the
+    factor (mean, cov) of the inducing values that the theta search holds
+    fixed (cov None for EM's point estimate); and ``estimates(model, grids)``,
+    the report's rates.
     """
     t_start = time.perf_counter()
     data = build_dataset(seqs, config.T_phi)
     if abs(data.T - config.T) > 1e-9 * max(1.0, config.T):
         raise ValueError(f"config T={config.T} does not match sequence window T={data.T}")
     caches = build_caches(data, config)
-    model = engine.init(data, caches, config)
-    seen, _ = engine.observe(model, data, caches, config)
+    model = engine.init(data, caches)
+    expectations = estep(engine.project(model, caches), data, caches)
     trace: list[float] = []
     hyper_history: list[dict] = []
     warnings: list[str] = []
     converged = False
     for iteration in range(1, config.max_iter + 1):
-        model, build_stats = engine.sweep(model, seen, data, caches, config)
+        updates = mstep(data, caches, *expectations)
+        for name, (_, *update) in updates.items():
+            model = engine.install(model, name, caches[name].hp, *update)
 
         if config.hyper_refresh_every and iteration % config.hyper_refresh_every == 0:
-            stats = build_stats()
             record = {"iteration": iteration}
-            for name in data.active:
+            for name, (stats, count, exposure, _, _) in updates.items():
                 cache = caches[name]
-                hp_new, accepted = search_theta(stats[name], cache.grid, cache.hp, engine.gaussian(model, name))
+                hp_new, accepted = search_theta(stats, cache.grid, cache.hp, engine.gaussian(model, name))
                 if accepted and hp_new != cache.hp:
                     caches[name] = cache = cache.with_hp(hp_new)
-                    model = engine.set_gaussian(model, name, *gaussian_update(stats[name], cache), cache)
+                    model = engine.install(model, name, cache.hp, count, exposure, *gaussian_update(stats, cache))
                 record[name] = {
                     "theta0": cache.hp.theta0,
                     "theta1": cache.hp.theta1,
@@ -531,7 +566,9 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
                         )
             hyper_history.append(record)
 
-        seen, objective = engine.observe(model, data, caches, config)
+        links = engine.project(model, caches)
+        expectations = estep(links, data, caches)
+        objective = engine.objective(model, links, expectations, data, caches)
         if not np.isfinite(objective):
             raise FloatingPointError(f"{engine.label} became non-finite at iteration {iteration}")
         trace.append(objective)
@@ -550,5 +587,5 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
         warnings=warnings,
         grid_mu=grids["mu"],
         grid_phi=grids["phi"],
-        **engine.estimates(model, grids, config),
+        **engine.estimates(model, grids),
     )

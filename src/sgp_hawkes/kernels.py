@@ -107,7 +107,6 @@ class GramMatrix:
     """Jittered inducing-point Gram matrix with its lower Cholesky factor."""
 
     values: np.ndarray
-    jitter: float
     chol: np.ndarray = field(repr=False)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -142,7 +141,7 @@ def gram(grid: InducingGrid, hp: KernelHyperparams, jitter: float | None = None)
             f"kernel Gram matrix is not positive definite: pivot {pivot:.3e} "
             f"at index {idx} (jitter={jitter:.3e}); increase jitter or adjust theta"
         ) from None
-    return GramMatrix(values=values, jitter=float(jitter), chol=chol)
+    return GramMatrix(values=values, chol=chol)
 
 
 def gp_projector(gm: GramMatrix, mean: np.ndarray, cov: np.ndarray | None = None):

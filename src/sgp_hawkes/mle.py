@@ -22,6 +22,7 @@ from .fitbase import FitReport
 from .process import EventSequence, RateFunctions, trigger_support
 
 _BOUNDS = ((1e-8, 1e4), (1e-8, 0.999), (1e-4, 1e3))  # mu, rho, beta
+_EVAL_GRID = 200  # points of the report's mu and phi grids
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,6 @@ class ExpHawkesParams:
                 raise ValueError(f"{name} must be finite and non-negative, got {v}")
         if self.beta == 0.0:
             raise ValueError("beta must be positive")
-
-    @property
-    def branching_ratio(self) -> float:
-        return self.alpha / self.beta
 
 
 def _window_nll_grad(mu: float, alpha: float, beta: float, times: np.ndarray, t0: float, t1: float):
@@ -137,7 +134,6 @@ def _total_nll_grad(x: np.ndarray, seqs: Sequence[EventSequence]):
 def fit_mle(
     seqs: EventSequence | Sequence[EventSequence],
     t_phi_report: float | None = None,
-    eval_grid: int = 200,
 ) -> tuple[ExpHawkesParams, FitReport]:
     """Fit (mu, alpha, beta) by L-BFGS-B from three deterministic starts."""
     t_start = time.perf_counter()
@@ -173,8 +169,8 @@ def fit_mle(
     params = ExpHawkesParams(float(mu), float(rho * beta), float(beta))
     if t_phi_report is None:
         t_phi_report = float(np.clip(5.0 / params.beta, 1e-3, 1e6))
-    grid_mu = np.linspace(0.0, t_window, eval_grid)
-    grid_phi = np.linspace(0.0, t_phi_report, eval_grid)
+    grid_mu = np.linspace(0.0, t_window, _EVAL_GRID)
+    grid_phi = np.linspace(0.0, t_phi_report, _EVAL_GRID)
     rates = model_rates(params, t_phi_report)
     report = FitReport(
         method="mle",

@@ -32,6 +32,8 @@ _TABLE_NODES = 257  # first size of a rate table; each refinement doubles the ce
 _TABLE_MAX_NODES = 2**20 + 1
 _TABLE_RTOL = 1e-10  # allowed midpoint error, relative to the rate's maximum
 _TABLE_CHUNK = 65536  # points per call of the rate being tabulated, to bound its temporaries
+_BOUND_GRID = 4096  # simulate_thinning takes sup mu on 2 * _BOUND_GRID cells and phi's tail maxima on _BOUND_GRID
+_MAX_EVENTS = 1_000_000  # simulate_thinning gives up on a sequence this long as non-stationary
 
 
 class NonFiniteLikelihoodError(ValueError):
@@ -180,8 +182,6 @@ def simulate_thinning(
     rates: RateFunctions,
     T: float,
     seed: int,
-    max_events: int = 1_000_000,
-    bound_grid: int = 4096,
 ) -> EventSequence:
     """Sample one sequence on [0, T] by Ogata thinning.
 
@@ -194,11 +194,11 @@ def simulate_thinning(
     if not np.isfinite(T) or T <= 0.0:
         raise ValueError(f"window length must be positive, got {T}")
     rng = np.random.default_rng(seed)
-    mu_grid = np.asarray(rates.mu(np.linspace(0.0, T, 2 * bound_grid + 1)), dtype=float)
+    mu_grid = np.asarray(rates.mu(np.linspace(0.0, T, 2 * _BOUND_GRID + 1)), dtype=float)
     if np.any(~np.isfinite(mu_grid)) or np.any(mu_grid < 0.0):
         raise ValueError("background rate must be finite and non-negative on [0, T]")
     mu_sup = float(np.max(mu_grid)) * (1.0 + 1e-3) + 1e-12
-    tail_x, tail_m = _tail_max_table(rates.phi, rates.T_phi, bound_grid + 1)
+    tail_x, tail_m = _tail_max_table(rates.phi, rates.T_phi, _BOUND_GRID + 1)
 
     events: list[float] = []
     t = 0.0
@@ -224,8 +224,8 @@ def simulate_thinning(
             lam += float(np.sum(np.asarray(rates.phi(t - active), dtype=float)))
         if rng.uniform() * bound <= lam:
             events.append(t)
-            if len(events) >= max_events:
-                raise RuntimeError(f"simulation exceeded {max_events} events; rates look non-stationary")
+            if len(events) >= _MAX_EVENTS:
+                raise RuntimeError(f"simulation exceeded {_MAX_EVENTS} events; rates look non-stationary")
     return EventSequence(np.asarray(events, dtype=float), float(T))
 
 

@@ -36,10 +36,6 @@ class QuadratureGrid:
     lower: float
     upper: float
 
-    @property
-    def order(self) -> int:
-        return self.nodes.size
-
 
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureGrid:
     """Gauss-Legendre rule of order n mapped affinely onto [a, b].

@@ -8,9 +8,12 @@ updates in the order: PG tilts, latent-Poisson rates, Gamma, Gaussian,
 branching. Every update is a pure function of the *other* factors, so
 re-applying any single update is exactly idempotent.
 
-Each sweep projects q(f) once, with its PG tilts c = sqrt(mean^2 + var), into
-the link that EM's E-step reads: the PG, latent-Poisson and branching updates
-are em.estep_*. The link and the monitor use the bound
+The sweep is fitbase.run_sweeps, shared with EM: its one E-step gives the PG,
+latent-Poisson and branching updates, its one M-step the Gamma counts and the
+Gaussian update. VI supplies its link (``project``: q(f) projected once per
+sweep, with its PG tilts c = sqrt(mean^2 + var)), its monitor and the install
+of an M-step update as q(lambda*) = Gamma(count, exposure) and q(u) = N(mean,
+cov) (``vi_gp_update``). The link and the monitor use the bound
 log sigma(c) + (mean - c)/2 on E[log sigma(f)], the Jaakkola-Jordan tangent at
 its optimal c, so no quadrature runs in the sweep. The monitor is the
 PG-augmented evidence lower bound without its constants: with q(omega) and the
@@ -27,20 +30,14 @@ from typing import Sequence
 import numpy as np
 from scipy.special import digamma, gammaln, xlogy
 
-from .em import estep_branching, estep_latent_rate, estep_pg
 from .fitbase import (
     COMPONENTS,
-    BranchingPosterior,
     ComponentCache,
     Dataset,
     FitConfig,
     FitReport,
-    LatentRate,
     assemble_system,  # noqa: F401  re-export; perfbench's tracing test rebinds it here
     component_rate,
-    component_stats,
-    gaussian_update,
-    rate_bound_counts,
     run_sweeps,
 )
 from .kernels import InducingGrid, KernelHyperparams, gp_projector, gram, se_cross
@@ -111,41 +108,27 @@ def _log_sigmoid_bound(mean: np.ndarray, tilt: np.ndarray) -> np.ndarray:
     return 0.5 * (mean - tilt) - np.log1p(np.exp(-tilt))
 
 
-def project(model: ViModel, caches: dict[str, ComponentCache]) -> tuple[dict[str, tuple], dict[str, np.ndarray]]:
+def project(model: ViModel, caches: dict[str, ComponentCache]) -> dict[str, tuple]:
     """The E-step link of each component's q at its PG tilts c = sqrt(mean^2 + var):
     (lambda~ e^{bound(mean, c)}, c) at its data points, then (lambda~ e^{bound(-mean, c)}, c)
     at its quadrature nodes, with lambda~ = exp E[log lambda*] and ``bound`` the bound
-    on E[log sigma]; plus the bounds at the data points, which the monitor reads."""
-    links, bounds = {}, {}
+    on E[log sigma]; last, bound(mean, c) at the data points, which the monitor reads."""
+    links = {}
     for name in COMPONENTS:
         comp = getattr(model, name)
         mean, var, mean_q, var_q = caches[name].project_meanvar(comp.gp.mean, comp.gp.cov)
         tilt, tilt_q = np.sqrt(mean * mean + var), np.sqrt(mean_q * mean_q + var_q)
         lam = np.exp(comp.lam.mean_log())
-        bounds[name] = _log_sigmoid_bound(mean, tilt)
-        links[name] = (lam * np.exp(bounds[name]), tilt, lam * np.exp(_log_sigmoid_bound(-mean_q, tilt_q)), tilt_q)
-    return links, bounds
+        bound = _log_sigmoid_bound(mean, tilt)
+        links[name] = (lam * np.exp(bound), tilt, lam * np.exp(_log_sigmoid_bound(-mean_q, tilt_q)), tilt_q, bound)
+    return links
 
 
-def vi_lambda_update(
-    branching: BranchingPosterior, rates: dict[str, LatentRate], data: Dataset
-) -> dict[str, GammaFactor]:
-    factors = {}
-    for name in data.active:
-        count, exposure = rate_bound_counts(data, name, branching, rates[name].mass)
-        factors[name] = GammaFactor(max(count, 1e-12), exposure)
-    return factors
-
-
-def vi_gp_update(
-    pg_weight: dict[str, np.ndarray],
-    branching: BranchingPosterior,
-    rates: dict[str, LatentRate],
-    data: Dataset,
-    caches: dict[str, ComponentCache],
-) -> dict[str, GaussianFactor]:
-    stats = component_stats(data, caches, branching, pg_weight, rates)
-    return {n: GaussianFactor(*gaussian_update(s, caches[n])) for n, s in stats.items()}
+def vi_gp_update(model: ViModel, name: str, hp: KernelHyperparams, count, exposure, mean, cov) -> ViModel:
+    """VI's install of one component's M-step update at kernel parameters ``hp``:
+    q(lambda*) = Gamma(max(count, 1e-12), exposure) and q(u) = N(mean, cov)."""
+    lam, gp = GammaFactor(max(count, 1e-12), exposure), GaussianFactor(mean, cov)
+    return replace(model, **{name: replace(getattr(model, name), lam=lam, gp=gp, hp=hp)})
 
 
 def _gaussian_kl(factor: GaussianFactor, gm) -> float:
@@ -165,17 +148,16 @@ def _gamma_elbo_term(factor: GammaFactor) -> float:
     return factor.alpha + float(gammaln(factor.alpha)) - factor.alpha * float(digamma(factor.alpha))
 
 
-def vi_monitor(
-    model: ViModel, branching: BranchingPosterior, rates: dict[str, LatentRate], bounds: dict[str, np.ndarray],
-    data: Dataset, caches: dict[str, ComponentCache],
-) -> float:
-    """PG-augmented evidence lower bound at the current factors, without its constants;
-    ``rates`` and ``bounds`` come from the factors' ``project``."""
+def vi_monitor(model: ViModel, links: dict[str, tuple], expectations, data: Dataset, caches) -> float:
+    """PG-augmented evidence lower bound at the current factors, without its constants,
+    from their ``project`` links and the (pg, thinned-point rates, responsibilities)
+    of an E-step."""
+    _, rates, branching = expectations
     comps = {n: getattr(model, n) for n in COMPONENTS}
     value = 0.0
     for n in COMPONENTS:
         weights = branching.weights(n)
-        value += float(weights @ (comps[n].lam.mean_log() + bounds[n]))
+        value += float(weights @ (comps[n].lam.mean_log() + links[n][4]))
         value -= float(np.sum(xlogy(weights, weights)))
     for n in COMPONENTS:
         _, scale, domain = data.component(n)
@@ -217,37 +199,22 @@ def posterior_bands(model: ViModel, grid: np.ndarray, component: str):
 
 
 class _ViEngine:
-    """The mean-field pieces of the shared sweep driver (see fitbase.run_sweeps)."""
+    """VI's hooks of the shared sweep (see fitbase.run_sweeps)."""
 
     kind, label = "vi", "VI monitor"
+    init = staticmethod(init_vi_model)
+    project = staticmethod(project)
+    objective = staticmethod(vi_monitor)
 
-    def init(self, data, caches, config):
-        return init_vi_model(data, caches)
-
-    def observe(self, model, data, caches, config):
-        links, bounds = project(model, caches)
-        branching = estep_branching(links, data)
-        rates = {n: estep_latent_rate(links[n], caches[n]) for n in COMPONENTS}
-        return (links, branching, rates), vi_monitor(model, branching, rates, bounds, data, caches)
-
-    def sweep(self, model, seen, data, caches, config):
-        links, branching, rates = seen
-        pg = estep_pg(links)
-        lams = vi_lambda_update(branching, rates, data)
-        for name, gp in vi_gp_update(pg, branching, rates, data, caches).items():
-            model = replace(model, **{name: replace(getattr(model, name), lam=lams[name])})
-            model = self.set_gaussian(model, name, gp.mean, gp.cov, caches[name])
-        return model, lambda: component_stats(data, caches, branching, pg, rates)
+    def install(self, model, name, hp, count, exposure, mean, cov):
+        """``vi_gp_update``, looked up at each call so that a rebinding of it (perfbench's tracing) applies."""
+        return vi_gp_update(model, name, hp, count, exposure, mean, cov)
 
     def gaussian(self, model, name):
         gp = getattr(model, name).gp
         return gp.mean, gp.cov
 
-    def set_gaussian(self, model, name, mean, cov, cache):
-        comp = replace(getattr(model, name), gp=GaussianFactor(mean, cov), hp=cache.hp)
-        return replace(model, **{name: comp})
-
-    def estimates(self, model, grids, config):
+    def estimates(self, model, grids):
         out = {}
         for name in COMPONENTS:
             out[f"{name}_hat"], out[f"{name}_std"] = posterior_bands(model, grids[name], name)

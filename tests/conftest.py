@@ -105,6 +105,12 @@ def _uniform_branching(data) -> BranchingPosterior:
 
 
 @pytest.fixture(scope="session")
+def row_sums():
+    """(branching, child, n_events) -> each event's background plus parent responsibilities."""
+    return lambda br, child, n_events: br.background + np.bincount(child, weights=br.parent, minlength=n_events)
+
+
+@pytest.fixture(scope="session")
 def uniform_branching():
     """data -> the branching posterior that weighs background and every admissible parent equally."""
     return _uniform_branching

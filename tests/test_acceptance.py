@@ -24,6 +24,7 @@ from scipy.special import expit
 from sgp_hawkes import FitConfig, fit_em, fit_vi
 from sgp_hawkes.cli import main
 from sgp_hawkes.em import (
+    _EmEngine,
     estep_branching,
     estep_latent_rate,
     estep_pg,
@@ -47,7 +48,7 @@ from sgp_hawkes.process import (
 )
 from sgp_hawkes.quadrature import gauss_legendre
 from sgp_hawkes.serialize import load_model, rates_for_eval
-from sgp_hawkes.vi import GammaFactor, vi_gp_update, vi_lambda_update
+from sgp_hawkes.vi import GammaFactor, _ViEngine
 from sgp_hawkes.vi import project as vi_project
 
 EULER_GAMMA = 0.5772156649015328606
@@ -194,7 +195,7 @@ def test_criterion_4_monotone_traces_and_pure_updates():
     model, data, caches = vi_state
 
     def vi_estep():
-        links, _ = vi_project(model, caches)
+        links = vi_project(model, caches)
         rates = {n: estep_latent_rate(links[n], caches[n]) for n in ("mu", "phi")}
         return {n: links[n][1] for n in ("mu", "phi")}, rates, estep_branching(links, data), estep_pg(links)
 
@@ -204,12 +205,15 @@ def test_criterion_4_monotone_traces_and_pure_updates():
     gaps.append(max(np.max(np.abs(tilts["mu"] - t2["mu"])), np.max(np.abs(tilts["phi"] - t2["phi"]))))
     gaps.append(max(np.max(np.abs(rates_q["mu"].marginal - r2["mu"].marginal)), abs(rates_q["phi"].mass - r2["phi"].mass)))
     gaps.append(max(np.max(np.abs(branching.background - b2.background)), np.max(np.abs(branching.parent - b2.parent))))
-    l1 = vi_lambda_update(branching, rates_q, data)
-    l2 = vi_lambda_update(branching, rates_q, data)
-    gaps.append(max(abs(l1["mu"].alpha - l2["mu"].alpha), abs(l1["phi"].beta - l2["phi"].beta)))
-    g1 = vi_gp_update(pg, branching, rates_q, data, caches)
-    g2 = vi_gp_update(pg, branching, rates_q, data, caches)
-    gaps.append(max(np.max(np.abs(g1["mu"].mean - g2["mu"].mean)), np.max(np.abs(g1["phi"].cov - g2["phi"].cov))))
+    def vi_mstep():
+        new = model
+        for name, (_, *update) in mstep(data, caches, pg, rates_q, branching).items():
+            new = _ViEngine().install(new, name, caches[name].hp, *update)
+        return new
+
+    m1, m2 = vi_mstep(), vi_mstep()
+    gaps.append(max(abs(m1.mu.lam.alpha - m2.mu.lam.alpha), abs(m1.phi.lam.beta - m2.phi.lam.beta)))
+    gaps.append(max(np.max(np.abs(m1.mu.gp.mean - m2.mu.gp.mean)), np.max(np.abs(m1.phi.gp.cov - m2.phi.gp.cov))))
     worst = max(gaps)
     parts.append(worst <= 1e-12)
     detail.append(f"update re-run gap={worst:.2e}")
@@ -291,11 +295,16 @@ def test_criterion_6_oracle_equivalence(sparse_mean):
         lat = {n: estep_latent_rate(links[n], caches[n]) for n in ("mu", "phi")}
         return estep_pg(links), lat, estep_branching(links, data)
 
+    def em_mstep(model, data, caches, pg, lat, br):
+        for name, (_, *update) in mstep(data, caches, pg, lat, br).items():
+            model = _EmEngine().install(model, name, caches[name].hp, *update)
+        return model
+
     for _ in range(2):
-        model = mstep(model, data, caches, *em_estep(model, data, caches))
+        model = em_mstep(model, data, caches, *em_estep(model, data, caches))
     pg, lat, br = em_estep(model, data, caches)
     lat_mu = lat["mu"]
-    new = mstep(model, data, caches, pg, lat, br)
+    new = em_mstep(model, data, caches, pg, lat, br)
     want_u, _ = dense_gaussian(
         pg["mu"] * br.background,
         0.5 * br.background,
@@ -310,10 +319,10 @@ def test_criterion_6_oracle_equivalence(sparse_mean):
     detail.append(f"em dense {gap_em:.1e}")
 
     vi_model, _ = fit_vi(seqs, replace(config, max_iter=3, tol=0.0))
-    links, _ = vi_project(vi_model, caches)
+    links = vi_project(vi_model, caches)
     branching = estep_branching(links, data)
     rates_q = {n: estep_latent_rate(links[n], caches[n]) for n in ("mu", "phi")}
-    gp_mu = vi_gp_update(estep_pg(links), branching, rates_q, data, caches)["mu"]
+    *_, gp_mean, gp_cov = mstep(data, caches, estep_pg(links), rates_q, branching)["mu"]
     want_mean, want_cov = dense_gaussian(
         pg_of(links["mu"][1]) * branching.background,
         0.5 * branching.background,
@@ -323,7 +332,7 @@ def test_criterion_6_oracle_equivalence(sparse_mean):
         caches["mu"].quad,
         caches["mu"],
     )
-    gap_vi = max(np.max(np.abs(gp_mu.mean - want_mean)), np.max(np.abs(gp_mu.cov - want_cov)))
+    gap_vi = max(np.max(np.abs(gp_mean - want_mean)), np.max(np.abs(gp_cov - want_cov)))
     parts.append(gap_vi < 1e-8)
     detail.append(f"vi dense {gap_vi:.1e}")
 
@@ -335,7 +344,7 @@ def test_criterion_6_oracle_equivalence(sparse_mean):
     caches8 = build_caches(data8, config8)
     model8 = init_model(data8, caches8)
     for _ in range(3):
-        model8 = mstep(model8, data8, caches8, *em_estep(model8, data8, caches8))
+        model8 = em_mstep(model8, data8, caches8, *em_estep(model8, data8, caches8))
     br8 = estep_branching(project(model8, caches8), data8)
 
     def dense_eval(comp, pts):

@@ -331,6 +331,18 @@ def test_eval_missing_model(tmp_path, sim_dir, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+def test_eval_rejects_holdout_longer_than_model_window(tmp_path, em_fit_dir, capsys):
+    # the EM model is fitted on T = 100, so its rates exist only on [0, 100]
+    sim = {"preset": "case1", "T": 200.0, "n_train": 0, "n_test": 1, "seed": 0}
+    rc, data = run(tmp_path, "simulate", sim, "data")
+    assert rc == 0
+    rc, out = run(tmp_path, "eval", {"model": str(em_fit_dir / "model.json"), "data": str(data)}, "e")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "T=200" in err and "T=100" in err
+    assert not out.exists()
+
+
 def test_eval_rejects_quad_order(tmp_path, sim_dir, em_fit_dir, capsys):
     # both compensators are exact antiderivatives: no quadrature order is read
     payload = {"model": str(em_fit_dir / "model.json"), "data": str(sim_dir), "quad_order": 200}

@@ -11,6 +11,7 @@ from sgp_hawkes import FitConfig, fit_em
 from sgp_hawkes.em import (
     EmModel,
     SgpComponent,
+    _EmEngine,
     estep_branching,
     estep_latent_rate,
     estep_pg,
@@ -42,13 +43,20 @@ def latent_mu(model, comp, caches):
     return estep_latent_rate(project(replace(model, mu=comp), caches)["mu"], caches["mu"])
 
 
+def installed(model, updates, caches):
+    """``model`` with each component's M-step update installed by EM."""
+    for name, (_, *update) in updates.items():
+        model = _EmEngine().install(model, name, caches[name].hp, *update)
+    return model
+
+
 def em_state(seqs, config, n_iter):
     """Run a few fixed-point iterations and return (model, data, caches)."""
     data = build_dataset(seqs, config.T_phi)
     caches = build_caches(data, config)
     model = init_model(data, caches)
     for _ in range(n_iter):
-        model = mstep(model, data, caches, *estep(model, data, caches))
+        model = installed(model, mstep(data, caches, *estep(model, data, caches)), caches)
     return model, data, caches
 
 
@@ -187,7 +195,7 @@ def test_mstep_background_rate_closed_form():
     model = init_model(data, caches)
     lam0 = model.mu.lambda_star
     pg, lat, br = estep(model, data, caches)
-    new = mstep(model, data, caches, pg, lat, br)
+    new = installed(model, mstep(data, caches, pg, lat, br), caches)
     want = (4.0 + lam0 * 50.0) / 100.0
     assert new.mu.lambda_star == pytest.approx(want, rel=1e-12)
 
@@ -200,7 +208,7 @@ def test_mstep_zero_events_keeps_zero_coefficients():
     model = init_model(data, caches)
     lam0 = model.mu.lambda_star
     pg, lat, br = estep(model, data, caches)
-    new = mstep(model, data, caches, pg, lat, br)
+    new = installed(model, mstep(data, caches, pg, lat, br), caches)
     # the right-hand side is not identically zero: the thinned-point linear
     # term -1/2 int Lambda k survives, but it scales with the empty-data
     # initialization lambda* ~ 1e-8, so the coefficients stay at that level
@@ -217,7 +225,7 @@ def test_mstep_matches_dense_assembly_small_grid(rng):
     config = FitConfig(T=10.0, T_phi=2.0, S_mu=2, S_phi=2)
     model, data, caches = em_state(seqs, config, n_iter=2)
     pg, lat, br = estep(model, data, caches)
-    new = mstep(model, data, caches, pg, lat, br)
+    new = installed(model, mstep(data, caches, pg, lat, br), caches)
 
     cache = caches["mu"]
     hp, grid = cache.hp, cache.grid
@@ -251,8 +259,8 @@ def test_penalty_zero_for_zero_coefficients():
     data = build_dataset(seqs, 2.0)
     caches = build_caches(data, config)
     model = init_model(data, caches)
-    assert penalty(model.mu) == 0.0
-    assert penalty(model.phi) == 0.0
+    assert penalty(model.mu, caches["mu"].gm) == 0.0
+    assert penalty(model.phi, caches["phi"].gm) == 0.0
 
 
 @pytest.fixture()
@@ -267,7 +275,7 @@ def em_objective(quadrature_antiderivatives):
     def objective(model, seqs):
         rates = quadrature_antiderivatives(model_rates(model))
         total = sum(log_likelihood(s, rates, truncate_trigger=False) for s in seqs)
-        return total - penalty(model.mu) - penalty(model.phi)
+        return total - sum(penalty(c, gram(c.grid, c.hp)) for c in (model.mu, model.phi))
 
     return objective
 

@@ -159,18 +159,18 @@ def branching_numerators(draw):
 
 
 @given(branching_numerators())
-def test_normalize_branching_rows_sum_to_one(numerators):
+def test_normalize_branching_rows_sum_to_one(row_sums, numerators):
     br = normalize_branching(*numerators)
-    np.testing.assert_allclose(br.row_sums(), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(row_sums(br, *numerators[2:]), 1.0, rtol=0, atol=1e-12)
 
 
-def test_normalize_branching_rows(rng):
+def test_normalize_branching_rows(rng, row_sums):
     seqs = [EventSequence(np.sort(rng.uniform(0, 40, 30)), 40.0)]
     data = build_dataset(seqs, 3.0)
     bg = rng.uniform(0.1, 2.0, data.events.size)
     pair = rng.uniform(0.1, 2.0, data.child.size)
     br = normalize_branching(bg, pair, data.child, data.events.size)
-    np.testing.assert_allclose(br.row_sums(), 1.0, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(row_sums(br, data.child, data.n_events), 1.0, rtol=0, atol=1e-13)
     assert np.all(br.background > 0)
     assert np.all(br.parent >= 0)
     # ratios within a row are preserved by normalization
@@ -181,11 +181,11 @@ def test_normalize_branching_rows(rng):
     )
 
 
-def test_uniform_branching_rows(rng, uniform_branching):
+def test_uniform_branching_rows(rng, uniform_branching, row_sums):
     seqs = [EventSequence(np.sort(rng.uniform(0, 20, 12)), 20.0)]
     data = build_dataset(seqs, 4.0)
     br = uniform_branching(data)
-    np.testing.assert_allclose(br.row_sums(), 1.0, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(row_sums(br, data.child, data.n_events), 1.0, rtol=0, atol=1e-13)
 
 
 def test_relative_change_definition():

@@ -38,7 +38,8 @@ def test_params_validation():
         ExpHawkesParams(1.0, -0.5, 1.0)
     with pytest.raises(ValueError):
         ExpHawkesParams(1.0, 0.5, 0.0)
-    assert ExpHawkesParams(1.0, 0.4, 2.0).branching_ratio == pytest.approx(0.2)
+    params = ExpHawkesParams(1.0, 0.4, 2.0)
+    assert params.alpha / params.beta == pytest.approx(0.2)  # branching ratio
 
 
 def test_zero_alpha_reduces_to_poisson():
@@ -157,4 +158,4 @@ def test_fit_report_shape(small_case1_seqs):
     assert len(report.objective_trace) == 1
     assert np.isfinite(report.objective_trace[0])
     assert report.grid_mu.size == report.mu_hat.size
-    assert params.branching_ratio < 1.0
+    assert params.alpha / params.beta < 1.0  # branching ratio

@@ -10,9 +10,18 @@ from hypothesis import strategies as st
 from scipy.special import digamma, expit, gammaln, log_expit
 
 from sgp_hawkes import FitConfig, case1_rates, case2_rates, fit_em, fit_vi, simulate_thinning
-from sgp_hawkes.em import EmModel, SgpComponent, estep_branching, estep_latent_rate, estep_pg
+from sgp_hawkes.em import EmModel, SgpComponent, _EmEngine
 from sgp_hawkes.em import project as em_project
-from sgp_hawkes.fitbase import COMPONENTS, LatentRate, build_caches, build_dataset, model_rates, run_sweeps
+from sgp_hawkes.fitbase import (
+    COMPONENTS,
+    LatentRate,
+    build_caches,
+    build_dataset,
+    estep,
+    model_rates,
+    mstep,
+    run_sweeps,
+)
 from sgp_hawkes.kernels import gram, se_cross
 from sgp_hawkes.process import EventSequence
 from sgp_hawkes.quadrature import expected_log_sigmoid
@@ -23,8 +32,6 @@ from sgp_hawkes.vi import (
     init_vi_model,
     posterior_bands,
     project,
-    vi_gp_update,
-    vi_lambda_update,
     vi_monitor,
 )
 from sgp_hawkes.vi import _log_sigmoid_bound, _ViEngine
@@ -42,16 +49,21 @@ def vi_state(seqs, config, n_sweeps=4):
 
 def vi_estep(model, data, caches):
     """(PG weights, thinned-point rates, responsibilities) of one E-step at the factors."""
-    links, _ = project(model, caches)
-    rates = {n: estep_latent_rate(links[n], caches[n]) for n in COMPONENTS}
-    return estep_pg(links), rates, estep_branching(links, data)
+    return estep(project(model, caches), data, caches)
+
+
+def vi_mstep(model, data, caches, pg, rates, branching):
+    """``model`` after the one M-step from (pg, rates, branching), installed by VI."""
+    for name, (_, *update) in mstep(data, caches, pg, rates, branching).items():
+        model = _ViEngine().install(model, name, caches[name].hp, *update)
+    return model
 
 
 def monitor(model, branching, data, caches):
     """The VI monitor at ``branching`` and the factors' own thinned-point rates and bounds."""
-    links, bounds = project(model, caches)
-    rates = {n: estep_latent_rate(links[n], caches[n]) for n in COMPONENTS}
-    return vi_monitor(model, branching, rates, bounds, data, caches)
+    links = project(model, caches)
+    pg, rates, _ = estep(links, data, caches)
+    return vi_monitor(model, links, (pg, rates, branching), data, caches)
 
 
 def collapsed(comp, mean=None, **changes):
@@ -90,7 +102,7 @@ def test_gamma_factor_validation():
 def test_tilt_closed_forms(state):
     model, data, caches = state
     zero = ViModel(mu=collapsed(model.mu), phi=collapsed(model.phi), T=model.T, T_phi=model.T_phi)
-    links, _ = project(zero, caches)
+    links = project(zero, caches)
     np.testing.assert_allclose(links["mu"][1], 0.0, atol=1e-148)
     # mean 3, variance 4 -> tilt sqrt(13); build via a carefully scaled factor
     assert np.hypot(3.0, 2.0) == pytest.approx(np.sqrt(13.0), rel=1e-15)
@@ -132,25 +144,35 @@ def test_poisson_rate_gamma_one_one(state):
     np.testing.assert_allclose(rates["mu"].marginal, want, atol=1e-10)
 
 
+def flat_rates(caches, masses):
+    """Zero thinned-point rates on each component's quadrature grid, with the given masses."""
+    zeros = {n: np.zeros(caches[n].quad.nodes.size) for n in masses}
+    return {n: LatentRate(zeros[n], zeros[n], mass) for n, mass in masses.items()}
+
+
 def test_lambda_update_no_events(uniform_branching):
     seqs = [EventSequence(np.array([]), 20.0)]
     data = build_dataset(seqs, 2.0)
+    caches = build_caches(data, FitConfig(T=20.0, T_phi=2.0))
     branching = uniform_branching(data)
-    rates = {"mu": LatentRate(np.zeros(1), np.zeros(1), 7.5), "phi": LatentRate(np.zeros(1), np.zeros(1), 0.0)}
-    lams = vi_lambda_update(branching, rates, data)
-    assert lams["mu"].alpha == pytest.approx(7.5)
-    assert lams["mu"].beta == pytest.approx(20.0)
-    assert "phi" not in lams
+    rates = flat_rates(caches, {"mu": 7.5, "phi": 0.0})
+    model = init_vi_model(data, caches)
+    new = vi_mstep(model, data, caches, {"mu": np.zeros(0), "phi": np.zeros(0)}, rates, branching)
+    assert new.mu.lam.alpha == pytest.approx(7.5)
+    assert new.mu.lam.beta == pytest.approx(20.0)
+    assert new.phi is model.phi  # no events: phi is not updated
 
 
 def test_lambda_update_all_background(uniform_branching):
     times = np.array([2.0, 6.0, 10.0, 14.0, 18.0])
     seqs = [EventSequence(times, 20.0)]
     data = build_dataset(seqs, 1.0)  # spacing 4 > T_phi: no admissible pairs
+    caches = build_caches(data, FitConfig(T=20.0, T_phi=1.0))
     branching = uniform_branching(data)
-    rates = {n: LatentRate(np.zeros(1), np.zeros(1), 0.0) for n in ("mu", "phi")}
-    lams = vi_lambda_update(branching, rates, data)
-    lam_mu, lam_phi = lams["mu"], lams["phi"]
+    rates = flat_rates(caches, {"mu": 0.0, "phi": 0.0})
+    pg = {"mu": np.full(5, 0.25), "phi": np.zeros(0)}
+    new = vi_mstep(init_vi_model(data, caches), data, caches, pg, rates, branching)
+    lam_mu, lam_phi = new.mu.lam, new.phi.lam
     assert lam_mu.alpha == pytest.approx(5.0, abs=1e-10)
     assert lam_mu.mean() == pytest.approx(5.0 / 20.0, rel=1e-10)
     # no pairwise evidence: the trigger factor degenerates to the alpha floor,
@@ -174,7 +196,7 @@ def test_gp_update_prior_recovery(state, uniform_branching):
         "mu": LatentRate(np.zeros(nq), np.zeros(nq), 0.0),
         "phi": LatentRate(np.zeros(nq_phi), np.zeros(nq_phi), 0.0),
     }
-    gp_mu = vi_gp_update(pg, branching, rates, empty_data, empty_caches)["mu"]
+    gp_mu = vi_mstep(init_vi_model(empty_data, empty_caches), empty_data, empty_caches, pg, rates, branching).mu.gp
     np.testing.assert_allclose(gp_mu.mean, 0.0, atol=1e-13)
     np.testing.assert_allclose(gp_mu.cov, empty_caches["mu"].gm.values, atol=1e-9)
 
@@ -186,9 +208,9 @@ def test_gp_update_matches_dense_assembly(rng):
     seqs = [EventSequence(times, 10.0)]
     config = FitConfig(T=10.0, T_phi=2.0, S_mu=2, S_phi=2, hyper_refresh_every=0)
     model, data, caches = vi_state(seqs, config, n_sweeps=3)
-    tilts = project(model, caches)[0]["mu"][1]
+    tilts = project(model, caches)["mu"][1]
     pg, rates, branching = vi_estep(model, data, caches)
-    gp_mu = vi_gp_update(pg, branching, rates, data, caches)["mu"]
+    gp_mu = vi_mstep(model, data, caches, pg, rates, branching).mu.gp
 
     cache = caches["mu"]
 
@@ -221,18 +243,18 @@ def test_gp_update_contracts_prior_covariance(state):
     eigenvalues of K - cov must be >= -1e-8."""
     model, data, caches = state
     pg, rates, branching = vi_estep(model, data, caches)
-    gps = vi_gp_update(pg, branching, rates, data, caches)
-    for factor, cache in ((gps["mu"], caches["mu"]), (gps["phi"], caches["phi"])):
+    new = vi_mstep(model, data, caches, pg, rates, branching)
+    for factor, cache in ((new.mu.gp, caches["mu"]), (new.phi.gp, caches["phi"])):
         gap = cache.gm.values - factor.cov
         eigs = np.linalg.eigvalsh(0.5 * (gap + gap.T))
         assert eigs.min() > -1e-8
 
 
-def test_branching_first_event_background_one(state):
+def test_branching_first_event_background_one(state, row_sums):
     model, data, caches = state
     br = vi_estep(model, data, caches)[2]
     assert br.background[0] == 1.0
-    np.testing.assert_allclose(br.row_sums(), 1.0, atol=1e-13)
+    np.testing.assert_allclose(row_sums(br, data.child, data.n_events), 1.0, atol=1e-13)
 
 
 def test_branching_symmetric_two_event_toy():
@@ -254,7 +276,9 @@ def test_branching_symmetric_two_event_toy():
 def test_estep_degenerate_variance_matches_em(state):
     """EM is the zero-variance case of VI: at cov = 1e-12 K and Gamma(1e12, 1e12 / lambda_hat)
     factors, the VI link gives EM's PG weights, thinned-point rates and masses, and
-    responsibilities at (lambda_hat, mean) to 1e-8."""
+    responsibilities at (lambda_hat, mean) to 1e-8. Fed from either E-step, the one
+    M-step gives the same (count, exposure, mean) to 1e-8, and VI's E[lambda*] after
+    its install is EM's lambda*."""
     model, data, caches = state
     lam_hat = {"mu": 1.1, "phi": 0.6}
     big = 1e12
@@ -265,16 +289,30 @@ def test_estep_degenerate_variance_matches_em(state):
         degenerate = replace(degenerate, **{n: replace(comp, gp=gp, lam=GammaFactor(big, big / lam_hat[n]))})
         points[n] = SgpComponent(lam_hat[n], comp.grid, comp.gp.mean, comp.hp)
     pg_vi, rates_vi, br_vi = vi_estep(degenerate, data, caches)
-    em_links = em_project(EmModel(**points, T=model.T, T_phi=model.T_phi), caches)
-    pg_em, br_em = estep_pg(em_links), estep_branching(em_links, data)
+    em_model = EmModel(**points, T=model.T, T_phi=model.T_phi)
+    pg_em, rates_em, br_em = estep(em_project(em_model, caches), data, caches)
     for n in COMPONENTS:
-        rates_em = estep_latent_rate(em_links[n], caches[n])
         np.testing.assert_allclose(pg_vi[n], pg_em[n], rtol=0, atol=1e-8)
-        np.testing.assert_allclose(rates_vi[n].marginal, rates_em.marginal, rtol=0, atol=1e-8)
-        np.testing.assert_allclose(rates_vi[n].first_moment, rates_em.first_moment, rtol=0, atol=1e-8)
-        assert abs(rates_vi[n].mass - rates_em.mass) <= 1e-8
+        np.testing.assert_allclose(rates_vi[n].marginal, rates_em[n].marginal, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(rates_vi[n].first_moment, rates_em[n].first_moment, rtol=0, atol=1e-8)
+        assert abs(rates_vi[n].mass - rates_em[n].mass) <= 1e-8
     np.testing.assert_allclose(br_vi.background, br_em.background, rtol=0, atol=1e-8)
     np.testing.assert_allclose(br_vi.parent, br_em.parent, rtol=0, atol=1e-8)
+
+    up_vi = mstep(data, caches, pg_vi, rates_vi, br_vi)
+    up_em = mstep(data, caches, pg_em, rates_em, br_em)
+    vi_new, em_new = degenerate, em_model
+    for n in COMPONENTS:
+        _, count_vi, exposure_vi, mean_vi, _ = up_vi[n]
+        _, count_em, exposure_em, mean_em, _ = up_em[n]
+        assert abs(count_vi - count_em) <= 1e-8 and abs(exposure_vi - exposure_em) <= 1e-8
+        np.testing.assert_allclose(mean_vi, mean_em, rtol=0, atol=1e-8)
+        vi_new = _ViEngine().install(vi_new, n, caches[n].hp, *up_vi[n][1:])
+        em_new = _EmEngine().install(em_new, n, caches[n].hp, *up_em[n][1:])
+        assert getattr(vi_new, n).lam.mean() == pytest.approx(getattr(em_new, n).lambda_star, rel=1e-8, abs=0)
+        # one update installed by both engines: the same division, bit for bit
+        same = _ViEngine().install(vi_new, n, caches[n].hp, *up_em[n][1:])
+        assert getattr(same, n).lam.mean() == getattr(em_new, n).lambda_star
 
 
 def test_single_updates_are_idempotent(state):
@@ -292,15 +330,13 @@ def test_single_updates_are_idempotent(state):
     assert np.max(np.abs(b1.background - b2.background)) <= 1e-12
     assert np.max(np.abs(b1.parent - b2.parent)) <= 1e-12
 
-    l1 = vi_lambda_update(b1, r1, data)
-    l2 = vi_lambda_update(b1, r1, data)
-    assert abs(l1["mu"].alpha - l2["mu"].alpha) <= 1e-12
-    assert abs(l1["phi"].beta - l2["phi"].beta) <= 1e-12
+    m1 = vi_mstep(model, data, caches, t1, r1, b1)
+    m2 = vi_mstep(model, data, caches, t1, r1, b1)
+    assert abs(m1.mu.lam.alpha - m2.mu.lam.alpha) <= 1e-12
+    assert abs(m1.phi.lam.beta - m2.phi.lam.beta) <= 1e-12
 
-    g1 = vi_gp_update(t1, b1, r1, data, caches)
-    g2 = vi_gp_update(t1, b1, r1, data, caches)
-    assert np.max(np.abs(g1["mu"].mean - g2["mu"].mean)) <= 1e-12
-    assert np.max(np.abs(g1["phi"].cov - g2["phi"].cov)) <= 1e-12
+    assert np.max(np.abs(m1.mu.gp.mean - m2.mu.gp.mean)) <= 1e-12
+    assert np.max(np.abs(m1.phi.gp.cov - m2.phi.gp.cov)) <= 1e-12
 
 
 def test_monitor_monotone_and_factors_valid():
@@ -439,14 +475,17 @@ def test_log_sigmoid_bound_is_the_tightest_tangent(mean, var, other):
 class _PinnedCovariance(_ViEngine):
     """VI sweeps with every Gaussian factor's covariance pinned at 1e-12 K."""
 
-    def init(self, data, caches, config):
+    def init(self, data, caches):
         model = init_vi_model(data, caches)
         for name in COMPONENTS:
-            model = self.set_gaussian(model, name, getattr(model, name).gp.mean, None, caches[name])
+            comp = getattr(model, name)
+            pinned = GaussianFactor(comp.gp.mean, 1e-12 * caches[name].gm.values)
+            model = replace(model, **{name: replace(comp, gp=pinned)})
         return model
 
-    def set_gaussian(self, model, name, mean, cov, cache):
-        return super().set_gaussian(model, name, mean, 1e-12 * cache.gm.values, cache)
+    def install(self, model, name, hp, count, exposure, mean, cov):
+        pinned = 1e-12 * gram(getattr(model, name).grid, hp).values
+        return super().install(model, name, hp, count, exposure, mean, pinned)
 
 
 def test_fix_variance_trajectory_tracks_em(small_case1_seqs):
