@@ -194,9 +194,35 @@ def normalize_branching(bg_numer, pair_numer, child, n_events) -> BranchingPoste
     )
 
 
+def band_products(k: np.ndarray) -> np.ndarray:
+    """Products of neighbouring columns of kernel rows k (n x S), as a (2S-1) x n
+    array: row 2p holds k_p^2 and row 2p+1 holds k_p k_{p+1}."""
+    out = np.empty((2 * k.shape[1] - 1, k.shape[0]))
+    np.multiply(k.T, k.T, out=out[0::2])
+    np.multiply(k.T[:-1], k.T[1:], out=out[1::2])
+    return out
+
+
+def band_fill(grid: InducingGrid, hp: KernelHyperparams) -> np.ndarray:
+    """S x S factors F with k_s k_r = F[s, r] k_p k_q, p = (s+r)//2 and q = s+r-p.
+
+    On a uniform grid z_s = z_0 + s h, k_s(x) k_r(x) = theta0^2 exp(-theta1 (x - m)^2)
+    exp(-theta1 (z_s - z_r)^2 / 4) with m = (z_s + z_r)/2, so F = exp(-theta1 h^2
+    ((s-r)^2 - ((s-r) mod 2)) / 4) <= 1. Raises ValueError on a non-uniform grid.
+    """
+    steps = np.diff(grid.points)
+    h = float(np.mean(steps)) if steps.size else 0.0
+    if np.any(np.abs(steps - h) > 1e-9 * h):
+        raise ValueError("the Gaussian-update assembly needs a uniform inducing grid")
+    d = np.subtract.outer(np.arange(grid.count), np.arange(grid.count))
+    return np.exp(-0.25 * hp.theta1 * h * h * (d * d - d % 2))
+
+
 @dataclass
 class ComponentCache:
-    """Kernel matrices from one component's data locations to its inducing grid."""
+    """Kernel rows from one component's data locations and quadrature nodes to its
+    inducing grid, which must be uniform, with their band products and the fill
+    factors of the assembly (``band_products``, ``band_fill``)."""
 
     grid: InducingGrid
     hp: KernelHyperparams
@@ -205,22 +231,28 @@ class ComponentCache:
     k_points: np.ndarray
     quad: QuadratureGrid
     k_quad: np.ndarray
+    band_points: np.ndarray
+    band_quad: np.ndarray
+    fill: np.ndarray
 
     @classmethod
     def build(cls, points, grid: InducingGrid, hp: KernelHyperparams, quad: QuadratureGrid):
         points = np.asarray(points, dtype=float)
+        fill = band_fill(grid, hp)
+        k_points = se_cross(points, grid.points, hp)
+        k_quad = se_cross(quad.nodes, grid.points, hp)
         return cls(
             grid=grid,
             hp=hp,
             gm=gram(grid, hp),
             points=points,
-            k_points=se_cross(points, grid.points, hp),
+            k_points=k_points,
             quad=quad,
-            k_quad=se_cross(quad.nodes, grid.points, hp),
+            k_quad=k_quad,
+            band_points=band_products(k_points),
+            band_quad=band_products(k_quad),
+            fill=fill,
         )
-
-    def with_hp(self, hp: KernelHyperparams) -> "ComponentCache":
-        return ComponentCache.build(self.points, self.grid, hp, self.quad)
 
     def project_mean(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(projection at data points, projection at quadrature nodes)."""
@@ -288,11 +320,12 @@ def estep_branching(links: dict[str, tuple], data: Dataset) -> BranchingPosterio
 
 
 def estep(links: dict[str, tuple], data: Dataset, caches: dict[str, ComponentCache]):
-    """The one E-step of both engines: (PG means, thinned-point rates, responsibilities)
-    from each component's link, which starts (branching numerator, PG tilt) at its
-    data points and (thinned-point rate, PG tilt) at its quadrature nodes."""
+    """The one E-step of both engines, without its PG means (``estep_pg``), which
+    only the M-step reads: (thinned-point rates, responsibilities) from each
+    component's link, which starts (branching numerator, PG tilt) at its data
+    points and (thinned-point rate, PG tilt) at its quadrature nodes."""
     latent = {n: estep_latent_rate(links[n], caches[n]) for n in COMPONENTS}
-    return estep_pg(links), latent, estep_branching(links, data)
+    return latent, estep_branching(links, data)
 
 
 @dataclass(frozen=True)
@@ -343,15 +376,21 @@ def rate_bound_counts(data: Dataset, name: str, branching: BranchingPosterior, m
     return float(np.sum(branching.weights(name))) + scale * mass, scale * domain
 
 
-def assemble_system(stats: ComponentStats, k_points: np.ndarray, k_quad: np.ndarray):
-    """(U, c) from precomputed kernel matrices at the stat locations."""
+def assemble_system(stats: ComponentStats, cache: ComponentCache):
+    """(U, c) of one component's Gaussian update, with ``cache`` built at the
+    statistics' data points and quadrature grid.
+
+    U[s, r] = F[s, r] B[s + r] with F the cache's fill factors and B the band
+    products weighted by a (``band_fill``); c = k^T b. B is an einsum, not a
+    BLAS matrix-vector product, whose threaded reduction over the data points
+    changes the bits with the thread count.
+    """
     wa = stats.quad.weights * stats.a_quad
     wb = stats.quad.weights * stats.b_quad
-    u_mat = k_quad.T @ (wa[:, None] * k_quad)
-    c_vec = k_quad.T @ wb
-    if stats.points.size:
-        u_mat = u_mat + k_points.T @ (stats.a_point[:, None] * k_points)
-        c_vec = c_vec + k_points.T @ stats.b_point
+    band = np.einsum("mp,p->m", cache.band_points, stats.a_point) + np.einsum("mq,q->m", cache.band_quad, wa)
+    s = np.arange(cache.grid.count)
+    u_mat = cache.fill * band[s[:, None] + s]
+    c_vec = cache.k_quad.T @ wb + cache.k_points.T @ stats.b_point
     return u_mat, c_vec
 
 
@@ -370,7 +409,7 @@ def solve_gaussian_update(gm: GramMatrix, u_mat: np.ndarray, c_vec: np.ndarray):
 
 def gaussian_update(stats: ComponentStats, cache: ComponentCache):
     """(mean, cov) of one component's Gaussian-form update from its statistics."""
-    u_mat, c_vec = assemble_system(stats, cache.k_points, cache.k_quad)
+    u_mat, c_vec = assemble_system(stats, cache)
     return solve_gaussian_update(cache.gm, u_mat, c_vec)
 
 
@@ -514,11 +553,14 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
     Each sweep runs the M-step from the E-step of the current model, installs
     each component's update, refreshes theta every hyper_refresh_every sweeps
     (0: never) and projects the new model once, for its E-step and objective.
-    It stops when the relative objective change falls below config.tol, or
-    after config.max_iter sweeps. The engine supplies ``kind``, ``label`` and
-    six hooks: ``init(data, caches)``; ``project(model, caches)``, the link of
-    each component (see ``estep``); ``objective(model, links, expectations,
-    data, caches)``, with ``expectations`` the E-step at those links;
+    The PG means of an E-step are computed when the next sweep starts, so the
+    final model gets none. A theta move frees a component's old cache before
+    it builds the new one. It stops when the relative objective change falls
+    below config.tol, or after config.max_iter sweeps. The engine supplies
+    ``kind``, ``label`` and six hooks: ``init(data, caches)``;
+    ``project(model, caches)``, the link of each component (see ``estep``);
+    ``objective(model, links, expectations, data, caches)``, with
+    ``expectations`` the E-step at those links (``estep``);
     ``install(model, name, hp, count, exposure, mean, cov)``, which puts one
     component's M-step update into the model; ``gaussian(model, name)``, the
     factor (mean, cov) of the inducing values that the theta search holds
@@ -531,13 +573,14 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
         raise ValueError(f"config T={config.T} does not match sequence window T={data.T}")
     caches = build_caches(data, config)
     model = engine.init(data, caches)
-    expectations = estep(engine.project(model, caches), data, caches)
+    links = engine.project(model, caches)
+    expectations = estep(links, data, caches)
     trace: list[float] = []
     hyper_history: list[dict] = []
     warnings: list[str] = []
     converged = False
     for iteration in range(1, config.max_iter + 1):
-        updates = mstep(data, caches, *expectations)
+        updates = mstep(data, caches, estep_pg(links), *expectations)
         for name, (_, *update) in updates.items():
             model = engine.install(model, name, caches[name].hp, *update)
 
@@ -547,7 +590,9 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
                 cache = caches[name]
                 hp_new, accepted = search_theta(stats, cache.grid, cache.hp, engine.gaussian(model, name))
                 if accepted and hp_new != cache.hp:
-                    caches[name] = cache = cache.with_hp(hp_new)
+                    rebuild = (cache.points, cache.grid, hp_new, cache.quad)
+                    caches[name] = cache = None  # free the old kernel rows before building the new ones
+                    caches[name] = cache = ComponentCache.build(*rebuild)
                     model = engine.install(model, name, cache.hp, count, exposure, *gaussian_update(stats, cache))
                 record[name] = {
                     "theta0": cache.hp.theta0,

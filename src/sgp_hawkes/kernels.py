@@ -75,10 +75,13 @@ def uniform_inducing_grid(count: int, domain: float) -> InducingGrid:
 
 
 def se_kernel(x, y, hp: KernelHyperparams):
-    """Squared-exponential kernel, broadcasting over array arguments."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return hp.theta0 * np.exp(-0.5 * hp.theta1 * (x - y) ** 2)
+    """Squared-exponential kernel, broadcasting over array arguments. The result
+    is built in one buffer of the broadcast shape, in place."""
+    out = np.asarray(np.subtract(x, y, dtype=float))
+    np.square(out, out=out)
+    np.multiply(out, -0.5 * hp.theta1, out=out)
+    np.exp(out, out=out)
+    return np.multiply(out, hp.theta0, out=out)[()]
 
 
 def se_cross(a, b, hp: KernelHyperparams) -> np.ndarray:

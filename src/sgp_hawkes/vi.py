@@ -150,9 +150,9 @@ def _gamma_elbo_term(factor: GammaFactor) -> float:
 
 def vi_monitor(model: ViModel, links: dict[str, tuple], expectations, data: Dataset, caches) -> float:
     """PG-augmented evidence lower bound at the current factors, without its constants,
-    from their ``project`` links and the (pg, thinned-point rates, responsibilities)
-    of an E-step."""
-    _, rates, branching = expectations
+    from their ``project`` links and the (thinned-point rates, responsibilities)
+    of an E-step (``fitbase.estep``)."""
+    rates, branching = expectations
     comps = {n: getattr(model, n) for n in COMPONENTS}
     value = 0.0
     for n in COMPONENTS:

@@ -25,6 +25,7 @@ from sgp_hawkes.fitbase import (
 )
 from sgp_hawkes.kernels import (
     THETA_BOUNDS,
+    InducingGrid,
     KernelHyperparams,
     gram,
     se_cross,
@@ -226,10 +227,8 @@ def test_gaussian_update_matches_dense_assembly(rng):
     hp = KernelHyperparams(1.1, 0.9)
     gm = gram(grid, hp)
     stats = toy_stats(rng, grid)
-    k_points = se_cross(stats.points, grid.points, hp)
-    k_quad = se_cross(stats.quad.nodes, grid.points, hp)
 
-    u_mat, c_vec = assemble_system(stats, k_points, k_quad)
+    u_mat, c_vec = assemble_system(stats, ComponentCache.build(stats.points, grid, hp, stats.quad))
 
     u_dense = np.zeros((2, 2))
     c_dense = np.zeros(2)
@@ -248,6 +247,41 @@ def test_gaussian_update_matches_dense_assembly(rng):
     solve = np.linalg.solve(u_dense + gm.values, np.eye(2))
     np.testing.assert_allclose(mean, gm.values @ solve @ c_dense, rtol=0, atol=1e-8)
     np.testing.assert_allclose(cov, gm.values @ solve @ gm.values, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("theta1", [1e-3, 100.0, 1e3])
+def test_assembly_matches_explicit_loops_off_the_band(rng, theta1):
+    """S=7, spacing 0.1 (theta1 = 100 is 1/h^2): every U entry off the anti-diagonal
+    band of p = (s+r)//2, q = s+r-p comes from the fill factors, and U and c match
+    sums of explicit outer products to 1e-12 of their largest entry."""
+    grid = uniform_inducing_grid(7, 0.6)
+    hp = KernelHyperparams(1.3, theta1)
+    points = np.concatenate([grid.points, rng.uniform(0.0, 0.6, 40)])
+    quad = gauss_legendre(30, 0.0, 0.6)
+    stats = ComponentStats(
+        points, rng.uniform(0.0, 0.25, points.size), rng.uniform(-0.5, 0.5, points.size),
+        quad, rng.uniform(0.0, 2.0, 30), rng.uniform(-1.0, 0.0, 30), 0.6,
+    )
+
+    u_mat, c_vec = assemble_system(stats, ComponentCache.build(points, grid, hp, quad))
+
+    u_dense, c_dense = np.zeros((7, 7)), np.zeros(7)
+    for a, b, x in zip(stats.a_point, stats.b_point, points):
+        k = se_cross(grid.points, np.array([x]), hp)[:, 0]
+        u_dense += a * np.outer(k, k)
+        c_dense += b * k
+    for w, a, b, x in zip(quad.weights, stats.a_quad, stats.b_quad, quad.nodes):
+        k = se_cross(grid.points, np.array([x]), hp)[:, 0]
+        u_dense += w * a * np.outer(k, k)
+        c_dense += w * b * k
+    assert np.max(np.abs(u_mat - u_dense)) <= 1e-12 * np.max(np.abs(u_dense))
+    assert np.max(np.abs(c_vec - c_dense)) <= 1e-12 * np.max(np.abs(c_dense))
+
+
+def test_component_cache_rejects_a_non_uniform_grid():
+    grid = InducingGrid(np.array([0.0, 1.0, 3.0]), 3.0)
+    with pytest.raises(ValueError, match="uniform inducing grid"):
+        ComponentCache.build(np.array([0.5, 2.0]), grid, KernelHyperparams(1.0, 1.0), gauss_legendre(8, 0.0, 3.0))
 
 
 @st.composite

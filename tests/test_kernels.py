@@ -1,5 +1,7 @@
 """Squared-exponential kernel, Gram factorizations, and sparse projections."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
@@ -39,6 +41,24 @@ def test_se_cross_matrix_against_scalar():
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             assert mat[i, j] == pytest.approx(se_kernel(x, y, hp), rel=1e-15)
+
+
+@pytest.mark.parametrize("theta1", [1e-3, 0.081, 1.0, 1e3])
+def test_se_cross_is_the_broadcast_kernel_bit_for_bit_in_one_buffer(theta1):
+    """se_cross builds k in place: the bits of the broadcast formula, and at most
+    one extra percent of the P x S result allocated on top of it."""
+    hp = KernelHyperparams(1.7, theta1)
+    a = np.random.default_rng(5).uniform(0.0, 100.0, 20_000)
+    b = np.linspace(0.0, 100.0, 10)
+    tracemalloc.start()
+    try:
+        mat = se_cross(a, b, hp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    broadcast = hp.theta0 * np.exp(-0.5 * hp.theta1 * (a[:, None] - b[None, :]) ** 2)
+    assert np.array_equal(mat, broadcast)
+    assert peak <= 1.1 * mat.nbytes
 
 
 def test_gram_single_point_with_explicit_jitter():

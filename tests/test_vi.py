@@ -18,6 +18,7 @@ from sgp_hawkes.fitbase import (
     build_caches,
     build_dataset,
     estep,
+    estep_pg,
     model_rates,
     mstep,
     run_sweeps,
@@ -47,9 +48,14 @@ def vi_state(seqs, config, n_sweeps=4):
     return model, data, caches
 
 
+def full_estep(links, data, caches):
+    """(PG weights, thinned-point rates, responsibilities) of one E-step at ``links``."""
+    return estep_pg(links), *estep(links, data, caches)
+
+
 def vi_estep(model, data, caches):
     """(PG weights, thinned-point rates, responsibilities) of one E-step at the factors."""
-    return estep(project(model, caches), data, caches)
+    return full_estep(project(model, caches), data, caches)
 
 
 def vi_mstep(model, data, caches, pg, rates, branching):
@@ -62,8 +68,8 @@ def vi_mstep(model, data, caches, pg, rates, branching):
 def monitor(model, branching, data, caches):
     """The VI monitor at ``branching`` and the factors' own thinned-point rates and bounds."""
     links = project(model, caches)
-    pg, rates, _ = estep(links, data, caches)
-    return vi_monitor(model, links, (pg, rates, branching), data, caches)
+    rates, _ = estep(links, data, caches)
+    return vi_monitor(model, links, (rates, branching), data, caches)
 
 
 def collapsed(comp, mean=None, **changes):
@@ -290,7 +296,7 @@ def test_estep_degenerate_variance_matches_em(state):
         points[n] = SgpComponent(lam_hat[n], comp.grid, comp.gp.mean, comp.hp)
     pg_vi, rates_vi, br_vi = vi_estep(degenerate, data, caches)
     em_model = EmModel(**points, T=model.T, T_phi=model.T_phi)
-    pg_em, rates_em, br_em = estep(em_project(em_model, caches), data, caches)
+    pg_em, rates_em, br_em = full_estep(em_project(em_model, caches), data, caches)
     for n in COMPONENTS:
         np.testing.assert_allclose(pg_vi[n], pg_em[n], rtol=0, atol=1e-8)
         np.testing.assert_allclose(rates_vi[n].marginal, rates_em[n].marginal, rtol=0, atol=1e-8)
