@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.optimize import minimize_scalar
 
 from .kernels import (
@@ -30,9 +29,12 @@ from .kernels import (
     InducingGrid,
     KernelHyperparams,
     SingularMatrixError,
+    chol_solve,
     gp_projector,
     gram,
+    projected_variance,
     se_cross,
+    se_from_sq,
     uniform_inducing_grid,
 )
 from .pg import pg_mean
@@ -401,8 +403,8 @@ def solve_gaussian_update(gm: GramMatrix, u_mat: np.ndarray, c_vec: np.ndarray):
         chol = np.linalg.cholesky(system)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("GP update system U + K is not positive definite") from None
-    mean = gm.values @ cho_solve((chol, True), c_vec)
-    cov = gm.values @ cho_solve((chol, True), gm.values)
+    mean = gm.values @ chol_solve(chol, c_vec, "GP update mean")
+    cov = gm.values @ chol_solve(chol, gm.values, "GP update covariance")
     cov = 0.5 * (cov + cov.T)
     return mean, cov
 
@@ -424,60 +426,55 @@ def mstep(data: Dataset, caches, pg, latent, branching) -> dict[str, tuple]:
     return updates
 
 
-def _kernel_rows(stats: ComponentStats, grid: InducingGrid, hp: KernelHyperparams):
-    """Kernel rows at the statistics' data points and quadrature nodes."""
-    k_points = se_cross(stats.points, grid.points, hp) if stats.points.size else np.empty((0, grid.count))
-    return k_points, se_cross(stats.quad.nodes, grid.points, hp)
+def _sq_distances(stats: ComponentStats, grid: InducingGrid) -> tuple[np.ndarray, ...]:
+    """Squared distances to the grid from the statistics' points, quadrature nodes and the grid, as in se_cross."""
+    diffs = (np.subtract.outer(x, grid.points) for x in (stats.points, stats.quad.nodes, grid.points))
+    return tuple(np.square(d, out=d) for d in diffs)
 
 
-def _theta_terms(stats: ComponentStats, grid: InducingGrid, theta1: float, fixed: tuple):
-    """(D, q, log|K1|) of the theta objective at (1, theta1), holding the
-    Gaussian factor ``fixed`` = (mean, cov) of the inducing values (cov None:
-    EM's point mass at u = mean).
+def _theta_profile(stats: ComponentStats, grid: InducingGrid, theta1: float, fixed, theta0=None, sq=None):
+    """(theta0, theta objective at (theta0, theta1)), holding the Gaussian factor
+    ``fixed`` = (mean, cov) of the inducing values (cov None: EM's point mass at
+    u = mean); without ``theta0``, at its maximizer in THETA_BOUNDS. Kernel rows
+    come from the squared distances ``sq`` (``_sq_distances``), or else are built
+    in one buffer per block. The value is -inf where the Gram matrix does not
+    factor or a solve is not finite.
 
     The objective is E[sum b f - 0.5 a f^2] - KL(q(u) || N(0, K)) up to terms
     free of theta. K = theta0 K1 exactly, jitter included, so the projected
     moments of f and the data terms D do not depend on theta0, and the
-    objective at any theta0 is D - 0.5 q / theta0 - 0.5 (log|K1| + S log theta0)
-    with q = m^T K1^{-1} m + tr(K1^{-1} cov) (``_theta_profile``).
-    Raises SingularMatrixError.
+    objective is D - 0.5 q / theta0 - 0.5 (log|K1| + S log theta0) with
+    q = m^T K1^{-1} m + tr(K1^{-1} cov): concave in log theta0, it peaks at q / S.
     """
     mean, cov = fixed
     hp = KernelHyperparams(1.0, theta1)
-    gm = gram(grid, hp)
-    k_points, k_quad = _kernel_rows(stats, grid, hp)
-    alpha = gm.solve(mean)
-    f_pts = k_points @ alpha
-    f_q = k_quad @ alpha
+    fresh = sq is None
+    sq = _sq_distances(stats, grid) if fresh else sq
+    try:
+        gm = gram(grid, hp, sq=sq[2])
+        alpha = gm.solve(mean)
+        inner = None if cov is None else gm.solve(cov)
+        w_cov = None if cov is None else gm.solve(inner.T)
+    except (SingularMatrixError, FloatingPointError):
+        return theta0, -np.inf
+    k_points, k_quad = (se_from_sq(d, hp, out=d if fresh else None) for d in sq[:2])
+    f_pts, f_q = k_points @ alpha, k_quad @ alpha
     sq_pts, sq_q, q = f_pts**2, f_q**2, float(mean @ alpha)
     if cov is not None:
-        project = gp_projector(gm, mean, cov)
-        sq_pts = sq_pts + project(k_points)[1]
-        sq_q = sq_q + project(k_quad)[1]
-        q += float(np.trace(gm.solve(cov)))
+        sq_pts = sq_pts + projected_variance(k_points, w_cov)
+        sq_q = sq_q + projected_variance(k_quad, w_cov)
+        q += float(np.trace(inner))
     w = stats.quad.weights
     data = float(stats.b_point @ f_pts) + float(w @ (stats.b_quad * f_q))
     data -= 0.5 * (float(stats.a_point @ sq_pts) + float(w @ (stats.a_quad * sq_q)))
-    return data, q, gm.logdet()
-
-
-def _theta_profile(stats: ComponentStats, grid: InducingGrid, theta1: float, fixed, theta0: float | None = None):
-    """(theta0, objective at (theta0, theta1)). Without ``theta0``, its
-    maximizer in THETA_BOUNDS: the theta0 term -0.5 q / theta0 - 0.5 S log theta0
-    is concave in log theta0 and peaks at q / S. The value is -inf where the
-    Gram matrix does not factor."""
-    try:
-        data, q, logdet = _theta_terms(stats, grid, theta1, fixed)
-    except SingularMatrixError:
-        return theta0, -np.inf
     if theta0 is None:
         theta0 = float(np.clip(q / grid.count, *THETA_BOUNDS))
-    value = data - 0.5 * q / theta0 - 0.5 * (logdet + grid.count * np.log(theta0))
+    value = data - 0.5 * q / theta0 - 0.5 * (gm.logdet() + grid.count * np.log(theta0))
     return theta0, value if np.isfinite(value) else -np.inf
 
 
 def _profile_objective(stats: ComponentStats, grid: InducingGrid, hp: KernelHyperparams, fixed) -> float:
-    """Theta objective of the refresh at ``hp`` (``_theta_terms``)."""
+    """Theta objective of the refresh at ``hp`` (``_theta_profile``)."""
     return _theta_profile(stats, grid, hp.theta1, fixed, hp.theta0)[1]
 
 
@@ -502,21 +499,22 @@ def search_theta(
     for EM's point estimate).
 
     theta0 is the closed-form maximizer clip(q / S) at every theta1 (see
-    ``_theta_terms``), so the search is over log theta1 alone: the best of a
+    ``_theta_profile``), so the search is over log theta1 alone: the best of a
     coarse log grid over THETA_BOUNDS plus the incumbent and 1/spacing^2,
     refined by bounded Brent in its bracket to 1e-3. It runs on compacted
-    statistics, then checks the exact objective at the winner; the incumbent
-    is kept (and the move flagged as rejected) unless the exact objective
-    does not decrease.
+    statistics, with their squared distances to the grid computed once, then
+    checks the exact objective at the winner; the incumbent is kept (and the
+    move flagged as rejected) unless the exact objective does not decrease.
     """
     compact = _compact_stats(stats)
+    sq = _sq_distances(compact, grid)
     lo, hi = np.log(THETA_BOUNDS[0]), np.log(THETA_BOUNDS[1])
     best_value, candidate = -np.inf, hp
 
     def negative(x):
         nonlocal best_value, candidate
         theta1 = float(np.exp(x))
-        theta0, value = _theta_profile(compact, grid, theta1, fixed)
+        theta0, value = _theta_profile(compact, grid, theta1, fixed, sq=sq)
         if value > best_value:
             best_value, candidate = value, KernelHyperparams(theta0, theta1)
         return -value if np.isfinite(value) else 1e300

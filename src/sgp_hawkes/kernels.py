@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 THETA_BOUNDS = (1e-3, 1e3)
 
@@ -78,10 +78,14 @@ def se_kernel(x, y, hp: KernelHyperparams):
     """Squared-exponential kernel, broadcasting over array arguments. The result
     is built in one buffer of the broadcast shape, in place."""
     out = np.asarray(np.subtract(x, y, dtype=float))
-    np.square(out, out=out)
-    np.multiply(out, -0.5 * hp.theta1, out=out)
+    return se_from_sq(np.square(out, out=out), hp, out=out)[()]
+
+
+def se_from_sq(sq: np.ndarray, hp: KernelHyperparams, out: np.ndarray | None = None) -> np.ndarray:
+    """The kernel at squared distances ``sq``, into ``out`` if given, by se_kernel's operations."""
+    out = np.multiply(sq, -0.5 * hp.theta1, out=out)
     np.exp(out, out=out)
-    return np.multiply(out, hp.theta0, out=out)[()]
+    return np.multiply(out, hp.theta0, out=out)
 
 
 def se_cross(a, b, hp: KernelHyperparams) -> np.ndarray:
@@ -105,6 +109,15 @@ def _first_nonpositive_pivot(mat: np.ndarray) -> tuple[int, float]:
     return n - 1, float(a[n - 1, n - 1])
 
 
+def chol_solve(chol: np.ndarray, rhs: np.ndarray, what: str, half: bool = False) -> np.ndarray:
+    """x with L L^T x = rhs (L x = rhs if ``half``), L a C-ordered lower Cholesky factor, by the LAPACK calls
+    of scipy's cho_solve and solve_triangular (so their bits); FloatingPointError naming ``what`` if they fail."""
+    x, info = dtrtrs(chol.T, rhs, lower=0, trans=1) if half else dpotrs(chol, rhs, lower=1)
+    if info != 0 or not np.isfinite(x).all():
+        raise FloatingPointError(f"{what}: Cholesky solve gave a non-finite solution (LAPACK info {info})")
+    return x
+
+
 @dataclass
 class GramMatrix:
     """Jittered inducing-point Gram matrix with its lower Cholesky factor."""
@@ -114,27 +127,28 @@ class GramMatrix:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (K + jitter I) x = rhs using the cached factor."""
-        return cho_solve((self.chol, True), rhs)
+        return chol_solve(self.chol, rhs, "kernel Gram solve")
 
     def half_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve L x = rhs (useful for quadratic forms u^T K^{-1} u)."""
-        return solve_triangular(self.chol, rhs, lower=True)
+        return chol_solve(self.chol, rhs, "kernel Gram half solve", half=True)
 
     def logdet(self) -> float:
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
 
-def gram(grid: InducingGrid, hp: KernelHyperparams, jitter: float | None = None) -> GramMatrix:
-    """Gram matrix at the inducing points with additive diagonal jitter.
+def gram(grid: InducingGrid, hp: KernelHyperparams, jitter: float | None = None, sq=None) -> GramMatrix:
+    """Gram matrix at the inducing points (from their squared distances ``sq`` if given) with diagonal jitter.
 
     Default jitter is 1e-6 * theta0. Raises SingularMatrixError naming the
-    first non-positive pivot if factorization fails.
+    first non-positive pivot if factorization fails. The factor is numpy's:
+    scipy's dpotrf gives other bits on some matrices.
     """
     if jitter is None:
         jitter = 1e-6 * hp.theta0
     if jitter < 0.0:
         raise ValueError("jitter must be non-negative")
-    values = se_cross(grid.points, grid.points, hp)
+    values = se_cross(grid.points, grid.points, hp) if sq is None else se_from_sq(sq, hp)
     values[np.diag_indices_from(values)] += jitter
     try:
         chol = np.linalg.cholesky(values)
@@ -156,6 +170,11 @@ def gp_projector(gm: GramMatrix, mean: np.ndarray, cov: np.ndarray | None = None
     def project(k: np.ndarray):
         if w is None:
             return k @ alpha
-        return k @ alpha, np.maximum(np.einsum("ns,ns->n", k @ w, k), 0.0)
+        return k @ alpha, projected_variance(k, w)
 
     return project
+
+
+def projected_variance(k: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Variances k_n^T w k_n >= 0 of the projected f at kernel rows k, w = K^{-1} cov K^{-1}."""
+    return np.maximum(np.einsum("ns,ns->n", k @ w, k), 0.0)

@@ -51,9 +51,17 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureGrid:
         raise ValueError(f"quadrature order must be >= 1, got {n}")
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError(f"invalid interval [{a}, {b}]")
-    x, w = leggauss(n)
+    x, w = _legendre(n)
     half = 0.5 * (b - a)
     return QuadratureGrid(nodes=a + half * (x + 1.0), weights=half * w, lower=float(a), upper=float(b))
+
+
+@functools.lru_cache(maxsize=16)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``leggauss(n)``, cached per order; shared by every caller, so read-only."""
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 @functools.lru_cache(maxsize=16)

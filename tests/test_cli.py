@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sgp_hawkes
+from sgp_hawkes import fitbase
 from sgp_hawkes.cli import main
 from sgp_hawkes.em import EmModel, SgpComponent
 from sgp_hawkes.kernels import KernelHyperparams, uniform_inducing_grid
@@ -193,6 +194,20 @@ def test_fit_vi_output_does_not_depend_on_blas_threads(tmp_path):
         assert proc.returncode == 2, proc.stderr  # a fixed 12-sweep budget with tol 0 ends at the cap
         outputs.append({name: (out / name).read_bytes() for name in names})
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("method", ["em", "vi"])
+def test_fit_non_finite_gaussian_solve_is_a_numerical_failure(tmp_path, sim_dir, monkeypatch, capsys, method):
+    assemble = fitbase.assemble_system
+
+    def nan_c(stats, cache):
+        u_mat, c_vec = assemble(stats, cache)
+        return u_mat, np.full_like(c_vec, np.nan)
+
+    monkeypatch.setattr(fitbase, "assemble_system", nan_c)
+    rc, _ = run(tmp_path, "fit", {"method": method, "data": str(sim_dir), "max_iter": 3}, "f")
+    assert rc == 2
+    assert "numerical failure: GP update mean" in capsys.readouterr().err
 
 
 def test_fit_mle_model_schema(tmp_path, sim_dir):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
 from sgp_hawkes import FitConfig, case2_rates, fit_em, fit_vi, simulate_thinning
@@ -13,6 +14,7 @@ from sgp_hawkes.fitbase import (
     ComponentStats,
     _compact_stats,
     _profile_objective,
+    _sq_distances,
     _theta_profile,
     assemble_system,
     auto_theta,
@@ -27,6 +29,7 @@ from sgp_hawkes.kernels import (
     THETA_BOUNDS,
     InducingGrid,
     KernelHyperparams,
+    SingularMatrixError,
     gram,
     se_cross,
     uniform_inducing_grid,
@@ -360,6 +363,57 @@ def test_em_theta0_closed_form_maximizes_the_objective(rng, em_refresh_args, vi_
             assert value == pytest.approx(exact, rel=1e-10)
             scanned = [_profile_objective(stats, grid, KernelHyperparams(t0, theta1), fixed) for t0 in scan]
             assert max(scanned) <= value + 1e-12 * max(1.0, abs(value))
+
+
+def reference_theta_profile(stats, grid, theta1, fixed, theta0=None):
+    """The theta profile on fresh se_cross rows with scipy's solves, the projected
+    variance as gp_projector forms it and K1^{-1} cov solved twice."""
+    mean, cov = fixed
+    hp = KernelHyperparams(1.0, theta1)
+    try:
+        gm = gram(grid, hp)
+    except SingularMatrixError:
+        return theta0, -np.inf
+
+    def solve(rhs):
+        return cho_solve((gm.chol, True), rhs)
+
+    k_points, k_quad = se_cross(stats.points, grid.points, hp), se_cross(stats.quad.nodes, grid.points, hp)
+    alpha = solve(mean)
+    f_pts, f_q = k_points @ alpha, k_quad @ alpha
+    sq_pts, sq_q, q = f_pts**2, f_q**2, float(mean @ alpha)
+    if cov is not None:
+        w_cov = solve(solve(cov).T)
+        sq_pts = sq_pts + np.maximum(np.einsum("ns,ns->n", k_points @ w_cov, k_points), 0.0)
+        sq_q = sq_q + np.maximum(np.einsum("ns,ns->n", k_quad @ w_cov, k_quad), 0.0)
+        q += float(np.trace(solve(cov)))
+    w = stats.quad.weights
+    data = float(stats.b_point @ f_pts) + float(w @ (stats.b_quad * f_q))
+    data -= 0.5 * (float(stats.a_point @ sq_pts) + float(w @ (stats.a_quad * sq_q)))
+    if theta0 is None:
+        theta0 = float(np.clip(q / grid.count, *THETA_BOUNDS))
+    value = data - 0.5 * q / theta0 - 0.5 * (gm.logdet() + grid.count * np.log(theta0))
+    return theta0, value if np.isfinite(value) else -np.inf
+
+
+@pytest.mark.parametrize("engine", ["em", "vi"])
+def test_theta_profile_on_cached_distances_is_the_se_cross_profile_bit_for_bit(engine, em_refresh_args, vi_refresh_args):
+    """The search's profile on squared distances computed once, and the exact
+    check on the unbinned statistics, against fresh se_cross rows, on a theta1
+    grid with both THETA_BOUNDS, for EM's point mass and VI's q(u)."""
+    recorded = {"em": em_refresh_args, "vi": vi_refresh_args}[engine]
+    theta1s = np.geomspace(*THETA_BOUNDS, 13)
+    assert (theta1s[0], theta1s[-1]) == THETA_BOUNDS
+    for stats, grid, hp, fixed in recorded["case1"] + recorded["case2"]:
+        assert (fixed[1] is None) == (engine == "em")
+        compact = _compact_stats(stats)
+        sq = _sq_distances(compact, grid)
+        for theta1 in [*theta1s, 1.0 / grid.spacing**2, hp.theta1]:
+            want = reference_theta_profile(compact, grid, theta1, fixed)
+            assert _theta_profile(compact, grid, theta1, fixed, sq=sq) == want
+            assert _theta_profile(compact, grid, theta1, fixed) == want
+        exact = reference_theta_profile(stats, grid, hp.theta1, fixed, hp.theta0)[1]
+        assert _profile_objective(stats, grid, hp, fixed) == exact
 
 
 def test_em_search_reaches_the_nelder_mead_objective(rng, em_refresh_args, vi_refresh_args):

@@ -4,13 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import toeplitz
+from scipy.linalg import cho_solve, solve_triangular, toeplitz
 
 from sgp_hawkes.kernels import (
     THETA_BOUNDS,
     InducingGrid,
     KernelHyperparams,
     SingularMatrixError,
+    chol_solve,
     gram,
     se_cross,
     se_kernel,
@@ -166,3 +167,28 @@ def test_uniform_grid_layout():
 def test_theta_bounds_ordering():
     low, high = THETA_BOUNDS
     assert 0 < low < high
+
+
+@pytest.mark.parametrize("shape", [(10,), (10, 1), (10, 10), (10, 3)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_chol_solve_is_scipys_solve_bit_for_bit(shape, order):
+    """The one small-solve path gives the bits, and the memory order, of scipy's
+    cho_solve and solve_triangular on random SPD systems factored by numpy."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        root = rng.normal(size=(10, 10))
+        chol = np.linalg.cholesky(root @ root.T + 0.1 * np.eye(10))
+        rhs = np.asarray(rng.normal(size=shape), order=order)
+        for got, want in (
+            (chol_solve(chol, rhs, "full"), cho_solve((chol, True), rhs)),
+            (chol_solve(chol, rhs, "half", half=True), solve_triangular(chol, rhs, lower=True)),
+        ):
+            assert np.array_equal(got, want)
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+
+
+@pytest.mark.parametrize("half", [False, True])
+def test_chol_solve_names_a_non_finite_solution(half):
+    chol = np.linalg.cholesky(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    with pytest.raises(FloatingPointError, match="probe solve"):
+        chol_solve(chol, np.array([1.0, np.nan]), "probe solve", half=half)

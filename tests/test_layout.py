@@ -8,6 +8,9 @@ reachable only through an attribute, so for it a bare name does not count.
 Dunder methods, and overrides of a method that a base class defines (such as
 cli._Parser.error, called by argparse), are exempt. Matching is by name, so
 a definition that shares its name with a used one passes too.
+
+Every small Cholesky solve in src/sgp_hawkes goes through kernels.chol_solve,
+so the package reaches none of scipy.linalg's solve wrappers.
 """
 
 import ast
@@ -18,6 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sgp_hawkes"
 LISTS = ("TARGETS", "__all__")  # assignments whose strings name what they reach
+SCIPY_SOLVES = {"cho_solve", "cho_factor", "solve_triangular"}
 
 
 def references() -> tuple[set[str], set[str]]:
@@ -70,3 +74,14 @@ def unreferenced() -> list[str]:
 def test_every_definition_has_a_caller_outside_the_tests():
     orphans = unreferenced()
     assert not orphans, f"referenced only from tests/ or nowhere; move to tests or delete: {orphans}"
+
+
+def test_src_solves_only_through_the_one_helper():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.linalg"):
+                found += [f"{path.name}: {a.name}" for a in node.names if a.name in SCIPY_SOLVES]
+            elif isinstance(node, ast.Attribute) and node.attr in SCIPY_SOLVES:
+                found.append(f"{path.name}: .{node.attr}")
+    assert not found, f"solve through kernels.chol_solve, not scipy.linalg: {found}"

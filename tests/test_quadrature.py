@@ -84,6 +84,22 @@ def test_gauss_hermite_rule_is_cached_and_read_only():
         w[0] = 0.0
 
 
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    x, w = quadrature._legendre(50)
+    assert quadrature._legendre(50)[0] is x
+    fresh_x, fresh_w = np.polynomial.legendre.leggauss(50)
+    np.testing.assert_array_equal(x, fresh_x)
+    np.testing.assert_array_equal(w, fresh_w)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    grid = gauss_legendre(50, 0.0, 37.5)  # the affine map of the cached rule, bit for bit
+    np.testing.assert_array_equal(grid.nodes, 18.75 * (fresh_x + 1.0))
+    np.testing.assert_array_equal(grid.weights, 18.75 * fresh_w)
+    assert grid.nodes.flags.writeable
+
+
 def test_expected_log_sigmoid_zero_variance():
     m = np.array([-2.0, 0.0, 1.5])
     got = expected_log_sigmoid(m, np.zeros_like(m))
