@@ -383,8 +383,8 @@ def assemble_system(stats: ComponentStats, cache: ComponentCache):
     statistics' data points and quadrature grid.
 
     U[s, r] = F[s, r] B[s + r] with F the cache's fill factors and B the band
-    products weighted by a (``band_fill``); c = k^T b. B is an einsum, not a
-    BLAS matrix-vector product, whose threaded reduction over the data points
+    products weighted by a (``band_fill``); c = k^T b. B and c are einsums, not
+    BLAS matrix-vector products, whose threaded reduction over the data points
     changes the bits with the thread count.
     """
     wa = stats.quad.weights * stats.a_quad
@@ -392,7 +392,7 @@ def assemble_system(stats: ComponentStats, cache: ComponentCache):
     band = np.einsum("mp,p->m", cache.band_points, stats.a_point) + np.einsum("mq,q->m", cache.band_quad, wa)
     s = np.arange(cache.grid.count)
     u_mat = cache.fill * band[s[:, None] + s]
-    c_vec = cache.k_quad.T @ wb + cache.k_points.T @ stats.b_point
+    c_vec = np.einsum("qs,q->s", cache.k_quad, wb) + np.einsum("ps,p->s", cache.k_points, stats.b_point)
     return u_mat, c_vec
 
 
@@ -465,8 +465,8 @@ def _theta_profile(stats: ComponentStats, grid: InducingGrid, theta1: float, fix
         sq_q = sq_q + projected_variance(k_quad, w_cov)
         q += float(np.trace(inner))
     w = stats.quad.weights
-    data = float(stats.b_point @ f_pts) + float(w @ (stats.b_quad * f_q))
-    data -= 0.5 * (float(stats.a_point @ sq_pts) + float(w @ (stats.a_quad * sq_q)))
+    data = float(np.einsum("p,p->", stats.b_point, f_pts)) + float(w @ (stats.b_quad * f_q))
+    data -= 0.5 * (float(np.einsum("p,p->", stats.a_point, sq_pts)) + float(w @ (stats.a_quad * sq_q)))
     if theta0 is None:
         theta0 = float(np.clip(q / grid.count, *THETA_BOUNDS))
     value = data - 0.5 * q / theta0 - 0.5 * (gm.logdet() + grid.count * np.log(theta0))

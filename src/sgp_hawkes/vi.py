@@ -157,7 +157,7 @@ def vi_monitor(model: ViModel, links: dict[str, tuple], expectations, data: Data
     value = 0.0
     for n in COMPONENTS:
         weights = branching.weights(n)
-        value += float(weights @ (comps[n].lam.mean_log() + links[n][4]))
+        value += float(np.einsum("p,p->", weights, comps[n].lam.mean_log() + links[n][4]))
         value -= float(np.sum(xlogy(weights, weights)))
     for n in COMPONENTS:
         _, scale, domain = data.component(n)

@@ -11,7 +11,8 @@ import pytest
 
 import sgp_hawkes
 from sgp_hawkes import fitbase
-from sgp_hawkes.cli import main
+from sgp_hawkes.cli import _load_split, main
+from sgp_hawkes.fitbase import build_dataset
 from sgp_hawkes.em import EmModel, SgpComponent
 from sgp_hawkes.kernels import KernelHyperparams, uniform_inducing_grid
 from sgp_hawkes.process import EventSequence, write_events_csv, write_manifest
@@ -174,25 +175,55 @@ def test_fit_vi_writes_uncertainty_column(tmp_path, sim_dir):
     assert header == "x,value,std"
 
 
+def fit_under_blas_threads(tmp_path, payload, threads):
+    """CLI fit of ``payload`` in a fresh interpreter with ``threads`` BLAS threads."""
+    cfg = write_config(tmp_path / "fit.json", payload)
+    src = str(Path(sgp_hawkes.__file__).resolve().parents[1])
+    out = tmp_path / f"fit_{threads}"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "sgp_hawkes.cli", "fit", "--config", cfg, "--out", str(out)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr  # a fixed sweep budget with tol 0 ends at the cap
+    return out
+
+
 def test_fit_vi_output_does_not_depend_on_blas_threads(tmp_path):
     # the same config must give the same bytes whatever the BLAS thread count
     rc, data = run(tmp_path, "simulate", {"preset": "case2", "n_train": 2, "n_test": 0, "seed": 3}, "data")
     assert rc == 0
-    cfg = write_config(
-        tmp_path / "fit.json",
-        {"method": "vi", "data": str(data), "max_iter": 12, "tol": 0.0, "hyper_refresh_every": 5},
-    )
-    src = str(Path(sgp_hawkes.__file__).resolve().parents[1])
+    payload = {"method": "vi", "data": str(data), "max_iter": 12, "tol": 0.0, "hyper_refresh_every": 5}
     names = ("model.json", "estimates_mu.csv", "estimates_phi.csv")
     outputs = []
     for threads in ("1", "2"):
-        out = tmp_path / f"fit_{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        argv = [sys.executable, "-m", "sgp_hawkes.cli", "fit", "--config", cfg, "--out", str(out)]
-        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 2, proc.stderr  # a fixed 12-sweep budget with tol 0 ends at the cap
+        out = fit_under_blas_threads(tmp_path, payload, threads)
         outputs.append({name: (out / name).read_bytes() for name in names})
+    assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def many_pairs_dir(tmp_path_factory):
+    """18 case1 windows, about 98k admissible pairs: at this size OpenBLAS splits a
+    matrix-vector or dot product over the pairs between threads, which changes its bits."""
+    tmp = tmp_path_factory.mktemp("many_pairs")
+    rc, out = run(tmp, "simulate", {"preset": "case1", "n_train": 18, "n_test": 0, "seed": 3}, "data")
+    assert rc == 0
+    manifest, seqs = _load_split(out, "train")
+    assert build_dataset(seqs, float(manifest["T_phi"])).n_pairs >= 40_000
+    return out
+
+
+@pytest.mark.parametrize("method", ["em", "vi"])
+def test_fit_at_many_pairs_does_not_depend_on_blas_threads(tmp_path, many_pairs_dir, method):
+    """Three sweeps with a theta refresh: the same model.json and report (but its
+    runtime) under one and two BLAS threads."""
+    payload = {"method": method, "data": str(many_pairs_dir), "max_iter": 3, "tol": 0.0, "hyper_refresh_every": 3}
+    outputs = []
+    for threads in ("1", "2"):
+        out = fit_under_blas_threads(tmp_path, payload, threads)
+        report = json.loads((out / "report.json").read_text())
+        report.pop("runtime_seconds")
+        outputs.append(((out / "model.json").read_bytes(), report))
     assert outputs[0] == outputs[1]
 
 

@@ -388,8 +388,8 @@ def reference_theta_profile(stats, grid, theta1, fixed, theta0=None):
         sq_q = sq_q + np.maximum(np.einsum("ns,ns->n", k_quad @ w_cov, k_quad), 0.0)
         q += float(np.trace(solve(cov)))
     w = stats.quad.weights
-    data = float(stats.b_point @ f_pts) + float(w @ (stats.b_quad * f_q))
-    data -= 0.5 * (float(stats.a_point @ sq_pts) + float(w @ (stats.a_quad * sq_q)))
+    data = float(np.einsum("p,p->", stats.b_point, f_pts)) + float(w @ (stats.b_quad * f_q))
+    data -= 0.5 * (float(np.einsum("p,p->", stats.a_point, sq_pts)) + float(w @ (stats.a_quad * sq_q)))
     if theta0 is None:
         theta0 = float(np.clip(q / grid.count, *THETA_BOUNDS))
     value = data - 0.5 * q / theta0 - 0.5 * (gm.logdet() + grid.count * np.log(theta0))
