@@ -183,7 +183,7 @@ def fit_under_blas_threads(tmp_path, payload, threads):
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "sgp_hawkes.cli", "fit", "--config", cfg, "--out", str(out)]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr  # a fixed sweep budget with tol 0 ends at the cap
     return out
 
