@@ -22,16 +22,21 @@ def sigmoid(z):
 def pg_mean(b, c):
     """First moment of a tilted Polya-Gamma PG(b, c) variable.
 
-    E[omega] = (b / 2c) tanh(c / 2), with the even limit b/4 at c = 0.
-    For |c| < 1e-4 the Taylor branch b * (1/4 - c^2/48) avoids the 0/0.
+    E[omega] = b tanh(c / 2) / (2c), with the even limit b/4 at c = 0, built
+    in one buffer. For |c| < 1e-4 the Taylor branch b * (1/4 - c^2/48)
+    replaces the 0/0 at only those entries.
     """
-    c = np.asarray(c, dtype=float)
-    b = np.asarray(b, dtype=float)
+    b, c = np.asarray(b, dtype=float), np.asarray(c, dtype=float)
+    out = np.divide(c, 2.0, out=np.empty(np.broadcast(b, c).shape))
+    np.tanh(out, out=out)
+    out *= b
+    with np.errstate(invalid="ignore", over="ignore"):  # 0/0 at c = 0 (fixed below); 2c = inf gives 0
+        out /= 2.0 * c
     small = np.abs(c) < _SMALL_C
-    # Where c is small, substitute 1 to keep the division well-defined; the
-    # result there is overwritten by the series branch.
-    c_safe = np.where(small, 1.0, c)
-    out = np.where(small, b * (0.25 - c * c / 48.0), b * np.tanh(c_safe / 2.0) / (2.0 * c_safe))
+    if small.any():
+        small, b, c = np.broadcast_arrays(small, b, c)
+        tilt = c[small]
+        out[small] = b[small] * (0.25 - tilt * tilt / 48.0)
     if out.ndim == 0:
         return float(out)
     return out

@@ -70,3 +70,29 @@ def test_sigmoid_saturates_without_overflow():
         assert sigmoid(700.0) == 1.0
         tail = sigmoid(-700.0)
     assert 0.0 <= tail < 1e-300
+
+
+def where_pg_mean(b, c):
+    """The two-branch formula pg_mean replaced: np.where over both branches, 1 in for small c."""
+    c = np.asarray(c, dtype=float)
+    b = np.asarray(b, dtype=float)
+    small = np.abs(c) < 1e-4
+    c_safe = np.where(small, 1.0, c)
+    out = np.where(small, b * (0.25 - c * c / 48.0), b * np.tanh(c_safe / 2.0) / (2.0 * c_safe))
+    return float(out) if out.ndim == 0 else out
+
+
+def test_pg_mean_is_the_two_branch_formula_bit_for_bit(rng):
+    """The in-place formula with the series fixed up at |c| < 1e-4 gives the bits
+    of the two-branch formula on random tilts and on the edges: 0, +-1e-4 and the
+    ulps beside it, subnormals, +-inf and large |c|, for scalar and array b."""
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-150, 1e-8, 40.0, 710.0, 1e20,
+             1e300, 8.98846567431158e307, np.finfo(float).max, np.inf]
+    edges += [np.nextafter(1e-4, d) for d in (0.0, np.inf)] + [1e-4]
+    c = np.concatenate([rng.normal(size=20000) * 3.0, rng.standard_cauchy(2000), edges, np.negative(edges)])
+    with np.errstate(over="ignore"):
+        for b in (1.0, 2.5, rng.uniform(0.0, 3.0, c.size)):
+            assert np.array_equal(pg_mean(b, c), where_pg_mean(b, c))
+        for x in c[-2 * len(edges):]:
+            assert pg_mean(1.0, x) == where_pg_mean(1.0, x)
+            assert isinstance(pg_mean(1.0, x), float)
