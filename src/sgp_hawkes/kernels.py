@@ -14,6 +14,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrs, dtrtrs
 
 THETA_BOUNDS = (1e-3, 1e3)
+JITTER = 1e-6  # diagonal jitter of every Gram matrix, relative to theta0
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -137,17 +138,15 @@ class GramMatrix:
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
 
-def gram(grid: InducingGrid, hp: KernelHyperparams, jitter: float | None = None, sq=None) -> GramMatrix:
-    """Gram matrix at the inducing points (from their squared distances ``sq`` if given) with diagonal jitter.
+def gram(grid: InducingGrid, hp: KernelHyperparams, sq=None) -> GramMatrix:
+    """Gram matrix at the inducing points (from their squared distances ``sq`` if given) with diagonal
+    jitter JITTER * theta0, so that K(theta0, theta1) = theta0 K(1, theta1), jitter included.
 
-    Default jitter is 1e-6 * theta0. Raises SingularMatrixError naming the
-    first non-positive pivot if factorization fails. The factor is numpy's:
-    scipy's dpotrf gives other bits on some matrices.
+    Raises SingularMatrixError naming the first non-positive pivot if
+    factorization fails. The factor is numpy's: scipy's dpotrf gives other
+    bits on some matrices.
     """
-    if jitter is None:
-        jitter = 1e-6 * hp.theta0
-    if jitter < 0.0:
-        raise ValueError("jitter must be non-negative")
+    jitter = JITTER * hp.theta0
     values = se_cross(grid.points, grid.points, hp) if sq is None else se_from_sq(sq, hp)
     values[np.diag_indices_from(values)] += jitter
     try:
@@ -156,7 +155,7 @@ def gram(grid: InducingGrid, hp: KernelHyperparams, jitter: float | None = None,
         idx, pivot = _first_nonpositive_pivot(values)
         raise SingularMatrixError(
             f"kernel Gram matrix is not positive definite: pivot {pivot:.3e} "
-            f"at index {idx} (jitter={jitter:.3e}); increase jitter or adjust theta"
+            f"at index {idx} (jitter={jitter:.3e}); adjust theta"
         ) from None
     return GramMatrix(values=values, chol=chol)
 

@@ -7,7 +7,9 @@ import pytest
 from scipy.linalg import cho_solve, solve_triangular, toeplitz
 
 from sgp_hawkes.kernels import (
+    JITTER,
     THETA_BOUNDS,
+    GramMatrix,
     InducingGrid,
     KernelHyperparams,
     SingularMatrixError,
@@ -64,7 +66,8 @@ def test_se_cross_is_the_broadcast_kernel_bit_for_bit_in_one_buffer(theta1):
 
 def test_gram_single_point_with_explicit_jitter():
     grid = InducingGrid(points=np.array([0.0]), domain=1.0)
-    gm = gram(grid, KernelHyperparams(1.0, 1.0), jitter=1e-6)
+    gm = gram(grid, KernelHyperparams(1.0, 1.0))
+    assert JITTER == 1e-6
     np.testing.assert_array_equal(gm.values, np.array([[1.000001]]))
 
 
@@ -94,9 +97,8 @@ def test_gram_scales_with_theta0_jitter_included(theta0, theta1):
 def test_gram_two_point_determinant():
     grid = InducingGrid(points=np.array([0.0, 0.5]), domain=0.5)
     hp = KernelHyperparams(1.0, 1.0)
-    gm = gram(grid, hp, jitter=0.0)
     # closed form: 1 - exp(-theta1 * 0.25 / 2)^2 = 1 - exp(-0.25)
-    det = np.linalg.det(gm.values)
+    det = np.linalg.det(se_cross(grid.points, grid.points, hp))
     assert det == pytest.approx(1.0 - np.exp(-0.25), rel=1e-12)
     assert det > 0
     assert np.linalg.det(gram(grid, hp).values) > 0  # jittered too
@@ -121,10 +123,14 @@ def test_gram_half_solve_reconstructs_inverse_quadratic_form(rng):
 
 
 def test_gram_degenerate_grid_raises():
-    # two points whose kernel distance underflows to zero -> singular matrix
+    # two points whose kernel distance underflows to zero: singular without the
+    # jitter, which keeps the Gram matrix factorable
     grid = InducingGrid(points=np.array([0.0, 1e-18]), domain=2.0)
-    with pytest.raises(SingularMatrixError):
-        gram(grid, KernelHyperparams(1.0, 1.0), jitter=0.0)
+    assert np.linalg.matrix_rank(se_cross(grid.points, grid.points, KernelHyperparams(1.0, 1.0))) == 1
+    assert np.isfinite(gram(grid, KernelHyperparams(1.0, 1.0)).logdet())
+    # squared "distances" that are no distances give an indefinite matrix the jitter cannot mend
+    with pytest.raises(SingularMatrixError, match="pivot .* at index 1"):
+        gram(grid, KernelHyperparams(1.0, 1.0), sq=np.array([[0.0, -2.0], [-2.0, 0.0]]))
 
 
 def test_sparse_mean_zero_coefficients(sparse_mean):
@@ -137,7 +143,8 @@ def test_sparse_mean_zero_coefficients(sparse_mean):
 def test_sparse_mean_interpolates_at_inducing_points(rng, sparse_mean):
     grid = uniform_inducing_grid(5, 10.0)
     hp = KernelHyperparams(1.0, 0.5)
-    gm = gram(grid, hp, jitter=1e-12)
+    values = se_cross(grid.points, grid.points, hp) + 1e-12 * np.eye(5)
+    gm = GramMatrix(values, np.linalg.cholesky(values))
     u = rng.normal(size=5)
     at_points = sparse_mean(grid.points, grid, gm, u, hp)
     np.testing.assert_allclose(at_points, u, rtol=0, atol=1e-6)
