@@ -24,6 +24,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .kernels import (
+    JITTER,
     THETA_BOUNDS,
     GramMatrix,
     InducingGrid,
@@ -43,6 +44,8 @@ from .quadrature import QuadratureGrid, gauss_legendre
 
 _SEARCH_BINS = 2048
 _COARSE_THETA1 = 15  # log-spaced theta1 values of the theta search's bracketing grid
+_SCAN_DOUBLES = 1 << 16  # doubles (512 KiB) per kernel-row block of the coarse theta1 scan
+_MIN_EXPONENT = -600.0  # floor of the scan's kernel-row exponents: near exp(-708) exp and its products turn subnormal
 COMPONENTS = ("mu", "phi")
 _INT_MINIMUMS = {  # smallest accepted value of each integer FitConfig field
     "S_mu": 2, "S_phi": 2, "quad_order_T": 1, "quad_order_Tphi": 1,
@@ -223,8 +226,9 @@ def band_fill(grid: InducingGrid, hp: KernelHyperparams) -> np.ndarray:
 @dataclass
 class ComponentCache:
     """Kernel rows from one component's data locations and quadrature nodes to its
-    inducing grid, which must be uniform, with their band products and the fill
-    factors of the assembly (``band_products``, ``band_fill``)."""
+    inducing grid, which must be uniform, with their band products, the fill
+    factors of the assembly (``band_products``, ``band_fill``) and the theta
+    search's bin of each data location (``_search_bins``)."""
 
     grid: InducingGrid
     hp: KernelHyperparams
@@ -236,9 +240,10 @@ class ComponentCache:
     band_points: np.ndarray
     band_quad: np.ndarray
     fill: np.ndarray
+    bins: np.ndarray
 
     @classmethod
-    def build(cls, points, grid: InducingGrid, hp: KernelHyperparams, quad: QuadratureGrid):
+    def build(cls, points, grid: InducingGrid, hp: KernelHyperparams, quad: QuadratureGrid, bins=None):
         points = np.asarray(points, dtype=float)
         fill = band_fill(grid, hp)
         k_points = se_cross(points, grid.points, hp)
@@ -254,6 +259,7 @@ class ComponentCache:
             band_points=band_products(k_points),
             band_quad=band_products(k_quad),
             fill=fill,
+            bins=_search_bins(points, grid.domain) if bins is None else bins,
         )
 
     def project_mean(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -432,13 +438,13 @@ def _sq_distances(stats: ComponentStats, grid: InducingGrid) -> tuple[np.ndarray
     return tuple(np.square(d, out=d) for d in diffs)
 
 
-def _theta_profile(stats: ComponentStats, grid: InducingGrid, theta1: float, fixed, theta0=None, sq=None):
-    """(theta0, theta objective at (theta0, theta1)), holding the Gaussian factor
-    ``fixed`` = (mean, cov) of the inducing values (cov None: EM's point mass at
-    u = mean); without ``theta0``, at its maximizer in THETA_BOUNDS. Kernel rows
-    come from the squared distances ``sq`` (``_sq_distances``), or else are built
-    in one buffer per block. The value is -inf where the Gram matrix does not
-    factor or a solve is not finite.
+def _theta_profile(stats: ComponentStats, grid: InducingGrid, theta1: float, fixed, sq=None):
+    """(theta0, theta objective at (theta0, theta1)) with theta0 at its maximizer
+    in THETA_BOUNDS, holding the Gaussian factor ``fixed`` = (mean, cov) of the
+    inducing values (cov None: EM's point mass at u = mean). Kernel rows come
+    from the squared distances ``sq`` (``_sq_distances``, computed if not given).
+    The value is -inf where the Gram matrix does not factor or a solve is not
+    finite.
 
     The objective is E[sum b f - 0.5 a f^2] - KL(q(u) || N(0, K)) up to terms
     free of theta. K = theta0 K1 exactly, jitter included, so the projected
@@ -448,16 +454,15 @@ def _theta_profile(stats: ComponentStats, grid: InducingGrid, theta1: float, fix
     """
     mean, cov = fixed
     hp = KernelHyperparams(1.0, theta1)
-    fresh = sq is None
-    sq = _sq_distances(stats, grid) if fresh else sq
+    sq = _sq_distances(stats, grid) if sq is None else sq
     try:
         gm = gram(grid, hp, sq=sq[2])
         alpha = gm.solve(mean)
         inner = None if cov is None else gm.solve(cov)
         w_cov = None if cov is None else gm.solve(inner.T)
     except (SingularMatrixError, FloatingPointError):
-        return theta0, -np.inf
-    k_points, k_quad = (se_from_sq(d, hp, out=d if fresh else None) for d in sq[:2])
+        return None, -np.inf
+    k_points, k_quad = (se_from_sq(d, hp) for d in sq[:2])
     f_pts, f_q = k_points @ alpha, k_quad @ alpha
     sq_pts, sq_q, q = f_pts**2, f_q**2, float(mean @ alpha)
     if cov is not None:
@@ -467,67 +472,135 @@ def _theta_profile(stats: ComponentStats, grid: InducingGrid, theta1: float, fix
     w = stats.quad.weights
     data = float(np.einsum("p,p->", stats.b_point, f_pts)) + float(w @ (stats.b_quad * f_q))
     data -= 0.5 * (float(np.einsum("p,p->", stats.a_point, sq_pts)) + float(w @ (stats.a_quad * sq_q)))
-    if theta0 is None:
-        theta0 = float(np.clip(q / grid.count, *THETA_BOUNDS))
+    theta0 = float(np.clip(q / grid.count, *THETA_BOUNDS))
     value = data - 0.5 * q / theta0 - 0.5 * (gm.logdet() + grid.count * np.log(theta0))
     return theta0, value if np.isfinite(value) else -np.inf
 
 
-def _profile_objective(stats: ComponentStats, grid: InducingGrid, hp: KernelHyperparams, fixed) -> float:
-    """Theta objective of the refresh at ``hp`` (``_theta_profile``)."""
-    return _theta_profile(stats, grid, hp.theta1, fixed, hp.theta0)[1]
+def _moment_factor(fixed) -> np.ndarray:
+    """[m, L] with cov = L L^T (m alone for EM): for kernel rows k and Z = K^{-1} [m, L], f = k Z[:, 0],
+    f^2 + var = |k Z|^2 row by row and m^T K^{-1} m + tr(K^{-1} cov) = sum([m, L] * Z)."""
+    mean, cov = fixed
+    if cov is None:
+        return mean[:, None]
+    lam, vec = np.linalg.eigh(cov)
+    return np.column_stack([mean, vec * np.sqrt(np.maximum(lam, 0.0))])
 
 
-def _compact_stats(stats: ComponentStats, n_bins: int = _SEARCH_BINS) -> ComponentStats:
-    """Histogram the Dirac part onto bin centers to speed up the theta search."""
-    if stats.points.size <= n_bins:
+def _data_term(proj: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """E[sum b f - 0.5 a f^2] from the projections k Z (``_moment_factor``), over any leading axes."""
+    second = np.einsum("...pr,...pr->...p", proj, proj)
+    return np.einsum("...p,p->...", proj[..., 0], b) - 0.5 * np.einsum("...p,p->...", second, a)
+
+
+def _theta_scan(stats: ComponentStats, grid: InducingGrid, theta1s: np.ndarray, fixed, sq) -> np.ndarray:
+    """The values of ``_theta_profile`` at each of ``theta1s`` in one vectorized pass
+    (``_moment_factor``): one Cholesky of the stack of K1, each slice solved by
+    ``chol_solve``, and kernel rows for blocks of theta1 of about _SCAN_DOUBLES
+    doubles, their exponents clamped at _MIN_EXPONENT. Point by point
+    (``_theta_profile``) if a K1 does not factor or a solve is not finite."""
+    count, rhs = grid.count, _moment_factor(fixed)
+    k1 = np.exp(np.multiply.outer(-0.5 * theta1s, sq[2]))
+    k1[:, range(count), range(count)] += JITTER
+    try:
+        chols = np.linalg.cholesky(k1)
+        solved = np.stack([chol_solve(chol, rhs, "theta scan") for chol in chols])
+    except (np.linalg.LinAlgError, FloatingPointError):
+        return np.array([_theta_profile(stats, grid, t, fixed, sq=sq)[1] for t in theta1s])
+    rows_sq = np.concatenate(sq[:2])
+    a = np.concatenate([stats.a_point, stats.quad.weights * stats.a_quad])
+    b = np.concatenate([stats.b_point, stats.quad.weights * stats.b_quad])
+    data = np.empty(theta1s.size)
+    block = max(1, _SCAN_DOUBLES // max(1, rows_sq.size))
+    for lo in range(0, theta1s.size, block):
+        rows = np.multiply.outer(-0.5 * theta1s[lo:lo + block], rows_sq)
+        np.exp(np.maximum(rows, _MIN_EXPONENT, out=rows), out=rows)
+        data[lo:lo + block] = _data_term(rows @ solved[lo:lo + block], a, b)
+    q = np.einsum("sr,gsr->g", rhs, solved)
+    theta0 = np.clip(q / count, *THETA_BOUNDS)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+    values = data - 0.5 * q / theta0 - 0.5 * (logdet + count * np.log(theta0))
+    return np.where(np.isfinite(values), values, -np.inf)
+
+
+def _search_bins(points: np.ndarray, domain: float) -> np.ndarray:
+    """Bin of each point among the _SEARCH_BINS equal bins of [0, domain]."""
+    edges = np.linspace(0.0, domain, _SEARCH_BINS + 1)
+    return np.clip(np.searchsorted(edges, points, side="right") - 1, 0, _SEARCH_BINS - 1)
+
+
+def _compact_stats(stats: ComponentStats, bins: np.ndarray | None = None) -> ComponentStats:
+    """Histogram the Dirac part onto bin centers, by ``bins`` (``_search_bins`` of
+    the points, computed if not given), to speed up the theta search."""
+    if stats.points.size <= _SEARCH_BINS:
         return stats
-    edges = np.linspace(0.0, stats.domain, n_bins + 1)
-    idx = np.clip(np.searchsorted(edges, stats.points, side="right") - 1, 0, n_bins - 1)
-    a = np.bincount(idx, weights=stats.a_point, minlength=n_bins)
-    b = np.bincount(idx, weights=stats.b_point, minlength=n_bins)
+    bins = _search_bins(stats.points, stats.domain) if bins is None else bins
+    a = np.bincount(bins, weights=stats.a_point, minlength=_SEARCH_BINS)
+    b = np.bincount(bins, weights=stats.b_point, minlength=_SEARCH_BINS)
     keep = (a != 0.0) | (b != 0.0)
+    edges = np.linspace(0.0, stats.domain, _SEARCH_BINS + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return replace(stats, points=centers[keep], a_point=a[keep], b_point=b[keep])
 
 
-def search_theta(
-    stats: ComponentStats, grid: InducingGrid, hp: KernelHyperparams, fixed: tuple
-) -> tuple[KernelHyperparams, bool]:
-    """Bounded refresh of (theta0, theta1) for one component, holding the
-    Gaussian factor ``fixed`` = (mean, cov) of its inducing values (cov None
-    for EM's point estimate).
-
-    theta0 is the closed-form maximizer clip(q / S) at every theta1 (see
-    ``_theta_profile``), so the search is over log theta1 alone: the best of a
-    coarse log grid over THETA_BOUNDS plus the incumbent and 1/spacing^2,
-    refined by bounded Brent in its bracket to 1e-3. It runs on compacted
-    statistics, with their squared distances to the grid computed once, then
-    checks the exact objective at the winner; the incumbent is kept (and the
-    move flagged as rejected) unless the exact objective does not decrease.
-    """
-    compact = _compact_stats(stats)
-    sq = _sq_distances(compact, grid)
+def _theta_candidate(stats: ComponentStats, grid: InducingGrid, hp: KernelHyperparams, fixed) -> KernelHyperparams:
+    """The maximizer of ``_theta_profile`` over log theta1 (``hp`` if no value is finite): the best of a
+    coarse log grid over THETA_BOUNDS plus the incumbent and 1/spacing^2, scanned in one pass
+    (``_theta_scan``), refined by bounded Brent in its bracket to 1e-3."""
+    sq = _sq_distances(stats, grid)
     lo, hi = np.log(THETA_BOUNDS[0]), np.log(THETA_BOUNDS[1])
     best_value, candidate = -np.inf, hp
 
     def negative(x):
         nonlocal best_value, candidate
         theta1 = float(np.exp(x))
-        theta0, value = _theta_profile(compact, grid, theta1, fixed, sq=sq)
+        theta0, value = _theta_profile(stats, grid, theta1, fixed, sq=sq)
         if value > best_value:
             best_value, candidate = value, KernelHyperparams(theta0, theta1)
         return -value if np.isfinite(value) else 1e300
 
     starts = np.clip(np.log([hp.theta1, 1.0 / grid.spacing**2]), lo, hi)
     xs = np.unique(np.concatenate([np.linspace(lo, hi, _COARSE_THETA1), starts]))
-    i = int(np.argmin([negative(x) for x in xs]))
+    i = int(np.argmax(_theta_scan(stats, grid, np.exp(xs), fixed, sq)))
+    negative(xs[i])  # the grid's best, valued as Brent values its points
     bracket = (xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)])
     minimize_scalar(negative, bounds=bracket, method="bounded", options={"xatol": 1e-3})
-    j_old = _profile_objective(stats, grid, hp, fixed)
-    j_new = _profile_objective(stats, grid, candidate, fixed)
+    return candidate
+
+
+def _cache_objective(stats: ComponentStats, cache: ComponentCache, fixed) -> float:
+    """The theta objective (``_theta_profile``) at the cache's hp from its kernel rows, or -inf: with
+    K = theta0 K1, q / theta0 = sum([m, L] * K^{-1} [m, L]) and log|K1| + S log theta0 = log|K|."""
+    rhs = _moment_factor(fixed)
+    z, w = cache.gm.solve(rhs), stats.quad.weights
+    value = _data_term(cache.k_points @ z, stats.a_point, stats.b_point) - 0.5 * (np.sum(rhs * z) + cache.gm.logdet())
+    value += _data_term(cache.k_quad @ z, w * stats.a_quad, w * stats.b_quad)
+    return float(value) if np.isfinite(value) else -np.inf
+
+
+def search_theta(stats: ComponentStats, caches: dict, name: str, fixed: tuple) -> tuple[KernelHyperparams, bool]:
+    """Bounded refresh of (theta0, theta1) of component ``name``, holding the Gaussian factor ``fixed`` =
+    (mean, cov) of its inducing values (cov None for EM): (hp, accepted), with caches[name] built at hp.
+
+    theta0 is the closed-form maximizer clip(q / S) at every theta1, so the search is over log theta1
+    alone (``_theta_candidate``), on the statistics binned by the cache's search bins. Then the exact
+    objective comes from the kernel rows of the incumbent's and the candidate's caches
+    (``_cache_objective``), the old one freed before the new one is built; unless it does not decrease,
+    the incumbent is kept, its cache rebuilt and the move flagged as rejected.
+    """
+    cache = caches[name]
+    hp, points, grid, quad, bins = cache.hp, cache.points, cache.grid, cache.quad, cache.bins
+    candidate = _theta_candidate(_compact_stats(stats, bins), grid, hp, fixed)
+    if candidate == hp:
+        return hp, True
+    j_old = _cache_objective(stats, cache, fixed)
+    caches[name] = cache = None  # free the old kernel rows before building the new ones
+    caches[name] = cache = ComponentCache.build(points, grid, candidate, quad, bins)
+    j_new = _cache_objective(stats, cache, fixed)
     if np.isfinite(j_new) and j_new >= j_old - 1e-9 - 1e-12 * abs(j_old):
         return candidate, True
+    caches[name] = cache = None
+    caches[name] = ComponentCache.build(points, grid, hp, quad, bins)
     return hp, False
 
 
@@ -552,8 +625,7 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
     each component's update, refreshes theta every hyper_refresh_every sweeps
     (0: never) and projects the new model once, for its E-step and objective.
     The PG means of an E-step are computed when the next sweep starts, so the
-    final model gets none. A theta move frees a component's old cache before
-    it builds the new one. It stops when the relative objective change falls
+    final model gets none. It stops when the relative objective change falls
     below config.tol, or after config.max_iter sweeps. The engine supplies
     ``kind``, ``label`` and six hooks: ``init(data, caches)``;
     ``project(model, caches)``, the link of each component (see ``estep``);
@@ -585,22 +657,15 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
         if config.hyper_refresh_every and iteration % config.hyper_refresh_every == 0:
             record = {"iteration": iteration}
             for name, (stats, count, exposure, _, _) in updates.items():
-                cache = caches[name]
-                hp_new, accepted = search_theta(stats, cache.grid, cache.hp, engine.gaussian(model, name))
-                if accepted and hp_new != cache.hp:
-                    rebuild = (cache.points, cache.grid, hp_new, cache.quad)
-                    caches[name] = cache = None  # free the old kernel rows before building the new ones
-                    caches[name] = cache = ComponentCache.build(*rebuild)
-                    model = engine.install(model, name, cache.hp, count, exposure, *gaussian_update(stats, cache))
-                record[name] = {
-                    "theta0": cache.hp.theta0,
-                    "theta1": cache.hp.theta1,
-                    "accepted": accepted,
-                }
+                incumbent = caches[name].hp
+                hp, accepted = search_theta(stats, caches, name, engine.gaussian(model, name))
+                if hp != incumbent:
+                    model = engine.install(model, name, hp, count, exposure, *gaussian_update(stats, caches[name]))
+                record[name] = {"theta0": hp.theta0, "theta1": hp.theta1, "accepted": accepted}
                 if not accepted:
                     warnings.append(f"hyperparameter search for {name} kept theta at iteration {iteration}")
                 for param in ("theta0", "theta1"):
-                    value = getattr(cache.hp, param)
+                    value = getattr(hp, param)
                     # the search clips in log space: 1e-3 comes back as 1.0000000000000002e-3
                     for bound in (b for b in THETA_BOUNDS if abs(value - b) <= 1e-9 * b):
                         warnings.append(

@@ -1,5 +1,7 @@
 """Pooled datasets, branching normalization, Gaussian updates, theta search."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,9 +15,11 @@ from sgp_hawkes.fitbase import (
     ComponentCache,
     ComponentStats,
     _compact_stats,
-    _profile_objective,
+    _cache_objective,
     _sq_distances,
+    _theta_candidate,
     _theta_profile,
+    _theta_scan,
     assemble_system,
     auto_theta,
     build_dataset,
@@ -36,6 +40,7 @@ from sgp_hawkes.kernels import (
 )
 from sgp_hawkes.process import EventSequence, admissible_pairs
 from sgp_hawkes.quadrature import gauss_legendre
+from sgp_hawkes.serialize import dumps_json, model_to_dict
 
 
 def toy_stats(rng, grid, n_points=3, quad_order=12):
@@ -83,8 +88,16 @@ def nelder_mead_theta(stats, grid, hp, fixed):
     return hp, False
 
 
+def refresh(stats, grid, hp, fixed):
+    """(hp, accepted) of search_theta from a cache of ``stats`` at ``hp``."""
+    caches = {"c": ComponentCache.build(stats.points, grid, hp, stats.quad)}
+    hp_new, accepted = search_theta(stats, caches, "c", fixed)
+    assert caches["c"].hp == hp_new
+    return hp_new, accepted
+
+
 def toy_em_searches(rng, n=6):
-    """search_theta arguments on random toy statistics, grids and incumbents."""
+    """(statistics, grid, incumbent, fixed factor) of searches on random toy statistics, grids and incumbents."""
     out = []
     for _ in range(n):
         count = int(rng.integers(3, 12))
@@ -96,15 +109,15 @@ def toy_em_searches(rng, n=6):
 
 
 def record_refreshes(fit, small_case1_seqs):
-    """search_theta arguments of every refresh of small case1 and case2 fits."""
+    """(statistics, grid, incumbent, fixed factor) of every refresh of small case1 and case2 fits."""
     calls = {"case1": [], "case2": []}
     case2 = [simulate_thinning(case2_rates(), 100.0, seed=s) for s in range(2)]
     with pytest.MonkeyPatch.context() as mp:
         for name, seqs, t_phi in (("case1", small_case1_seqs, 6.0), ("case2", case2, case2_rates().T_phi)):
 
-            def recording(*args, calls=calls[name]):
-                calls.append(args)
-                return search_theta(*args)
+            def recording(stats, caches, component, fixed, calls=calls[name]):
+                calls.append((stats, caches[component].grid, caches[component].hp, fixed))
+                return search_theta(stats, caches, component, fixed)
 
             mp.setattr(fitbase, "search_theta", recording)
             fit(seqs, FitConfig(T=100.0, T_phi=t_phi, max_iter=40, tol=0.0, hyper_refresh_every=20))
@@ -321,7 +334,7 @@ def test_search_theta_respects_bounds_and_contract(rng):
     u = rng.normal(size=5) * 0.3
     root = rng.normal(size=(5, 5)) * 0.3
     for fixed in ((u, None), (u, root @ root.T)):
-        hp_new, accepted = search_theta(stats, grid, hp, fixed)
+        hp_new, accepted = refresh(stats, grid, hp, fixed)
         assert 1e-3 <= hp_new.theta0 <= 1e3
         assert 1e-3 <= hp_new.theta1 <= 1e3
         j_old = _profile_objective(stats, grid, hp, fixed)
@@ -335,8 +348,11 @@ def test_refresh_onto_a_theta_bound_is_reported(monkeypatch, small_case1_seqs):
     low = float(np.exp(np.log(THETA_BOUNDS[0])))  # what the log-space clip returns
     assert low != THETA_BOUNDS[0]
 
-    def onto_lower_bound(stats, grid, hp, fixed):
-        return KernelHyperparams(low, hp.theta1), True
+    def onto_lower_bound(stats, caches, name, fixed):
+        cache = caches[name]
+        hp = KernelHyperparams(low, cache.hp.theta1)
+        caches[name] = ComponentCache.build(cache.points, cache.grid, hp, cache.quad)
+        return hp, True
 
     monkeypatch.setattr(fitbase, "search_theta", onto_lower_bound)
     config = FitConfig(T=100.0, T_phi=6.0, max_iter=2, tol=0.0, hyper_refresh_every=1)
@@ -396,6 +412,12 @@ def reference_theta_profile(stats, grid, theta1, fixed, theta0=None):
     return theta0, value if np.isfinite(value) else -np.inf
 
 
+def _profile_objective(stats, grid, hp, fixed):
+    """The theta objective at ``hp`` on the statistics as given (the unbinned
+    data points for the refresh's exact check): the oracle of ``_cache_objective``."""
+    return reference_theta_profile(stats, grid, hp.theta1, fixed, hp.theta0)[1]
+
+
 @pytest.mark.parametrize("engine", ["em", "vi"])
 def test_theta_profile_on_cached_distances_is_the_se_cross_profile_bit_for_bit(engine, em_refresh_args, vi_refresh_args):
     """The search's profile on squared distances computed once, and the exact
@@ -419,7 +441,7 @@ def test_theta_profile_on_cached_distances_is_the_se_cross_profile_bit_for_bit(e
 def test_em_search_reaches_the_nelder_mead_objective(rng, em_refresh_args, vi_refresh_args):
     recorded = [args for calls in (em_refresh_args, vi_refresh_args) for args in calls["case1"] + calls["case2"]]
     for stats, grid, hp, fixed in toy_em_searches(rng) + recorded:
-        ours, _ = search_theta(stats, grid, hp, fixed)
+        ours, _ = refresh(stats, grid, hp, fixed)
         ref, _ = nelder_mead_theta(stats, grid, hp, fixed)
         j_ours = _profile_objective(stats, grid, ours, fixed)
         j_ref = _profile_objective(stats, grid, ref, fixed)
@@ -427,19 +449,26 @@ def test_em_search_reaches_the_nelder_mead_objective(rng, em_refresh_args, vi_re
 
 
 def test_em_search_assembles_at_most_64_kernel_systems(monkeypatch, rng, em_refresh_args, vi_refresh_args):
-    assembled = 0
+    """At most 64 theta1 values evaluated per search: one per profile, G per scan of G values."""
+    evaluated = 0
 
-    def counting_gram(*args, **kwargs):
-        nonlocal assembled
-        assembled += 1
-        return gram(*args, **kwargs)
+    def counting_profile(stats, grid, theta1, fixed, sq=None):
+        nonlocal evaluated
+        evaluated += 1
+        return _theta_profile(stats, grid, theta1, fixed, sq=sq)
 
-    monkeypatch.setattr(fitbase, "gram", counting_gram)
+    def counting_scan(stats, grid, theta1s, fixed, sq):
+        nonlocal evaluated
+        evaluated += theta1s.size
+        return _theta_scan(stats, grid, theta1s, fixed, sq)
+
+    monkeypatch.setattr(fitbase, "_theta_profile", counting_profile)
+    monkeypatch.setattr(fitbase, "_theta_scan", counting_scan)
     recorded = [args for calls in (em_refresh_args, vi_refresh_args) for args in calls["case1"] + calls["case2"]]
     for args in toy_em_searches(rng) + recorded:
-        assembled = 0
-        search_theta(*args)
-        assert 0 < assembled <= 64
+        evaluated = 0
+        refresh(*args)
+        assert 0 < evaluated <= 64
 
 
 def test_vi_theta_objective_matches_the_dense_bound(rng):
@@ -466,7 +495,105 @@ def test_vi_theta_objective_matches_the_dense_bound(rng):
         kl = 0.5 * (np.trace(k_inv @ cov) + mean @ k_inv @ mean - 2 + logdet_k - np.linalg.slogdet(cov)[1])
         return value - kl
 
+    def oracle(hp):
+        return _profile_objective(stats, grid, hp, fixed)
+
+    def exact_check(hp):
+        return _cache_objective(stats, ComponentCache.build(stats.points, grid, hp, stats.quad), fixed)
+
     hps = [KernelHyperparams(0.7, 0.4), KernelHyperparams(2.5, 3.0), KernelHyperparams(0.05, 20.0)]
     for hp_a, hp_b in zip(hps, hps[1:] + hps[:1]):
-        ours = _profile_objective(stats, grid, hp_a, fixed) - _profile_objective(stats, grid, hp_b, fixed)
-        assert ours == pytest.approx(dense(hp_a) - dense(hp_b), rel=0, abs=1e-10)
+        for objective in (oracle, exact_check):
+            ours = objective(hp_a) - objective(hp_b)
+            assert ours == pytest.approx(dense(hp_a) - dense(hp_b), rel=0, abs=1e-10)
+
+
+def scanned_grids(recorded):
+    """(compacted statistics, grid, theta1s, fixed, sq) of the coarse scan of every recorded search."""
+    out = []
+    for stats, grid, hp, fixed in recorded["case1"] + recorded["case2"]:
+        compact = _compact_stats(stats)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fitbase, "_theta_scan", lambda *args: out.append(args) or _theta_scan(*args))
+            _theta_candidate(compact, grid, hp, fixed)
+    return out
+
+
+@pytest.mark.parametrize("engine", ["em", "vi"])
+def test_theta_scan_is_the_profile_on_every_recorded_search(engine, em_refresh_args, vi_refresh_args):
+    """The vectorized coarse scan has the argmax of _theta_profile point by point
+    on each recorded search's grid, which spans THETA_BOUNDS; EM's values agree to
+    1e-12 relative, VI's to 1e-4 (largest gap 1.1e-5, at ill-conditioned K1, where
+    the scan's variance from K1^{-1} L is the more accurate: a 50-digit evaluation
+    puts it within 1.2e-8, and the profile's K1^{-1} cov K1^{-1} 1.1e-5, off)."""
+    scans = scanned_grids({"em": em_refresh_args, "vi": vi_refresh_args}[engine])
+    assert len(scans) == 8
+    for stats, grid, theta1s, fixed, sq in scans:
+        assert (theta1s[0], theta1s[-1]) == pytest.approx(THETA_BOUNDS, rel=1e-12)
+        scanned = _theta_scan(stats, grid, theta1s, fixed, sq)
+        pointwise = np.array([_theta_profile(stats, grid, t, fixed, sq=sq)[1] for t in theta1s])
+        assert np.all(np.isfinite(pointwise))
+        assert np.argmax(scanned) == np.argmax(pointwise)
+        gap = np.max(np.abs(scanned - pointwise) / np.abs(pointwise))
+        assert gap <= (1e-12 if engine == "em" else 1e-4)
+
+
+def test_theta_scan_blocks_and_clamp_do_not_change_the_values(monkeypatch, em_refresh_args, vi_refresh_args):
+    """One theta1 per block, and no clamp of the exponents, give the same values to 1e-13."""
+    for stats, grid, theta1s, fixed, sq in scanned_grids(em_refresh_args)[:2] + scanned_grids(vi_refresh_args)[:2]:
+        blocked = _theta_scan(stats, grid, theta1s, fixed, sq)
+        with monkeypatch.context() as mp:
+            mp.setattr(fitbase, "_SCAN_DOUBLES", 1)
+            mp.setattr(fitbase, "_MIN_EXPONENT", -np.inf)
+            single = _theta_scan(stats, grid, theta1s, fixed, sq)
+        np.testing.assert_allclose(blocked, single, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("engine", ["em", "vi"])
+def test_cache_objective_is_the_unbinned_oracle(engine, em_refresh_args, vi_refresh_args):
+    """The refresh's exact check, from a cache's kernel rows, equals the theta
+    objective on the unbinned points to 1e-10 relative at every recorded incumbent
+    and at its theta0 with theta1 on either bound. Only VI at theta1 = 1e-3, where
+    K1 is ill-conditioned, differs by more (largest 1.1e-9); there a 40-digit
+    evaluation of three recorded cases puts the check within 1.6e-11 and the
+    oracle's K1^{-1} cov K1^{-1} 1.1e-9 off."""
+    recorded = {"em": em_refresh_args, "vi": vi_refresh_args}[engine]
+    for stats, grid, hp, fixed in recorded["case1"] + recorded["case2"]:
+        for theta in (hp, *(KernelHyperparams(hp.theta0, t) for t in THETA_BOUNDS)):
+            ours = _cache_objective(stats, ComponentCache.build(stats.points, grid, theta, stats.quad), fixed)
+            rel = 1e-8 if engine == "vi" and theta.theta1 == THETA_BOUNDS[0] else 1e-10
+            assert ours == pytest.approx(_profile_objective(stats, grid, theta, fixed), rel=rel, abs=0)
+
+
+@pytest.mark.parametrize("fit", [fit_em, fit_vi])
+def test_a_rejected_refresh_rebuilds_the_incumbent(monkeypatch, small_case1_seqs, fit):
+    """A candidate that lowers the exact objective is rejected: the refresh records
+    it, rebuilds the incumbent's cache array for array, and the fit ends where a
+    fit whose search returned the incumbent ends."""
+    config = FitConfig(T=100.0, T_phi=6.0, max_iter=6, tol=0.0, hyper_refresh_every=3)
+    rebuilt = []
+
+    def spying(stats, caches, name, fixed):
+        before = caches[name]
+        result = search_theta(stats, caches, name, fixed)
+        rebuilt.append((before, caches[name]))
+        return result
+
+    monkeypatch.setattr(fitbase, "search_theta", spying)
+    monkeypatch.setattr(fitbase, "_theta_candidate", lambda stats, grid, hp, fixed: KernelHyperparams(1e3, hp.theta1))
+    model, report = fit(small_case1_seqs, config)
+    assert [record[n]["accepted"] for record in report.hyper_history for n in ("mu", "phi")] == [False] * 4
+    assert len(rebuilt) == 4
+    for before, after in rebuilt:
+        assert after is not before and after.hp == before.hp
+        for field in fields(ComponentCache):
+            old, new = getattr(before, field.name), getattr(after, field.name)
+            if field.name == "gm":
+                old, new = np.stack([old.values, old.chol]), np.stack([new.values, new.chol])
+            assert old is new or np.array_equal(old, new)
+
+    monkeypatch.setattr(fitbase, "_theta_candidate", lambda stats, grid, hp, fixed: hp)
+    kept, kept_report = fit(small_case1_seqs, config)
+    assert [record[n]["accepted"] for record in kept_report.hyper_history for n in ("mu", "phi")] == [True] * 4
+    assert dumps_json(model_to_dict(model)) == dumps_json(model_to_dict(kept))
+    assert report.objective_trace == kept_report.objective_trace
