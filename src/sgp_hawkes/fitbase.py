@@ -438,23 +438,19 @@ def _sq_distances(stats: ComponentStats, grid: InducingGrid) -> tuple[np.ndarray
     return tuple(np.square(d, out=d) for d in diffs)
 
 
-def _theta_profile(stats: ComponentStats, grid: InducingGrid, theta1: float, fixed, sq=None):
-    """(theta0, theta objective at (theta0, theta1)) with theta0 at its maximizer
-    in THETA_BOUNDS, holding the Gaussian factor ``fixed`` = (mean, cov) of the
-    inducing values (cov None: EM's point mass at u = mean). Kernel rows come
-    from the squared distances ``sq`` (``_sq_distances``, computed if not given).
-    The value is -inf where the Gram matrix does not factor or a solve is not
-    finite.
+def _theta_profile(stats: ComponentStats, grid: InducingGrid, theta1: float, fixed, sq):
+    """(theta0, theta objective at (theta0, theta1)) with theta0 at its maximizer in THETA_BOUNDS, holding
+    the Gaussian factor ``fixed`` = (mean, cov) of the inducing values (cov None: EM's point mass at
+    u = mean), with kernel rows from the squared distances ``sq`` (``_sq_distances``). The value is -inf
+    where the Gram matrix does not factor or a solve is not finite.
 
-    The objective is E[sum b f - 0.5 a f^2] - KL(q(u) || N(0, K)) up to terms
-    free of theta. K = theta0 K1 exactly, jitter included, so the projected
-    moments of f and the data terms D do not depend on theta0, and the
-    objective is D - 0.5 q / theta0 - 0.5 (log|K1| + S log theta0) with
-    q = m^T K1^{-1} m + tr(K1^{-1} cov): concave in log theta0, it peaks at q / S.
+    The objective is E[sum b f - 0.5 a f^2] - KL(q(u) || N(0, K)) up to terms free of theta. K = theta0 K1
+    exactly, jitter included, so the projected moments of f and the data terms D do not depend on theta0,
+    and the objective is D - 0.5 q / theta0 - 0.5 (log|K1| + S log theta0) with q = m^T K1^{-1} m +
+    tr(K1^{-1} cov): concave in log theta0, it peaks at q / S.
     """
     mean, cov = fixed
     hp = KernelHyperparams(1.0, theta1)
-    sq = _sq_distances(stats, grid) if sq is None else sq
     try:
         gm = gram(grid, hp, sq=sq[2])
         alpha = gm.solve(mean)
@@ -529,12 +525,10 @@ def _search_bins(points: np.ndarray, domain: float) -> np.ndarray:
     return np.clip(np.searchsorted(edges, points, side="right") - 1, 0, _SEARCH_BINS - 1)
 
 
-def _compact_stats(stats: ComponentStats, bins: np.ndarray | None = None) -> ComponentStats:
-    """Histogram the Dirac part onto bin centers, by ``bins`` (``_search_bins`` of
-    the points, computed if not given), to speed up the theta search."""
+def _compact_stats(stats: ComponentStats, bins: np.ndarray) -> ComponentStats:
+    """Histogram the Dirac part onto bin centers, by the points' ``_search_bins``, to speed up the theta search."""
     if stats.points.size <= _SEARCH_BINS:
         return stats
-    bins = _search_bins(stats.points, stats.domain) if bins is None else bins
     a = np.bincount(bins, weights=stats.a_point, minlength=_SEARCH_BINS)
     b = np.bincount(bins, weights=stats.b_point, minlength=_SEARCH_BINS)
     keep = (a != 0.0) | (b != 0.0)
@@ -543,9 +537,9 @@ def _compact_stats(stats: ComponentStats, bins: np.ndarray | None = None) -> Com
     return replace(stats, points=centers[keep], a_point=a[keep], b_point=b[keep])
 
 
-def _theta_candidate(stats: ComponentStats, grid: InducingGrid, hp: KernelHyperparams, fixed) -> KernelHyperparams:
-    """The maximizer of ``_theta_profile`` over log theta1 (``hp`` if no value is finite): the best of a
-    coarse log grid over THETA_BOUNDS plus the incumbent and 1/spacing^2, scanned in one pass
+def _theta_candidate(stats: ComponentStats, grid: InducingGrid, hp: KernelHyperparams, fixed):
+    """(maximizer, value) of ``_theta_profile`` over log theta1, (``hp``, -inf) if no value is finite: the
+    best of a coarse log grid over THETA_BOUNDS plus the incumbent and 1/spacing^2, scanned in one pass
     (``_theta_scan``), refined by bounded Brent in its bracket to 1e-3."""
     sq = _sq_distances(stats, grid)
     lo, hi = np.log(THETA_BOUNDS[0]), np.log(THETA_BOUNDS[1])
@@ -565,7 +559,7 @@ def _theta_candidate(stats: ComponentStats, grid: InducingGrid, hp: KernelHyperp
     negative(xs[i])  # the grid's best, valued as Brent values its points
     bracket = (xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)])
     minimize_scalar(negative, bounds=bracket, method="bounded", options={"xatol": 1e-3})
-    return candidate
+    return candidate, best_value
 
 
 def _cache_objective(stats: ComponentStats, cache: ComponentCache, fixed) -> float:
@@ -583,16 +577,17 @@ def search_theta(stats: ComponentStats, caches: dict, name: str, fixed: tuple) -
     (mean, cov) of its inducing values (cov None for EM): (hp, accepted), with caches[name] built at hp.
 
     theta0 is the closed-form maximizer clip(q / S) at every theta1, so the search is over log theta1
-    alone (``_theta_candidate``), on the statistics binned by the cache's search bins. Then the exact
-    objective comes from the kernel rows of the incumbent's and the candidate's caches
-    (``_cache_objective``), the old one freed before the new one is built; unless it does not decrease,
-    the incumbent is kept, its cache rebuilt and the move flagged as rejected.
+    alone (``_theta_candidate``), on the statistics binned by the cache's search bins; a search that finds
+    no finite value keeps the incumbent and is flagged as rejected. Else the exact objective comes from the
+    kernel rows of the incumbent's and the candidate's caches (``_cache_objective``), the old one freed
+    before the new one is built; unless it does not decrease, the incumbent is kept, its cache rebuilt
+    and the move flagged as rejected.
     """
     cache = caches[name]
     hp, points, grid, quad, bins = cache.hp, cache.points, cache.grid, cache.quad, cache.bins
-    candidate = _theta_candidate(_compact_stats(stats, bins), grid, hp, fixed)
+    candidate, best = _theta_candidate(_compact_stats(stats, bins), grid, hp, fixed)
     if candidate == hp:
-        return hp, True
+        return hp, bool(np.isfinite(best))
     j_old = _cache_objective(stats, cache, fixed)
     caches[name] = cache = None  # free the old kernel rows before building the new ones
     caches[name] = cache = ComponentCache.build(points, grid, candidate, quad, bins)

@@ -16,6 +16,7 @@ from sgp_hawkes.fitbase import (
     ComponentStats,
     _compact_stats,
     _cache_objective,
+    _search_bins,
     _sq_distances,
     _theta_candidate,
     _theta_profile,
@@ -58,10 +59,15 @@ def toy_stats(rng, grid, n_points=3, quad_order=12):
     )
 
 
+def compacted(stats):
+    """The statistics binned as the theta search bins them."""
+    return _compact_stats(stats, _search_bins(stats.points, stats.domain))
+
+
 def nelder_mead_theta(stats, grid, hp, fixed):
     """Reference refresh: two-start Nelder-Mead in log (theta0, theta1) on the
     compacted statistics, with the exact accept check of ``search_theta``."""
-    compact = _compact_stats(stats)
+    compact = compacted(stats)
     lo, hi = np.log(THETA_BOUNDS[0]), np.log(THETA_BOUNDS[1])
 
     def negative(x):
@@ -370,11 +376,11 @@ def test_em_theta0_closed_form_maximizes_the_objective(rng, em_refresh_args, vi_
     and the search's value there is the exact objective."""
     cases = [(stats, grid, fixed) for stats, grid, _, fixed in toy_em_searches(rng, n=2)]
     for recorded in (em_refresh_args, vi_refresh_args):
-        cases += [(_compact_stats(stats), grid, fixed) for stats, grid, _, fixed in recorded["case1"][:2]]
+        cases += [(compacted(stats), grid, fixed) for stats, grid, _, fixed in recorded["case1"][:2]]
     scan = np.exp(np.linspace(np.log(THETA_BOUNDS[0]), np.log(THETA_BOUNDS[1]), 2001))
     for stats, grid, fixed in cases:
         for theta1 in (1e-3, 1.0 / grid.spacing**2, 30.0):
-            theta0, value = _theta_profile(stats, grid, theta1, fixed)
+            theta0, value = _theta_profile(stats, grid, theta1, fixed, _sq_distances(stats, grid))
             exact = _profile_objective(stats, grid, KernelHyperparams(theta0, theta1), fixed)
             assert value == pytest.approx(exact, rel=1e-10)
             scanned = [_profile_objective(stats, grid, KernelHyperparams(t0, theta1), fixed) for t0 in scan]
@@ -420,22 +426,19 @@ def _profile_objective(stats, grid, hp, fixed):
 
 @pytest.mark.parametrize("engine", ["em", "vi"])
 def test_theta_profile_on_cached_distances_is_the_se_cross_profile_bit_for_bit(engine, em_refresh_args, vi_refresh_args):
-    """The search's profile on squared distances computed once, and the exact
-    check on the unbinned statistics, against fresh se_cross rows, on a theta1
-    grid with both THETA_BOUNDS, for EM's point mass and VI's q(u)."""
+    """The search's profile on squared distances computed once, against fresh
+    se_cross rows, on a theta1 grid with both THETA_BOUNDS, for EM's point mass
+    and VI's q(u)."""
     recorded = {"em": em_refresh_args, "vi": vi_refresh_args}[engine]
     theta1s = np.geomspace(*THETA_BOUNDS, 13)
     assert (theta1s[0], theta1s[-1]) == THETA_BOUNDS
     for stats, grid, hp, fixed in recorded["case1"] + recorded["case2"]:
         assert (fixed[1] is None) == (engine == "em")
-        compact = _compact_stats(stats)
+        compact = compacted(stats)
         sq = _sq_distances(compact, grid)
         for theta1 in [*theta1s, 1.0 / grid.spacing**2, hp.theta1]:
             want = reference_theta_profile(compact, grid, theta1, fixed)
             assert _theta_profile(compact, grid, theta1, fixed, sq=sq) == want
-            assert _theta_profile(compact, grid, theta1, fixed) == want
-        exact = reference_theta_profile(stats, grid, hp.theta1, fixed, hp.theta0)[1]
-        assert _profile_objective(stats, grid, hp, fixed) == exact
 
 
 def test_em_search_reaches_the_nelder_mead_objective(rng, em_refresh_args, vi_refresh_args):
@@ -452,7 +455,7 @@ def test_em_search_assembles_at_most_64_kernel_systems(monkeypatch, rng, em_refr
     """At most 64 theta1 values evaluated per search: one per profile, G per scan of G values."""
     evaluated = 0
 
-    def counting_profile(stats, grid, theta1, fixed, sq=None):
+    def counting_profile(stats, grid, theta1, fixed, sq):
         nonlocal evaluated
         evaluated += 1
         return _theta_profile(stats, grid, theta1, fixed, sq=sq)
@@ -512,7 +515,7 @@ def scanned_grids(recorded):
     """(compacted statistics, grid, theta1s, fixed, sq) of the coarse scan of every recorded search."""
     out = []
     for stats, grid, hp, fixed in recorded["case1"] + recorded["case2"]:
-        compact = _compact_stats(stats)
+        compact = compacted(stats)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fitbase, "_theta_scan", lambda *args: out.append(args) or _theta_scan(*args))
             _theta_candidate(compact, grid, hp, fixed)
@@ -580,7 +583,7 @@ def test_a_rejected_refresh_rebuilds_the_incumbent(monkeypatch, small_case1_seqs
         return result
 
     monkeypatch.setattr(fitbase, "search_theta", spying)
-    monkeypatch.setattr(fitbase, "_theta_candidate", lambda stats, grid, hp, fixed: KernelHyperparams(1e3, hp.theta1))
+    monkeypatch.setattr(fitbase, "_theta_candidate", lambda stats, grid, hp, fixed: (KernelHyperparams(1e3, hp.theta1), 0.0))
     model, report = fit(small_case1_seqs, config)
     assert [record[n]["accepted"] for record in report.hyper_history for n in ("mu", "phi")] == [False] * 4
     assert len(rebuilt) == 4
@@ -592,8 +595,26 @@ def test_a_rejected_refresh_rebuilds_the_incumbent(monkeypatch, small_case1_seqs
                 old, new = np.stack([old.values, old.chol]), np.stack([new.values, new.chol])
             assert old is new or np.array_equal(old, new)
 
-    monkeypatch.setattr(fitbase, "_theta_candidate", lambda stats, grid, hp, fixed: hp)
+    monkeypatch.setattr(fitbase, "_theta_candidate", lambda stats, grid, hp, fixed: (hp, 0.0))
     kept, kept_report = fit(small_case1_seqs, config)
     assert [record[n]["accepted"] for record in kept_report.hyper_history for n in ("mu", "phi")] == [True] * 4
     assert dumps_json(model_to_dict(model)) == dumps_json(model_to_dict(kept))
     assert report.objective_trace == kept_report.objective_trace
+
+
+def test_a_search_without_a_finite_value_keeps_theta_and_is_rejected(monkeypatch, small_case1_seqs, em_refresh_args):
+    """Where no profile value is finite, the incumbent and its cache are kept, and
+    the refresh is recorded as rejected and warned about."""
+    monkeypatch.setattr(fitbase, "_theta_scan", lambda stats, grid, ts, fixed, sq: np.full(ts.size, -np.inf))
+    monkeypatch.setattr(fitbase, "_theta_profile", lambda stats, grid, theta1, fixed, sq: (None, -np.inf))
+    stats, grid, hp, fixed = em_refresh_args["case1"][0]
+    caches = {"c": ComponentCache.build(stats.points, grid, hp, stats.quad)}
+    cache = caches["c"]
+    assert search_theta(stats, caches, "c", fixed) == (hp, False)
+    assert caches["c"] is cache
+    config = FitConfig(T=100.0, T_phi=6.0, max_iter=2, tol=0.0, hyper_refresh_every=1)
+    _, report = fit_em(small_case1_seqs, config)
+    assert [record[n]["accepted"] for record in report.hyper_history for n in ("mu", "phi")] == [False] * 4
+    assert [w for w in report.warnings if "kept theta" in w] == [
+        f"hyperparameter search for {name} kept theta at iteration {it}" for it in (1, 2) for name in ("mu", "phi")
+    ]
