@@ -17,6 +17,7 @@ installs an M-step update into its model.
 from __future__ import annotations
 
 import time
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -25,6 +26,7 @@ from scipy.optimize import minimize_scalar
 
 from .kernels import (
     JITTER,
+    MIN_EXPONENT,
     THETA_BOUNDS,
     GramMatrix,
     InducingGrid,
@@ -33,9 +35,7 @@ from .kernels import (
     chol_solve,
     gp_projector,
     gram,
-    projected_variance,
     se_cross,
-    se_from_sq,
     uniform_inducing_grid,
 )
 from .pg import pg_mean
@@ -45,7 +45,6 @@ from .quadrature import QuadratureGrid, gauss_legendre
 _SEARCH_BINS = 2048
 _COARSE_THETA1 = 15  # log-spaced theta1 values of the theta search's bracketing grid
 _SCAN_DOUBLES = 1 << 16  # doubles (512 KiB) per kernel-row block of the coarse theta1 scan
-_MIN_EXPONENT = -600.0  # floor of the scan's kernel-row exponents: near exp(-708) exp and its products turn subnormal
 COMPONENTS = ("mu", "phi")
 _INT_MINIMUMS = {  # smallest accepted value of each integer FitConfig field
     "S_mu": 2, "S_phi": 2, "quad_order_T": 1, "quad_order_Tphi": 1,
@@ -432,47 +431,6 @@ def mstep(data: Dataset, caches, pg, latent, branching) -> dict[str, tuple]:
     return updates
 
 
-def _sq_distances(stats: ComponentStats, grid: InducingGrid) -> tuple[np.ndarray, ...]:
-    """Squared distances to the grid from the statistics' points, quadrature nodes and the grid, as in se_cross."""
-    diffs = (np.subtract.outer(x, grid.points) for x in (stats.points, stats.quad.nodes, grid.points))
-    return tuple(np.square(d, out=d) for d in diffs)
-
-
-def _theta_profile(stats: ComponentStats, grid: InducingGrid, theta1: float, fixed, sq):
-    """(theta0, theta objective at (theta0, theta1)) with theta0 at its maximizer in THETA_BOUNDS, holding
-    the Gaussian factor ``fixed`` = (mean, cov) of the inducing values (cov None: EM's point mass at
-    u = mean), with kernel rows from the squared distances ``sq`` (``_sq_distances``). The value is -inf
-    where the Gram matrix does not factor or a solve is not finite.
-
-    The objective is E[sum b f - 0.5 a f^2] - KL(q(u) || N(0, K)) up to terms free of theta. K = theta0 K1
-    exactly, jitter included, so the projected moments of f and the data terms D do not depend on theta0,
-    and the objective is D - 0.5 q / theta0 - 0.5 (log|K1| + S log theta0) with q = m^T K1^{-1} m +
-    tr(K1^{-1} cov): concave in log theta0, it peaks at q / S.
-    """
-    mean, cov = fixed
-    hp = KernelHyperparams(1.0, theta1)
-    try:
-        gm = gram(grid, hp, sq=sq[2])
-        alpha = gm.solve(mean)
-        inner = None if cov is None else gm.solve(cov)
-        w_cov = None if cov is None else gm.solve(inner.T)
-    except (SingularMatrixError, FloatingPointError):
-        return None, -np.inf
-    k_points, k_quad = (se_from_sq(d, hp) for d in sq[:2])
-    f_pts, f_q = k_points @ alpha, k_quad @ alpha
-    sq_pts, sq_q, q = f_pts**2, f_q**2, float(mean @ alpha)
-    if cov is not None:
-        sq_pts = sq_pts + projected_variance(k_points, w_cov)
-        sq_q = sq_q + projected_variance(k_quad, w_cov)
-        q += float(np.trace(inner))
-    w = stats.quad.weights
-    data = float(np.einsum("p,p->", stats.b_point, f_pts)) + float(w @ (stats.b_quad * f_q))
-    data -= 0.5 * (float(np.einsum("p,p->", stats.a_point, sq_pts)) + float(w @ (stats.a_quad * sq_q)))
-    theta0 = float(np.clip(q / grid.count, *THETA_BOUNDS))
-    value = data - 0.5 * q / theta0 - 0.5 * (gm.logdet() + grid.count * np.log(theta0))
-    return theta0, value if np.isfinite(value) else -np.inf
-
-
 def _moment_factor(fixed) -> np.ndarray:
     """[m, L] with cov = L L^T (m alone for EM): for kernel rows k and Z = K^{-1} [m, L], f = k Z[:, 0],
     f^2 + var = |k Z|^2 row by row and m^T K^{-1} m + tr(K^{-1} cov) = sum([m, L] * Z)."""
@@ -489,34 +447,50 @@ def _data_term(proj: np.ndarray, a: np.ndarray, b: np.ndarray):
     return np.einsum("...p,p->...", proj[..., 0], b) - 0.5 * np.einsum("...p,p->...", second, a)
 
 
-def _theta_scan(stats: ComponentStats, grid: InducingGrid, theta1s: np.ndarray, fixed, sq) -> np.ndarray:
-    """The values of ``_theta_profile`` at each of ``theta1s`` in one vectorized pass
-    (``_moment_factor``): one Cholesky of the stack of K1, each slice solved by
-    ``chol_solve``, and kernel rows for blocks of theta1 of about _SCAN_DOUBLES
-    doubles, their exponents clamped at _MIN_EXPONENT. Point by point
-    (``_theta_profile``) if a K1 does not factor or a solve is not finite."""
-    count, rhs = grid.count, _moment_factor(fixed)
-    k1 = np.exp(np.multiply.outer(-0.5 * theta1s, sq[2]))
-    k1[:, range(count), range(count)] += JITTER
+def _scan_terms(stats: ComponentStats, grid: InducingGrid, fixed):
+    """What every scan of one search reuses: the squared distances to the grid of the statistics' points and
+    quadrature nodes, stacked, and of the grid itself (as in se_cross), their weights a and b, and [m, L]."""
+    diffs = [np.subtract.outer(x, grid.points) for x in (np.concatenate([stats.points, stats.quad.nodes]), grid.points)]
+    a = np.concatenate([stats.a_point, stats.quad.weights * stats.a_quad])
+    b = np.concatenate([stats.b_point, stats.quad.weights * stats.b_quad])
+    return *(np.square(d, out=d) for d in diffs), a, b, _moment_factor(fixed)
+
+
+def _theta_scan(terms, theta1s: np.ndarray):
+    """(theta0s, values) of the theta objective at each of ``theta1s``, theta0 at its maximizer in
+    THETA_BOUNDS, holding the Gaussian factor (mean, cov) of the inducing values (cov None: EM's point mass
+    at u = mean), from the ``_scan_terms`` of the statistics, the grid and that factor.
+
+    The objective is E[sum b f - 0.5 a f^2] - KL(q(u) || N(0, K)) up to terms free of theta. K = theta0 K1
+    exactly, jitter included, so the projected moments of f and the data terms D do not depend on theta0,
+    and the objective is D - 0.5 q / theta0 - 0.5 (log|K1| + S log theta0) with q = m^T K1^{-1} m +
+    tr(K1^{-1} cov) (``_moment_factor``): concave in log theta0, it peaks at q / S. One Cholesky of the
+    stack of K1, each slice solved by ``chol_solve``, and kernel rows for blocks of theta1 of about
+    _SCAN_DOUBLES doubles, their exponents floored at MIN_EXPONENT as in se_kernel; the value is -inf where
+    K1 does not factor or a solve or value is not finite.
+    """
+    rows_sq, grid_sq, a, b, rhs = terms
+    k1 = np.exp(np.maximum(np.multiply.outer(-0.5 * theta1s, grid_sq), MIN_EXPONENT)) + JITTER * np.eye(len(rhs))
     try:
         chols = np.linalg.cholesky(k1)
         solved = np.stack([chol_solve(chol, rhs, "theta scan") for chol in chols])
-    except (np.linalg.LinAlgError, FloatingPointError):
-        return np.array([_theta_profile(stats, grid, t, fixed, sq=sq)[1] for t in theta1s])
-    rows_sq = np.concatenate(sq[:2])
-    a = np.concatenate([stats.a_point, stats.quad.weights * stats.a_quad])
-    b = np.concatenate([stats.b_point, stats.quad.weights * stats.b_quad])
+    except (np.linalg.LinAlgError, FloatingPointError):  # slice by slice, NaN (so -inf) where one fails
+        chols, solved = np.full_like(k1, np.nan), np.full((theta1s.size, *rhs.shape), np.nan)
+        for g, k in enumerate(k1):
+            with suppress(np.linalg.LinAlgError, FloatingPointError):
+                chols[g] = np.linalg.cholesky(k)
+                solved[g] = chol_solve(chols[g], rhs, "theta scan")
     data = np.empty(theta1s.size)
     block = max(1, _SCAN_DOUBLES // max(1, rows_sq.size))
     for lo in range(0, theta1s.size, block):
         rows = np.multiply.outer(-0.5 * theta1s[lo:lo + block], rows_sq)
-        np.exp(np.maximum(rows, _MIN_EXPONENT, out=rows), out=rows)
+        np.exp(np.maximum(rows, MIN_EXPONENT, out=rows), out=rows)
         data[lo:lo + block] = _data_term(rows @ solved[lo:lo + block], a, b)
     q = np.einsum("sr,gsr->g", rhs, solved)
-    theta0 = np.clip(q / count, *THETA_BOUNDS)
+    theta0 = np.clip(q / len(rhs), *THETA_BOUNDS)
     logdet = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
-    values = data - 0.5 * q / theta0 - 0.5 * (logdet + count * np.log(theta0))
-    return np.where(np.isfinite(values), values, -np.inf)
+    values = data - 0.5 * q / theta0 - 0.5 * (logdet + len(rhs) * np.log(theta0))
+    return theta0, np.where(np.isfinite(values), values, -np.inf)
 
 
 def _search_bins(points: np.ndarray, domain: float) -> np.ndarray:
@@ -538,36 +512,41 @@ def _compact_stats(stats: ComponentStats, bins: np.ndarray) -> ComponentStats:
 
 
 def _theta_candidate(stats: ComponentStats, grid: InducingGrid, hp: KernelHyperparams, fixed):
-    """(maximizer, value) of ``_theta_profile`` over log theta1, (``hp``, -inf) if no value is finite: the
-    best of a coarse log grid over THETA_BOUNDS plus the incumbent and 1/spacing^2, scanned in one pass
-    (``_theta_scan``), refined by bounded Brent in its bracket to 1e-3."""
-    sq = _sq_distances(stats, grid)
+    """(maximizer, value) of the theta objective (``_theta_scan``) over log theta1, (``hp``, -inf) if no
+    value is finite: the best of a coarse log grid over THETA_BOUNDS plus the incumbent and 1/spacing^2,
+    scanned in one pass, refined by bounded Brent in its bracket to 1e-3, each of its points scanned alone."""
+    terms = _scan_terms(stats, grid, fixed)
     lo, hi = np.log(THETA_BOUNDS[0]), np.log(THETA_BOUNDS[1])
     best_value, candidate = -np.inf, hp
 
-    def negative(x):
+    def scan(xs):
         nonlocal best_value, candidate
-        theta1 = float(np.exp(x))
-        theta0, value = _theta_profile(stats, grid, theta1, fixed, sq=sq)
-        if value > best_value:
-            best_value, candidate = value, KernelHyperparams(theta0, theta1)
+        theta1s = np.exp(xs)
+        theta0s, values = _theta_scan(terms, theta1s)
+        i = int(np.argmax(values))
+        if values[i] > best_value:
+            best_value, candidate = float(values[i]), KernelHyperparams(float(theta0s[i]), float(theta1s[i]))
+        return i, values[i]
+
+    def negative(x):
+        value = scan(np.array([x]))[1]
         return -value if np.isfinite(value) else 1e300
 
     starts = np.clip(np.log([hp.theta1, 1.0 / grid.spacing**2]), lo, hi)
     xs = np.unique(np.concatenate([np.linspace(lo, hi, _COARSE_THETA1), starts]))
-    i = int(np.argmax(_theta_scan(stats, grid, np.exp(xs), fixed, sq)))
-    negative(xs[i])  # the grid's best, valued as Brent values its points
+    i, _ = scan(xs)
     bracket = (xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)])
     minimize_scalar(negative, bounds=bracket, method="bounded", options={"xatol": 1e-3})
     return candidate, best_value
 
 
 def _cache_objective(stats: ComponentStats, cache: ComponentCache, fixed) -> float:
-    """The theta objective (``_theta_profile``) at the cache's hp from its kernel rows, or -inf: with
-    K = theta0 K1, q / theta0 = sum([m, L] * K^{-1} [m, L]) and log|K1| + S log theta0 = log|K|."""
-    rhs = _moment_factor(fixed)
-    z, w = cache.gm.solve(rhs), stats.quad.weights
-    value = _data_term(cache.k_points @ z, stats.a_point, stats.b_point) - 0.5 * (np.sum(rhs * z) + cache.gm.logdet())
+    """The theta objective (``_theta_scan``) at the cache's hp from its kernel rows k = theta0 k1, or -inf,
+    with K1 factored as the scan factors it: K^{-1} = K1^{-1} / theta0 and log|K| = log|K1| + S log theta0."""
+    rhs, theta0 = _moment_factor(fixed), cache.hp.theta0
+    unit = gram(cache.grid, KernelHyperparams(1.0, cache.hp.theta1))
+    z, w, logdet = unit.solve(rhs) / theta0, stats.quad.weights, unit.logdet() + cache.grid.count * np.log(theta0)
+    value = _data_term(cache.k_points @ z, stats.a_point, stats.b_point) - 0.5 * (np.sum(rhs * z) + logdet)
     value += _data_term(cache.k_quad @ z, w * stats.a_quad, w * stats.b_quad)
     return float(value) if np.isfinite(value) else -np.inf
 

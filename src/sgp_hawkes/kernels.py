@@ -15,6 +15,7 @@ from scipy.linalg.lapack import dpotrs, dtrtrs
 
 THETA_BOUNDS = (1e-3, 1e3)
 JITTER = 1e-6  # diagonal jitter of every Gram matrix, relative to theta0
+MIN_EXPONENT = -600.0  # floor of every kernel exponent: below about -708 exp and its products turn subnormal
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -76,17 +77,14 @@ def uniform_inducing_grid(count: int, domain: float) -> InducingGrid:
 
 
 def se_kernel(x, y, hp: KernelHyperparams):
-    """Squared-exponential kernel, broadcasting over array arguments. The result
-    is built in one buffer of the broadcast shape, in place."""
+    """Squared-exponential kernel, broadcasting over array arguments, its exponent
+    floored at MIN_EXPONENT. The result is built in one buffer of the broadcast
+    shape, in place."""
     out = np.asarray(np.subtract(x, y, dtype=float))
-    return se_from_sq(np.square(out, out=out), hp, out=out)[()]
-
-
-def se_from_sq(sq: np.ndarray, hp: KernelHyperparams, out: np.ndarray | None = None) -> np.ndarray:
-    """The kernel at squared distances ``sq``, into ``out`` if given, by se_kernel's operations."""
-    out = np.multiply(sq, -0.5 * hp.theta1, out=out)
-    np.exp(out, out=out)
-    return np.multiply(out, hp.theta0, out=out)
+    np.square(out, out=out)
+    np.multiply(out, -0.5 * hp.theta1, out=out)
+    np.exp(np.maximum(out, MIN_EXPONENT, out=out), out=out)
+    return np.multiply(out, hp.theta0, out=out)[()]
 
 
 def se_cross(a, b, hp: KernelHyperparams) -> np.ndarray:
@@ -138,16 +136,16 @@ class GramMatrix:
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
 
-def gram(grid: InducingGrid, hp: KernelHyperparams, sq=None) -> GramMatrix:
-    """Gram matrix at the inducing points (from their squared distances ``sq`` if given) with diagonal
-    jitter JITTER * theta0, so that K(theta0, theta1) = theta0 K(1, theta1), jitter included.
+def gram(grid: InducingGrid, hp: KernelHyperparams) -> GramMatrix:
+    """Gram matrix at the inducing points with diagonal jitter JITTER * theta0,
+    so that K(theta0, theta1) = theta0 K(1, theta1), jitter included.
 
     Raises SingularMatrixError naming the first non-positive pivot if
     factorization fails. The factor is numpy's: scipy's dpotrf gives other
     bits on some matrices.
     """
     jitter = JITTER * hp.theta0
-    values = se_cross(grid.points, grid.points, hp) if sq is None else se_from_sq(sq, hp)
+    values = se_cross(grid.points, grid.points, hp)
     values[np.diag_indices_from(values)] += jitter
     try:
         chol = np.linalg.cholesky(values)
@@ -169,11 +167,6 @@ def gp_projector(gm: GramMatrix, mean: np.ndarray, cov: np.ndarray | None = None
     def project(k: np.ndarray):
         if w is None:
             return k @ alpha
-        return k @ alpha, projected_variance(k, w)
+        return k @ alpha, np.maximum(np.einsum("ns,ns->n", k @ w, k), 0.0)
 
     return project
-
-
-def projected_variance(k: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Variances k_n^T w k_n >= 0 of the projected f at kernel rows k, w = K^{-1} cov K^{-1}."""
-    return np.maximum(np.einsum("ns,ns->n", k @ w, k), 0.0)

@@ -16,10 +16,9 @@ from sgp_hawkes.fitbase import (
     ComponentStats,
     _compact_stats,
     _cache_objective,
+    _scan_terms,
     _search_bins,
-    _sq_distances,
     _theta_candidate,
-    _theta_profile,
     _theta_scan,
     assemble_system,
     auto_theta,
@@ -372,19 +371,24 @@ def test_refresh_onto_a_theta_bound_is_reported(monkeypatch, small_case1_seqs):
 
 
 def test_em_theta0_closed_form_maximizes_the_objective(rng, em_refresh_args, vi_refresh_args):
-    """theta0* = clip(q/S) beats a dense log-theta0 scan of the exact objective,
-    and the search's value there is the exact objective."""
+    """The scan's theta0* = clip(q/S) beats a dense log-theta0 scan of the exact
+    objective, and the scan's value there is the refresh's exact check at (theta0*,
+    theta1). (The check, not the reference: at theta1 = 1e-3 the reference's VI
+    variance K1^{-1} cov K1^{-1} is 7.5e-6 relative off a 50-digit evaluation, and
+    the scan 1.2e-10.)"""
     cases = [(stats, grid, fixed) for stats, grid, _, fixed in toy_em_searches(rng, n=2)]
     for recorded in (em_refresh_args, vi_refresh_args):
         cases += [(compacted(stats), grid, fixed) for stats, grid, _, fixed in recorded["case1"][:2]]
     scan = np.exp(np.linspace(np.log(THETA_BOUNDS[0]), np.log(THETA_BOUNDS[1]), 2001))
     for stats, grid, fixed in cases:
         for theta1 in (1e-3, 1.0 / grid.spacing**2, 30.0):
-            theta0, value = _theta_profile(stats, grid, theta1, fixed, _sq_distances(stats, grid))
-            exact = _profile_objective(stats, grid, KernelHyperparams(theta0, theta1), fixed)
-            assert value == pytest.approx(exact, rel=1e-10)
+            theta0s, values = _theta_scan(_scan_terms(stats, grid, fixed), np.array([theta1]))
+            hp = KernelHyperparams(float(theta0s[0]), theta1)
+            check = _cache_objective(stats, ComponentCache.build(stats.points, grid, hp, stats.quad), fixed)
+            assert values[0] == pytest.approx(check, rel=1e-10)
+            exact = _profile_objective(stats, grid, hp, fixed)
             scanned = [_profile_objective(stats, grid, KernelHyperparams(t0, theta1), fixed) for t0 in scan]
-            assert max(scanned) <= value + 1e-12 * max(1.0, abs(value))
+            assert max(scanned) <= exact + 1e-12 * max(1.0, abs(exact))
 
 
 def reference_theta_profile(stats, grid, theta1, fixed, theta0=None):
@@ -425,20 +429,21 @@ def _profile_objective(stats, grid, hp, fixed):
 
 
 @pytest.mark.parametrize("engine", ["em", "vi"])
-def test_theta_profile_on_cached_distances_is_the_se_cross_profile_bit_for_bit(engine, em_refresh_args, vi_refresh_args):
-    """The search's profile on squared distances computed once, against fresh
-    se_cross rows, on a theta1 grid with both THETA_BOUNDS, for EM's point mass
-    and VI's q(u)."""
+def test_theta_scan_of_one_theta1_is_its_batch_slice_bit_for_bit(engine, em_refresh_args, vi_refresh_args):
+    """Brent's points and the coarse grid are valued alike: the scan of one theta1
+    gives the (theta0, value) of that theta1 in a batch, bit for bit, on a theta1
+    grid with both THETA_BOUNDS, 1/spacing^2 and the incumbent, for EM's point
+    mass and VI's q(u)."""
     recorded = {"em": em_refresh_args, "vi": vi_refresh_args}[engine]
-    theta1s = np.geomspace(*THETA_BOUNDS, 13)
-    assert (theta1s[0], theta1s[-1]) == THETA_BOUNDS
     for stats, grid, hp, fixed in recorded["case1"] + recorded["case2"]:
         assert (fixed[1] is None) == (engine == "em")
-        compact = compacted(stats)
-        sq = _sq_distances(compact, grid)
-        for theta1 in [*theta1s, 1.0 / grid.spacing**2, hp.theta1]:
-            want = reference_theta_profile(compact, grid, theta1, fixed)
-            assert _theta_profile(compact, grid, theta1, fixed, sq=sq) == want
+        terms = _scan_terms(compacted(stats), grid, fixed)
+        theta1s = np.array([*np.geomspace(*THETA_BOUNDS, 13), 1.0 / grid.spacing**2, hp.theta1])
+        assert (theta1s[0], theta1s[12]) == THETA_BOUNDS
+        batch = np.stack(_theta_scan(terms, theta1s))
+        alone = np.hstack([np.stack(_theta_scan(terms, t[None])) for t in theta1s])
+        assert np.all(np.isfinite(batch))
+        assert np.array_equal(alone, batch)
 
 
 def test_em_search_reaches_the_nelder_mead_objective(rng, em_refresh_args, vi_refresh_args):
@@ -451,27 +456,22 @@ def test_em_search_reaches_the_nelder_mead_objective(rng, em_refresh_args, vi_re
         assert j_ours >= j_ref - 1e-6 * max(1.0, abs(j_ref))
 
 
-def test_em_search_assembles_at_most_64_kernel_systems(monkeypatch, rng, em_refresh_args, vi_refresh_args):
-    """At most 64 theta1 values evaluated per search: one per profile, G per scan of G values."""
+def test_theta_search_scans_at_most_33_theta1_values(monkeypatch, rng, em_refresh_args, vi_refresh_args):
+    """At most 33 theta1 values passed to _theta_scan per search (the coarse grid and
+    Brent's points): the most any of these searches takes."""
     evaluated = 0
 
-    def counting_profile(stats, grid, theta1, fixed, sq):
-        nonlocal evaluated
-        evaluated += 1
-        return _theta_profile(stats, grid, theta1, fixed, sq=sq)
-
-    def counting_scan(stats, grid, theta1s, fixed, sq):
+    def counting_scan(terms, theta1s):
         nonlocal evaluated
         evaluated += theta1s.size
-        return _theta_scan(stats, grid, theta1s, fixed, sq)
+        return _theta_scan(terms, theta1s)
 
-    monkeypatch.setattr(fitbase, "_theta_profile", counting_profile)
     monkeypatch.setattr(fitbase, "_theta_scan", counting_scan)
     recorded = [args for calls in (em_refresh_args, vi_refresh_args) for args in calls["case1"] + calls["case2"]]
     for args in toy_em_searches(rng) + recorded:
         evaluated = 0
         refresh(*args)
-        assert 0 < evaluated <= 64
+        assert 0 < evaluated <= 33
 
 
 def test_vi_theta_objective_matches_the_dense_bound(rng):
@@ -512,44 +512,65 @@ def test_vi_theta_objective_matches_the_dense_bound(rng):
 
 
 def scanned_grids(recorded):
-    """(compacted statistics, grid, theta1s, fixed, sq) of the coarse scan of every recorded search."""
+    """For every recorded search, (compacted statistics, grid, fixed factor, scan terms, theta1s of each
+    _theta_scan call): the coarse grid first, then Brent's points one by one."""
     out = []
     for stats, grid, hp, fixed in recorded["case1"] + recorded["case2"]:
-        compact = compacted(stats)
+        compact, calls = compacted(stats), []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fitbase, "_theta_scan", lambda *args: out.append(args) or _theta_scan(*args))
+            mp.setattr(fitbase, "_theta_scan", lambda terms, ts: calls.append((terms, ts)) or _theta_scan(terms, ts))
             _theta_candidate(compact, grid, hp, fixed)
+        out.append((compact, grid, fixed, calls[0][0], [ts for _, ts in calls]))
     return out
 
 
 @pytest.mark.parametrize("engine", ["em", "vi"])
 def test_theta_scan_is_the_profile_on_every_recorded_search(engine, em_refresh_args, vi_refresh_args):
-    """The vectorized coarse scan has the argmax of _theta_profile point by point
-    on each recorded search's grid, which spans THETA_BOUNDS; EM's values agree to
-    1e-12 relative, VI's to 1e-4 (largest gap 1.1e-5, at ill-conditioned K1, where
-    the scan's variance from K1^{-1} L is the more accurate: a 50-digit evaluation
-    puts it within 1.2e-8, and the profile's K1^{-1} cov K1^{-1} 1.1e-5, off)."""
-    scans = scanned_grids({"em": em_refresh_args, "vi": vi_refresh_args}[engine])
-    assert len(scans) == 8
-    for stats, grid, theta1s, fixed, sq in scans:
-        assert (theta1s[0], theta1s[-1]) == pytest.approx(THETA_BOUNDS, rel=1e-12)
-        scanned = _theta_scan(stats, grid, theta1s, fixed, sq)
-        pointwise = np.array([_theta_profile(stats, grid, t, fixed, sq=sq)[1] for t in theta1s])
-        assert np.all(np.isfinite(pointwise))
-        assert np.argmax(scanned) == np.argmax(pointwise)
-        gap = np.max(np.abs(scanned - pointwise) / np.abs(pointwise))
+    """The scan of each theta1 a recorded search values alone (its coarse grid,
+    which spans THETA_BOUNDS, and Brent's points) is the reference profile: the
+    grid has its argmax, EM's values agree to 1e-12 relative, VI's to 1e-4 (largest
+    gap 1.1e-5, at ill-conditioned K1, where the scan's variance from K1^{-1} L is
+    the more accurate: a 50-digit evaluation puts it within 1.2e-8, and the
+    reference's K1^{-1} cov K1^{-1} 1.1e-5, off)."""
+    searches = scanned_grids({"em": em_refresh_args, "vi": vi_refresh_args}[engine])
+    assert len(searches) == 8
+    for stats, grid, fixed, terms, (coarse, *brent) in searches:
+        assert (coarse[0], coarse[-1]) == pytest.approx(THETA_BOUNDS, rel=1e-12)
+        assert brent and all(theta1s.size == 1 for theta1s in brent)
+        theta1s = np.concatenate([coarse, *brent])
+        scanned = np.array([_theta_scan(terms, t[None])[1][0] for t in theta1s])
+        reference = np.array([reference_theta_profile(stats, grid, t, fixed)[1] for t in theta1s])
+        assert np.all(np.isfinite(reference))
+        assert np.argmax(scanned[:coarse.size]) == np.argmax(reference[:coarse.size])
+        gap = np.max(np.abs(scanned - reference) / np.abs(reference))
         assert gap <= (1e-12 if engine == "em" else 1e-4)
 
 
 def test_theta_scan_blocks_and_clamp_do_not_change_the_values(monkeypatch, em_refresh_args, vi_refresh_args):
     """One theta1 per block, and no clamp of the exponents, give the same values to 1e-13."""
-    for stats, grid, theta1s, fixed, sq in scanned_grids(em_refresh_args)[:2] + scanned_grids(vi_refresh_args)[:2]:
-        blocked = _theta_scan(stats, grid, theta1s, fixed, sq)
+    for _, _, _, terms, (theta1s, *_) in scanned_grids(em_refresh_args)[:2] + scanned_grids(vi_refresh_args)[:2]:
+        blocked = _theta_scan(terms, theta1s)[1]
         with monkeypatch.context() as mp:
             mp.setattr(fitbase, "_SCAN_DOUBLES", 1)
-            mp.setattr(fitbase, "_MIN_EXPONENT", -np.inf)
-            single = _theta_scan(stats, grid, theta1s, fixed, sq)
+            mp.setattr(fitbase, "MIN_EXPONENT", -np.inf)
+            single = _theta_scan(terms, theta1s)[1]
         np.testing.assert_allclose(blocked, single, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("engine", ["em", "vi"])
+def test_theta_scan_falls_back_slice_by_slice(monkeypatch, engine, em_refresh_args, vi_refresh_args):
+    """Without jitter, K1 on the S = 10, T_phi = 6 grid does not factor at theta1 =
+    1e-3 and does at 1 and 1/spacing^2: the scan falls back slice by slice, the first
+    value is -inf and the others are their single-theta1 scans."""
+    stats, grid, _, fixed = {"em": em_refresh_args, "vi": vi_refresh_args}[engine]["case1"][1]
+    assert (grid.count, grid.domain) == (10, 6.0)
+    terms = _scan_terms(compacted(stats), grid, fixed)
+    theta1s = np.array([1e-3, 1.0, 1.0 / grid.spacing**2])
+    monkeypatch.setattr(fitbase, "JITTER", 0.0)
+    theta0s, values = _theta_scan(terms, theta1s)
+    assert values[0] == -np.inf and np.all(np.isfinite(values[1:]))
+    for g in (1, 2):
+        assert np.array_equal(np.stack(_theta_scan(terms, theta1s[g:g + 1])), [theta0s[g:g + 1], values[g:g + 1]])
 
 
 @pytest.mark.parametrize("engine", ["em", "vi"])
@@ -605,8 +626,7 @@ def test_a_rejected_refresh_rebuilds_the_incumbent(monkeypatch, small_case1_seqs
 def test_a_search_without_a_finite_value_keeps_theta_and_is_rejected(monkeypatch, small_case1_seqs, em_refresh_args):
     """Where no profile value is finite, the incumbent and its cache are kept, and
     the refresh is recorded as rejected and warned about."""
-    monkeypatch.setattr(fitbase, "_theta_scan", lambda stats, grid, ts, fixed, sq: np.full(ts.size, -np.inf))
-    monkeypatch.setattr(fitbase, "_theta_profile", lambda stats, grid, theta1, fixed, sq: (None, -np.inf))
+    monkeypatch.setattr(fitbase, "_theta_scan", lambda terms, ts: (ts, np.full(ts.size, -np.inf)))
     stats, grid, hp, fixed = em_refresh_args["case1"][0]
     caches = {"c": ComponentCache.build(stats.points, grid, hp, stats.quad)}
     cache = caches["c"]

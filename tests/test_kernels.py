@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve, solve_triangular, toeplitz
 
+from sgp_hawkes import kernels
 from sgp_hawkes.kernels import (
     JITTER,
+    MIN_EXPONENT,
     THETA_BOUNDS,
     GramMatrix,
     InducingGrid,
@@ -59,9 +61,20 @@ def test_se_cross_is_the_broadcast_kernel_bit_for_bit_in_one_buffer(theta1):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    broadcast = hp.theta0 * np.exp(-0.5 * hp.theta1 * (a[:, None] - b[None, :]) ** 2)
+    broadcast = hp.theta0 * np.exp(np.maximum(-0.5 * hp.theta1 * (a[:, None] - b[None, :]) ** 2, MIN_EXPONENT))
     assert np.array_equal(mat, broadcast)
     assert peak <= 1.1 * mat.nbytes
+
+
+def test_se_cross_floors_the_exponent_at_far_lags():
+    """Lags whose exponent falls below MIN_EXPONENT = -600 give theta0 exp(-600):
+    neither zero nor a subnormal."""
+    hp = KernelHyperparams(2.5, 1e3)
+    mat = se_cross(np.array([0.0, 0.5, 2.0, 6.0, 1e3]), np.array([0.0]), hp)[:, 0]
+    assert MIN_EXPONENT == -600.0
+    assert np.array_equal(mat[:2], hp.theta0 * np.exp([0.0, -125.0]))
+    assert np.all(mat[2:] == hp.theta0 * np.exp(-600.0))
+    assert np.all(mat >= np.finfo(float).tiny)
 
 
 def test_gram_single_point_with_explicit_jitter():
@@ -122,15 +135,16 @@ def test_gram_half_solve_reconstructs_inverse_quadratic_form(rng):
     assert half @ half == pytest.approx(v @ np.linalg.solve(gm.values, v), rel=1e-10)
 
 
-def test_gram_degenerate_grid_raises():
+def test_gram_degenerate_grid_raises(monkeypatch):
     # two points whose kernel distance underflows to zero: singular without the
     # jitter, which keeps the Gram matrix factorable
     grid = InducingGrid(points=np.array([0.0, 1e-18]), domain=2.0)
     assert np.linalg.matrix_rank(se_cross(grid.points, grid.points, KernelHyperparams(1.0, 1.0))) == 1
     assert np.isfinite(gram(grid, KernelHyperparams(1.0, 1.0)).logdet())
-    # squared "distances" that are no distances give an indefinite matrix the jitter cannot mend
+    # a negative jitter makes that matrix indefinite
+    monkeypatch.setattr(kernels, "JITTER", -1e-6)
     with pytest.raises(SingularMatrixError, match="pivot .* at index 1"):
-        gram(grid, KernelHyperparams(1.0, 1.0), sq=np.array([[0.0, -2.0], [-2.0, 0.0]]))
+        gram(grid, KernelHyperparams(1.0, 1.0))
 
 
 def test_sparse_mean_zero_coefficients(sparse_mean):
