@@ -100,9 +100,9 @@ class _EmEngine:
 
     def objective(self, model, links, expectations, data, caches):
         """The penalized log posterior at ``model`` from its links (untruncated trigger
-        compensator, on the fit's quadrature grids)."""
-        bg, pair = links["mu"][0], links["phi"][0]
-        value = float(np.sum(np.log(bg + np.bincount(data.child, weights=pair, minlength=data.n_events))))
+        compensator, on the fit's quadrature grids); the intensity at each event is the
+        normalizer of the E-step's responsibilities."""
+        value = float(np.sum(np.log(expectations[1].normalizer)))
         compensators, penalties = [], []
         for n in COMPONENTS:
             comp = getattr(model, n)

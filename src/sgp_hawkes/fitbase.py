@@ -175,11 +175,13 @@ class BranchingPosterior:
     """Per-event cause distribution: background weight + flat parent weights.
 
     ``parent[k]`` is the responsibility of admissible pair k (lag in
-    (0, T_phi]), so storage is O(number of admissible pairs).
+    (0, T_phi]), so storage is O(number of admissible pairs). ``normalizer``
+    is each event's sum of numerators, the intensity at it for EM's links.
     """
 
     background: np.ndarray
     parent: np.ndarray
+    normalizer: np.ndarray
 
     def weights(self, name: str) -> np.ndarray:
         """Responsibilities at the data locations of component mu or phi."""
@@ -195,6 +197,7 @@ def normalize_branching(bg_numer, pair_numer, child, n_events) -> BranchingPoste
     return BranchingPosterior(
         background=bg_numer / denom,
         parent=pair_numer / denom[child] if pair_numer.size else pair_numer,
+        normalizer=denom,
     )
 
 
