@@ -489,7 +489,7 @@ def _theta_scan(terms, theta1s: np.ndarray):
         rows = np.multiply.outer(-0.5 * theta1s[lo:lo + block], rows_sq)
         np.exp(np.maximum(rows, MIN_EXPONENT, out=rows), out=rows)
         data[lo:lo + block] = _data_term(rows @ solved[lo:lo + block], a, b)
-    q = np.einsum("sr,gsr->g", rhs, solved)
+    q = np.sum((solved * rhs).reshape(theta1s.size, -1), axis=1)  # slice by slice: bits free of the batch
     theta0 = np.clip(q / len(rhs), *THETA_BOUNDS)
     logdet = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
     values = data - 0.5 * q / theta0 - 0.5 * (logdet + len(rhs) * np.log(theta0))

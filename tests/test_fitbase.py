@@ -574,6 +574,39 @@ def test_theta_scan_falls_back_slice_by_slice(monkeypatch, engine, em_refresh_ar
 
 
 @pytest.mark.parametrize("engine", ["em", "vi"])
+def test_theta_scan_slices_do_not_depend_on_the_batch(monkeypatch, engine):
+    """On 40 seeded synthetic compacted statistics per engine (S = 10 grid on [0, 6]),
+    every finite slice of the coarse grid, and of the no-jitter fallback batch of
+    theta1 in {1e-3, 1, 1/spacing^2}, is its single-theta1 scan bit for bit."""
+    rng = np.random.default_rng(20261019 + (engine == "vi"))
+    grid = uniform_inducing_grid(10, 6.0)
+    lo, hi = np.log(THETA_BOUNDS[0]), np.log(THETA_BOUNDS[1])
+    searches, finite = [], 0
+
+    def check(terms, theta1s):
+        nonlocal finite
+        theta0s, values = _theta_scan(terms, theta1s)
+        for g in np.flatnonzero(np.isfinite(values)):
+            alone = _theta_scan(terms, theta1s[g:g + 1])
+            assert (alone[0][0], alone[1][0]) == (theta0s[g], values[g])
+            finite += 1
+
+    for _ in range(40):
+        stats = compacted(toy_stats(rng, grid, n_points=int(rng.integers(50, 4000)), quad_order=50))
+        mean = rng.normal(size=grid.count) * rng.uniform(0.05, 3.0)
+        root = rng.normal(size=(grid.count, grid.count)) * rng.uniform(0.01, 1.0)
+        fixed = (mean, None) if engine == "em" else (mean, root @ root.T + 1e-3 * np.eye(grid.count))
+        searches.append(_scan_terms(stats, grid, fixed))
+        starts = np.log([rng.uniform(0.01, 10.0), 1.0 / grid.spacing**2])
+        check(searches[-1], np.exp(np.unique(np.concatenate([np.linspace(lo, hi, 15), starts]))))
+    assert finite == 40 * 17
+    monkeypatch.setattr(fitbase, "JITTER", 0.0)
+    for terms in searches:
+        check(terms, np.array([1e-3, 1.0, 1.0 / grid.spacing**2]))
+    assert finite >= 40 * 17 + 40
+
+
+@pytest.mark.parametrize("engine", ["em", "vi"])
 def test_cache_objective_is_the_unbinned_oracle(engine, em_refresh_args, vi_refresh_args):
     """The refresh's exact check, from a cache's kernel rows, equals the theta
     objective on the unbinned points to 1e-10 relative at every recorded incumbent
