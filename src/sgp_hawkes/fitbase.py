@@ -202,11 +202,11 @@ def normalize_branching(bg_numer, pair_numer, child, n_events) -> BranchingPoste
 
 
 def band_products(k: np.ndarray) -> np.ndarray:
-    """Products of neighbouring columns of kernel rows k (n x S), as a (2S-1) x n
-    array: row 2p holds k_p^2 and row 2p+1 holds k_p k_{p+1}."""
-    out = np.empty((2 * k.shape[1] - 1, k.shape[0]))
-    np.multiply(k.T, k.T, out=out[0::2])
-    np.multiply(k.T[:-1], k.T[1:], out=out[1::2])
+    """Products of neighbouring rows of component-major kernel rows k (S x n), as a
+    (2S-1) x n array: row 2p holds k_p^2 and row 2p+1 holds k_p k_{p+1}."""
+    out = np.empty((2 * k.shape[0] - 1, k.shape[1]))
+    np.multiply(k, k, out=out[0::2])
+    np.multiply(k[:-1], k[1:], out=out[1::2])
     return out
 
 
@@ -228,7 +228,8 @@ def band_fill(grid: InducingGrid, hp: KernelHyperparams) -> np.ndarray:
 @dataclass
 class ComponentCache:
     """Kernel rows from one component's data locations and quadrature nodes to its
-    inducing grid, which must be uniform, with their band products, the fill
+    inducing grid, which must be uniform, stored component-major (S x P, so every
+    per-pair pass streams contiguous rows), with their band products, the fill
     factors of the assembly (``band_products``, ``band_fill``) and the theta
     search's bin of each data location (``_search_bins``)."""
 
@@ -248,8 +249,8 @@ class ComponentCache:
     def build(cls, points, grid: InducingGrid, hp: KernelHyperparams, quad: QuadratureGrid, bins=None):
         points = np.asarray(points, dtype=float)
         fill = band_fill(grid, hp)
-        k_points = se_cross(points, grid.points, hp)
-        k_quad = se_cross(quad.nodes, grid.points, hp)
+        k_points = se_cross(grid.points, points, hp)
+        k_quad = se_cross(grid.points, quad.nodes, hp)
         return cls(
             grid=grid,
             hp=hp,
@@ -266,13 +267,20 @@ class ComponentCache:
 
     def project_mean(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(projection at data points, projection at quadrature nodes)."""
-        at = gp_projector(self.gm, u)
-        return at(self.k_points), at(self.k_quad)
+        alpha = self.gm.solve(np.asarray(u, dtype=float))
+        return np.einsum("s,sp->p", alpha, self.k_points), np.einsum("s,sq->q", alpha, self.k_quad)
 
     def project_meanvar(self, mean_u: np.ndarray, cov_u: np.ndarray):
-        """Projected marginal mean/variance at data points and quad nodes."""
-        at = gp_projector(self.gm, mean_u, cov_u)
-        return (*at(self.k_points), *at(self.k_quad))
+        """Projected marginal (mean, variance) at data points, then at quad nodes. The variance
+        k^T W k, W = K^{-1} cov K^{-1}, is sum_m w_m B[m] over the band products B, with
+        w_m = sum_{s+r=m} W_sr F_sr and F the fill factors (``band_fill``)."""
+        alpha = self.gm.solve(np.asarray(mean_u, dtype=float))
+        w = self.fill * self.gm.solve(self.gm.solve(np.asarray(cov_u, dtype=float)).T)
+        s = np.arange(self.grid.count)
+        w = np.bincount((s[:, None] + s).ravel(), weights=w.ravel())
+        mean, mean_q = (np.einsum("s,sp->p", alpha, k) for k in (self.k_points, self.k_quad))
+        var, var_q = (np.maximum(np.einsum("m,mp->p", w, band), 0.0) for band in (self.band_points, self.band_quad))
+        return mean, var, mean_q, var_q
 
 
 def component_rate(grid: InducingGrid, hp: KernelHyperparams, mean, cov, link, t_phi: float | None = None):
@@ -391,16 +399,16 @@ def assemble_system(stats: ComponentStats, cache: ComponentCache):
     statistics' data points and quadrature grid.
 
     U[s, r] = F[s, r] B[s + r] with F the cache's fill factors and B the band
-    products weighted by a (``band_fill``); c = k^T b. B and c are einsums, not
-    BLAS matrix-vector products, whose threaded reduction over the data points
-    changes the bits with the thread count.
+    products weighted by a (``band_fill``); c = k b over the S x P kernel rows.
+    B and c are einsums, not BLAS matrix-vector products, whose threaded
+    reduction over the data points changes the bits with the thread count.
     """
     wa = stats.quad.weights * stats.a_quad
     wb = stats.quad.weights * stats.b_quad
     band = np.einsum("mp,p->m", cache.band_points, stats.a_point) + np.einsum("mq,q->m", cache.band_quad, wa)
     s = np.arange(cache.grid.count)
     u_mat = cache.fill * band[s[:, None] + s]
-    c_vec = np.einsum("qs,q->s", cache.k_quad, wb) + np.einsum("ps,p->s", cache.k_points, stats.b_point)
+    c_vec = np.einsum("sq,q->s", cache.k_quad, wb) + np.einsum("sp,p->s", cache.k_points, stats.b_point)
     return u_mat, c_vec
 
 
@@ -549,8 +557,8 @@ def _cache_objective(stats: ComponentStats, cache: ComponentCache, fixed) -> flo
     rhs, theta0 = _moment_factor(fixed), cache.hp.theta0
     unit = gram(cache.grid, KernelHyperparams(1.0, cache.hp.theta1))
     z, w, logdet = unit.solve(rhs) / theta0, stats.quad.weights, unit.logdet() + cache.grid.count * np.log(theta0)
-    value = _data_term(cache.k_points @ z, stats.a_point, stats.b_point) - 0.5 * (np.sum(rhs * z) + logdet)
-    value += _data_term(cache.k_quad @ z, w * stats.a_quad, w * stats.b_quad)
+    value = _data_term(cache.k_points.T @ z, stats.a_point, stats.b_point) - 0.5 * (np.sum(rhs * z) + logdet)
+    value += _data_term(cache.k_quad.T @ z, w * stats.a_quad, w * stats.b_quad)
     return float(value) if np.isfinite(value) else -np.inf
 
 

@@ -1,6 +1,10 @@
 """Pooled datasets, branching normalization, Gaussian updates, theta search."""
 
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
 from sgp_hawkes import FitConfig, case2_rates, fit_em, fit_vi, simulate_thinning
-from sgp_hawkes import fitbase
+from sgp_hawkes import em, fitbase
 from sgp_hawkes.fitbase import (
     ComponentCache,
     ComponentStats,
@@ -23,8 +27,11 @@ from sgp_hawkes.fitbase import (
     assemble_system,
     auto_theta,
     build_dataset,
+    estep,
+    estep_pg,
     gaussian_update,
     normalize_branching,
+    mstep,
     relative_change,
     search_theta,
     solve_gaussian_update,
@@ -34,6 +41,7 @@ from sgp_hawkes.kernels import (
     InducingGrid,
     KernelHyperparams,
     SingularMatrixError,
+    gp_projector,
     gram,
     se_cross,
     uniform_inducing_grid,
@@ -303,6 +311,66 @@ def test_component_cache_rejects_a_non_uniform_grid():
     grid = InducingGrid(np.array([0.0, 1.0, 3.0]), 3.0)
     with pytest.raises(ValueError, match="uniform inducing grid"):
         ComponentCache.build(np.array([0.5, 2.0]), grid, KernelHyperparams(1.0, 1.0), gauss_legendre(8, 0.0, 3.0))
+
+
+@pytest.mark.parametrize("theta1", [THETA_BOUNDS[0], None, THETA_BOUNDS[1]])
+def test_band_product_variance_is_the_projector_variance(small_dataset, small_caches, theta1):
+    """With each cache of a case1 fit rebuilt at theta1 = 1e-3, 1/spacing^2 and 1e3,
+    and cov = K (U + K)^{-1} K at the cache's own hp, as every fit installs it:
+    project_meanvar's variance from the band products is gp_projector's on the
+    kernel rows, at the data points and at the quadrature nodes, to 1e-12 of its
+    largest value plus the rounding bound S eps k^T |W| k of a sum over the S^2
+    terms W_sr k_s k_r (W = K^{-1} cov K^{-1}). That bound matters only at theta1 =
+    1e-3, where the terms cancel: they reach 1.5e9 times max(var), and a long-double
+    sum of the same terms puts the band form 1.0e-7 of max(var) off, gp_projector
+    2.9e-8. The mean is project_mean's bit for bit, and the cache's rows are
+    se_cross(x, grid).T bit for bit."""
+    caches = {}
+    for name, cache in small_caches.items():
+        hp = KernelHyperparams(cache.hp.theta0, theta1 or 1.0 / cache.grid.spacing**2)
+        caches[name] = ComponentCache.build(cache.points, cache.grid, hp, cache.quad)
+    links = em.project(em.init_model(small_dataset, caches), caches)
+    updates = mstep(small_dataset, caches, estep_pg(links), *estep(links, small_dataset, caches))
+    for name, (_, _, _, mean, cov) in updates.items():
+        cache = caches[name]
+        ours, at = cache.project_meanvar(mean, cov), gp_projector(cache.gm, mean, cov)
+        w_abs = np.abs(cache.gm.solve(cache.gm.solve(cov).T))
+        for x, k, var in ((cache.points, cache.k_points, ours[1]), (cache.quad.nodes, cache.k_quad, ours[3])):
+            assert np.array_equal(k, se_cross(x, cache.grid.points, cache.hp).T)
+            var_ref = at(k.T)[1]
+            rounding = cache.grid.count * np.finfo(float).eps * np.max(np.einsum("sp,sr,rp->p", k, w_abs, k))
+            assert np.max(np.abs(var - var_ref)) <= 1e-12 * np.max(var_ref) + rounding
+        assert all(np.array_equal(a, b) for a, b in zip(ours[::2], cache.project_mean(mean)))
+
+
+_PROJECTIONS = """
+import sys
+import numpy as np
+from sgp_hawkes.fitbase import ComponentCache
+from sgp_hawkes.kernels import KernelHyperparams, uniform_inducing_grid
+from sgp_hawkes.quadrature import gauss_legendre
+rng = np.random.default_rng(7)
+grid = uniform_inducing_grid(10, 6.0)
+cache = ComponentCache.build(rng.uniform(0.0, 6.0, 98765), grid, KernelHyperparams(1.0, 2.25), gauss_legendre(50, 0.0, 6.0))
+root = rng.normal(size=(10, 10))
+out = [*cache.project_mean(rng.normal(size=10)), *cache.project_meanvar(rng.normal(size=10), root @ root.T)]
+sys.stdout.buffer.write(b"".join(x.tobytes() for x in out))
+"""
+
+
+def test_cache_projections_do_not_depend_on_blas_threads():
+    """project_mean and project_meanvar at 98 765 data points give the same bytes under
+    one and two BLAS threads (OpenBLAS's threaded matrix-vector product, which splits
+    the points between threads, changed a few of them)."""
+    src = str(Path(fitbase.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _PROJECTIONS], env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert len(outputs[0]) == 8 * 3 * (98765 + 50) and outputs[0] == outputs[1]
 
 
 @st.composite
