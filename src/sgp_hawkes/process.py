@@ -68,8 +68,10 @@ class EventSequence:
 class RateFunctions:
     """Background and trigger rate of a Hawkes model.
 
-    ``mu`` and ``phi`` must accept numpy arrays. ``phi`` is treated as zero
-    outside (0, T_phi]; callers never evaluate it there. The exact
+    ``mu`` and ``phi`` must accept numpy arrays and return finite,
+    non-negative values wherever they are evaluated; ``simulate_thinning``'s
+    mu-only acceptance is exact under that contract. ``phi`` is treated as
+    zero outside (0, T_phi]; callers never evaluate it there. The exact
     antiderivatives ``mu_integral(t) = int_0^t mu`` and ``phi_integral(x) =
     int_0^x phi`` for x in [0, T_phi] are the compensators; simulation runs
     without them, scoring requires them (see ``antiderivative``).
@@ -168,14 +170,15 @@ def log_likelihood(seq: EventSequence, rates: RateFunctions, *, truncate_trigger
 
 
 def _tail_max_table(f, upper: float, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid x_k and M_k >= sup_{tau >= x_k} f(tau) over [0, upper]."""
+    """Grid x of ``size`` points on [0, upper] and bounds M, one longer, with
+    M[searchsorted(x, tau, "right")] >= sup_{tau' >= tau} f(tau') for tau in [0, upper]."""
     x = np.linspace(0.0, upper, size)
     vals = np.asarray(f(x), dtype=float)
     if np.any(~np.isfinite(vals)) or np.any(vals < 0.0):
         raise ValueError("trigger rate must be finite and non-negative on [0, T_phi]")
     tail = np.maximum.accumulate(vals[::-1])[::-1]
     # headroom for the sup-on-a-grid underestimate of smooth rates
-    return x, tail * (1.0 + 1e-3) + 1e-12
+    return x, np.concatenate([tail[:1], tail]) * (1.0 + 1e-3) + 1e-12
 
 
 def simulate_thinning(
@@ -190,6 +193,10 @@ def simulate_thinning(
     refreshed after every accepted event and every rejected candidate.
     Rates must be bounded; their suprema are taken on a dense grid with a
     0.1% safety margin, so pathologically spiky rates are out of scope.
+
+    mu and phi must be finite and non-negative wherever evaluated (checked on
+    the bound grids); then accepting on u * bound <= mu(t) alone, without phi,
+    decides as the full intensity does, since mu(t) + (sum >= 0) >= mu(t).
     """
     if not np.isfinite(T) or T <= 0.0:
         raise ValueError(f"window length must be positive, got {T}")
@@ -198,35 +205,34 @@ def simulate_thinning(
     if np.any(~np.isfinite(mu_grid)) or np.any(mu_grid < 0.0):
         raise ValueError("background rate must be finite and non-negative on [0, T]")
     mu_sup = float(np.max(mu_grid)) * (1.0 + 1e-3) + 1e-12
-    tail_x, tail_m = _tail_max_table(rates.phi, rates.T_phi, _BOUND_GRID + 1)
+    tail_x, tail_at = _tail_max_table(rates.phi, rates.T_phi, _BOUND_GRID + 1)
 
-    events: list[float] = []
+    buf = np.empty(256)  # events so far in buf[:n]; it doubles when full
+    n = start = 0  # start: index of the oldest event still within T_phi of t
     t = 0.0
-    start = 0  # index of the oldest event still within T_phi of t
-    while True:
-        while start < len(events) and t - events[start] > rates.T_phi:
-            start += 1
-        active = np.asarray(events[start:], dtype=float)
+    while True:  # t and the active events buf[start:n] are those of the last candidate, pruned there
         bound = mu_sup
-        if active.size:
-            idx = np.searchsorted(tail_x, t - active, side="right") - 1
-            bound += float(np.sum(tail_m[np.maximum(idx, 0)]))
+        if start < n:
+            bound += float(np.add.reduce(tail_at[tail_x.searchsorted(t - buf[start:n], "right")]))
         if bound <= 1e-12:
             break
         t = t + rng.exponential(1.0 / bound)
         if t > T:
             break
-        while start < len(events) and t - events[start] > rates.T_phi:
+        while start < n and t - buf[start] > rates.T_phi:
             start += 1
-        active = np.asarray(events[start:], dtype=float)
-        lam = float(np.asarray(rates.mu(np.array([t])), dtype=float)[0])
-        if active.size:
-            lam += float(np.sum(np.asarray(rates.phi(t - active), dtype=float)))
-        if rng.uniform() * bound <= lam:
-            events.append(t)
-            if len(events) >= _MAX_EVENTS:
+        level = rng.random() * bound
+        lam = float(rates.mu(np.array([t]))[0])
+        if level > lam and start < n:
+            lam += float(np.add.reduce(np.asarray(rates.phi(t - buf[start:n]), dtype=float)))
+        if level <= lam:
+            if n == buf.size:
+                buf = np.concatenate([buf, np.empty_like(buf)])
+            buf[n] = t
+            n += 1
+            if n >= _MAX_EVENTS:
                 raise RuntimeError(f"simulation exceeded {_MAX_EVENTS} events; rates look non-stationary")
-    return EventSequence(np.asarray(events, dtype=float), float(T))
+    return EventSequence(buf[:n].copy(), float(T))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sgp_hawkes import fit_em, fit_vi, process, rates_for_eval
 from sgp_hawkes.process import (
+    _BOUND_GRID,
+    _MAX_EVENTS,
     CASE_T,
     CASE_T_PHI,
     EventSequence,
@@ -209,6 +212,114 @@ def test_simulation_case2_mean_count_matches_branching_theory(integrate):
     expected = mu_mass / (1.0 - trigger_mass)
     counts = [simulate_thinning(rates, CASE_T, seed=s).times.size for s in range(100)]
     assert abs(np.mean(counts) - expected) / expected < 0.10
+
+
+def reference_tail_max_table(f, upper: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid x_k and M_k >= sup_{tau >= x_k} f(tau) over [0, upper] (the list-based sampler's table)."""
+    x = np.linspace(0.0, upper, size)
+    vals = np.asarray(f(x), dtype=float)
+    if np.any(~np.isfinite(vals)) or np.any(vals < 0.0):
+        raise ValueError("trigger rate must be finite and non-negative on [0, T_phi]")
+    tail = np.maximum.accumulate(vals[::-1])[::-1]
+    # headroom for the sup-on-a-grid underestimate of smooth rates
+    return x, tail * (1.0 + 1e-3) + 1e-12
+
+
+def reference_simulate_thinning(rates: RateFunctions, T: float, seed: int) -> EventSequence:
+    """Ogata thinning as a plain loop over a list of events: at every candidate it
+    copies the active events into an array, draws rng.uniform() after evaluating
+    the full intensity mu + sum phi, and sums with np.sum. simulate_thinning must
+    give the same bytes."""
+    if not np.isfinite(T) or T <= 0.0:
+        raise ValueError(f"window length must be positive, got {T}")
+    rng = np.random.default_rng(seed)
+    mu_grid = np.asarray(rates.mu(np.linspace(0.0, T, 2 * _BOUND_GRID + 1)), dtype=float)
+    if np.any(~np.isfinite(mu_grid)) or np.any(mu_grid < 0.0):
+        raise ValueError("background rate must be finite and non-negative on [0, T]")
+    mu_sup = float(np.max(mu_grid)) * (1.0 + 1e-3) + 1e-12
+    tail_x, tail_m = reference_tail_max_table(rates.phi, rates.T_phi, _BOUND_GRID + 1)
+
+    events: list[float] = []
+    t = 0.0
+    start = 0  # index of the oldest event still within T_phi of t
+    while True:
+        while start < len(events) and t - events[start] > rates.T_phi:
+            start += 1
+        active = np.asarray(events[start:], dtype=float)
+        bound = mu_sup
+        if active.size:
+            idx = np.searchsorted(tail_x, t - active, side="right") - 1
+            bound += float(np.sum(tail_m[np.maximum(idx, 0)]))
+        if bound <= 1e-12:
+            break
+        t = t + rng.exponential(1.0 / bound)
+        if t > T:
+            break
+        while start < len(events) and t - events[start] > rates.T_phi:
+            start += 1
+        active = np.asarray(events[start:], dtype=float)
+        lam = float(np.asarray(rates.mu(np.array([t])), dtype=float)[0])
+        if active.size:
+            lam += float(np.sum(np.asarray(rates.phi(t - active), dtype=float)))
+        if rng.uniform() * bound <= lam:
+            events.append(t)
+            if len(events) >= _MAX_EVENTS:
+                raise RuntimeError(f"simulation exceeded {_MAX_EVENTS} events; rates look non-stationary")
+    return EventSequence(np.asarray(events, dtype=float), float(T))
+
+
+def assert_reference_draws(rates, T, seeds) -> list[int]:
+    """simulate_thinning's times equal the reference loop's, bytes and all; returns the event counts."""
+    counts = []
+    for seed in seeds:
+        ours, ref = simulate_thinning(rates, T, seed).times, reference_simulate_thinning(rates, T, seed).times
+        assert ours.dtype == ref.dtype and np.array_equal(ours, ref), f"seed {seed}"
+        assert ours.tobytes() == ref.tobytes(), f"seed {seed}"
+        counts.append(ours.size)
+    return counts
+
+
+@pytest.mark.parametrize("preset", [case1_rates, case2_rates])
+def test_simulation_is_the_reference_loop_on_the_presets(preset):
+    """The acceptance seeds 0-49, the held-out seed 104729 and the first 20 seeds of
+    criterion 3's replication."""
+    assert_reference_draws(preset(), CASE_T, [*range(50), 104729, *range(30_000, 30_020)])
+
+
+def test_simulation_is_the_reference_loop_on_table_rates():
+    rates = table_rates(
+        np.linspace(0.0, CASE_T, 11),
+        np.array([0.5, 1.5, 0.2, 0.0, 2.0, 1.0, 1.0, 0.3, 0.9, 1.2, 0.4]),
+        np.array([0.0, 0.5, 1.0, 3.0, 4.0]),
+        np.array([0.45, 0.3, 0.15, 0.025, 0.0]),
+        4.0,
+    )
+    assert sum(assert_reference_draws(rates, CASE_T, range(10))) > 0
+
+
+@pytest.mark.parametrize("fit", [fit_em, fit_vi])
+def test_simulation_is_the_reference_loop_on_fitted_rates(fit, small_case1_seqs, small_config):
+    rates = rates_for_eval(fit(small_case1_seqs, replace(small_config, max_iter=5))[0])
+    assert sum(assert_reference_draws(rates, CASE_T, range(5))) > 0
+
+
+def test_simulation_is_the_reference_loop_without_events():
+    """A zero rate stops at the first bound, and a window too short for any event ends
+    at the first candidate."""
+    assert assert_reference_draws(constant_rates(0.0, 0.0, 1.0), CASE_T, range(5)) == [0] * 5
+    assert assert_reference_draws(case1_rates(), 1e-6, range(5)) == [0] * 5
+
+
+def test_simulation_is_the_reference_loop_past_several_buffer_doublings():
+    assert min(assert_reference_draws(case1_rates(), 1000.0, [0, 1])) > 1000
+
+
+def test_simulation_stops_at_the_event_cap(monkeypatch):
+    """A trigger of mass 2 per event is supercritical: this window holds 530 events
+    without a cap. The cap is read at call time."""
+    monkeypatch.setattr(process, "_MAX_EVENTS", 50)
+    with pytest.raises(RuntimeError, match="exceeded 50 events; rates look non-stationary"):
+        simulate_thinning(constant_rates(1.0, 0.5, 4.0), 15.0, seed=0)
 
 
 def test_case1_rate_definitions():
