@@ -557,8 +557,11 @@ def _cache_objective(stats: ComponentStats, cache: ComponentCache, fixed) -> flo
     rhs, theta0 = _moment_factor(fixed), cache.hp.theta0
     unit = gram(cache.grid, KernelHyperparams(1.0, cache.hp.theta1))
     z, w, logdet = unit.solve(rhs) / theta0, stats.quad.weights, unit.logdet() + cache.grid.count * np.log(theta0)
-    value = _data_term(cache.k_points.T @ z, stats.a_point, stats.b_point) - 0.5 * (np.sum(rhs * z) + logdet)
-    value += _data_term(cache.k_quad.T @ z, w * stats.a_quad, w * stats.b_quad)
+    # k^T z; EM's one column is an einsum, like the cache's projections: a BLAS GEMV's threaded sum changes bits
+    points, quad = (np.einsum("s,sp->p", z[:, 0], k)[:, None] if z.shape[1] == 1 else k.T @ z
+                    for k in (cache.k_points, cache.k_quad))
+    value = _data_term(points, stats.a_point, stats.b_point) - 0.5 * (np.sum(rhs * z) + logdet)
+    value += _data_term(quad, w * stats.a_quad, w * stats.b_quad)
     return float(value) if np.isfinite(value) else -np.inf
 
 

@@ -346,7 +346,8 @@ def test_band_product_variance_is_the_projector_variance(small_dataset, small_ca
 _PROJECTIONS = """
 import sys
 import numpy as np
-from sgp_hawkes.fitbase import ComponentCache
+from sgp_hawkes import fitbase
+from sgp_hawkes.fitbase import ComponentCache, ComponentStats, _cache_objective
 from sgp_hawkes.kernels import KernelHyperparams, uniform_inducing_grid
 from sgp_hawkes.quadrature import gauss_legendre
 rng = np.random.default_rng(7)
@@ -354,14 +355,21 @@ grid = uniform_inducing_grid(10, 6.0)
 cache = ComponentCache.build(rng.uniform(0.0, 6.0, 98765), grid, KernelHyperparams(1.0, 2.25), gauss_legendre(50, 0.0, 6.0))
 root = rng.normal(size=(10, 10))
 out = [*cache.project_mean(rng.normal(size=10)), *cache.project_meanvar(rng.normal(size=10), root @ root.T)]
+stats = ComponentStats(cache.points, rng.uniform(0.0, 1.0, 98765), rng.normal(size=98765), cache.quad,
+                       rng.uniform(0.0, 1.0, 50), rng.normal(size=50), 6.0)
+data_term = fitbase._data_term  # record the projections as well: a changed row seldom shows in the sum
+fitbase._data_term = lambda proj, a, b: out.append(proj) or data_term(proj, a, b)
+mean = rng.normal(size=10)
+out.append(np.array([_cache_objective(stats, cache, (mean, cov)) for cov in (None, root @ root.T)]))
 sys.stdout.buffer.write(b"".join(x.tobytes() for x in out))
 """
 
 
 def test_cache_projections_do_not_depend_on_blas_threads():
-    """project_mean and project_meanvar at 98 765 data points give the same bytes under
-    one and two BLAS threads (OpenBLAS's threaded matrix-vector product, which splits
-    the points between threads, changed a few of them)."""
+    """project_mean and project_meanvar at 98 765 data points, and the refresh's exact
+    check ``_cache_objective`` there for EM (one column) and VI, give the same bytes
+    under one and two BLAS threads (OpenBLAS's threaded matrix-vector product, which
+    splits the points between threads, changed a few of them)."""
     src = str(Path(fitbase.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
@@ -370,7 +378,7 @@ def test_cache_projections_do_not_depend_on_blas_threads():
         proc = subprocess.run([sys.executable, "-c", _PROJECTIONS], env=env, capture_output=True, timeout=60)
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
-    assert len(outputs[0]) == 8 * 3 * (98765 + 50) and outputs[0] == outputs[1]
+    assert len(outputs[0]) == 8 * (3 * (98765 + 50) + 12 * (98765 + 50) + 2) and outputs[0] == outputs[1]
 
 
 @st.composite
