@@ -71,10 +71,10 @@ class RateFunctions:
     ``mu`` and ``phi`` must accept numpy arrays and return finite,
     non-negative values wherever they are evaluated; ``simulate_thinning``'s
     mu-only acceptance is exact under that contract. ``phi`` is treated as
-    zero outside (0, T_phi]; callers never evaluate it there. The exact
-    antiderivatives ``mu_integral(t) = int_0^t mu`` and ``phi_integral(x) =
-    int_0^x phi`` for x in [0, T_phi] are the compensators; simulation runs
-    without them, scoring requires them (see ``antiderivative``).
+    zero outside (0, T_phi]. The exact antiderivatives ``mu_integral(t) =
+    int_0^t mu`` and ``phi_integral(x) = int_0^x phi`` for x in [0, T_phi]
+    are the compensators; simulation runs without them, scoring requires
+    them (see ``antiderivative``).
     """
 
     mu: Callable

@@ -378,7 +378,8 @@ def test_cache_projections_do_not_depend_on_blas_threads():
         proc = subprocess.run([sys.executable, "-c", _PROJECTIONS], env=env, capture_output=True, timeout=60)
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
-    assert len(outputs[0]) == 8 * (3 * (98765 + 50) + 12 * (98765 + 50) + 2) and outputs[0] == outputs[1]
+    # three cache projections, the check's projections of 1 (EM) and 11 (VI) columns, two objective values
+    assert len(outputs[0]) == 8 * ((3 + 1 + 11) * (98765 + 50) + 2) and outputs[0] == outputs[1]
 
 
 @st.composite
