@@ -33,7 +33,7 @@ from .process import (
     read_manifest,
     simulate_thinning,
     table_rates,
-    write_events_csv,
+    write_csv,
     write_manifest,
 )
 from .serialize import load_model, rates_for_eval, report_to_dict, save_json, save_model
@@ -161,7 +161,7 @@ def cmd_simulate(args) -> int:
     def one(task):
         split, index, seed_k = task
         seq = simulate_thinning(rates, t_window, seed_k)
-        write_events_csv(out / f"{split}_{index:03d}.csv", seq)
+        write_csv(out / f"{split}_{index:03d}.csv", "t", seq.times)
         return len(seq)
 
     tasks = [("train", i, seed + i) for i in range(n_train)]
@@ -183,16 +183,6 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------------------
 # fit
-
-
-def _write_estimates(path: Path, grid, values, std=None) -> None:
-    lines = ["x,value" + (",std" if std is not None else "")]
-    for i in range(len(grid)):
-        row = f"{grid[i]:.17g},{values[i]:.17g}"
-        if std is not None:
-            row += f",{std[i]:.17g}"
-        lines.append(row)
-    path.write_text("\n".join(lines) + "\n")
 
 
 def cmd_fit(args) -> int:
@@ -225,8 +215,10 @@ def cmd_fit(args) -> int:
 
     save_model(out / "model.json", model)
     save_json(out / "report.json", report_to_dict(report))
-    _write_estimates(out / "estimates_mu.csv", report.grid_mu, report.mu_hat, report.mu_std)
-    _write_estimates(out / "estimates_phi.csv", report.grid_phi, report.phi_hat, report.phi_std)
+    for name, *columns in (("mu", report.grid_mu, report.mu_hat, report.mu_std),
+                           ("phi", report.grid_phi, report.phi_hat, report.phi_std)):
+        columns = [c for c in columns if c is not None]  # a std column only where the fit has one
+        write_csv(out / f"estimates_{name}.csv", ",".join(["x", "value", "std"][:len(columns)]), *columns)
     if not report.converged:
         print(f"{method} fit did not converge in {report.n_iter} iterations", file=sys.stderr)
         return 2
@@ -271,10 +263,7 @@ def cmd_eval(args) -> int:
         n_clamped=sum(s.n_clamped for s in samples),
     )
     theoretical, empirical = qq_pairs(pooled)
-    lines = ["theoretical,empirical"] + [
-        f"{t:.17g},{e:.17g}" for t, e in zip(theoretical, empirical)
-    ]
-    (out / "qq.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out / "qq.csv", "theoretical,empirical", theoretical, empirical)
 
     ks_distance = ks_p = None
     if z_all.size:
@@ -350,7 +339,7 @@ def cmd_bench(args) -> int:
     _echo_config(out, "bench", config)
 
     fitter = fit_em if method == "em" else fit_vi
-    rows = []
+    medians = []
     for idx, n_events in enumerate(sizes):
         times = []
         for r in range(repeats):
@@ -359,10 +348,9 @@ def cmd_bench(args) -> int:
             start = time.perf_counter()
             fitter(seq, fit_config)
             times.append(time.perf_counter() - start)
-        rows.append((n_events, median(times)))
-        print(f"n={n_events}: {rows[-1][1]:.3f}s median of {repeats} ({iters} iterations)")
-    lines = ["n,seconds"] + [f"{n},{s:.17g}" for n, s in rows]
-    (out / "bench.csv").write_text("\n".join(lines) + "\n")
+        medians.append(median(times))
+        print(f"n={n_events}: {medians[-1]:.3f}s median of {repeats} ({iters} iterations)")
+    write_csv(out / "bench.csv", "n,seconds", sizes, medians)
     return 0
 
 

@@ -1,8 +1,9 @@
 """Shared plumbing and the one sweep of the EM and variational engines.
 
-Both engines consume the same sufficient-statistic shapes: Dirac weights at
-event locations (baseline component) or pairwise lags (trigger component),
-plus weighted rate densities on a fixed quadrature grid. ``run_sweeps`` runs
+Both engines consume the same sufficient statistics: weights on one point set
+per component, its Dirac locations, the events (baseline component) or the
+pairwise lags (trigger component), then the nodes of a fixed quadrature grid,
+where the weights hold the quadrature-weighted rate densities. ``run_sweeps`` runs
 the whole sweep for both: the engine's projection into a per-component link,
 the one E-step (``estep_pg``, ``estep_latent_rate``, ``estep_branching``),
 the one M-step (``mstep``: the lambda* counts and the Gaussian update of each
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import time
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -227,48 +228,39 @@ def band_fill(grid: InducingGrid, hp: KernelHyperparams) -> np.ndarray:
 
 @dataclass
 class ComponentCache:
-    """Kernel rows from one component's data locations and quadrature nodes to its
-    inducing grid, which must be uniform, stored component-major (S x P, so every
-    per-pair pass streams contiguous rows), with their band products, the fill
-    factors of the assembly (``band_products``, ``band_fill``) and the theta
-    search's bin of each data location (``_search_bins``)."""
+    """One component's point set x, its P data locations followed by the nodes of its
+    quadrature grid, with the kernel rows k from x to the inducing grid, which must be
+    uniform, stored component-major (S x (P + Q), so every pass streams contiguous
+    rows), their band products, the fill factors of the assembly (``band_products``,
+    ``band_fill``) and the theta search's bin of each data location (``_search_bins``)."""
 
     grid: InducingGrid
     hp: KernelHyperparams
     gm: GramMatrix
-    points: np.ndarray
-    k_points: np.ndarray
+    x: np.ndarray
+    k: np.ndarray
     quad: QuadratureGrid
-    k_quad: np.ndarray
-    band_points: np.ndarray
-    band_quad: np.ndarray
+    band: np.ndarray
     fill: np.ndarray
     bins: np.ndarray
 
     @classmethod
     def build(cls, points, grid: InducingGrid, hp: KernelHyperparams, quad: QuadratureGrid, bins=None):
-        points = np.asarray(points, dtype=float)
-        fill = band_fill(grid, hp)
-        k_points = se_cross(grid.points, points, hp)
-        k_quad = se_cross(grid.points, quad.nodes, hp)
-        return cls(
-            grid=grid,
-            hp=hp,
-            gm=gram(grid, hp),
-            points=points,
-            k_points=k_points,
-            quad=quad,
-            k_quad=k_quad,
-            band_points=band_products(k_points),
-            band_quad=band_products(k_quad),
-            fill=fill,
-            bins=_search_bins(points, grid.domain) if bins is None else bins,
-        )
+        points, fill = np.asarray(points, dtype=float), band_fill(grid, hp)
+        x = np.concatenate([points, quad.nodes])
+        k = se_cross(grid.points, x, hp)
+        bins = _search_bins(points, grid.domain) if bins is None else bins
+        return cls(grid, hp, gram(grid, hp), x, k, quad, band_products(k), fill, bins)
+
+    @property
+    def points(self) -> np.ndarray:
+        """The data part of x, the points before the quadrature nodes."""
+        return self.x[:self.x.size - self.quad.nodes.size]
 
     def project_mean(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(projection at data points, projection at quadrature nodes)."""
-        alpha = self.gm.solve(np.asarray(u, dtype=float))
-        return np.einsum("s,sp->p", alpha, self.k_points), np.einsum("s,sq->q", alpha, self.k_quad)
+        mean, p = np.einsum("s,sp->p", self.gm.solve(np.asarray(u, dtype=float)), self.k), self.points.size
+        return mean[:p], mean[p:]
 
     def project_meanvar(self, mean_u: np.ndarray, cov_u: np.ndarray):
         """Projected marginal (mean, variance) at data points, then at quad nodes. The variance
@@ -278,9 +270,10 @@ class ComponentCache:
         w = self.fill * self.gm.solve(self.gm.solve(np.asarray(cov_u, dtype=float)).T)
         s = np.arange(self.grid.count)
         w = np.bincount((s[:, None] + s).ravel(), weights=w.ravel())
-        mean, mean_q = (np.einsum("s,sp->p", alpha, k) for k in (self.k_points, self.k_quad))
-        var, var_q = (np.maximum(np.einsum("m,mp->p", w, band), 0.0) for band in (self.band_points, self.band_quad))
-        return mean, var, mean_q, var_q
+        mean = np.einsum("s,sp->p", alpha, self.k)
+        var = np.maximum(np.einsum("m,mp->p", w, self.band), 0.0)
+        p = self.points.size
+        return mean[:p], var[:p], mean[p:], var[p:]
 
 
 def component_rate(grid: InducingGrid, hp: KernelHyperparams, mean, cov, link, t_phi: float | None = None):
@@ -348,23 +341,19 @@ def estep(links: dict[str, tuple], data: Dataset, caches: dict[str, ComponentCac
 
 @dataclass(frozen=True)
 class ComponentStats:
-    """A/B statistics of one GP component, in assembly-ready form.
+    """A/B statistics of one GP component: weights a and b at each point of its
+    point set x (``ComponentCache``), the data locations and then the quadrature nodes.
 
     The Gaussian update solves
         cov = K (U + K)^{-1} K,   mean = K (U + K)^{-1} c
-    with U = sum_i a_point_i k_i k_i^T + int a_quad(t) k(t) k(t)^T dt and
-    c = sum_i b_point_i k_i + int b_quad(t) k(t) dt. Any replication scaling
-    (number of windows / number of events) is already folded into the
-    quadrature densities.
+    with U = sum_i a_i k_i k_i^T and c = sum_i b_i k_i over x. The integral over the
+    latent thinned process is the sum over the nodes: their weights hold the
+    quadrature weight and the replication scale (number of windows / of events).
     """
 
-    points: np.ndarray
-    a_point: np.ndarray
-    b_point: np.ndarray
-    quad: QuadratureGrid
-    a_quad: np.ndarray
-    b_quad: np.ndarray
-    domain: float
+    x: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
 
 
 def component_stats(data: Dataset, caches, branching, pg_weight, latent) -> dict[str, ComponentStats]:
@@ -374,17 +363,10 @@ def component_stats(data: Dataset, caches, branching, pg_weight, latent) -> dict
     """
     stats = {}
     for name in data.active:
-        points, scale, domain = data.component(name)
-        weights = branching.weights(name)
-        stats[name] = ComponentStats(
-            points=points,
-            a_point=pg_weight[name] * weights,
-            b_point=0.5 * weights,
-            quad=caches[name].quad,
-            a_quad=scale * latent[name].first_moment,
-            b_quad=-0.5 * scale * latent[name].marginal,
-            domain=domain,
-        )
+        scale, weights, w = data.component(name)[1], branching.weights(name), caches[name].quad.weights
+        a = np.concatenate([pg_weight[name] * weights, w * (scale * latent[name].first_moment)])
+        b = np.concatenate([0.5 * weights, w * (-0.5 * scale * latent[name].marginal)])
+        stats[name] = ComponentStats(caches[name].x, a, b)
     return stats
 
 
@@ -396,20 +378,16 @@ def rate_bound_counts(data: Dataset, name: str, branching: BranchingPosterior, m
 
 def assemble_system(stats: ComponentStats, cache: ComponentCache):
     """(U, c) of one component's Gaussian update, with ``cache`` built at the
-    statistics' data points and quadrature grid.
+    statistics' point set.
 
     U[s, r] = F[s, r] B[s + r] with F the cache's fill factors and B the band
-    products weighted by a (``band_fill``); c = k b over the S x P kernel rows.
-    B and c are einsums, not BLAS matrix-vector products, whose threaded
-    reduction over the data points changes the bits with the thread count.
+    products weighted by a (``band_fill``); c = k b over the S x (P + Q) kernel
+    rows. B and c are einsums, not BLAS matrix-vector products, whose threaded
+    reduction over the points changes the bits with the thread count.
     """
-    wa = stats.quad.weights * stats.a_quad
-    wb = stats.quad.weights * stats.b_quad
-    band = np.einsum("mp,p->m", cache.band_points, stats.a_point) + np.einsum("mq,q->m", cache.band_quad, wa)
+    band = np.einsum("mp,p->m", cache.band, stats.a)
     s = np.arange(cache.grid.count)
-    u_mat = cache.fill * band[s[:, None] + s]
-    c_vec = np.einsum("sq,q->s", cache.k_quad, wb) + np.einsum("sp,p->s", cache.k_points, stats.b_point)
-    return u_mat, c_vec
+    return cache.fill * band[s[:, None] + s], np.einsum("sp,p->s", cache.k, stats.b)
 
 
 def solve_gaussian_update(gm: GramMatrix, u_mat: np.ndarray, c_vec: np.ndarray):
@@ -459,12 +437,10 @@ def _data_term(proj: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 
 def _scan_terms(stats: ComponentStats, grid: InducingGrid, fixed):
-    """What every scan of one search reuses: the squared distances to the grid of the statistics' points and
-    quadrature nodes, stacked, and of the grid itself (as in se_cross), their weights a and b, and [m, L]."""
-    diffs = [np.subtract.outer(x, grid.points) for x in (np.concatenate([stats.points, stats.quad.nodes]), grid.points)]
-    a = np.concatenate([stats.a_point, stats.quad.weights * stats.a_quad])
-    b = np.concatenate([stats.b_point, stats.quad.weights * stats.b_quad])
-    return *(np.square(d, out=d) for d in diffs), a, b, _moment_factor(fixed)
+    """What every scan of one search reuses: the squared distances to the grid of the statistics' points
+    and of the grid itself (as in se_cross), the weights a and b, and [m, L]."""
+    diffs = [np.subtract.outer(x, grid.points) for x in (stats.x, grid.points)]
+    return *(np.square(d, out=d) for d in diffs), stats.a, stats.b, _moment_factor(fixed)
 
 
 def _theta_scan(terms, theta1s: np.ndarray):
@@ -510,16 +486,19 @@ def _search_bins(points: np.ndarray, domain: float) -> np.ndarray:
     return np.clip(np.searchsorted(edges, points, side="right") - 1, 0, _SEARCH_BINS - 1)
 
 
-def _compact_stats(stats: ComponentStats, bins: np.ndarray) -> ComponentStats:
-    """Histogram the Dirac part onto bin centers, by the points' ``_search_bins``, to speed up the theta search."""
-    if stats.points.size <= _SEARCH_BINS:
+def _compact_stats(stats: ComponentStats, bins: np.ndarray, domain: float) -> ComponentStats:
+    """Histogram the data part, the first ``bins.size`` points, onto the centers of their ``_search_bins``
+    of [0, domain], to speed up the theta search; the quadrature nodes pass through."""
+    p = bins.size
+    if p <= _SEARCH_BINS:
         return stats
-    a = np.bincount(bins, weights=stats.a_point, minlength=_SEARCH_BINS)
-    b = np.bincount(bins, weights=stats.b_point, minlength=_SEARCH_BINS)
+    a = np.bincount(bins, weights=stats.a[:p], minlength=_SEARCH_BINS)
+    b = np.bincount(bins, weights=stats.b[:p], minlength=_SEARCH_BINS)
     keep = (a != 0.0) | (b != 0.0)
-    edges = np.linspace(0.0, stats.domain, _SEARCH_BINS + 1)
+    edges = np.linspace(0.0, domain, _SEARCH_BINS + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    return replace(stats, points=centers[keep], a_point=a[keep], b_point=b[keep])
+    binned = zip((centers, a, b), (stats.x, stats.a, stats.b))
+    return ComponentStats(*(np.concatenate([v[keep], whole[p:]]) for v, whole in binned))
 
 
 def _theta_candidate(stats: ComponentStats, grid: InducingGrid, hp: KernelHyperparams, fixed):
@@ -556,12 +535,10 @@ def _cache_objective(stats: ComponentStats, cache: ComponentCache, fixed) -> flo
     with K1 factored as the scan factors it: K^{-1} = K1^{-1} / theta0 and log|K| = log|K1| + S log theta0."""
     rhs, theta0 = _moment_factor(fixed), cache.hp.theta0
     unit = gram(cache.grid, KernelHyperparams(1.0, cache.hp.theta1))
-    z, w, logdet = unit.solve(rhs) / theta0, stats.quad.weights, unit.logdet() + cache.grid.count * np.log(theta0)
+    z, logdet = unit.solve(rhs) / theta0, unit.logdet() + cache.grid.count * np.log(theta0)
     # k^T z; EM's one column is an einsum, like the cache's projections: a BLAS GEMV's threaded sum changes bits
-    points, quad = (np.einsum("s,sp->p", z[:, 0], k)[:, None] if z.shape[1] == 1 else k.T @ z
-                    for k in (cache.k_points, cache.k_quad))
-    value = _data_term(points, stats.a_point, stats.b_point) - 0.5 * (np.sum(rhs * z) + logdet)
-    value += _data_term(quad, w * stats.a_quad, w * stats.b_quad)
+    proj = np.einsum("s,sp->p", z[:, 0], cache.k)[:, None] if z.shape[1] == 1 else cache.k.T @ z
+    value = _data_term(proj, stats.a, stats.b) - 0.5 * (np.sum(rhs * z) + logdet)
     return float(value) if np.isfinite(value) else -np.inf
 
 
@@ -578,7 +555,7 @@ def search_theta(stats: ComponentStats, caches: dict, name: str, fixed: tuple) -
     """
     cache = caches[name]
     hp, points, grid, quad, bins = cache.hp, cache.points, cache.grid, cache.quad, cache.bins
-    candidate, best = _theta_candidate(_compact_stats(stats, bins), grid, hp, fixed)
+    candidate, best = _theta_candidate(_compact_stats(stats, bins, grid.domain), grid, hp, fixed)
     if candidate == hp:
         return hp, bool(np.isfinite(best))
     j_old = _cache_objective(stats, cache, fixed)

@@ -296,10 +296,11 @@ def table_rates(mu_t, mu_value, phi_tau, phi_value, t_phi: float) -> RateFunctio
     mu_value = np.asarray(mu_value, dtype=float)
     phi_tau = np.asarray(phi_tau, dtype=float)
     phi_value = np.asarray(phi_value, dtype=float)
-    if mu_t.size != mu_value.size or mu_t.size < 2 or np.any(np.diff(mu_t) <= 0):
-        raise ValueError("mu table needs >= 2 strictly increasing abscissae matching values")
-    if phi_tau.size != phi_value.size or phi_tau.size < 2 or np.any(np.diff(phi_tau) <= 0):
-        raise ValueError("phi table needs >= 2 strictly increasing abscissae matching values")
+    for name, x, value in (("mu", mu_t, mu_value), ("phi", phi_tau, phi_value)):
+        if x.size != value.size or x.size < 2 or np.any(np.diff(x) <= 0):
+            raise ValueError(f"{name} table needs >= 2 strictly increasing abscissae matching values")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(value))):
+            raise ValueError(f"{name} table needs finite abscissae and values")
     if np.any(mu_value < 0) or np.any(phi_value < 0):
         raise ValueError("rate tables must be non-negative")
 
@@ -381,13 +382,14 @@ def tabulate(rates: RateFunctions, T: float) -> RateFunctions:
 
 
 # ---------------------------------------------------------------------------
-# On-disk format: one timestamp per line under a 't' header, window metadata
-# in a sidecar JSON manifest.
+# On-disk format: one timestamp per line under a 't' header (``write_csv``),
+# window metadata in a sidecar JSON manifest.
 
 
-def write_events_csv(path, seq: EventSequence) -> None:
-    lines = ["t"] + [format(t, ".17g") for t in seq.times]
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_csv(path, header: str, *columns) -> None:
+    """A header line, then one line per row of the columns, each value as format(v, ".17g")."""
+    cells = [[format(v, ".17g") for v in column] for column in columns]
+    Path(path).write_text("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 
 
 def read_events_csv(path, T: float) -> EventSequence:

@@ -15,7 +15,7 @@ from sgp_hawkes.cli import _load_split, main
 from sgp_hawkes.fitbase import build_dataset
 from sgp_hawkes.em import EmModel, SgpComponent
 from sgp_hawkes.kernels import KernelHyperparams, uniform_inducing_grid
-from sgp_hawkes.process import EventSequence, write_events_csv, write_manifest
+from sgp_hawkes.process import write_csv, write_manifest
 from sgp_hawkes.serialize import save_model
 from sgp_hawkes.mle import ExpHawkesParams
 
@@ -345,7 +345,7 @@ def test_eval_empty_holdout(tmp_path):
     data = tmp_path / "data"
     data.mkdir()
     write_manifest(data / "manifest.json", 10.0, 2.0)
-    write_events_csv(data / "test_000.csv", EventSequence(np.empty(0), 10.0))
+    write_csv(data / "test_000.csv", "t", np.empty(0))
     model_path = tmp_path / "model.json"
     save_model(model_path, ExpHawkesParams(1.5, 0.0, 1.0))
     rc, out = run(tmp_path, "eval", {"model": str(model_path), "data": str(data)}, "e")
@@ -457,11 +457,16 @@ TABLES = {"mu_t": [0.0, 10.0], "mu_value": [1.0, 1.0], "phi_tau": [0.0, 1.0], "p
         ("simulate", {"rates": TABLES, "T": 10.0, "T_phi": -1.0}),
         ("simulate", {"rates": TABLES, "T": 10.0, "T_phi": "NaN"}),
         ("simulate", {"rates": TABLES, "T": 10.0}),
+        # raw JSON text: Python's json parses NaN and Infinity
+        ("simulate", '{"rates": {"mu_t": [0, 10], "mu_value": [NaN, 1], "phi_tau": [0, 1], "phi_value": [0.1, 0.1]},'
+                     ' "T": 10, "T_phi": 1}'),
+        ("simulate", '{"rates": {"mu_t": [0, 10], "mu_value": [1, 1], "phi_tau": [0, 1], "phi_value": [Infinity, 0.1]},'
+                     ' "T": 10, "T_phi": 1}'),
     ],
     ids=[
         "fit-tol", "fit-missing-data", "eval-missing-model", "bench-S_mu", "simulate-T-negative", "simulate-T-zero",
         "simulate-T-string", "simulate-T-overflow", "simulate-T_phi-negative", "simulate-T_phi-string",
-        "simulate-T_phi-missing",
+        "simulate-T_phi-missing", "simulate-mu_value-NaN", "simulate-phi_value-Infinity",
     ],
 )
 def test_rejected_config_creates_no_output_directory(tmp_path, sim_dir, command, payload):

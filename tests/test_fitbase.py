@@ -1,5 +1,6 @@
 """Pooled datasets, branching normalization, Gaussian updates, theta search."""
 
+import math
 import os
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from sgp_hawkes.fitbase import (
     _theta_scan,
     assemble_system,
     auto_theta,
+    band_products,
     build_dataset,
     estep,
     estep_pg,
@@ -51,30 +53,44 @@ from sgp_hawkes.quadrature import gauss_legendre
 from sgp_hawkes.serialize import dumps_json, model_to_dict
 
 
-def toy_stats(rng, grid, n_points=3, quad_order=12):
-    """Random positive-weight sufficient statistics on a tiny domain."""
-    pts = np.sort(rng.uniform(0.0, grid.domain, n_points))
-    quad = gauss_legendre(quad_order, 0.0, grid.domain)
+def weighted(points, a_point, b_point, quad, a_quad, b_quad):
+    """Statistics of data weights and quadrature densities on the point set of the data locations and
+    the nodes, the quadrature weights folded into the nodes' entries as component_stats folds them."""
     return ComponentStats(
-        points=pts,
-        a_point=rng.uniform(0.1, 1.0, n_points),
-        b_point=rng.uniform(-0.5, 0.5, n_points),
-        quad=quad,
-        a_quad=rng.uniform(0.05, 0.4, quad_order),
-        b_quad=rng.uniform(-0.3, 0.3, quad_order),
-        domain=grid.domain,
+        np.concatenate([points, quad.nodes]),
+        np.concatenate([a_point, quad.weights * a_quad]),
+        np.concatenate([b_point, quad.weights * b_quad]),
     )
 
 
-def compacted(stats):
+def toy_stats(rng, grid, n_points=3, quad_order=12):
+    """(random positive-weight sufficient statistics on a tiny domain, their quadrature grid)."""
+    pts = np.sort(rng.uniform(0.0, grid.domain, n_points))
+    quad = gauss_legendre(quad_order, 0.0, grid.domain)
+    a_point, b_point = rng.uniform(0.1, 1.0, n_points), rng.uniform(-0.5, 0.5, n_points)
+    a_quad, b_quad = rng.uniform(0.05, 0.4, quad_order), rng.uniform(-0.3, 0.3, quad_order)
+    return weighted(pts, a_point, b_point, quad, a_quad, b_quad), quad
+
+
+def data_points(stats, quad):
+    """The data part of the statistics' point set."""
+    return stats.x[:stats.x.size - quad.nodes.size]
+
+
+def cache_of(stats, grid, hp, quad):
+    """The cache of the statistics' point set at ``hp``."""
+    return ComponentCache.build(data_points(stats, quad), grid, hp, quad)
+
+
+def compacted(stats, grid, quad):
     """The statistics binned as the theta search bins them."""
-    return _compact_stats(stats, _search_bins(stats.points, stats.domain))
+    return _compact_stats(stats, _search_bins(data_points(stats, quad), grid.domain), grid.domain)
 
 
-def nelder_mead_theta(stats, grid, hp, fixed):
+def nelder_mead_theta(stats, grid, hp, quad, fixed):
     """Reference refresh: two-start Nelder-Mead in log (theta0, theta1) on the
     compacted statistics, with the exact accept check of ``search_theta``."""
-    compact = compacted(stats)
+    compact = compacted(stats, grid, quad)
     lo, hi = np.log(THETA_BOUNDS[0]), np.log(THETA_BOUNDS[1])
 
     def negative(x):
@@ -101,35 +117,37 @@ def nelder_mead_theta(stats, grid, hp, fixed):
     return hp, False
 
 
-def refresh(stats, grid, hp, fixed):
+def refresh(stats, grid, hp, quad, fixed):
     """(hp, accepted) of search_theta from a cache of ``stats`` at ``hp``."""
-    caches = {"c": ComponentCache.build(stats.points, grid, hp, stats.quad)}
+    caches = {"c": cache_of(stats, grid, hp, quad)}
     hp_new, accepted = search_theta(stats, caches, "c", fixed)
     assert caches["c"].hp == hp_new
     return hp_new, accepted
 
 
 def toy_em_searches(rng, n=6):
-    """(statistics, grid, incumbent, fixed factor) of searches on random toy statistics, grids and incumbents."""
+    """(statistics, grid, incumbent, quadrature grid, fixed factor) of searches on random toy statistics,
+    grids and incumbents."""
     out = []
     for _ in range(n):
         count = int(rng.integers(3, 12))
         grid = uniform_inducing_grid(count, float(rng.uniform(2.0, 50.0)))
-        stats = toy_stats(rng, grid, n_points=int(rng.integers(0, 40)), quad_order=16)
+        stats, quad = toy_stats(rng, grid, n_points=int(rng.integers(0, 40)), quad_order=16)
         hp = KernelHyperparams(float(rng.uniform(0.1, 5.0)), float(rng.uniform(0.01, 2.0)))
-        out.append((stats, grid, hp, (rng.normal(size=count) * rng.uniform(0.05, 3.0), None)))
+        out.append((stats, grid, hp, quad, (rng.normal(size=count) * rng.uniform(0.05, 3.0), None)))
     return out
 
 
 def record_refreshes(fit, small_case1_seqs):
-    """(statistics, grid, incumbent, fixed factor) of every refresh of small case1 and case2 fits."""
+    """(statistics, grid, incumbent, quadrature grid, fixed factor) of every refresh of small case1 and case2 fits."""
     calls = {"case1": [], "case2": []}
     case2 = [simulate_thinning(case2_rates(), 100.0, seed=s) for s in range(2)]
     with pytest.MonkeyPatch.context() as mp:
         for name, seqs, t_phi in (("case1", small_case1_seqs, 6.0), ("case2", case2, case2_rates().T_phi)):
 
             def recording(stats, caches, component, fixed, calls=calls[name]):
-                calls.append((stats, caches[component].grid, caches[component].hp, fixed))
+                cache = caches[component]
+                calls.append((stats, cache.grid, cache.hp, cache.quad, fixed))
                 return search_theta(stats, caches, component, fixed)
 
             mp.setattr(fitbase, "search_theta", recording)
@@ -255,20 +273,16 @@ def test_gaussian_update_matches_dense_assembly(rng):
     grid = uniform_inducing_grid(2, 2.0)
     hp = KernelHyperparams(1.1, 0.9)
     gm = gram(grid, hp)
-    stats = toy_stats(rng, grid)
+    stats, quad = toy_stats(rng, grid)
 
-    u_mat, c_vec = assemble_system(stats, ComponentCache.build(stats.points, grid, hp, stats.quad))
+    u_mat, c_vec = assemble_system(stats, cache_of(stats, grid, hp, quad))
 
     u_dense = np.zeros((2, 2))
     c_dense = np.zeros(2)
-    for a, b, x in zip(stats.a_point, stats.b_point, stats.points):
+    for a, b, x in zip(stats.a, stats.b, stats.x):  # quadrature weights folded into a and b
         k = se_cross(grid.points, np.array([x]), hp)[:, 0]
         u_dense += a * np.outer(k, k)
         c_dense += b * k
-    for w, a, b, x in zip(stats.quad.weights, stats.a_quad, stats.b_quad, stats.quad.nodes):
-        k = se_cross(grid.points, np.array([x]), hp)[:, 0]
-        u_dense += w * a * np.outer(k, k)
-        c_dense += w * b * k
     np.testing.assert_allclose(u_mat, u_dense, rtol=0, atol=1e-12)
     np.testing.assert_allclose(c_vec, c_dense, rtol=0, atol=1e-12)
 
@@ -287,22 +301,18 @@ def test_assembly_matches_explicit_loops_off_the_band(rng, theta1):
     hp = KernelHyperparams(1.3, theta1)
     points = np.concatenate([grid.points, rng.uniform(0.0, 0.6, 40)])
     quad = gauss_legendre(30, 0.0, 0.6)
-    stats = ComponentStats(
+    stats = weighted(
         points, rng.uniform(0.0, 0.25, points.size), rng.uniform(-0.5, 0.5, points.size),
-        quad, rng.uniform(0.0, 2.0, 30), rng.uniform(-1.0, 0.0, 30), 0.6,
+        quad, rng.uniform(0.0, 2.0, 30), rng.uniform(-1.0, 0.0, 30),
     )
 
     u_mat, c_vec = assemble_system(stats, ComponentCache.build(points, grid, hp, quad))
 
     u_dense, c_dense = np.zeros((7, 7)), np.zeros(7)
-    for a, b, x in zip(stats.a_point, stats.b_point, points):
+    for a, b, x in zip(stats.a, stats.b, stats.x):  # quadrature weights folded into a and b
         k = se_cross(grid.points, np.array([x]), hp)[:, 0]
         u_dense += a * np.outer(k, k)
         c_dense += b * k
-    for w, a, b, x in zip(quad.weights, stats.a_quad, stats.b_quad, quad.nodes):
-        k = se_cross(grid.points, np.array([x]), hp)[:, 0]
-        u_dense += w * a * np.outer(k, k)
-        c_dense += w * b * k
     assert np.max(np.abs(u_mat - u_dense)) <= 1e-12 * np.max(np.abs(u_dense))
     assert np.max(np.abs(c_vec - c_dense)) <= 1e-12 * np.max(np.abs(c_dense))
 
@@ -324,7 +334,9 @@ def test_band_product_variance_is_the_projector_variance(small_dataset, small_ca
     1e-3, where the terms cancel: they reach 1.5e9 times max(var), and a long-double
     sum of the same terms puts the band form 1.0e-7 of max(var) off, gp_projector
     2.9e-8. The mean is project_mean's bit for bit, and the cache's rows are
-    se_cross(x, grid).T bit for bit."""
+    se_cross(x, grid).T bit for bit. Splitting is exact: the rows are those of the
+    data locations next to those of the nodes, and each half of both projections is
+    the einsum over that half's rows and band products alone, bit for bit."""
     caches = {}
     for name, cache in small_caches.items():
         hp = KernelHyperparams(cache.hp.theta0, theta1 or 1.0 / cache.grid.spacing**2)
@@ -335,8 +347,15 @@ def test_band_product_variance_is_the_projector_variance(small_dataset, small_ca
         cache = caches[name]
         ours, at = cache.project_meanvar(mean, cov), gp_projector(cache.gm, mean, cov)
         w_abs = np.abs(cache.gm.solve(cache.gm.solve(cov).T))
-        for x, k, var in ((cache.points, cache.k_points, ours[1]), (cache.quad.nodes, cache.k_quad, ours[3])):
+        halves = [se_cross(cache.grid.points, x, cache.hp) for x in (cache.points, cache.quad.nodes)]
+        assert np.array_equal(cache.k, np.hstack(halves))
+        alpha, s = cache.gm.solve(mean), np.arange(cache.grid.count)
+        w_fill = cache.fill * cache.gm.solve(cache.gm.solve(cov).T)
+        w_band = np.bincount((s[:, None] + s).ravel(), weights=w_fill.ravel())
+        for x, k, f, var in ((cache.points, halves[0], *ours[:2]), (cache.quad.nodes, halves[1], *ours[2:])):
             assert np.array_equal(k, se_cross(x, cache.grid.points, cache.hp).T)
+            assert np.array_equal(f, np.einsum("s,sp->p", alpha, k))
+            assert np.array_equal(var, np.maximum(np.einsum("m,mp->p", w_band, band_products(k)), 0.0))
             var_ref = at(k.T)[1]
             rounding = cache.grid.count * np.finfo(float).eps * np.max(np.einsum("sp,sr,rp->p", k, w_abs, k))
             assert np.max(np.abs(var - var_ref)) <= 1e-12 * np.max(var_ref) + rounding
@@ -355,8 +374,9 @@ grid = uniform_inducing_grid(10, 6.0)
 cache = ComponentCache.build(rng.uniform(0.0, 6.0, 98765), grid, KernelHyperparams(1.0, 2.25), gauss_legendre(50, 0.0, 6.0))
 root = rng.normal(size=(10, 10))
 out = [*cache.project_mean(rng.normal(size=10)), *cache.project_meanvar(rng.normal(size=10), root @ root.T)]
-stats = ComponentStats(cache.points, rng.uniform(0.0, 1.0, 98765), rng.normal(size=98765), cache.quad,
-                       rng.uniform(0.0, 1.0, 50), rng.normal(size=50), 6.0)
+a, b, w = rng.uniform(0.0, 1.0, 98765), rng.normal(size=98765), cache.quad.weights
+stats = ComponentStats(cache.x, np.concatenate([a, w * rng.uniform(0.0, 1.0, 50)]),
+                       np.concatenate([b, w * rng.normal(size=50)]))
 data_term = fitbase._data_term  # record the projections as well: a changed row seldom shows in the sum
 fitbase._data_term = lambda proj, a, b: out.append(proj) or data_term(proj, a, b)
 mean = rng.normal(size=10)
@@ -402,21 +422,46 @@ def test_gaussian_update_ignores_the_order_of_pairs(drawn):
 
     def update(order):
         cache = ComponentCache.build(lags[order], grid, hp, quad)
-        stats = ComponentStats(lags[order], a[order], b[order], quad, np.full(12, 0.1), np.full(12, -0.2), 3.0)
+        stats = weighted(lags[order], a[order], b[order], quad, np.full(12, 0.1), np.full(12, -0.2))
         return gaussian_update(stats, cache)
 
     (mean, cov), (mean_p, cov_p) = update(np.arange(lags.size)), update(perm)
     assert max(np.max(np.abs(mean_p - mean)), np.max(np.abs(cov_p - cov))) <= 1e-12
 
 
+def test_compaction_bins_the_data_part_and_passes_the_nodes_through(rng):
+    """At 2048 data points the search's statistics are the fit's; above that each
+    bin's a and b are the sums of its data points' (to rounding), and the quadrature
+    nodes' entries of x, a and b come back bit for bit, even where data points sit
+    exactly on nodes: no data point's weight lands on a node."""
+    grid = uniform_inducing_grid(10, 6.0)
+    stats, quad = toy_stats(rng, grid, n_points=2048, quad_order=50)
+    assert compacted(stats, grid, quad) is stats
+    stats, quad = toy_stats(rng, grid, n_points=5000, quad_order=50)
+    points = np.sort(np.concatenate([data_points(stats, quad)[:-50], quad.nodes]))
+    stats = ComponentStats(np.concatenate([points, quad.nodes]), stats.a, stats.b)
+    bins = _search_bins(points, grid.domain)
+    compact, p = _compact_stats(stats, bins, grid.domain), points.size
+    m = compact.x.size - quad.nodes.size
+    for field in ("x", "a", "b"):
+        assert np.array_equal(getattr(compact, field)[m:], getattr(stats, field)[p:])
+    edges = np.linspace(0.0, grid.domain, fitbase._SEARCH_BINS + 1)
+    kept = _search_bins(compact.x[:m], grid.domain)
+    assert np.array_equal(kept, np.unique(bins))  # every occupied bin once, at its center
+    assert np.array_equal(compact.x[:m], 0.5 * (edges[kept] + edges[kept + 1]))
+    for field in ("a", "b"):
+        sums = np.array([math.fsum(getattr(stats, field)[:p][bins == j]) for j in kept])
+        np.testing.assert_allclose(getattr(compact, field)[:m], sums, rtol=1e-13, atol=1e-14)
+
+
 def test_search_theta_respects_bounds_and_contract(rng):
     grid = uniform_inducing_grid(5, 10.0)
     hp = KernelHyperparams(1.0, 1.0)
-    stats = toy_stats(rng, grid, n_points=6, quad_order=16)
+    stats, quad = toy_stats(rng, grid, n_points=6, quad_order=16)
     u = rng.normal(size=5) * 0.3
     root = rng.normal(size=(5, 5)) * 0.3
     for fixed in ((u, None), (u, root @ root.T)):
-        hp_new, accepted = refresh(stats, grid, hp, fixed)
+        hp_new, accepted = refresh(stats, grid, hp, quad, fixed)
         assert 1e-3 <= hp_new.theta0 <= 1e3
         assert 1e-3 <= hp_new.theta1 <= 1e3
         j_old = _profile_objective(stats, grid, hp, fixed)
@@ -451,26 +496,39 @@ def test_em_theta0_closed_form_maximizes_the_objective(rng, em_refresh_args, vi_
     """The scan's theta0* = clip(q/S) beats a dense log-theta0 scan of the exact
     objective, and the scan's value there is the refresh's exact check at (theta0*,
     theta1). (The check, not the reference: at theta1 = 1e-3 the reference's VI
-    variance K1^{-1} cov K1^{-1} is 7.5e-6 relative off a 50-digit evaluation, and
-    the scan 1.2e-10.)"""
-    cases = [(stats, grid, fixed) for stats, grid, _, fixed in toy_em_searches(rng, n=2)]
+    variance K1^{-1} cov K1^{-1}, formed in double, was 7.5e-6 relative off a 50-digit
+    evaluation, and the scan 1.2e-10.)"""
+    cases = [(stats, grid, quad, fixed) for stats, grid, _, quad, fixed in toy_em_searches(rng, n=2)]
     for recorded in (em_refresh_args, vi_refresh_args):
-        cases += [(compacted(stats), grid, fixed) for stats, grid, _, fixed in recorded["case1"][:2]]
+        cases += [(compacted(stats, grid, quad), grid, quad, fixed)
+                  for stats, grid, _, quad, fixed in recorded["case1"][:2]]
     scan = np.exp(np.linspace(np.log(THETA_BOUNDS[0]), np.log(THETA_BOUNDS[1]), 2001))
-    for stats, grid, fixed in cases:
+    for stats, grid, quad, fixed in cases:
         for theta1 in (1e-3, 1.0 / grid.spacing**2, 30.0):
             theta0s, values = _theta_scan(_scan_terms(stats, grid, fixed), np.array([theta1]))
             hp = KernelHyperparams(float(theta0s[0]), theta1)
-            check = _cache_objective(stats, ComponentCache.build(stats.points, grid, hp, stats.quad), fixed)
+            check = _cache_objective(stats, cache_of(stats, grid, hp, quad), fixed)
             assert values[0] == pytest.approx(check, rel=1e-10)
             exact = _profile_objective(stats, grid, hp, fixed)
             scanned = [_profile_objective(stats, grid, KernelHyperparams(t0, theta1), fixed) for t0 in scan]
             assert max(scanned) <= exact + 1e-12 * max(1.0, abs(exact))
 
 
+def long_double_solve(chol, rhs):
+    """(L L^T)^{-1} rhs for a lower Cholesky factor L, by substitution in long double."""
+    low, out = chol.astype(np.longdouble), np.array(rhs, dtype=np.longdouble)
+    for i in range(len(low)):
+        out[i] = (out[i] - low[i, :i] @ out[:i]) / low[i, i]
+    for i in reversed(range(len(low))):
+        out[i] = (out[i] - low[i + 1:, i] @ out[i + 1:]) / low[i, i]
+    return out
+
+
 def reference_theta_profile(stats, grid, theta1, fixed, theta0=None):
     """The theta profile on fresh se_cross rows with scipy's solves, the projected
-    variance as gp_projector forms it and K1^{-1} cov solved twice."""
+    variance as gp_projector forms it, K1^{-1} cov solved twice, but in long double:
+    in double, at ill-conditioned K1, it put the profile up to 1.1e-4 relative off a
+    50-digit evaluation of a recorded VI refresh, and the scan 1.1e-8."""
     mean, cov = fixed
     hp = KernelHyperparams(1.0, theta1)
     try:
@@ -481,18 +539,15 @@ def reference_theta_profile(stats, grid, theta1, fixed, theta0=None):
     def solve(rhs):
         return cho_solve((gm.chol, True), rhs)
 
-    k_points, k_quad = se_cross(stats.points, grid.points, hp), se_cross(stats.quad.nodes, grid.points, hp)
+    k = se_cross(stats.x, grid.points, hp)
     alpha = solve(mean)
-    f_pts, f_q = k_points @ alpha, k_quad @ alpha
-    sq_pts, sq_q, q = f_pts**2, f_q**2, float(mean @ alpha)
+    f = k @ alpha
+    sq, q = f**2, float(mean @ alpha)
     if cov is not None:
-        w_cov = solve(solve(cov).T)
-        sq_pts = sq_pts + np.maximum(np.einsum("ns,ns->n", k_points @ w_cov, k_points), 0.0)
-        sq_q = sq_q + np.maximum(np.einsum("ns,ns->n", k_quad @ w_cov, k_quad), 0.0)
+        w_cov = long_double_solve(gm.chol, long_double_solve(gm.chol, cov).T)
+        sq = sq + np.maximum(np.einsum("ns,ns->n", k @ w_cov, k), 0.0).astype(float)
         q += float(np.trace(solve(cov)))
-    w = stats.quad.weights
-    data = float(np.einsum("p,p->", stats.b_point, f_pts)) + float(w @ (stats.b_quad * f_q))
-    data -= 0.5 * (float(np.einsum("p,p->", stats.a_point, sq_pts)) + float(w @ (stats.a_quad * sq_q)))
+    data = float(np.einsum("p,p->", stats.b, f)) - 0.5 * float(np.einsum("p,p->", stats.a, sq))
     if theta0 is None:
         theta0 = float(np.clip(q / grid.count, *THETA_BOUNDS))
     value = data - 0.5 * q / theta0 - 0.5 * (gm.logdet() + grid.count * np.log(theta0))
@@ -512,9 +567,9 @@ def test_theta_scan_of_one_theta1_is_its_batch_slice_bit_for_bit(engine, em_refr
     grid with both THETA_BOUNDS, 1/spacing^2 and the incumbent, for EM's point
     mass and VI's q(u)."""
     recorded = {"em": em_refresh_args, "vi": vi_refresh_args}[engine]
-    for stats, grid, hp, fixed in recorded["case1"] + recorded["case2"]:
+    for stats, grid, hp, quad, fixed in recorded["case1"] + recorded["case2"]:
         assert (fixed[1] is None) == (engine == "em")
-        terms = _scan_terms(compacted(stats), grid, fixed)
+        terms = _scan_terms(compacted(stats, grid, quad), grid, fixed)
         theta1s = np.array([*np.geomspace(*THETA_BOUNDS, 13), 1.0 / grid.spacing**2, hp.theta1])
         assert (theta1s[0], theta1s[12]) == THETA_BOUNDS
         batch = np.stack(_theta_scan(terms, theta1s))
@@ -525,9 +580,9 @@ def test_theta_scan_of_one_theta1_is_its_batch_slice_bit_for_bit(engine, em_refr
 
 def test_em_search_reaches_the_nelder_mead_objective(rng, em_refresh_args, vi_refresh_args):
     recorded = [args for calls in (em_refresh_args, vi_refresh_args) for args in calls["case1"] + calls["case2"]]
-    for stats, grid, hp, fixed in toy_em_searches(rng) + recorded:
-        ours, _ = refresh(stats, grid, hp, fixed)
-        ref, _ = nelder_mead_theta(stats, grid, hp, fixed)
+    for stats, grid, hp, quad, fixed in toy_em_searches(rng) + recorded:
+        ours, _ = refresh(stats, grid, hp, quad, fixed)
+        ref, _ = nelder_mead_theta(stats, grid, hp, quad, fixed)
         j_ours = _profile_objective(stats, grid, ours, fixed)
         j_ref = _profile_objective(stats, grid, ref, fixed)
         assert j_ours >= j_ref - 1e-6 * max(1.0, abs(j_ref))
@@ -556,11 +611,10 @@ def test_vi_theta_objective_matches_the_dense_bound(rng):
     differences of E_q[sum b f - 0.5 a f^2] - KL(q(u) || N(0, K)), computed by
     dense loops over the statistics' points and quadrature nodes."""
     grid = uniform_inducing_grid(2, 2.0)
-    stats = toy_stats(rng, grid)
+    stats, quad = toy_stats(rng, grid)
     root = rng.normal(size=(2, 2))
     fixed = (rng.normal(size=2), root @ root.T + 0.1 * np.eye(2))
-    terms = list(zip(stats.a_point, stats.b_point, stats.points))
-    terms += list(zip(stats.quad.weights * stats.a_quad, stats.quad.weights * stats.b_quad, stats.quad.nodes))
+    terms = list(zip(stats.a, stats.b, stats.x))  # quadrature weights folded into a and b
 
     def dense(hp):
         mean, cov = fixed
@@ -579,7 +633,7 @@ def test_vi_theta_objective_matches_the_dense_bound(rng):
         return _profile_objective(stats, grid, hp, fixed)
 
     def exact_check(hp):
-        return _cache_objective(stats, ComponentCache.build(stats.points, grid, hp, stats.quad), fixed)
+        return _cache_objective(stats, cache_of(stats, grid, hp, quad), fixed)
 
     hps = [KernelHyperparams(0.7, 0.4), KernelHyperparams(2.5, 3.0), KernelHyperparams(0.05, 20.0)]
     for hp_a, hp_b in zip(hps, hps[1:] + hps[:1]):
@@ -592,8 +646,8 @@ def scanned_grids(recorded):
     """For every recorded search, (compacted statistics, grid, fixed factor, scan terms, theta1s of each
     _theta_scan call): the coarse grid first, then Brent's points one by one."""
     out = []
-    for stats, grid, hp, fixed in recorded["case1"] + recorded["case2"]:
-        compact, calls = compacted(stats), []
+    for stats, grid, hp, quad, fixed in recorded["case1"] + recorded["case2"]:
+        compact, calls = compacted(stats, grid, quad), []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fitbase, "_theta_scan", lambda terms, ts: calls.append((terms, ts)) or _theta_scan(terms, ts))
             _theta_candidate(compact, grid, hp, fixed)
@@ -606,9 +660,9 @@ def test_theta_scan_is_the_profile_on_every_recorded_search(engine, em_refresh_a
     """The scan of each theta1 a recorded search values alone (its coarse grid,
     which spans THETA_BOUNDS, and Brent's points) is the reference profile: the
     grid has its argmax, EM's values agree to 1e-12 relative, VI's to 1e-4 (largest
-    gap 1.1e-5, at ill-conditioned K1, where the scan's variance from K1^{-1} L is
-    the more accurate: a 50-digit evaluation puts it within 1.2e-8, and the
-    reference's K1^{-1} cov K1^{-1} 1.1e-5, off)."""
+    gap 5.2e-8, at ill-conditioned K1, where a 50-digit evaluation puts the scan's
+    variance from K1^{-1} L within 1.1e-8; the reference's K1^{-1} cov K1^{-1} is
+    formed in long double, as in double it was up to 1.1e-4 off)."""
     searches = scanned_grids({"em": em_refresh_args, "vi": vi_refresh_args}[engine])
     assert len(searches) == 8
     for stats, grid, fixed, terms, (coarse, *brent) in searches:
@@ -639,9 +693,9 @@ def test_theta_scan_falls_back_slice_by_slice(monkeypatch, engine, em_refresh_ar
     """Without jitter, K1 on the S = 10, T_phi = 6 grid does not factor at theta1 =
     1e-3 and does at 1 and 1/spacing^2: the scan falls back slice by slice, the first
     value is -inf and the others are their single-theta1 scans."""
-    stats, grid, _, fixed = {"em": em_refresh_args, "vi": vi_refresh_args}[engine]["case1"][1]
+    stats, grid, _, quad, fixed = {"em": em_refresh_args, "vi": vi_refresh_args}[engine]["case1"][1]
     assert (grid.count, grid.domain) == (10, 6.0)
-    terms = _scan_terms(compacted(stats), grid, fixed)
+    terms = _scan_terms(compacted(stats, grid, quad), grid, fixed)
     theta1s = np.array([1e-3, 1.0, 1.0 / grid.spacing**2])
     monkeypatch.setattr(fitbase, "JITTER", 0.0)
     theta0s, values = _theta_scan(terms, theta1s)
@@ -669,7 +723,8 @@ def test_theta_scan_slices_do_not_depend_on_the_batch(monkeypatch, engine):
             finite += 1
 
     for _ in range(40):
-        stats = compacted(toy_stats(rng, grid, n_points=int(rng.integers(50, 4000)), quad_order=50))
+        stats, quad = toy_stats(rng, grid, n_points=int(rng.integers(50, 4000)), quad_order=50)
+        stats = compacted(stats, grid, quad)
         mean = rng.normal(size=grid.count) * rng.uniform(0.05, 3.0)
         root = rng.normal(size=(grid.count, grid.count)) * rng.uniform(0.01, 1.0)
         fixed = (mean, None) if engine == "em" else (mean, root @ root.T + 1e-3 * np.eye(grid.count))
@@ -687,14 +742,14 @@ def test_theta_scan_slices_do_not_depend_on_the_batch(monkeypatch, engine):
 def test_cache_objective_is_the_unbinned_oracle(engine, em_refresh_args, vi_refresh_args):
     """The refresh's exact check, from a cache's kernel rows, equals the theta
     objective on the unbinned points to 1e-10 relative at every recorded incumbent
-    and at its theta0 with theta1 on either bound. Only VI at theta1 = 1e-3, where
-    K1 is ill-conditioned, differs by more (largest 1.1e-9); there a 40-digit
-    evaluation of three recorded cases puts the check within 1.6e-11 and the
-    oracle's K1^{-1} cov K1^{-1} 1.1e-9 off."""
+    and at its theta0 with theta1 on either bound, and VI at theta1 = 1e-3, where K1
+    is ill-conditioned, to 1e-8 (largest 1.8e-12; with the oracle's K1^{-1} cov
+    K1^{-1} formed in double it was 1.1e-9, and a 40-digit evaluation of three
+    recorded cases puts the check within 1.6e-11)."""
     recorded = {"em": em_refresh_args, "vi": vi_refresh_args}[engine]
-    for stats, grid, hp, fixed in recorded["case1"] + recorded["case2"]:
+    for stats, grid, hp, quad, fixed in recorded["case1"] + recorded["case2"]:
         for theta in (hp, *(KernelHyperparams(hp.theta0, t) for t in THETA_BOUNDS)):
-            ours = _cache_objective(stats, ComponentCache.build(stats.points, grid, theta, stats.quad), fixed)
+            ours = _cache_objective(stats, cache_of(stats, grid, theta, quad), fixed)
             rel = 1e-8 if engine == "vi" and theta.theta1 == THETA_BOUNDS[0] else 1e-10
             assert ours == pytest.approx(_profile_objective(stats, grid, theta, fixed), rel=rel, abs=0)
 
@@ -737,8 +792,8 @@ def test_a_search_without_a_finite_value_keeps_theta_and_is_rejected(monkeypatch
     """Where no profile value is finite, the incumbent and its cache are kept, and
     the refresh is recorded as rejected and warned about."""
     monkeypatch.setattr(fitbase, "_theta_scan", lambda terms, ts: (ts, np.full(ts.size, -np.inf)))
-    stats, grid, hp, fixed = em_refresh_args["case1"][0]
-    caches = {"c": ComponentCache.build(stats.points, grid, hp, stats.quad)}
+    stats, grid, hp, quad, fixed = em_refresh_args["case1"][0]
+    caches = {"c": cache_of(stats, grid, hp, quad)}
     cache = caches["c"]
     assert search_theta(stats, caches, "c", fixed) == (hp, False)
     assert caches["c"] is cache

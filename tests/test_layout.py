@@ -11,6 +11,10 @@ a definition that shares its name with a used one passes too.
 
 Every small Cholesky solve in src/sgp_hawkes goes through kernels.chol_solve,
 so the package reaches none of scipy.linalg's solve wrappers.
+
+Every name a module of src/sgp_hawkes imports is read in that module, listed in
+its ``__all__``, or sits on an import line marked ``# noqa: F401`` (a re-export);
+``from __future__`` imports are exempt.
 """
 
 import ast
@@ -85,3 +89,28 @@ def test_src_solves_only_through_the_one_helper():
             elif isinstance(node, ast.Attribute) and node.attr in SCIPY_SOLVES:
                 found.append(f"{path.name}: .{node.attr}")
     assert not found, f"solve through kernels.chol_solve, not scipy.linalg: {found}"
+
+
+def unused_imports() -> list[str]:
+    """``module: name`` of every imported name that its module neither reads, lists in ``__all__`` nor marks."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        tree, lines = ast.parse(source, filename=str(path)), source.splitlines()
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read.update(const.value for const in ast.walk(node.value) if isinstance(const, ast.Constant))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    out.append(f"{path.stem}: {name}")
+    return out
+
+
+def test_every_import_is_used():
+    unused = unused_imports()
+    assert not unused, f"imported but never read; delete, or mark a re-export '# noqa: F401': {unused}"

@@ -28,7 +28,7 @@ from sgp_hawkes.process import (
     table_rates,
     tabulate,
     trigger_integral,
-    write_events_csv,
+    write_csv,
     write_manifest,
 )
 from sgp_hawkes.quadrature import gauss_legendre
@@ -371,6 +371,21 @@ def test_table_rates_interpolation():
     assert rates.T_phi == 2.0
 
 
+@pytest.mark.parametrize(
+    "name, tables",
+    [
+        ("mu", ([0.0, np.nan], [1.0, 1.0], [0.0, 1.0], [0.1, 0.1])),
+        ("mu", ([0.0, 10.0], [np.nan, 1.0], [0.0, 1.0], [0.1, 0.1])),
+        ("phi", ([0.0, 10.0], [1.0, 1.0], [0.0, np.inf], [0.1, 0.1])),
+        ("phi", ([0.0, 10.0], [1.0, 1.0], [0.0, 1.0], [np.inf, 0.1])),
+    ],
+)
+def test_table_rates_rejects_non_finite_tables(name, tables):
+    # the order checks are false on NaN, so they alone would let a NaN through
+    with pytest.raises(ValueError, match=f"^{name} table needs finite abscissae and values"):
+        table_rates(*tables, t_phi=1.0)
+
+
 def test_tabulate_matches_smooth_rates_and_their_integrals():
     exact = case2_rates()
     table = tabulate(exact, CASE_T)
@@ -415,7 +430,7 @@ def test_events_csv_roundtrip(tmp_path, rng):
     times = np.sort(rng.uniform(0.0, 10.0, 25))
     seq = EventSequence(times, 10.0)
     path = tmp_path / "events.csv"
-    write_events_csv(path, seq)
+    write_csv(path, "t", seq.times)
     text = path.read_text()
     assert text.splitlines()[0] == "t"
     back = read_events_csv(path, 10.0)
@@ -425,7 +440,7 @@ def test_events_csv_roundtrip(tmp_path, rng):
 
 def test_empty_events_csv_roundtrip(tmp_path):
     path = tmp_path / "empty.csv"
-    write_events_csv(path, EventSequence(np.array([]), 4.0))
+    write_csv(path, "t", np.array([]))
     back = read_events_csv(path, 4.0)
     assert back.times.size == 0
 
