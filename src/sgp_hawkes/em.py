@@ -14,7 +14,7 @@ point maximizer. The E-step and M-step functions named here (``estep_pg``,
 ``estep_latent_rate``, ``estep_branching``, ``mstep``) are fitbase's, re-exported.
 
 Multi-sequence input is treated as i.i.d. replicate windows: Dirac statistics
-pool over all sequences, continuous statistics scale with the number of
+pool over all sequences, and the quadrature node weights carry the number of
 windows (baseline) or the total event count (trigger).
 """
 
@@ -75,13 +75,13 @@ def init_model(data: Dataset, caches: dict[str, ComponentCache]) -> EmModel:
 
 
 def project(model: EmModel, caches: dict[str, ComponentCache]) -> dict[str, tuple]:
-    """The E-step link of each component at the point estimate f: (lambda* sigma(f), f)
-    at its data points, then (lambda* sigma(-f), f) at its quadrature nodes."""
+    """The E-step link of each component at the point estimate f over its point set x:
+    (lambda* sigma(+-f), f), + at its data points and - at its quadrature nodes."""
     links = {}
     for n in COMPONENTS:
-        comp = getattr(model, n)
-        f, f_q = caches[n].project_mean(comp.u)
-        links[n] = (comp.lambda_star * sigmoid(f), f, comp.lambda_star * sigmoid(-f_q), f_q)
+        comp, cache = getattr(model, n), caches[n]
+        f = cache.project_mean(comp.u)
+        links[n] = (comp.lambda_star * sigmoid(cache.sign * f), f)
     return links
 
 
@@ -98,17 +98,17 @@ class _EmEngine:
     init = staticmethod(init_model)
     project = staticmethod(project)
 
-    def objective(self, model, links, expectations, data, caches):
+    def objective(self, model, links, expectations, caches):
         """The penalized log posterior at ``model`` from its links (untruncated trigger
         compensator, on the fit's quadrature grids); the intensity at each event is the
         normalizer of the E-step's responsibilities."""
         value = float(np.sum(np.log(expectations[1].normalizer)))
         compensators, penalties = [], []
         for n in COMPONENTS:
-            comp = getattr(model, n)
-            integral = float(caches[n].quad.weights @ sigmoid(links[n][3]))
-            compensators.append(data.component(n)[1] * (comp.lambda_star * integral))
-            penalties.append(penalty(comp, caches[n].gm))
+            comp, cache = getattr(model, n), caches[n]
+            f_nodes = links[n][1][cache.points.size:]
+            compensators.append(comp.lambda_star * float(cache.quad.weights @ sigmoid(f_nodes)))
+            penalties.append(penalty(comp, cache.gm))
         for term in compensators + penalties:
             value -= term
         return value

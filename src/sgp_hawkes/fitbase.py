@@ -1,9 +1,9 @@
 """Shared plumbing and the one sweep of the EM and variational engines.
 
-Both engines consume the same sufficient statistics: weights on one point set
-per component, its Dirac locations, the events (baseline component) or the
-pairwise lags (trigger component), then the nodes of a fixed quadrature grid,
-where the weights hold the quadrature-weighted rate densities. ``run_sweeps`` runs
+Both engines run on one weighted point set x per component: its Dirac locations,
+the events (baseline component) or the pairwise lags (trigger component), then the
+nodes of a fixed quadrature grid. Each point carries one weight r (a responsibility,
+or node weight x thinned-point rate) and one Polya-Gamma tilt. ``run_sweeps`` runs
 the whole sweep for both: the engine's projection into a per-component link,
 the one E-step (``estep_pg``, ``estep_latent_rate``, ``estep_branching``),
 the one M-step (``mstep``: the lambda* counts and the Gaussian update of each
@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import time
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -46,10 +47,11 @@ from .quadrature import QuadratureGrid, gauss_legendre
 _SEARCH_BINS = 2048
 _COARSE_THETA1 = 15  # log-spaced theta1 values of the theta search's bracketing grid
 _SCAN_DOUBLES = 1 << 16  # doubles (512 KiB) per kernel-row block of the coarse theta1 scan
+REPORT_GRID = 200  # points of a fit report's mu and phi grids
 COMPONENTS = ("mu", "phi")
 _INT_MINIMUMS = {  # smallest accepted value of each integer FitConfig field
     "S_mu": 2, "S_phi": 2, "quad_order_T": 1, "quad_order_Tphi": 1,
-    "max_iter": 1, "hyper_refresh_every": 0, "eval_grid": 2,
+    "max_iter": 1, "hyper_refresh_every": 0,
 }
 
 
@@ -72,7 +74,6 @@ class FitConfig:
     hyper_refresh_every: int = 20
     theta0_init: float = 1.0
     theta1_init: float | None = None  # None -> per-component 1/spacing^2
-    eval_grid: int = 200
 
     def __post_init__(self):
         for key, low in _INT_MINIMUMS.items():
@@ -137,7 +138,7 @@ class Dataset:
         return COMPONENTS if self.n_events else ("mu",)
 
     def component(self, name: str) -> tuple[np.ndarray, int, float]:
-        """(data locations, replication scale, domain) of component mu or phi."""
+        """(data locations, replication count, domain) of component mu or phi."""
         if name == "mu":
             return self.events, self.n_sequences, self.T
         return self.lag, self.n_events, self.T_phi
@@ -228,11 +229,11 @@ def band_fill(grid: InducingGrid, hp: KernelHyperparams) -> np.ndarray:
 
 @dataclass
 class ComponentCache:
-    """One component's point set x, its P data locations followed by the nodes of its
-    quadrature grid, with the kernel rows k from x to the inducing grid, which must be
-    uniform, stored component-major (S x (P + Q), so every pass streams contiguous
-    rows), their band products, the fill factors of the assembly (``band_products``,
-    ``band_fill``) and the theta search's bin of each data location (``_search_bins``)."""
+    """One component's point set x, its P data locations followed by the nodes of its quadrature
+    grid (weights times the replication count), with the kernel rows k from x to the inducing grid,
+    which must be uniform, stored component-major (S x (P + Q), so every pass streams contiguous
+    rows), their band products, the fill factors of the assembly (``band_products``, ``band_fill``)
+    and the theta search's bin of each data location (``_search_bins``)."""
 
     grid: InducingGrid
     hp: KernelHyperparams
@@ -257,23 +258,29 @@ class ComponentCache:
         """The data part of x, the points before the quadrature nodes."""
         return self.x[:self.x.size - self.quad.nodes.size]
 
-    def project_mean(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(projection at data points, projection at quadrature nodes)."""
-        mean, p = np.einsum("s,sp->p", self.gm.solve(np.asarray(u, dtype=float)), self.k), self.points.size
-        return mean[:p], mean[p:]
+    @cached_property
+    def sign(self) -> np.ndarray:
+        """+1 at the data points and -1 at the nodes: the sign of f in each point's sigma(+-f)."""
+        return np.where(np.arange(self.x.size) < self.points.size, 1.0, -1.0)
+
+    @property
+    def exposure(self) -> float:
+        """The sum of the node weights: the domain times the replication count, to rounding."""
+        return float(np.sum(self.quad.weights))
+
+    def project_mean(self, u: np.ndarray) -> np.ndarray:
+        """The projection at each point of x."""
+        return np.einsum("s,sp->p", self.gm.solve(np.asarray(u, dtype=float)), self.k)
 
     def project_meanvar(self, mean_u: np.ndarray, cov_u: np.ndarray):
-        """Projected marginal (mean, variance) at data points, then at quad nodes. The variance
-        k^T W k, W = K^{-1} cov K^{-1}, is sum_m w_m B[m] over the band products B, with
+        """Projected marginal (mean, variance) at each point of x. The variance k^T W k,
+        W = K^{-1} cov K^{-1}, is sum_m w_m B[m] over the band products B, with
         w_m = sum_{s+r=m} W_sr F_sr and F the fill factors (``band_fill``)."""
         alpha = self.gm.solve(np.asarray(mean_u, dtype=float))
         w = self.fill * self.gm.solve(self.gm.solve(np.asarray(cov_u, dtype=float)).T)
         s = np.arange(self.grid.count)
         w = np.bincount((s[:, None] + s).ravel(), weights=w.ravel())
-        mean = np.einsum("s,sp->p", alpha, self.k)
-        var = np.maximum(np.einsum("m,mp->p", w, self.band), 0.0)
-        p = self.points.size
-        return mean[:p], var[:p], mean[p:], var[p:]
+        return np.einsum("s,sp->p", alpha, self.k), np.maximum(np.einsum("m,mp->p", w, self.band), 0.0)
 
 
 def component_rate(grid: InducingGrid, hp: KernelHyperparams, mean, cov, link, t_phi: float | None = None):
@@ -294,49 +301,44 @@ def model_rates(model) -> RateFunctions:
 
 
 def build_caches(data: Dataset, config: FitConfig) -> dict[str, ComponentCache]:
+    """Each component's cache; its node weights carry its replication count (``Dataset.component``)."""
     caches = {}
     for name, count, domain, order in (
         ("mu", config.S_mu, config.T, config.quad_order_T),
         ("phi", config.S_phi, config.T_phi, config.quad_order_Tphi),
     ):
+        points, scale, _ = data.component(name)
         grid = uniform_inducing_grid(count, domain)
         quad = gauss_legendre(order, 0.0, domain)
-        caches[name] = ComponentCache.build(data.component(name)[0], grid, auto_theta(config, grid), quad)
+        quad = replace(quad, weights=scale * quad.weights)
+        caches[name] = ComponentCache.build(points, grid, auto_theta(config, grid), quad)
     return caches
 
 
-@dataclass(frozen=True)
-class LatentRate:
-    """Marginalized thinned-point rate of one component on its quadrature grid."""
-
-    marginal: np.ndarray  # thinned-point rate at the nodes
-    first_moment: np.ndarray  # marginal * E[omega] at the nodes
-    mass: float  # integral of the marginal over one window
-
-
 def estep_pg(links: dict[str, tuple]) -> dict[str, np.ndarray]:
-    """PG means E[omega] = tanh(c/2) / (2c) at each component's data points, c the tilt there."""
+    """PG means E[omega] = tanh(c/2) / (2c) at each point of each component's x, c the tilt there."""
     return {n: pg_mean(1.0, links[n][1]) for n in COMPONENTS}
 
 
-def estep_latent_rate(link: tuple, cache: ComponentCache) -> LatentRate:
-    """Omega-marginalized rate of one component's latent thinned process on its quadrature grid."""
-    rate, tilt = link[2], link[3]
-    return LatentRate(marginal=rate, first_moment=rate * pg_mean(1.0, tilt), mass=float(cache.quad.weights @ rate))
+def estep_latent_rate(link: tuple, cache: ComponentCache) -> np.ndarray:
+    """Node weight x thinned-point rate of one component's latent process at its quadrature nodes."""
+    return cache.quad.weights * link[0][cache.points.size:]
 
 
 def estep_branching(links: dict[str, tuple], data: Dataset) -> BranchingPosterior:
-    """Responsibilities p(own background) / p(parent j) from the link numerators."""
-    return normalize_branching(links["mu"][0], links["phi"][0], data.child, data.n_events)
+    """Responsibilities p(own background) / p(parent j) from the link numerators at the data points."""
+    numerators = links["mu"][0][:data.n_events], links["phi"][0][:data.n_pairs]
+    return normalize_branching(*numerators, data.child, data.n_events)
 
 
 def estep(links: dict[str, tuple], data: Dataset, caches: dict[str, ComponentCache]):
-    """The one E-step of both engines, without its PG means (``estep_pg``), which
-    only the M-step reads: (thinned-point rates, responsibilities) from each
-    component's link, which starts (branching numerator, PG tilt) at its data
-    points and (thinned-point rate, PG tilt) at its quadrature nodes."""
-    latent = {n: estep_latent_rate(links[n], caches[n]) for n in COMPONENTS}
-    return latent, estep_branching(links, data)
+    """The one E-step of both engines, without its PG means (``estep_pg``), which only the M-step
+    reads: (r, responsibilities), r the weight of each point of each component's x, from its link
+    (numerator, PG tilt) over x: the responsibility that the branching numerators give at a data
+    point, and node weight x numerator, the thinned-point rate, at a node."""
+    branching = estep_branching(links, data)
+    r = {n: np.concatenate([branching.weights(n), estep_latent_rate(links[n], caches[n])]) for n in COMPONENTS}
+    return r, branching
 
 
 @dataclass(frozen=True)
@@ -346,34 +348,13 @@ class ComponentStats:
 
     The Gaussian update solves
         cov = K (U + K)^{-1} K,   mean = K (U + K)^{-1} c
-    with U = sum_i a_i k_i k_i^T and c = sum_i b_i k_i over x. The integral over the
-    latent thinned process is the sum over the nodes: their weights hold the
-    quadrature weight and the replication scale (number of windows / of events).
+    with U = sum_i a_i k_i k_i^T and c = sum_i b_i k_i over x. The integral over the latent
+    thinned process is the sum over the nodes, whose weights carry the replication count.
     """
 
     x: np.ndarray
     a: np.ndarray
     b: np.ndarray
-
-
-def component_stats(data: Dataset, caches, branching, pg_weight, latent) -> dict[str, ComponentStats]:
-    """Statistics of the updated components from their E-step quantities:
-    ``pg_weight`` and ``latent`` map each component to E[omega] at its data
-    locations and to its ``LatentRate`` (per window for mu, per event for phi).
-    """
-    stats = {}
-    for name in data.active:
-        scale, weights, w = data.component(name)[1], branching.weights(name), caches[name].quad.weights
-        a = np.concatenate([pg_weight[name] * weights, w * (scale * latent[name].first_moment)])
-        b = np.concatenate([0.5 * weights, w * (-0.5 * scale * latent[name].marginal)])
-        stats[name] = ComponentStats(caches[name].x, a, b)
-    return stats
-
-
-def rate_bound_counts(data: Dataset, name: str, branching: BranchingPosterior, mass: float):
-    """(expected point count, exposure) of one component's lambda* update."""
-    _, scale, domain = data.component(name)
-    return float(np.sum(branching.weights(name))) + scale * mass, scale * domain
 
 
 def assemble_system(stats: ComponentStats, cache: ComponentCache):
@@ -409,14 +390,15 @@ def gaussian_update(stats: ComponentStats, cache: ComponentCache):
     return solve_gaussian_update(cache.gm, u_mat, c_vec)
 
 
-def mstep(data: Dataset, caches, pg, latent, branching) -> dict[str, tuple]:
-    """The one M-step of both engines, from the E-step's (pg, latent, branching):
-    for each active component, (statistics, count, exposure, mean, cov) with
-    (count, exposure) of its lambda* update and (mean, cov) of its Gaussian update."""
+def mstep(data: Dataset, caches, pg, r) -> dict[str, tuple]:
+    """The one M-step of both engines, from an E-step's PG means and weights r: for each active component,
+    (statistics, count, exposure, mean, cov), with a = E[omega] r and b = +-r/2 over x, count sum(r) and
+    exposure the sum of the node weights of its lambda* update, and (mean, cov) of its Gaussian update."""
     updates = {}
-    for name, stats in component_stats(data, caches, branching, pg, latent).items():
-        count, exposure = rate_bound_counts(data, name, branching, latent[name].mass)
-        updates[name] = (stats, count, exposure, *gaussian_update(stats, caches[name]))
+    for name in data.active:
+        cache, weight = caches[name], r[name]
+        stats = ComponentStats(cache.x, pg[name] * weight, 0.5 * cache.sign * weight)
+        updates[name] = (stats, float(np.sum(weight)), cache.exposure, *gaussian_update(stats, cache))
     return updates
 
 
@@ -594,7 +576,7 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
     below config.tol, or after config.max_iter sweeps. The engine supplies
     ``kind``, ``label`` and six hooks: ``init(data, caches)``;
     ``project(model, caches)``, the link of each component (see ``estep``);
-    ``objective(model, links, expectations, data, caches)``, with
+    ``objective(model, links, expectations, caches)``, with
     ``expectations`` the E-step at those links (``estep``);
     ``install(model, name, hp, count, exposure, mean, cov)``, which puts one
     component's M-step update into the model; ``gaussian(model, name)``, the
@@ -615,7 +597,7 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
     warnings: list[str] = []
     converged = False
     for iteration in range(1, config.max_iter + 1):
-        updates = mstep(data, caches, estep_pg(links), *expectations)
+        updates = mstep(data, caches, estep_pg(links), expectations[0])
         for name, (_, *update) in updates.items():
             model = engine.install(model, name, caches[name].hp, *update)
 
@@ -641,7 +623,7 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
 
         links = engine.project(model, caches)
         expectations = estep(links, data, caches)
-        objective = engine.objective(model, links, expectations, data, caches)
+        objective = engine.objective(model, links, expectations, caches)
         if not np.isfinite(objective):
             raise FloatingPointError(f"{engine.label} became non-finite at iteration {iteration}")
         trace.append(objective)
@@ -649,7 +631,7 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
             converged = True
             break
 
-    grids = {name: np.linspace(0.0, data.component(name)[2], config.eval_grid) for name in COMPONENTS}
+    grids = {name: np.linspace(0.0, data.component(name)[2], REPORT_GRID) for name in COMPONENTS}
     return model, FitReport(
         method=engine.kind,
         converged=converged,

@@ -18,11 +18,10 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .fitbase import FitReport
+from .fitbase import REPORT_GRID, FitReport
 from .process import EventSequence, RateFunctions, trigger_support
 
 _BOUNDS = ((1e-8, 1e4), (1e-8, 0.999), (1e-4, 1e3))  # mu, rho, beta
-_EVAL_GRID = 200  # points of the report's mu and phi grids
 
 
 @dataclass(frozen=True)
@@ -169,8 +168,8 @@ def fit_mle(
     params = ExpHawkesParams(float(mu), float(rho * beta), float(beta))
     if t_phi_report is None:
         t_phi_report = float(np.clip(5.0 / params.beta, 1e-3, 1e6))
-    grid_mu = np.linspace(0.0, t_window, _EVAL_GRID)
-    grid_phi = np.linspace(0.0, t_phi_report, _EVAL_GRID)
+    grid_mu = np.linspace(0.0, t_window, REPORT_GRID)
+    grid_phi = np.linspace(0.0, t_phi_report, REPORT_GRID)
     rates = model_rates(params, t_phi_report)
     report = FitReport(
         method="mle",

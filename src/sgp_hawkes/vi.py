@@ -18,7 +18,7 @@ log sigma(c) + (mean - c)/2 on E[log sigma(f)], the Jaakkola-Jordan tangent at
 its optimal c, so no quadrature runs in the sweep. The monitor is the
 PG-augmented evidence lower bound without its constants: with q(omega) and the
 marked-Poisson factor at their optimal forms, their KL terms fold into that
-bound and into the thinned-point masses minus E[lambda*]*volume. Every VI step,
+bound and into the node weights r minus E[lambda*]*exposure. Every VI step,
 the theta refresh included, ascends this one bound.
 """
 
@@ -109,18 +109,17 @@ def _log_sigmoid_bound(mean: np.ndarray, tilt: np.ndarray) -> np.ndarray:
 
 
 def project(model: ViModel, caches: dict[str, ComponentCache]) -> dict[str, tuple]:
-    """The E-step link of each component's q at its PG tilts c = sqrt(mean^2 + var):
-    (lambda~ e^{bound(mean, c)}, c) at its data points, then (lambda~ e^{bound(-mean, c)}, c)
-    at its quadrature nodes, with lambda~ = exp E[log lambda*] and ``bound`` the bound
-    on E[log sigma]; last, bound(mean, c) at the data points, which the monitor reads."""
+    """The E-step link of each component's q over its point set x at its PG tilts
+    c = sqrt(mean^2 + var): (lambda~ e^{bound(+-mean, c)}, c), + at its data points and -
+    at its quadrature nodes, with lambda~ = exp E[log lambda*] and ``bound`` the bound on
+    E[log sigma]; last, that bound at the data points, which the monitor reads."""
     links = {}
     for name in COMPONENTS:
-        comp = getattr(model, name)
-        mean, var, mean_q, var_q = caches[name].project_meanvar(comp.gp.mean, comp.gp.cov)
-        tilt, tilt_q = np.sqrt(mean * mean + var), np.sqrt(mean_q * mean_q + var_q)
-        lam = np.exp(comp.lam.mean_log())
-        bound = _log_sigmoid_bound(mean, tilt)
-        links[name] = (lam * np.exp(bound), tilt, lam * np.exp(_log_sigmoid_bound(-mean_q, tilt_q)), tilt_q, bound)
+        comp, cache = getattr(model, name), caches[name]
+        mean, var = cache.project_meanvar(comp.gp.mean, comp.gp.cov)
+        tilt = np.sqrt(mean * mean + var)
+        bound = _log_sigmoid_bound(cache.sign * mean, tilt)
+        links[name] = (np.exp(comp.lam.mean_log()) * np.exp(bound), tilt, bound[:cache.points.size])
     return links
 
 
@@ -148,20 +147,19 @@ def _gamma_elbo_term(factor: GammaFactor) -> float:
     return factor.alpha + float(gammaln(factor.alpha)) - factor.alpha * float(digamma(factor.alpha))
 
 
-def vi_monitor(model: ViModel, links: dict[str, tuple], expectations, data: Dataset, caches) -> float:
-    """PG-augmented evidence lower bound at the current factors, without its constants,
-    from their ``project`` links and the (thinned-point rates, responsibilities)
-    of an E-step (``fitbase.estep``)."""
-    rates, branching = expectations
+def vi_monitor(model: ViModel, links: dict[str, tuple], expectations, caches) -> float:
+    """PG-augmented evidence lower bound at the current factors, without its constants, from their
+    ``project`` links and the (weights r, responsibilities) of an E-step (``fitbase.estep``): the
+    thinned points add their weights r at the nodes minus E[lambda*] times the exposure."""
+    r, branching = expectations
     comps = {n: getattr(model, n) for n in COMPONENTS}
     value = 0.0
     for n in COMPONENTS:
         weights = branching.weights(n)
-        value += float(np.einsum("p,p->", weights, comps[n].lam.mean_log() + links[n][4]))
+        value += float(np.einsum("p,p->", weights, comps[n].lam.mean_log() + links[n][2]))
         value -= float(np.sum(xlogy(weights, weights)))
     for n in COMPONENTS:
-        _, scale, domain = data.component(n)
-        value += scale * rates[n].mass - comps[n].lam.mean() * scale * domain
+        value += float(np.sum(r[n][caches[n].points.size:])) - comps[n].lam.mean() * caches[n].exposure
     for n in COMPONENTS:
         value -= _gaussian_kl(comps[n].gp, caches[n].gm)
     return value + sum(_gamma_elbo_term(comps[n].lam) for n in COMPONENTS)

@@ -26,7 +26,6 @@ from sgp_hawkes.cli import main
 from sgp_hawkes.em import (
     _EmEngine,
     estep_branching,
-    estep_latent_rate,
     estep_pg,
     init_model,
     mstep,
@@ -34,7 +33,7 @@ from sgp_hawkes.em import (
 )
 from sgp_hawkes.evaluation import RescaledSample, ks_statistic, rescale
 from sgp_hawkes.evaluation import test_ll as held_out_ll
-from sgp_hawkes.fitbase import build_caches, build_dataset
+from sgp_hawkes.fitbase import build_caches, build_dataset, estep
 from sgp_hawkes.kernels import InducingGrid, KernelHyperparams, gram, se_cross
 from sgp_hawkes.mle import ExpHawkesParams, _window_nll_grad, exp_hawkes_nll
 from sgp_hawkes.pg import pg_mean
@@ -195,19 +194,23 @@ def test_criterion_4_monotone_traces_and_pure_updates():
     model, data, caches = vi_state
 
     def vi_estep():
+        """(tilts, (thinned-point rate at mu's nodes, phi's integral of it per event),
+        responsibilities, PG means, weights r) of one E-step at the factors."""
         links = vi_project(model, caches)
-        rates = {n: estep_latent_rate(links[n], caches[n]) for n in ("mu", "phi")}
-        return {n: links[n][1] for n in ("mu", "phi")}, rates, estep_branching(links, data), estep_pg(links)
+        r, branching = estep(links, data, caches)
+        mu_nodes, phi_nodes = r["mu"][data.n_events:], r["phi"][data.n_pairs:]  # node weight x rate
+        rates = mu_nodes / caches["mu"].quad.weights, float(np.sum(phi_nodes)) / data.n_events
+        return {n: links[n][1] for n in ("mu", "phi")}, rates, branching, estep_pg(links), r
 
-    tilts, rates_q, branching, pg = vi_estep()
+    tilts, rates_q, branching, pg, r = vi_estep()
     gaps = []
-    t2, r2, b2, _ = vi_estep()
+    t2, r2, b2, _, _ = vi_estep()
     gaps.append(max(np.max(np.abs(tilts["mu"] - t2["mu"])), np.max(np.abs(tilts["phi"] - t2["phi"]))))
-    gaps.append(max(np.max(np.abs(rates_q["mu"].marginal - r2["mu"].marginal)), abs(rates_q["phi"].mass - r2["phi"].mass)))
+    gaps.append(max(np.max(np.abs(rates_q[0] - r2[0])), abs(rates_q[1] - r2[1])))
     gaps.append(max(np.max(np.abs(branching.background - b2.background)), np.max(np.abs(branching.parent - b2.parent))))
     def vi_mstep():
         new = model
-        for name, (_, *update) in mstep(data, caches, pg, rates_q, branching).items():
+        for name, (_, *update) in mstep(data, caches, pg, r).items():
             new = _ViEngine().install(new, name, caches[name].hp, *update)
         return new
 
@@ -291,26 +294,28 @@ def test_criterion_6_oracle_equivalence(sparse_mean):
     model = init_model(data, caches)
 
     def em_estep(model, data, caches):
+        """(PG means, weights r, responsibilities): r is each component's responsibilities,
+        then node weight x thinned-point rate at its nodes."""
         links = project(model, caches)
-        lat = {n: estep_latent_rate(links[n], caches[n]) for n in ("mu", "phi")}
-        return estep_pg(links), lat, estep_branching(links, data)
+        return estep_pg(links), *estep(links, data, caches)
 
-    def em_mstep(model, data, caches, pg, lat, br):
-        for name, (_, *update) in mstep(data, caches, pg, lat, br).items():
+    def em_mstep(model, data, caches, pg, r, _):
+        for name, (_, *update) in mstep(data, caches, pg, r).items():
             model = _EmEngine().install(model, name, caches[name].hp, *update)
         return model
 
+    n_ev = data.n_events
     for _ in range(2):
         model = em_mstep(model, data, caches, *em_estep(model, data, caches))
-    pg, lat, br = em_estep(model, data, caches)
-    lat_mu = lat["mu"]
-    new = em_mstep(model, data, caches, pg, lat, br)
+    pg, r, br = em_estep(model, data, caches)
+    marginal = r["mu"][n_ev:] / caches["mu"].quad.weights  # mu's thinned-point rate at its nodes
+    new = em_mstep(model, data, caches, pg, r, br)
     want_u, _ = dense_gaussian(
-        pg["mu"] * br.background,
+        pg["mu"][:n_ev] * br.background,
         0.5 * br.background,
         data.events,
-        lat_mu.first_moment,
-        -0.5 * lat_mu.marginal,
+        marginal * pg["mu"][n_ev:],
+        -0.5 * marginal,
         caches["mu"].quad,
         caches["mu"],
     )
@@ -320,15 +325,16 @@ def test_criterion_6_oracle_equivalence(sparse_mean):
 
     vi_model, _ = fit_vi(seqs, replace(config, max_iter=3, tol=0.0))
     links = vi_project(vi_model, caches)
-    branching = estep_branching(links, data)
-    rates_q = {n: estep_latent_rate(links[n], caches[n]) for n in ("mu", "phi")}
-    *_, gp_mean, gp_cov = mstep(data, caches, estep_pg(links), rates_q, branching)["mu"]
+    pg = estep_pg(links)
+    r, branching = estep(links, data, caches)
+    *_, gp_mean, gp_cov = mstep(data, caches, pg, r)["mu"]
+    marginal = r["mu"][n_ev:] / caches["mu"].quad.weights
     want_mean, want_cov = dense_gaussian(
-        pg_of(links["mu"][1]) * branching.background,
+        pg_of(links["mu"][1][:n_ev]) * branching.background,
         0.5 * branching.background,
         data.events,
-        rates_q["mu"].first_moment,
-        -0.5 * rates_q["mu"].marginal,
+        marginal * pg["mu"][n_ev:],
+        -0.5 * marginal,
         caches["mu"].quad,
         caches["mu"],
     )

@@ -149,7 +149,7 @@ def test_fit_em_converges_with_full_artifacts(em_fit_dir):
     assert report["n_iter"] <= 60
     assert (em_fit_dir / "estimates_mu.csv").read_text().startswith("x,value\n")
     lines = (em_fit_dir / "estimates_phi.csv").read_text().strip().splitlines()
-    assert len(lines) == 1 + 200  # header + eval_grid rows
+    assert len(lines) == 1 + 200  # header + fitbase.REPORT_GRID rows
 
 
 def test_fit_em_hits_iteration_cap(tmp_path, sim_dir, capsys):

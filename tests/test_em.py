@@ -21,6 +21,7 @@ from sgp_hawkes.em import (
     project,
 )
 from sgp_hawkes.fitbase import COMPONENTS, build_caches, build_dataset, model_rates
+from sgp_hawkes.fitbase import estep as fitbase_estep
 from sgp_hawkes.kernels import (
     InducingGrid,
     KernelHyperparams,
@@ -29,18 +30,20 @@ from sgp_hawkes.kernels import (
     uniform_inducing_grid,
 )
 from sgp_hawkes.process import EventSequence, RateFunctions, log_likelihood
+from sgp_hawkes.quadrature import gauss_legendre
 
 
 def estep(model, data, caches):
-    """(PG means, thinned-point rates, responsibilities) of one E-step at ``model``."""
+    """(PG means, weights r, responsibilities) of one E-step at ``model``."""
     links = project(model, caches)
-    latent = {n: estep_latent_rate(links[n], caches[n]) for n in COMPONENTS}
-    return estep_pg(links), latent, estep_branching(links, data)
+    return estep_pg(links), *fitbase_estep(links, data, caches)
 
 
 def latent_mu(model, comp, caches):
-    """Thinned-point rate of the baseline component ``comp``."""
-    return estep_latent_rate(project(replace(model, mu=comp), caches)["mu"], caches["mu"])
+    """(thinned-point rate at the nodes, its integral) of the baseline component ``comp`` on one
+    window, from the node weight x rate of the E-step."""
+    weighted = estep_latent_rate(project(replace(model, mu=comp), caches)["mu"], caches["mu"])
+    return weighted / caches["mu"].quad.weights, float(np.sum(weighted))
 
 
 def installed(model, updates, caches):
@@ -56,7 +59,8 @@ def em_state(seqs, config, n_iter):
     caches = build_caches(data, config)
     model = init_model(data, caches)
     for _ in range(n_iter):
-        model = installed(model, mstep(data, caches, *estep(model, data, caches)), caches)
+        pg, r, _ = estep(model, data, caches)
+        model = installed(model, mstep(data, caches, pg, r), caches)
     return model, data, caches
 
 
@@ -67,8 +71,8 @@ def test_estep_pg_zero_function():
     caches = build_caches(data, config)
     model = init_model(data, caches)  # u = 0 for both components
     pg = estep_pg(project(model, caches))
-    np.testing.assert_array_equal(pg["mu"], 0.25 * np.ones(3))
-    assert pg["phi"].size == 0
+    np.testing.assert_array_equal(pg["mu"], 0.25 * np.ones(3 + 50))  # 3 events, then 50 nodes
+    np.testing.assert_array_equal(pg["phi"], 0.25 * np.ones(50))  # no pairs, only the nodes
 
 
 def test_estep_pg_single_inducing_point_closed_form():
@@ -97,9 +101,9 @@ def test_latent_rate_constant_function():
     caches = build_caches(data, config)
     model = init_model(data, caches)
     comp = SgpComponent(2.0, model.mu.grid, np.zeros(model.mu.grid.count), model.mu.hp)
-    lat = latent_mu(model, comp, caches)
-    np.testing.assert_allclose(lat.marginal, 1.0, rtol=1e-13)  # 2 * sigmoid(0) * pg-free
-    assert lat.mass == pytest.approx(10.0, rel=1e-13)
+    marginal, mass = latent_mu(model, comp, caches)
+    np.testing.assert_allclose(marginal, 1.0, rtol=1e-13)  # 2 * sigmoid(0) * pg-free
+    assert mass == pytest.approx(10.0, rel=1e-13)
 
 
 def test_latent_rate_saturated_function_vanishes():
@@ -110,8 +114,8 @@ def test_latent_rate_saturated_function_vanishes():
     model = init_model(data, caches)
     # coefficients that push the projection far positive across the domain
     comp = SgpComponent(5.0, model.mu.grid, 30.0 * np.ones(model.mu.grid.count), model.mu.hp)
-    lat = latent_mu(model, comp, caches)
-    assert lat.mass < 1e-3
+    _, mass = latent_mu(model, comp, caches)
+    assert mass < 1e-3
 
 
 def test_latent_rate_mass_matches_dense_trapezoid(rng):
@@ -122,12 +126,12 @@ def test_latent_rate_mass_matches_dense_trapezoid(rng):
     model = init_model(data, caches)
     u = rng.normal(0.0, 1.0, model.mu.grid.count)
     comp = SgpComponent(2.3, model.mu.grid, u, model.mu.hp)
-    lat = latent_mu(model, comp, caches)
+    _, mass = latent_mu(model, comp, caches)
     gm = gram(comp.grid, comp.hp)
     dense = np.linspace(0.0, 100.0, 100_001)
     f_dense = se_cross(dense, comp.grid.points, comp.hp) @ np.linalg.solve(gm.values, u)
     want = np.trapezoid(2.3 * expit(-f_dense), dense)
-    assert abs(lat.mass - want) / want < 1e-6
+    assert abs(mass - want) / want < 1e-6
 
 
 def test_branching_first_event_is_background():
@@ -186,7 +190,8 @@ def test_branching_matches_bruteforce_enumeration(rng):
 
 def test_mstep_background_rate_closed_form():
     # spread-out events: all background, u stays 0, so the update is
-    # (N + lambda_old * T/2) / T
+    # (N + lambda_old * T/2) / T; the exposure, the sum of the node weights, is
+    # the replication count (1 window, 4 events) times the domain
     times = np.array([10.0, 30.0, 50.0, 70.0])
     seqs = [EventSequence(times, 100.0)]
     config = FitConfig(T=100.0, T_phi=6.0)
@@ -194,10 +199,13 @@ def test_mstep_background_rate_closed_form():
     caches = build_caches(data, config)
     model = init_model(data, caches)
     lam0 = model.mu.lambda_star
-    pg, lat, br = estep(model, data, caches)
-    new = installed(model, mstep(data, caches, pg, lat, br), caches)
+    pg, r, br = estep(model, data, caches)
+    updates = mstep(data, caches, pg, r)
+    new = installed(model, updates, caches)
     want = (4.0 + lam0 * 50.0) / 100.0
     assert new.mu.lambda_star == pytest.approx(want, rel=1e-12)
+    for name, scale, domain in (("mu", 1, 100.0), ("phi", 4, 6.0)):
+        assert updates[name][2] == caches[name].exposure == pytest.approx(scale * domain, rel=1e-14, abs=0)
 
 
 def test_mstep_zero_events_keeps_zero_coefficients():
@@ -207,8 +215,8 @@ def test_mstep_zero_events_keeps_zero_coefficients():
     caches = build_caches(data, config)
     model = init_model(data, caches)
     lam0 = model.mu.lambda_star
-    pg, lat, br = estep(model, data, caches)
-    new = installed(model, mstep(data, caches, pg, lat, br), caches)
+    pg, r, br = estep(model, data, caches)
+    new = installed(model, mstep(data, caches, pg, r), caches)
     # the right-hand side is not identically zero: the thinned-point linear
     # term -1/2 int Lambda k survives, but it scales with the empty-data
     # initialization lambda* ~ 1e-8, so the coefficients stay at that level
@@ -219,25 +227,37 @@ def test_mstep_zero_events_keeps_zero_coefficients():
 
 
 def test_mstep_matches_dense_assembly_small_grid(rng):
-    """S=2 toy through the real mstep vs an explicit dense reconstruction."""
+    """S=2 toy through the real mstep vs an explicit dense reconstruction. Each
+    component's lambda* count, the sum of its weights r, is its responsibilities
+    plus its replication count (1 window, 3 events) times the Gauss-Legendre
+    integral of the link's thinned-point rate, to rounding."""
     times = np.sort(rng.uniform(0.0, 10.0, 3))
     seqs = [EventSequence(times, 10.0)]
     config = FitConfig(T=10.0, T_phi=2.0, S_mu=2, S_phi=2)
     model, data, caches = em_state(seqs, config, n_iter=2)
-    pg, lat, br = estep(model, data, caches)
-    new = installed(model, mstep(data, caches, pg, lat, br), caches)
+    pg, r, br = estep(model, data, caches)
+    updates = mstep(data, caches, pg, r)
+    new = installed(model, updates, caches)
+    links = project(model, caches)
+    for name, domain, order in (("mu", 10.0, config.quad_order_T), ("phi", 2.0, config.quad_order_Tphi)):
+        points, scale, _ = data.component(name)
+        rate = links[name][0][points.size:]
+        want = np.sum(br.weights(name)) + scale * (gauss_legendre(order, 0.0, domain).weights @ rate)
+        assert updates[name][1] == pytest.approx(want, rel=1e-14, abs=0)
 
     cache = caches["mu"]
     hp, grid = cache.hp, cache.grid
-    a_pt = pg["mu"] * br.background
+    p = data.n_events
+    a_pt = pg["mu"][:p] * br.background
     b_pt = 0.5 * br.background
     quad = cache.quad
-    f_q = cache.project_mean(model.mu.u)[1]
+    f_q = cache.project_mean(model.mu.u)[p:]
     pg_q = np.where(
         np.abs(f_q) < 1e-4, 0.25 - f_q**2 / 48.0, np.tanh(f_q / 2.0) / (2.0 * f_q)
     )
-    a_q = lat["mu"].first_moment  # lambda* sigma(-f) E[omega| tilted]
-    b_q = -0.5 * lat["mu"].marginal
+    marginal = r["mu"][p:] / quad.weights  # lambda* sigma(-f), from node weight x rate
+    a_q = marginal * pg_q  # lambda* sigma(-f) E[omega| tilted]
+    b_q = -0.5 * marginal
     u_dense = np.zeros((2, 2))
     c_dense = np.zeros(2)
     for a, b, x in zip(a_pt, b_pt, data.events):

@@ -55,7 +55,7 @@ from sgp_hawkes.serialize import dumps_json, model_to_dict
 
 def weighted(points, a_point, b_point, quad, a_quad, b_quad):
     """Statistics of data weights and quadrature densities on the point set of the data locations and
-    the nodes, the quadrature weights folded into the nodes' entries as component_stats folds them."""
+    the nodes, the quadrature weights folded into the nodes' entries as the node weights fold into r."""
     return ComponentStats(
         np.concatenate([points, quad.nodes]),
         np.concatenate([a_point, quad.weights * a_quad]),
@@ -328,7 +328,7 @@ def test_band_product_variance_is_the_projector_variance(small_dataset, small_ca
     """With each cache of a case1 fit rebuilt at theta1 = 1e-3, 1/spacing^2 and 1e3,
     and cov = K (U + K)^{-1} K at the cache's own hp, as every fit installs it:
     project_meanvar's variance from the band products is gp_projector's on the
-    kernel rows, at the data points and at the quadrature nodes, to 1e-12 of its
+    kernel rows, at the data points and at the quadrature nodes of x, to 1e-12 of its
     largest value plus the rounding bound S eps k^T |W| k of a sum over the S^2
     terms W_sr k_s k_r (W = K^{-1} cov K^{-1}). That bound matters only at theta1 =
     1e-3, where the terms cancel: they reach 1.5e9 times max(var), and a long-double
@@ -342,7 +342,7 @@ def test_band_product_variance_is_the_projector_variance(small_dataset, small_ca
         hp = KernelHyperparams(cache.hp.theta0, theta1 or 1.0 / cache.grid.spacing**2)
         caches[name] = ComponentCache.build(cache.points, cache.grid, hp, cache.quad)
     links = em.project(em.init_model(small_dataset, caches), caches)
-    updates = mstep(small_dataset, caches, estep_pg(links), *estep(links, small_dataset, caches))
+    updates = mstep(small_dataset, caches, estep_pg(links), estep(links, small_dataset, caches)[0])
     for name, (_, _, _, mean, cov) in updates.items():
         cache = caches[name]
         ours, at = cache.project_meanvar(mean, cov), gp_projector(cache.gm, mean, cov)
@@ -352,14 +352,16 @@ def test_band_product_variance_is_the_projector_variance(small_dataset, small_ca
         alpha, s = cache.gm.solve(mean), np.arange(cache.grid.count)
         w_fill = cache.fill * cache.gm.solve(cache.gm.solve(cov).T)
         w_band = np.bincount((s[:, None] + s).ravel(), weights=w_fill.ravel())
-        for x, k, f, var in ((cache.points, halves[0], *ours[:2]), (cache.quad.nodes, halves[1], *ours[2:])):
+        p = cache.points.size
+        for x, k, f, var in ((cache.points, halves[0], ours[0][:p], ours[1][:p]),
+                             (cache.quad.nodes, halves[1], ours[0][p:], ours[1][p:])):
             assert np.array_equal(k, se_cross(x, cache.grid.points, cache.hp).T)
             assert np.array_equal(f, np.einsum("s,sp->p", alpha, k))
             assert np.array_equal(var, np.maximum(np.einsum("m,mp->p", w_band, band_products(k)), 0.0))
             var_ref = at(k.T)[1]
             rounding = cache.grid.count * np.finfo(float).eps * np.max(np.einsum("sp,sr,rp->p", k, w_abs, k))
             assert np.max(np.abs(var - var_ref)) <= 1e-12 * np.max(var_ref) + rounding
-        assert all(np.array_equal(a, b) for a, b in zip(ours[::2], cache.project_mean(mean)))
+        assert np.array_equal(ours[0], cache.project_mean(mean))
 
 
 _PROJECTIONS = """
@@ -373,7 +375,7 @@ rng = np.random.default_rng(7)
 grid = uniform_inducing_grid(10, 6.0)
 cache = ComponentCache.build(rng.uniform(0.0, 6.0, 98765), grid, KernelHyperparams(1.0, 2.25), gauss_legendre(50, 0.0, 6.0))
 root = rng.normal(size=(10, 10))
-out = [*cache.project_mean(rng.normal(size=10)), *cache.project_meanvar(rng.normal(size=10), root @ root.T)]
+out = [cache.project_mean(rng.normal(size=10)), *cache.project_meanvar(rng.normal(size=10), root @ root.T)]
 a, b, w = rng.uniform(0.0, 1.0, 98765), rng.normal(size=98765), cache.quad.weights
 stats = ComponentStats(cache.x, np.concatenate([a, w * rng.uniform(0.0, 1.0, 50)]),
                        np.concatenate([b, w * rng.normal(size=50)]))
@@ -497,7 +499,9 @@ def test_em_theta0_closed_form_maximizes_the_objective(rng, em_refresh_args, vi_
     objective, and the scan's value there is the refresh's exact check at (theta0*,
     theta1). (The check, not the reference: at theta1 = 1e-3 the reference's VI
     variance K1^{-1} cov K1^{-1}, formed in double, was 7.5e-6 relative off a 50-digit
-    evaluation, and the scan 1.2e-10.)"""
+    evaluation, and the scan 1.2e-10.) The dense scan forms each value from the
+    reference's theta0-free terms at theta1, computed once: every 100th point is the
+    per-point reference, bit for bit."""
     cases = [(stats, grid, quad, fixed) for stats, grid, _, quad, fixed in toy_em_searches(rng, n=2)]
     for recorded in (em_refresh_args, vi_refresh_args):
         cases += [(compacted(stats, grid, quad), grid, quad, fixed)
@@ -510,7 +514,10 @@ def test_em_theta0_closed_form_maximizes_the_objective(rng, em_refresh_args, vi_
             check = _cache_objective(stats, cache_of(stats, grid, hp, quad), fixed)
             assert values[0] == pytest.approx(check, rel=1e-10)
             exact = _profile_objective(stats, grid, hp, fixed)
-            scanned = [_profile_objective(stats, grid, KernelHyperparams(t0, theta1), fixed) for t0 in scan]
+            terms = reference_theta_terms(stats, grid, theta1, fixed)
+            scanned = [profile_at(terms, grid, t0)[1] for t0 in scan]
+            for t0, value in zip(scan[::100], scanned[::100]):
+                assert value == _profile_objective(stats, grid, KernelHyperparams(t0, theta1), fixed)
             assert max(scanned) <= exact + 1e-12 * max(1.0, abs(exact))
 
 
@@ -524,17 +531,18 @@ def long_double_solve(chol, rhs):
     return out
 
 
-def reference_theta_profile(stats, grid, theta1, fixed, theta0=None):
-    """The theta profile on fresh se_cross rows with scipy's solves, the projected
-    variance as gp_projector forms it, K1^{-1} cov solved twice, but in long double:
-    in double, at ill-conditioned K1, it put the profile up to 1.1e-4 relative off a
-    50-digit evaluation of a recorded VI refresh, and the scan 1.1e-8."""
+def reference_theta_terms(stats, grid, theta1, fixed):
+    """The theta0-free terms (data term, q, log|K1|) of the theta profile at theta1, None where K1
+    does not factor: on fresh se_cross rows with scipy's solves, the projected variance as
+    gp_projector forms it, K1^{-1} cov solved twice, but in long double: in double, at
+    ill-conditioned K1, it put the profile up to 1.1e-4 relative off a 50-digit evaluation of a
+    recorded VI refresh, and the scan 1.1e-8."""
     mean, cov = fixed
     hp = KernelHyperparams(1.0, theta1)
     try:
         gm = gram(grid, hp)
     except SingularMatrixError:
-        return theta0, -np.inf
+        return None
 
     def solve(rhs):
         return cho_solve((gm.chol, True), rhs)
@@ -548,10 +556,24 @@ def reference_theta_profile(stats, grid, theta1, fixed, theta0=None):
         sq = sq + np.maximum(np.einsum("ns,ns->n", k @ w_cov, k), 0.0).astype(float)
         q += float(np.trace(solve(cov)))
     data = float(np.einsum("p,p->", stats.b, f)) - 0.5 * float(np.einsum("p,p->", stats.a, sq))
+    return data, q, gm.logdet()
+
+
+def profile_at(terms, grid, theta0=None):
+    """(theta0, value) of the theta profile from its ``reference_theta_terms`` at theta0, by
+    default its maximizer clip(q / S); -inf where K1 does not factor or the value is not finite."""
+    if terms is None:
+        return theta0, -np.inf
+    data, q, logdet = terms
     if theta0 is None:
         theta0 = float(np.clip(q / grid.count, *THETA_BOUNDS))
-    value = data - 0.5 * q / theta0 - 0.5 * (gm.logdet() + grid.count * np.log(theta0))
+    value = data - 0.5 * q / theta0 - 0.5 * (logdet + grid.count * np.log(theta0))
     return theta0, value if np.isfinite(value) else -np.inf
+
+
+def reference_theta_profile(stats, grid, theta1, fixed, theta0=None):
+    """The reference theta profile at (theta0, theta1): ``profile_at`` of its ``reference_theta_terms``."""
+    return profile_at(reference_theta_terms(stats, grid, theta1, fixed), grid, theta0)
 
 
 def _profile_objective(stats, grid, hp, fixed):

@@ -14,7 +14,6 @@ from sgp_hawkes.em import EmModel, SgpComponent, _EmEngine
 from sgp_hawkes.em import project as em_project
 from sgp_hawkes.fitbase import (
     COMPONENTS,
-    LatentRate,
     build_caches,
     build_dataset,
     estep,
@@ -24,8 +23,9 @@ from sgp_hawkes.fitbase import (
     run_sweeps,
 )
 from sgp_hawkes.kernels import gram, se_cross
+from sgp_hawkes.pg import pg_mean
 from sgp_hawkes.process import EventSequence
-from sgp_hawkes.quadrature import expected_log_sigmoid
+from sgp_hawkes.quadrature import expected_log_sigmoid, gauss_legendre
 from sgp_hawkes.vi import (
     GammaFactor,
     GaussianFactor,
@@ -49,27 +49,34 @@ def vi_state(seqs, config, n_sweeps=4):
 
 
 def full_estep(links, data, caches):
-    """(PG weights, thinned-point rates, responsibilities) of one E-step at ``links``."""
+    """(PG weights, weights r, responsibilities) of one E-step at ``links``."""
     return estep_pg(links), *estep(links, data, caches)
 
 
 def vi_estep(model, data, caches):
-    """(PG weights, thinned-point rates, responsibilities) of one E-step at the factors."""
+    """(PG weights, weights r, responsibilities) of one E-step at the factors."""
     return full_estep(project(model, caches), data, caches)
 
 
-def vi_mstep(model, data, caches, pg, rates, branching):
-    """``model`` after the one M-step from (pg, rates, branching), installed by VI."""
-    for name, (_, *update) in mstep(data, caches, pg, rates, branching).items():
+def vi_mstep(model, data, caches, pg, r):
+    """``model`` after the one M-step from (pg, r), installed by VI."""
+    for name, (_, *update) in mstep(data, caches, pg, r).items():
         model = _ViEngine().install(model, name, caches[name].hp, *update)
     return model
+
+
+def thinned(r, data, caches, name):
+    """(thinned-point rate at the nodes, its integral per window or per event) of component
+    ``name``, from the node entries of its weights r: node weight x rate."""
+    nodes = r[name][caches[name].points.size:]
+    return nodes / caches[name].quad.weights, float(np.sum(nodes)) / data.component(name)[1]
 
 
 def monitor(model, branching, data, caches):
     """The VI monitor at ``branching`` and the factors' own thinned-point rates and bounds."""
     links = project(model, caches)
-    rates, _ = estep(links, data, caches)
-    return vi_monitor(model, links, (rates, branching), data, caches)
+    r, _ = estep(links, data, caches)
+    return vi_monitor(model, links, (r, branching), caches)
 
 
 def collapsed(comp, mean=None, **changes):
@@ -115,12 +122,17 @@ def test_tilt_closed_forms(state):
 
 
 def test_poisson_rate_flat_state(state):
+    """At u = 0 the thinned-point rate is lambda~/2 everywhere. On 3 windows the exposure, the sum of
+    the node weights, is the replication count (3 windows, the events) times the domain."""
     model, data, caches = state
     flat = replace(model, mu=collapsed(model.mu))
-    rates = vi_estep(flat, data, caches)[1]
+    marginal, mass = thinned(vi_estep(flat, data, caches)[1], data, caches, "mu")
     lam_geo = np.exp(flat.mu.lam.mean_log())
-    np.testing.assert_allclose(rates["mu"].marginal, lam_geo / 2.0, rtol=1e-12)
-    np.testing.assert_allclose(rates["mu"].mass, lam_geo / 2.0 * model.T, rtol=1e-12)
+    np.testing.assert_allclose(marginal, lam_geo / 2.0, rtol=1e-12)
+    np.testing.assert_allclose(mass, lam_geo / 2.0 * model.T, rtol=1e-12)
+    assert data.n_sequences == 3
+    for name, scale, domain in (("mu", 3, model.T), ("phi", data.n_events, model.T_phi)):
+        assert caches[name].exposure == pytest.approx(scale * domain, rel=1e-14, abs=0)
 
 
 def test_poisson_rate_decreases_with_variance(state):
@@ -134,7 +146,7 @@ def test_poisson_rate_decreases_with_variance(state):
     masses = []
     for scale in (1e-12, 0.25, 1.0, 4.0):
         m = replace(model, mu=replace(model.mu, gp=GaussianFactor(np.zeros(ngrid), scale * gm.values)))
-        masses.append(vi_estep(m, data, caches)[1]["mu"].mass)
+        masses.append(thinned(vi_estep(m, data, caches)[1], data, caches, "mu")[1])
     assert np.all(np.diff(masses) < 0)
     # direct scan of the scalar factor
     c = np.linspace(0.0, 6.0, 100)
@@ -145,25 +157,29 @@ def test_poisson_rate_decreases_with_variance(state):
 def test_poisson_rate_gamma_one_one(state):
     model, data, caches = state
     m = replace(model, mu=collapsed(model.mu, lam=GammaFactor(1.0, 1.0)))
-    rates = vi_estep(m, data, caches)[1]
+    marginal, _ = thinned(vi_estep(m, data, caches)[1], data, caches, "mu")
     want = np.exp(-EULER_GAMMA) / 2.0
-    np.testing.assert_allclose(rates["mu"].marginal, want, atol=1e-10)
+    np.testing.assert_allclose(marginal, want, atol=1e-10)
 
 
-def flat_rates(caches, masses):
-    """Zero thinned-point rates on each component's quadrature grid, with the given masses."""
-    zeros = {n: np.zeros(caches[n].quad.nodes.size) for n in masses}
-    return {n: LatentRate(zeros[n], zeros[n], mass) for n, mass in masses.items()}
+def flat_weights(branching, caches, rates):
+    """Weights r: the responsibilities at each component's data points, then node weight x the
+    constant thinned-point rate rates[name] at its nodes."""
+    return {n: np.concatenate([branching.weights(n), rates[n] * caches[n].quad.weights]) for n in rates}
+
+
+def zero_pg(caches):
+    """Zero PG weights over each component's point set."""
+    return {n: np.zeros(caches[n].x.size) for n in COMPONENTS}
 
 
 def test_lambda_update_no_events(uniform_branching):
     seqs = [EventSequence(np.array([]), 20.0)]
     data = build_dataset(seqs, 2.0)
     caches = build_caches(data, FitConfig(T=20.0, T_phi=2.0))
-    branching = uniform_branching(data)
-    rates = flat_rates(caches, {"mu": 7.5, "phi": 0.0})
+    r = flat_weights(uniform_branching(data), caches, {"mu": 7.5 / 20.0, "phi": 0.0})  # 7.5 points on [0, 20]
     model = init_vi_model(data, caches)
-    new = vi_mstep(model, data, caches, {"mu": np.zeros(0), "phi": np.zeros(0)}, rates, branching)
+    new = vi_mstep(model, data, caches, zero_pg(caches), r)
     assert new.mu.lam.alpha == pytest.approx(7.5)
     assert new.mu.lam.beta == pytest.approx(20.0)
     assert new.phi is model.phi  # no events: phi is not updated
@@ -174,10 +190,9 @@ def test_lambda_update_all_background(uniform_branching):
     seqs = [EventSequence(times, 20.0)]
     data = build_dataset(seqs, 1.0)  # spacing 4 > T_phi: no admissible pairs
     caches = build_caches(data, FitConfig(T=20.0, T_phi=1.0))
-    branching = uniform_branching(data)
-    rates = flat_rates(caches, {"mu": 0.0, "phi": 0.0})
-    pg = {"mu": np.full(5, 0.25), "phi": np.zeros(0)}
-    new = vi_mstep(init_vi_model(data, caches), data, caches, pg, rates, branching)
+    r = flat_weights(uniform_branching(data), caches, {"mu": 0.0, "phi": 0.0})
+    pg = {"mu": np.full(caches["mu"].x.size, 0.25), "phi": np.zeros(caches["phi"].x.size)}
+    new = vi_mstep(init_vi_model(data, caches), data, caches, pg, r)
     lam_mu, lam_phi = new.mu.lam, new.phi.lam
     assert lam_mu.alpha == pytest.approx(5.0, abs=1e-10)
     assert lam_mu.mean() == pytest.approx(5.0 / 20.0, rel=1e-10)
@@ -194,15 +209,9 @@ def test_gp_update_prior_recovery(state, uniform_branching):
     empty_caches = build_caches(
         empty_data, FitConfig(T=model.T, T_phi=model.T_phi, hyper_refresh_every=0)
     )
-    pg = {"mu": np.zeros(0), "phi": np.zeros(0)}
-    branching = uniform_branching(empty_data)
-    nq = empty_caches["mu"].quad.nodes.size
-    nq_phi = empty_caches["phi"].quad.nodes.size
-    rates = {
-        "mu": LatentRate(np.zeros(nq), np.zeros(nq), 0.0),
-        "phi": LatentRate(np.zeros(nq_phi), np.zeros(nq_phi), 0.0),
-    }
-    gp_mu = vi_mstep(init_vi_model(empty_data, empty_caches), empty_data, empty_caches, pg, rates, branching).mu.gp
+    r = flat_weights(uniform_branching(empty_data), empty_caches, {"mu": 0.0, "phi": 0.0})
+    model = init_vi_model(empty_data, empty_caches)
+    gp_mu = vi_mstep(model, empty_data, empty_caches, zero_pg(empty_caches), r).mu.gp
     np.testing.assert_allclose(gp_mu.mean, 0.0, atol=1e-13)
     np.testing.assert_allclose(gp_mu.cov, empty_caches["mu"].gm.values, atol=1e-9)
 
@@ -214,9 +223,10 @@ def test_gp_update_matches_dense_assembly(rng):
     seqs = [EventSequence(times, 10.0)]
     config = FitConfig(T=10.0, T_phi=2.0, S_mu=2, S_phi=2, hyper_refresh_every=0)
     model, data, caches = vi_state(seqs, config, n_sweeps=3)
+    p = data.n_events
     tilts = project(model, caches)["mu"][1]
-    pg, rates, branching = vi_estep(model, data, caches)
-    gp_mu = vi_mstep(model, data, caches, pg, rates, branching).mu.gp
+    pg, r, branching = vi_estep(model, data, caches)
+    gp_mu = vi_mstep(model, data, caches, pg, r).mu.gp
 
     cache = caches["mu"]
 
@@ -224,10 +234,11 @@ def test_gp_update_matches_dense_assembly(rng):
         c = np.asarray(c, dtype=float)
         return np.where(np.abs(c) < 1e-4, 0.25 - c * c / 48.0, np.tanh(c / 2.0) / (2.0 * c))
 
-    a_pt = pg_of(tilts) * branching.background
+    a_pt = pg_of(tilts[:p]) * branching.background
     b_pt = 0.5 * branching.background
-    a_q = rates["mu"].first_moment
-    b_q = -0.5 * rates["mu"].marginal
+    marginal = r["mu"][p:] / cache.quad.weights  # the thinned-point rate, from node weight x rate
+    a_q = marginal * pg_of(tilts[p:])
+    b_q = -0.5 * marginal
     u_dense = np.zeros((2, 2))
     c_dense = np.zeros(2)
     for a, b, x in zip(a_pt, b_pt, data.events):
@@ -248,8 +259,8 @@ def test_gp_update_contracts_prior_covariance(state):
     """Adding a PSD term to the precision can only shrink the covariance:
     eigenvalues of K - cov must be >= -1e-8."""
     model, data, caches = state
-    pg, rates, branching = vi_estep(model, data, caches)
-    new = vi_mstep(model, data, caches, pg, rates, branching)
+    pg, r, _ = vi_estep(model, data, caches)
+    new = vi_mstep(model, data, caches, pg, r)
     for factor, cache in ((new.mu.gp, caches["mu"]), (new.phi.gp, caches["phi"])):
         gap = cache.gm.values - factor.cov
         eigs = np.linalg.eigvalsh(0.5 * (gap + gap.T))
@@ -284,7 +295,8 @@ def test_estep_degenerate_variance_matches_em(state):
     factors, the VI link gives EM's PG weights, thinned-point rates and masses, and
     responsibilities at (lambda_hat, mean) to 1e-8. Fed from either E-step, the one
     M-step gives the same (count, exposure, mean) to 1e-8, and VI's E[lambda*] after
-    its install is EM's lambda*."""
+    its install is EM's lambda*. Either way, the PG means over the point set x are
+    those of its data points and of its nodes taken apart, bit for bit."""
     model, data, caches = state
     lam_hat = {"mu": 1.1, "phi": 0.6}
     big = 1e12
@@ -294,19 +306,26 @@ def test_estep_degenerate_variance_matches_em(state):
         gp = GaussianFactor(comp.gp.mean, 1e-12 * caches[n].gm.values)
         degenerate = replace(degenerate, **{n: replace(comp, gp=gp, lam=GammaFactor(big, big / lam_hat[n]))})
         points[n] = SgpComponent(lam_hat[n], comp.grid, comp.gp.mean, comp.hp)
-    pg_vi, rates_vi, br_vi = vi_estep(degenerate, data, caches)
+    vi_links = project(degenerate, caches)
+    pg_vi, r_vi, br_vi = full_estep(vi_links, data, caches)
     em_model = EmModel(**points, T=model.T, T_phi=model.T_phi)
-    pg_em, rates_em, br_em = full_estep(em_project(em_model, caches), data, caches)
+    em_links = em_project(em_model, caches)
+    pg_em, r_em, br_em = full_estep(em_links, data, caches)
     for n in COMPONENTS:
+        p = caches[n].points.size
+        for links, pg in ((vi_links, pg_vi), (em_links, pg_em)):
+            tilt = links[n][1]
+            assert np.array_equal(pg[n], np.concatenate([pg_mean(1.0, tilt[:p]), pg_mean(1.0, tilt[p:])]))
+        (marginal_vi, mass_vi), (marginal_em, mass_em) = (thinned(r, data, caches, n) for r in (r_vi, r_em))
         np.testing.assert_allclose(pg_vi[n], pg_em[n], rtol=0, atol=1e-8)
-        np.testing.assert_allclose(rates_vi[n].marginal, rates_em[n].marginal, rtol=0, atol=1e-8)
-        np.testing.assert_allclose(rates_vi[n].first_moment, rates_em[n].first_moment, rtol=0, atol=1e-8)
-        assert abs(rates_vi[n].mass - rates_em[n].mass) <= 1e-8
+        np.testing.assert_allclose(marginal_vi, marginal_em, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(marginal_vi * pg_vi[n][p:], marginal_em * pg_em[n][p:], rtol=0, atol=1e-8)
+        assert abs(mass_vi - mass_em) <= 1e-8
     np.testing.assert_allclose(br_vi.background, br_em.background, rtol=0, atol=1e-8)
     np.testing.assert_allclose(br_vi.parent, br_em.parent, rtol=0, atol=1e-8)
 
-    up_vi = mstep(data, caches, pg_vi, rates_vi, br_vi)
-    up_em = mstep(data, caches, pg_em, rates_em, br_em)
+    up_vi = mstep(data, caches, pg_vi, r_vi)
+    up_em = mstep(data, caches, pg_em, r_em)
     vi_new, em_new = degenerate, em_model
     for n in COMPONENTS:
         _, count_vi, exposure_vi, mean_vi, _ = up_vi[n]
@@ -330,14 +349,14 @@ def test_single_updates_are_idempotent(state):
     assert np.max(np.abs(t1["mu"] - t2["mu"])) <= 1e-12
     assert np.max(np.abs(t1["phi"] - t2["phi"])) <= 1e-12
 
-    assert abs(r1["mu"].mass - r2["mu"].mass) <= 1e-12
-    assert np.max(np.abs(r1["phi"].marginal - r2["phi"].marginal)) <= 1e-12
+    assert abs(thinned(r1, data, caches, "mu")[1] - thinned(r2, data, caches, "mu")[1]) <= 1e-12
+    assert np.max(np.abs(thinned(r1, data, caches, "phi")[0] - thinned(r2, data, caches, "phi")[0])) <= 1e-12
 
     assert np.max(np.abs(b1.background - b2.background)) <= 1e-12
     assert np.max(np.abs(b1.parent - b2.parent)) <= 1e-12
 
-    m1 = vi_mstep(model, data, caches, t1, r1, b1)
-    m2 = vi_mstep(model, data, caches, t1, r1, b1)
+    m1 = vi_mstep(model, data, caches, t1, r1)
+    m2 = vi_mstep(model, data, caches, t1, r1)
     assert abs(m1.mu.lam.alpha - m2.mu.lam.alpha) <= 1e-12
     assert abs(m1.phi.lam.beta - m2.phi.lam.beta) <= 1e-12
 
@@ -391,7 +410,7 @@ def brute_force_elbo(model, data, caches, background, parent):
     loops: q(omega) = PG(1, c) and the thinned points at their optimal forms."""
     total = 0.0
     for name in ("mu", "phi"):
-        comp, quad = getattr(model, name), caches[name].quad
+        comp = getattr(model, name)
         theta0, theta1 = comp.hp.theta0, comp.hp.theta1
         s_pts = comp.grid.points
         kmat = np.array([[theta0 * np.exp(-0.5 * theta1 * (a - b) ** 2) for b in s_pts] for a in s_pts])
@@ -411,6 +430,7 @@ def brute_force_elbo(model, data, caches, background, parent):
             points, weights, scale, domain = data.events, background, data.n_sequences, data.T
         else:
             points, weights, scale, domain = data.lag, parent, data.n_events, data.T_phi
+        quad = gauss_legendre(caches[name].quad.nodes.size, 0.0, domain)  # the plain rule on one window
         for x, w in zip(points, weights):
             m, c, v = moments(x)
             e_omega = np.tanh(c / 2.0) / (2.0 * c)
