@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import kolmogorov
 
 from .process import EventSequence, RateFunctions, admissible_pairs, log_likelihood, trigger_integral
 from .quadrature import QuadratureGrid
@@ -94,12 +94,17 @@ def rescale(fitted: RateFunctions, seq: EventSequence, quad: QuadratureGrid | No
 
 
 def ks_statistic(sample: RescaledSample) -> tuple[float, float]:
-    """One-sample KS distance of the z values against Uniform(0,1)."""
-    z = sample.z
-    if z.size == 0:
+    """One-sample KS distance of the z values against Uniform(0,1), and its asymptotic p-value.
+
+    ``scipy.stats.kstest(z, "uniform", method="asymp")`` to the bit: D = max over i of i/n - z_(i)
+    and z_(i) - (i-1)/n, and p is the Kolmogorov survival function at D*sqrt(n), clipped to [0, 1].
+    """
+    z = np.sort(sample.z)
+    n = z.size
+    if n == 0:
         raise ValueError("cannot run a KS test on an empty rescaled sample")
-    res = stats.kstest(z, "uniform", method="asymp")
-    return float(res.statistic), float(res.pvalue)
+    d = max(float((np.arange(1.0, n + 1) / n - z).max()), float((z - np.arange(0.0, n) / n).max()))
+    return d, float(np.clip(kolmogorov(d * np.sqrt(n)), 0.0, 1.0))
 
 
 def qq_pairs(sample: RescaledSample) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,8 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import PPoly
+from scipy.linalg import solve_banded
 
 _TABLE_NODES = 257  # first size of a rate table; each refinement doubles the cells
 _TABLE_MAX_NODES = 2**20 + 1
@@ -318,12 +319,35 @@ class TabulationError(FloatingPointError):
     """A spline table of a rate missed its tolerance at the largest allowed size."""
 
 
-def _checked_spline(f, upper: float, name: str) -> CubicSpline:
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``CubicSpline(x, y)``'s PPoly coefficients and its values at the cell midpoints, to the bit:
+    scipy's banded not-a-knot slope solve, CubicHermiteSpline's coefficients and PPoly's power sum."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    band = np.zeros((3, x.size))  # upper, main and lower diagonal
+    band[0, 2:], band[1, 1:-1], band[2, :-2] = dx[:-1], 2 * (dx[:-1] + dx[1:]), dx[1:]
+    band[0, 1], band[1, 0], band[1, -1], band[2, -2] = d0, dx[1], dx[-2], d1
+    rhs = np.empty(x.size)
+    rhs[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    s = solve_banded((1, 1), band, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+    h = 0.5 * (x[:-1] + x[1:]) - x[:-1]
+    return c, c[3] + c[2] * h + c[1] * (h * h) + c[0] * (h * h * h)
+
+
+def _checked_spline(f, upper: float, name: str) -> PPoly:
     """Cubic spline of f on [0, upper] that matches f at every cell midpoint.
 
     The nodes double (each level adds the previous midpoints) until the
     midpoint error is within _TABLE_RTOL of max |f|; NaN outside [0, upper].
+    Each level checks ``_not_a_knot``'s midpoints; only the accepted one becomes a spline.
     """
+    if upper <= 0.0:
+        raise ValueError(f"{name} table needs a positive window, got [0, {upper}]")
 
     def values(x):
         chunks = [f(x[i : i + _TABLE_CHUNK]) for i in range(0, x.size, _TABLE_CHUNK)]
@@ -336,10 +360,10 @@ def _checked_spline(f, upper: float, name: str) -> CubicSpline:
         y_mid = values(mid)
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(y_mid))):
             raise TabulationError(f"{name} is not finite on [0, {upper}]")
-        spline = CubicSpline(x, y, extrapolate=False)
-        error = float(np.max(np.abs(spline(mid) - y_mid)))
+        c, at_mid = _not_a_knot(x, y)
+        error = float(np.max(np.abs(at_mid - y_mid)))
         if error <= _TABLE_RTOL * max(float(np.max(np.abs(y))), float(np.max(np.abs(y_mid)))):
-            return spline
+            return PPoly(c, x, extrapolate=False)
         if x.size >= _TABLE_MAX_NODES:
             raise TabulationError(
                 f"{name} table of {x.size} nodes misses its tolerance: midpoint error {error:.3g}"

@@ -1,6 +1,7 @@
 """Shared fixtures: small simulated datasets reused across test modules."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ from sgp_hawkes import FitConfig, case1_rates, simulate_thinning
 from sgp_hawkes.fitbase import BranchingPosterior, build_caches, build_dataset, normalize_branching
 from sgp_hawkes.kernels import gp_projector, se_cross
 from sgp_hawkes.quadrature import QuadratureGrid, gauss_legendre
+
+# The checkout root, the same value perfbench/tests/conftest.py gives ROOT: whichever
+# of the two conftest modules ``from conftest import ROOT`` finds, it reads this path.
+ROOT = Path(__file__).resolve().parents[1]
 
 # Every property test draws the same examples on every run: seeded from the
 # test itself, a fixed count, no deadline and no example database.

@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import stats
 
 from sgp_hawkes import fit_em, rates_for_eval
 from sgp_hawkes.evaluation import RescaledSample, est_err, ks_statistic, qq_pairs, rescale
@@ -239,6 +242,29 @@ def test_ks_uniform_calibration():
         _, p = ks_statistic(sample_of(np.minimum(z, np.nextafter(1.0, 0.0))))
         passes += p > 0.01
     assert passes >= 97  # measured 99/100 with these seeds
+
+
+@given(
+    n=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.floats(0.0, 1.0),
+    top=st.floats(0.0, 0.2),
+    repeats=st.integers(1, 4),
+    power=st.floats(0.25, 4.0),
+)
+def test_ks_statistic_is_scipys_to_the_bit(n, seed, zeros, top, repeats, power):
+    """ks_statistic's (D, p) are the floats of scipy's asymptotic one-sample test, on
+    samples with runs of exact zeros (clamped increments), values at the largest double
+    below 1 and repeated values; ``power`` moves the sample away from uniform."""
+    rng = np.random.default_rng(seed)
+    z = np.repeat(rng.uniform(0.0, 1.0, -(-n // repeats)) ** power, repeats)[:n]
+    z[rng.random(n) < zeros] = 0.0
+    z[rng.random(n) < top] = np.nextafter(1.0, 0.0)
+    rng.shuffle(z)
+    res = stats.kstest(z, "uniform", method="asymp")
+    d, p = ks_statistic(sample_of(z))
+    assert type(d) is float and type(p) is float
+    assert (d, p) == (float(res.statistic), float(res.pvalue))
 
 
 def test_qq_pairs_ordering_and_content(rng):

@@ -15,11 +15,17 @@ so the package reaches none of scipy.linalg's solve wrappers.
 Every name a module of src/sgp_hawkes imports is read in that module, listed in
 its ``__all__``, or sits on an import line marked ``# noqa: F401`` (a re-export);
 ``from __future__`` imports are exempt.
+
+Importing the package and every module of it leaves scipy.stats unloaded: its
+import costs each process about 20 MB and 0.3 s, and nothing here needs it.
 """
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -114,3 +120,11 @@ def unused_imports() -> list[str]:
 def test_every_import_is_used():
     unused = unused_imports()
     assert not unused, f"imported but never read; delete, or mark a re-export '# noqa: F401': {unused}"
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    modules = ", ".join(f"sgp_hawkes.{path.stem}" for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__")
+    code = f"import sys, sgp_hawkes, {modules}; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", f"importing sgp_hawkes loads {out.stdout.strip()}"

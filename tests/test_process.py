@@ -6,17 +6,26 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
+from scipy.special import expit
 
 from sgp_hawkes import fit_em, fit_vi, process, rates_for_eval
+from sgp_hawkes.fitbase import model_rates
 from sgp_hawkes.process import (
     _BOUND_GRID,
     _MAX_EVENTS,
+    _TABLE_CHUNK,
+    _TABLE_MAX_NODES,
+    _TABLE_NODES,
+    _TABLE_RTOL,
     CASE_T,
     CASE_T_PHI,
     EventSequence,
     NonFiniteLikelihoodError,
     RateFunctions,
     TabulationError,
+    _checked_spline,
+    _not_a_knot,
     admissible_pairs,
     case1_rates,
     case2_rates,
@@ -424,6 +433,167 @@ def test_tabulate_raises_rather_than_miss_its_tolerance():
     nan_rates = RateFunctions(mu=lambda t: np.full_like(t, np.nan), phi=case2_rates().phi, T_phi=CASE_T_PHI)
     with pytest.raises(TabulationError, match="mu is not finite"):
         tabulate(nan_rates, CASE_T)
+
+
+# ---------------------------------------------------------------------------
+# Rate tables: the same splines as a CubicSpline built and checked at every level
+
+
+def reference_checked_spline(f, upper: float, name: str) -> CubicSpline:
+    """The per-level loop that _checked_spline replaced: every level builds a
+    CubicSpline and evaluates it at the cell midpoints."""
+
+    def values(x):
+        chunks = [f(x[i : i + _TABLE_CHUNK]) for i in range(0, x.size, _TABLE_CHUNK)]
+        return np.concatenate([np.asarray(c, dtype=float) for c in chunks])
+
+    x = np.linspace(0.0, upper, _TABLE_NODES)
+    y = values(x)
+    while True:
+        mid = 0.5 * (x[:-1] + x[1:])
+        y_mid = values(mid)
+        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(y_mid))):
+            raise TabulationError(f"{name} is not finite on [0, {upper}]")
+        spline = CubicSpline(x, y, extrapolate=False)
+        error = float(np.max(np.abs(spline(mid) - y_mid)))
+        if error <= _TABLE_RTOL * max(float(np.max(np.abs(y))), float(np.max(np.abs(y_mid)))):
+            return spline
+        if x.size >= _TABLE_MAX_NODES:
+            raise TabulationError(
+                f"{name} table of {x.size} nodes misses its tolerance: midpoint error {error:.3g}"
+            )
+        x = np.insert(x, np.arange(1, x.size), mid)
+        y = np.insert(y, np.arange(1, y.size), y_mid)
+
+
+def phi_from_zero(phi):
+    """The trigger as tabulate tabulates it: the smallest positive lag stands in for 0."""
+    return lambda tau: phi(np.maximum(tau, np.nextafter(0.0, 1.0)))
+
+
+def assert_same_bytes(ours, ref):
+    """Two piecewise polynomials with the same breakpoints and coefficients, bytes and all."""
+    assert ours.x.tobytes() == ref.x.tobytes()
+    assert ours.c.shape == ref.c.shape and ours.c.tobytes() == ref.c.tobytes()
+
+
+def assert_reference_table(f, upper, name) -> int:
+    """_checked_spline(f) is the reference loop's spline and integrates to the same
+    antiderivative; returns its node count."""
+    ours, ref = _checked_spline(f, upper, name), reference_checked_spline(f, upper, name)
+    assert_same_bytes(ours, ref)
+    assert_same_bytes(ours.antiderivative(), ref.antiderivative())
+    assert ours.extrapolate == ref.extrapolate is False
+    return ours.x.size
+
+
+@pytest.mark.parametrize("preset", [case1_rates, case2_rates])
+def test_tables_are_the_reference_loops_on_the_preset_backgrounds(preset):
+    assert assert_reference_table(preset().mu, CASE_T, "mu") >= _TABLE_NODES
+
+
+def test_tables_are_the_reference_loops_on_the_case2_trigger():
+    assert assert_reference_table(phi_from_zero(case2_rates().phi), CASE_T_PHI, "phi") >= _TABLE_NODES
+
+
+@pytest.mark.parametrize("fit", [fit_em, fit_vi])
+def test_tables_are_the_reference_loops_on_fitted_rates(fit, small_case1_seqs, small_config):
+    """rates_for_eval's antiderivatives are those of the reference loop's mu and phi splines."""
+    model = fit(small_case1_seqs, replace(small_config, max_iter=5))[0]
+    exact, table = model_rates(model), rates_for_eval(model)
+    for name, f, upper, integral in (
+        ("mu", exact.mu, model.T, table.mu_integral),
+        ("phi", phi_from_zero(exact.phi), exact.T_phi, table.phi_integral),
+    ):
+        assert_reference_table(f, upper, name)
+        assert_same_bytes(integral, reference_checked_spline(f, upper, name).antiderivative())
+
+
+def test_tables_are_the_reference_loops_past_four_levels():
+    """A background that takes 257 -> 513 -> 1025 -> 2049 -> ... nodes to meet the bound."""
+    nodes = assert_reference_table(lambda t: 1.0 + 0.5 * np.sin(np.asarray(t)), CASE_T, "mu")
+    assert nodes >= 8 * (_TABLE_NODES - 1) + 1
+
+
+def test_tables_raise_the_reference_loops_errors():
+    """The same messages, after the same 1 048 577-node table for case 1's kinked trigger."""
+    for f, upper, name, message in (
+        (phi_from_zero(case1_rates().phi), CASE_T_PHI, "phi", "phi table of 1048577 nodes misses"),
+        (lambda t: np.full_like(t, np.nan), CASE_T, "mu", "mu is not finite"),
+    ):
+        errors = []
+        for build in (_checked_spline, reference_checked_spline):
+            with pytest.raises(TabulationError, match=message) as info:
+                build(f, upper, name)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+
+def test_tabulate_rejects_an_empty_or_reversed_window():
+    """A window [0, T] with T <= 0 is refused before any level is evaluated, as the
+    per-level CubicSpline refused its non-increasing grid."""
+    for T in (0.0, -1.0):
+        with pytest.raises(ValueError, match=r"^mu table needs a positive window"):
+            tabulate(case2_rates(), T)
+
+
+def test_level_check_reads_the_cubic_splines_midpoints(rng):
+    """_not_a_knot's coefficients and midpoint values are CubicSpline(x, y)'s, to the bit,
+    on a uniform grid, on that grid refined by one to three levels and on uneven grids."""
+    grids = [np.linspace(0.0, CASE_T, _TABLE_NODES)]
+    for _ in range(3):
+        x = grids[-1]
+        grids.append(np.insert(x, np.arange(1, x.size), 0.5 * (x[:-1] + x[1:])))
+    grids += [np.cumsum(rng.uniform(0.01, 1.0, n)) for n in (4, 5, 257, 1000)]
+    for x in grids:
+        for y in (case2_rates().mu(x), rng.normal(size=x.size)):
+            c, at_mid = _not_a_knot(x, y)
+            spline = CubicSpline(x, y)
+            assert c.tobytes() == spline.c.tobytes()
+            assert at_mid.tobytes() == spline(0.5 * (x[:-1] + x[1:])).tobytes()
+
+
+def sigmoid_gp_rate(bound, u, lengthscale, upper):
+    """t -> bound * sigmoid(k(t, z) K^-1 u): a sparse GP mean through a sigmoid, z even on [0, upper]."""
+    z = np.linspace(0.0, upper, u.size)
+    gram = np.exp(-0.5 * ((z[:, None] - z) / lengthscale) ** 2) + 1e-8 * np.eye(u.size)
+    weights = np.linalg.solve(gram, u)
+
+    def rate(t):
+        return bound * expit(np.exp(-0.5 * ((np.asarray(t, dtype=float)[..., None] - z) / lengthscale) ** 2) @ weights)
+
+    return rate
+
+
+def midpoint_error(integral, table_rate, f) -> float:
+    """Largest miss of the table at its own cell midpoints, over the tolerance allowed there."""
+    x = integral.x
+    mid = 0.5 * (x[:-1] + x[1:])
+    scale = max(float(np.max(np.abs(f(x)))), float(np.max(np.abs(f(mid)))))
+    return float(np.max(np.abs(table_rate(mid) - f(mid)))) / (_TABLE_RTOL * scale)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lengthscale=st.floats(0.5, 12.0),
+    amplitude=st.floats(0.1, 3.0),
+    bounds=st.tuples(st.floats(0.05, 5.0), st.floats(0.05, 5.0)),
+)
+def test_tabulate_meets_its_bound_at_its_own_midpoints_or_raises(seed, lengthscale, amplitude, bounds):
+    """Smooth random rates bound * sigmoid(k K^-1 u): every returned table, mu and phi,
+    is within _TABLE_RTOL of the rate's maximum at the midpoints of its final cells."""
+    rng = np.random.default_rng(seed)
+    rates = RateFunctions(
+        mu=sigmoid_gp_rate(bounds[0], amplitude * rng.normal(size=12), lengthscale, CASE_T),
+        phi=sigmoid_gp_rate(bounds[1], amplitude * rng.normal(size=8), lengthscale * CASE_T_PHI / CASE_T, CASE_T_PHI),
+        T_phi=CASE_T_PHI,
+    )
+    try:
+        table = tabulate(rates, CASE_T)
+    except TabulationError:
+        return
+    assert midpoint_error(table.mu_integral, table.mu, rates.mu) <= 1.0
+    assert midpoint_error(table.phi_integral, table.phi, rates.phi) <= 1.0
 
 
 def test_events_csv_roundtrip(tmp_path, rng):
