@@ -1,7 +1,8 @@
 """Batch command-line front end: simulate | fit | eval | bench.
 
 Every command reads one JSON config (--config), writes its artifacts plus a
-``config_echo.json`` into --out, and is fully reproducible from config + seed.
+``config_echo.json`` into --out, and is fully reproducible from its config;
+``simulate`` and ``bench`` take a --seed that overrides the config's seed.
 Exit codes: 0 success, 1 usage or I/O problem, 2 numerical failure or
 non-convergence (partial artifacts are still written and flagged).
 """
@@ -94,7 +95,7 @@ def _load_config(args) -> dict:
         raise CliError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise CliError(f"config file {path} must hold a JSON object")
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
     return config
 
@@ -111,12 +112,9 @@ def _preset_rates(name: str, t_window: float):
     raise CliError(f"unknown preset {name!r}; choose case1 or case2")
 
 
-def _load_split(data_dir: Path, split: str, limit: int | None = None):
+def _load_split(data_dir: Path, split: str):
     manifest = read_manifest(data_dir / "manifest.json")
-    paths = sorted(data_dir.glob(f"{split}_*.csv"))
-    if limit is not None:
-        paths = paths[:limit]
-    seqs = [read_events_csv(p, manifest["T"]) for p in paths]
+    seqs = [read_events_csv(p, manifest["T"]) for p in sorted(data_dir.glob(f"{split}_*.csv"))]
     return manifest, seqs
 
 
@@ -190,18 +188,14 @@ def cmd_fit(args) -> int:
     method = config.get("method")
     if method not in ("em", "vi", "mle"):
         raise CliError(f"fit method must be one of em, vi, mle; got {method!r}")
-    # "seed" is accepted for the config echo; the fits are deterministic. The
-    # exponential MLE baseline honours none of the EM/VI settings.
+    # the exponential MLE baseline honours none of the EM/VI settings
     engine_keys = set() if method == "mle" else _FIT_KEYS
-    _check_keys(config, engine_keys | {"method", "data", "split", "max_sequences", "seed"}, "fit")
+    _check_keys(config, engine_keys | {"method", "data"}, "fit")
     if "data" not in config:
         raise CliError("fit config needs a 'data' directory")
-    limit = config.get("max_sequences")
-    if limit is not None:
-        limit = _get_int(config, "max_sequences", 0, 1)
-    manifest, seqs = _load_split(Path(config["data"]), config.get("split", "train"), limit)
+    manifest, seqs = _load_split(Path(config["data"]), "train")
     if not seqs:
-        raise CliError(f"no {config.get('split', 'train')}_*.csv sequences in {config['data']}")
+        raise CliError(f"no train_*.csv sequences in {config['data']}")
     if method != "mle":
         settings = {k: config[k] for k in _FIT_KEYS if k in config}
         fit_config = FitConfig(T=manifest["T"], T_phi=manifest["T_phi"], **settings)
@@ -232,9 +226,7 @@ def cmd_fit(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _load_config(args)
-    _check_keys(
-        config, {"model", "data", "split", "truth_preset", "seed"}, "eval"
-    )
+    _check_keys(config, {"model", "data", "split", "truth_preset"}, "eval")
     for key in ("model", "data"):
         if key not in config:
             raise CliError(f"eval config needs key '{key}'")
@@ -374,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name in ("simulate", "bench"):
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", required=True, help="output directory")
         p.set_defaults(handler=handler)
     return parser

@@ -52,7 +52,7 @@ def _check_window(quad: QuadratureGrid | None, T: float) -> None:
 def test_ll(fitted: RateFunctions, holdout: EventSequence, quad: QuadratureGrid | None = None) -> float:
     """Log likelihood of one held-out sequence, history empty at its origin."""
     _check_window(quad, holdout.T)
-    return log_likelihood(holdout, fitted, truncate_trigger=True)
+    return log_likelihood(holdout, fitted)
 
 
 def est_err(estimate, truth, grid: np.ndarray) -> float:

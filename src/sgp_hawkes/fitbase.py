@@ -72,8 +72,6 @@ class FitConfig:
     max_iter: int = 200
     tol: float = 1e-4
     hyper_refresh_every: int = 20
-    theta0_init: float = 1.0
-    theta1_init: float | None = None  # None -> per-component 1/spacing^2
 
     def __post_init__(self):
         for key, low in _INT_MINIMUMS.items():
@@ -82,10 +80,8 @@ class FitConfig:
                 raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
         if not (_is_real(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be a number >= 0, got {self.tol!r}")
-        for key in ("T", "T_phi", "theta0_init", "theta1_init"):
+        for key in ("T", "T_phi"):
             value = getattr(self, key)
-            if key == "theta1_init" and value is None:
-                continue
             if not (_is_real(value) and 0 < value < np.inf):
                 raise ValueError(f"{key} must be a positive finite number, got {value!r}")
 
@@ -311,7 +307,7 @@ def build_caches(data: Dataset, config: FitConfig) -> dict[str, ComponentCache]:
         grid = uniform_inducing_grid(count, domain)
         quad = gauss_legendre(order, 0.0, domain)
         quad = replace(quad, weights=scale * quad.weights)
-        caches[name] = ComponentCache.build(points, grid, auto_theta(config, grid), quad)
+        caches[name] = ComponentCache.build(points, grid, auto_theta(grid), quad)
     return caches
 
 
@@ -551,14 +547,9 @@ def search_theta(stats: ComponentStats, caches: dict, name: str, fixed: tuple) -
     return hp, False
 
 
-def auto_theta(config: FitConfig, grid: InducingGrid) -> KernelHyperparams:
-    """Initial kernel parameters; theta1 defaults to 1/spacing^2 of the grid."""
-    theta1 = config.theta1_init
-    if theta1 is None:
-        theta1 = 1.0 / grid.spacing**2
-    theta1 = float(np.clip(theta1, *THETA_BOUNDS))
-    theta0 = float(np.clip(config.theta0_init, *THETA_BOUNDS))
-    return KernelHyperparams(theta0, theta1)
+def auto_theta(grid: InducingGrid) -> KernelHyperparams:
+    """Initial kernel parameters: theta0 = 1 and theta1 = 1/spacing^2 of the grid, within the bounds."""
+    return KernelHyperparams(1.0, float(np.clip(1.0 / grid.spacing**2, *THETA_BOUNDS)))
 
 
 def relative_change(new: float, old: float) -> float:

@@ -79,19 +79,9 @@ def _window_nll_grad(mu: float, alpha: float, beta: float, times: np.ndarray, t0
     return comp - sum_log, grad
 
 
-def window_nll(params: ExpHawkesParams, times, t0: float, t1: float) -> float:
-    """Exact negative log likelihood of events in a window [t0, t1]."""
-    times = np.asarray(times, dtype=float)
-    if times.size and (times[0] < t0 or times[-1] > t1):
-        raise ValueError("events must lie inside the window [t0, t1]")
-    if t1 <= t0:
-        raise ValueError("window must have positive length")
-    value, _ = _window_nll_grad(params.mu, params.alpha, params.beta, times, float(t0), float(t1))
-    return value
-
-
 def exp_hawkes_nll(params: ExpHawkesParams, seq: EventSequence) -> float:
-    return window_nll(params, seq.times, 0.0, seq.T)
+    """Exact negative log likelihood of a sequence on its window [0, T]."""
+    return _window_nll_grad(params.mu, params.alpha, params.beta, seq.times, 0.0, seq.T)[0]
 
 
 def model_rates(params: ExpHawkesParams, t_phi: float) -> RateFunctions:
@@ -132,9 +122,9 @@ def _total_nll_grad(x: np.ndarray, seqs: Sequence[EventSequence]):
 
 def fit_mle(
     seqs: EventSequence | Sequence[EventSequence],
-    t_phi_report: float | None = None,
+    t_phi_report: float,
 ) -> tuple[ExpHawkesParams, FitReport]:
-    """Fit (mu, alpha, beta) by L-BFGS-B from three deterministic starts."""
+    """Fit (mu, alpha, beta) by L-BFGS-B from three deterministic starts; report phi on [0, t_phi_report]."""
     t_start = time.perf_counter()
     if isinstance(seqs, EventSequence):
         seqs = [seqs]
@@ -166,8 +156,6 @@ def fit_mle(
             best = res
     mu, rho, beta = best.x
     params = ExpHawkesParams(float(mu), float(rho * beta), float(beta))
-    if t_phi_report is None:
-        t_phi_report = float(np.clip(5.0 / params.beta, 1e-3, 1e6))
     grid_mu = np.linspace(0.0, t_window, REPORT_GRID)
     grid_phi = np.linspace(0.0, t_phi_report, REPORT_GRID)
     rates = model_rates(params, t_phi_report)

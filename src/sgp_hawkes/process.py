@@ -7,15 +7,8 @@ A process on the window [0, T] has conditional intensity
 with a nonnegative background mu on [0, T] and a trigger kernel phi supported
 on (0, T_phi]. Both compensators are exact antiderivatives carried by the
 rates (``mu_integral``, ``phi_integral``): the likelihood here and the time
-rescaling in ``evaluation`` integrate one rate the same way. The trigger
-compensator has two conventions:
-
-* ``log_likelihood(..., truncate_trigger=True)`` (default) charges each event
-  the exact integral of phi up to min(T_phi, T - t_i) — the proper likelihood
-  of the window, used for held-out scoring and time rescaling;
-* ``truncate_trigger=False`` charges every event the full integral of phi over
-  [0, T_phi] — the convention the augmented-likelihood engines optimize, which
-  treats each event's offspring window as fully observed.
+rescaling in ``evaluation`` integrate one rate the same way. The likelihood
+of the window charges each event the integral of phi up to min(T_phi, T - t_i).
 """
 
 from __future__ import annotations
@@ -141,11 +134,11 @@ def trigger_integral(rates: RateFunctions, upper) -> np.ndarray:
     return np.asarray(rates.antiderivative("phi")(x), dtype=float)
 
 
-def log_likelihood(seq: EventSequence, rates: RateFunctions, *, truncate_trigger: bool = True) -> float:
+def log_likelihood(seq: EventSequence, rates: RateFunctions) -> float:
     """Log likelihood of the sequence under the given rates.
 
-    The background compensator is ``mu_integral(T) - mu_integral(0)``; see the
-    module docstring for the two trigger-compensator conventions.
+    The background compensator is ``mu_integral(T) - mu_integral(0)``; event i
+    is charged ``phi_integral`` up to min(T_phi, T - t_i).
     """
     ends = np.asarray(rates.antiderivative("mu")(np.array([0.0, seq.T])), dtype=float)
     mu_comp = float(ends[1] - ends[0])
@@ -159,10 +152,7 @@ def log_likelihood(seq: EventSequence, rates: RateFunctions, *, truncate_trigger
         raise NonFiniteLikelihoodError(
             f"intensity {lam[idx]} at event {idx} (t={seq.times[idx]}) is not a positive finite value"
         )
-    if truncate_trigger:
-        trig_comp = float(np.sum(trigger_integral(rates, seq.T - seq.times)))
-    else:
-        trig_comp = len(seq) * float(trigger_integral(rates, rates.T_phi)[0])
+    trig_comp = float(np.sum(trigger_integral(rates, seq.T - seq.times)))
     return float(np.sum(np.log(lam))) - mu_comp - trig_comp
 
 

@@ -21,9 +21,9 @@ from .process import RateFunctions, tabulate
 from .vi import GammaFactor, GaussianFactor, ViComponent, ViModel
 
 
-def _emit(obj, level: int, indent: int):
-    pad = " " * (indent * (level + 1))
-    close = " " * (indent * level)
+def _emit(obj, level: int):
+    pad = "  " * (level + 1)  # two spaces per nesting level
+    close = "  " * level
     if isinstance(obj, dict):
         if not obj:
             yield "{}"
@@ -33,7 +33,7 @@ def _emit(obj, level: int, indent: int):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {type(key).__name__}")
             yield pad + json.dumps(key) + ": "
-            yield from _emit(value, level + 1, indent)
+            yield from _emit(value, level + 1)
             yield ",\n" if i < len(obj) - 1 else "\n"
         yield close + "}"
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -44,7 +44,7 @@ def _emit(obj, level: int, indent: int):
         yield "[\n"
         for i, value in enumerate(items):
             yield pad
-            yield from _emit(value, level + 1, indent)
+            yield from _emit(value, level + 1)
             yield ",\n" if i < len(items) - 1 else "\n"
         yield close + "]"
     elif isinstance(obj, (bool, np.bool_)):
@@ -64,8 +64,8 @@ def _emit(obj, level: int, indent: int):
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def dumps_json(obj, indent: int = 2) -> str:
-    return "".join(_emit(obj, 0, indent))
+def dumps_json(obj) -> str:
+    return "".join(_emit(obj, 0))
 
 
 def save_json(path, obj) -> None:
@@ -113,6 +113,8 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(data: dict):
+    if not isinstance(data, dict):
+        raise ValueError(f"a model file must hold a JSON object, got {type(data).__name__}")
     method = data.get("method")
     if method in _SGP_MODELS:
         components = {n: _component_from_dict(method, data[n]) for n in COMPONENTS}

@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from sgp_hawkes import FitConfig, case1_rates, simulate_thinning
 from sgp_hawkes.fitbase import BranchingPosterior, build_caches, build_dataset, normalize_branching
 from sgp_hawkes.kernels import gp_projector, se_cross
+from sgp_hawkes.process import EventSequence, RateFunctions
 from sgp_hawkes.quadrature import QuadratureGrid, gauss_legendre
 
 # The checkout root, the same value perfbench/tests/conftest.py gives ROOT: whichever
@@ -82,6 +84,63 @@ def _integrate(grid: QuadratureGrid, f) -> float:
         idx = int(np.argmax(bad))
         raise ValueError(f"non-finite integrand value {vals[idx]} at node index {idx} (t={grid.nodes[idx]})")
     return float(grid.weights @ vals)
+
+
+_CELL = gauss_legendre(16, 0.0, 1.0)
+
+
+def _window_compensator(rates, times, upper) -> np.ndarray:
+    """int_0^u lambda for each u in ``upper``, by quadrature of the intensity's definition.
+
+    lambda(t) = mu(t) + phi(t - t_j) over every event t_j with t - t_j in (0, T_phi]. The
+    window is cut at every event and every expiry t_j + T_phi, so lambda is smooth on each
+    piece, and each piece is split into cells at most 0.25 long, 16 Gauss-Legendre nodes each.
+    """
+    upper = np.asarray(upper, dtype=float)
+    cuts = np.concatenate([[0.0], times, times + rates.T_phi, upper])
+    cuts = np.unique(cuts[cuts <= upper.max(initial=0.0)])
+    counts = np.maximum(1, np.ceil(np.diff(cuts) / 0.25).astype(int))
+    edges = np.concatenate(
+        [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(cuts[:-1], cuts[1:], counts)] + [cuts[-1:]]
+    )
+    width = np.diff(edges)
+    nodes = (edges[:-1, None] + width[:, None] * _CELL.nodes).ravel()
+    lag = nodes[:, None] - np.asarray(times, dtype=float)[None, :]
+    inside = (lag > 0.0) & (lag <= rates.T_phi)
+    lam = rates.mu(nodes) + np.where(inside, rates.phi(np.where(inside, lag, 0.0)), 0.0).sum(axis=1)
+    cum = np.concatenate([[0.0], np.cumsum((lam.reshape(width.size, _CELL.nodes.size) @ _CELL.weights) * width)])
+    return cum[np.searchsorted(edges, upper)]
+
+
+@st.composite
+def _smooth_hawkes_windows(draw):
+    a, c = draw(st.floats(0.2, 3.0)), draw(st.floats(0.1, 2.0))
+    b = a * draw(st.floats(0.0, 0.9))
+    alpha, beta, t_phi = draw(st.floats(0.0, 2.0)), draw(st.floats(0.1, 3.0)), draw(st.floats(0.3, 5.0))
+    T = draw(st.floats(1.0, 20.0))
+    times = sorted(draw(st.lists(st.floats(0.0, T), max_size=30, unique=True)))
+    rates = RateFunctions(
+        mu=lambda t: a + b * np.sin(c * np.asarray(t, dtype=float)),
+        phi=lambda x: alpha * np.exp(-beta * np.asarray(x, dtype=float)),
+        T_phi=t_phi,
+        mu_integral=lambda t: a * np.asarray(t, dtype=float) + b / c * (1.0 - np.cos(c * np.asarray(t, dtype=float))),
+        phi_integral=lambda x: alpha / beta * -np.expm1(-beta * np.asarray(x, dtype=float)),
+    )
+    return rates, EventSequence(np.array(times, dtype=float), T)
+
+
+@pytest.fixture(scope="session")
+def window_compensator():
+    """(rates, times, upper) -> int_0^u lambda for each u in upper, by quadrature (``_window_compensator``)."""
+    return _window_compensator
+
+
+@pytest.fixture(scope="session")
+def smooth_hawkes_windows():
+    """Strategy of (rates, sequence): mu = a + b sin(c t) > 0 and phi = alpha exp(-beta x) on
+    (0, T_phi], with exact antiderivatives, and up to 30 events anywhere in a window [0, T]
+    of length 1-20; draw from it with ``st.data()``."""
+    return _smooth_hawkes_windows()
 
 
 @pytest.fixture(scope="session")

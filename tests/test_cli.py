@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sgp_hawkes
-from sgp_hawkes import fitbase
+from sgp_hawkes import cli, fitbase
 from sgp_hawkes.cli import _load_split, main
 from sgp_hawkes.fitbase import build_dataset
 from sgp_hawkes.em import EmModel, SgpComponent
@@ -298,6 +298,9 @@ def test_fit_mle_rejects_engine_keys(tmp_path, sim_dir, capsys):
         ("S_mu", 4.5),
         ("S_phi", "10"),
         ("max_iter", True),
+        ("seed", 1),
+        ("split", "test"),
+        ("max_sequences", 2),
     ],
 )
 def test_fit_rejects_invalid_settings(tmp_path, sim_dir, capsys, key, value):
@@ -398,6 +401,16 @@ def test_eval_rejects_quad_order(tmp_path, sim_dir, em_fit_dir, capsys):
     assert not (out / "metrics.json").exists()
 
 
+def test_eval_rejects_a_model_file_that_is_not_an_object(tmp_path, sim_dir, capsys):
+    model_path = tmp_path / "model.json"
+    model_path.write_text("[1, 2]")
+    rc, out = run(tmp_path, "eval", {"model": str(model_path), "data": str(sim_dir)}, "e")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "JSON object" in err and "list" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -491,6 +504,33 @@ def test_seed_flag_overrides_config(tmp_path):
     assert echo["config"]["seed"] == 9
     _, native = run(tmp_path, "simulate", {**payload, "seed": 9}, "native")
     assert (forced / "train_000.csv").read_bytes() == (native / "train_000.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_fit_and_eval_take_no_seed(tmp_path, sim_dir, em_fit_dir, capsys, command):
+    # the fits and the scoring are deterministic: a seed key or a --seed flag exits 1 before --out exists
+    if command == "fit":
+        payload = {"method": "em", "data": str(sim_dir)}
+    else:
+        payload = {"model": str(em_fit_dir / "model.json"), "data": str(sim_dir)}
+    rc, keyed = run(tmp_path, command, {**payload, "seed": 1}, "keyed", config_name="keyed.json")
+    assert rc == 1 and not keyed.exists()
+    err = capsys.readouterr().err
+    assert "unknown" in err and "seed" in err
+    rc, flagged = run(tmp_path, command, payload, "flagged", seed=1)
+    assert rc == 1 and not flagged.exists()
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_bench_seed_flag_reaches_its_sequences(tmp_path, monkeypatch):
+    seen = []
+    simulate = cli._bench_sequence
+    monkeypatch.setattr(cli, "_bench_sequence", lambda preset, n, seed: seen.append(seed) or simulate(preset, n, seed))
+    payload = {"method": "em", "sizes": [50], "iters": 1, "seed": 0}
+    rc, out = run(tmp_path, "bench", payload, "b", seed=7)
+    assert rc == 0
+    assert seen == [7]
+    assert json.loads((out / "config_echo.json").read_text())["config"]["seed"] == 7
 
 
 def test_usage_errors(tmp_path):

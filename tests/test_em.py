@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from sgp_hawkes import FitConfig, fit_em
+from sgp_hawkes import FitConfig, fit_em, fitbase
 from sgp_hawkes.em import (
     EmModel,
     SgpComponent,
@@ -29,7 +29,7 @@ from sgp_hawkes.kernels import (
     se_cross,
     uniform_inducing_grid,
 )
-from sgp_hawkes.process import EventSequence, RateFunctions, log_likelihood
+from sgp_hawkes.process import EventSequence, RateFunctions, log_likelihood, trigger_integral
 from sgp_hawkes.quadrature import gauss_legendre
 
 
@@ -283,18 +283,25 @@ def test_penalty_zero_for_zero_coefficients():
     assert penalty(model.phi, caches["phi"].gm) == 0.0
 
 
+def untruncated_log_likelihood(seq, rates):
+    """log_likelihood with every event charged phi's whole mass on [0, T_phi], as if each
+    event's offspring window were fully observed: the convention the engines optimize."""
+    full = trigger_integral(rates, rates.T_phi)[0]  # trigger_integral clips T - t_i to [0, T_phi]
+    return log_likelihood(seq, rates) - np.sum(full - trigger_integral(rates, seq.T - seq.times))
+
+
 @pytest.fixture()
 def em_objective(quadrature_antiderivatives):
     """Penalized log posterior objective (trigger compensator untruncated).
 
-    The sum over sequences of log_likelihood(..., truncate_trigger=False) at
-    the point-estimate rates, minus the RKHS penalties; the compensators come
-    from Gauss-Legendre, since the exact EM rates carry no antiderivatives.
+    The sum over sequences of the untruncated likelihood at the point-estimate
+    rates, minus the RKHS penalties; the compensators come from Gauss-Legendre,
+    since the exact EM rates carry no antiderivatives.
     """
 
     def objective(model, seqs):
         rates = quadrature_antiderivatives(model_rates(model))
-        total = sum(log_likelihood(s, rates, truncate_trigger=False) for s in seqs)
+        total = sum(untruncated_log_likelihood(s, rates) for s in seqs)
         return total - sum(penalty(c, gram(c.grid, c.hp)) for c in (model.mu, model.phi))
 
     return objective
@@ -319,7 +326,7 @@ def test_objective_reduces_to_constant_rate_likelihood(em_objective):
         mu_integral=lambda t: mu_c * np.asarray(t, dtype=float),
         phi_integral=lambda x: phi_c * np.asarray(x, dtype=float),
     )
-    want = log_likelihood(seqs[0], rates, truncate_trigger=False)
+    want = untruncated_log_likelihood(seqs[0], rates)
     assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -357,11 +364,13 @@ def test_fit_em_zero_event_input():
     assert 0 < model.mu.lambda_star < 1e-2  # halves every iteration toward 0
 
 
-def test_fit_em_hyper_refresh_shrinks_overlong_lengthscale(small_case1_seqs):
-    config = FitConfig(
-        T=100.0, T_phi=6.0, max_iter=6, tol=0.0, hyper_refresh_every=3, theta1_init=100.0
-    )
+def test_fit_em_hyper_refresh_shrinks_overlong_lengthscale(small_case1_seqs, monkeypatch):
+    # both components start at theta1 = 100, far above 1/spacing^2 of their grids
+    starts = []
+    monkeypatch.setattr(fitbase, "auto_theta", lambda grid: starts.append(grid) or KernelHyperparams(1.0, 100.0))
+    config = FitConfig(T=100.0, T_phi=6.0, max_iter=6, tol=0.0, hyper_refresh_every=3)
     _, report = fit_em(small_case1_seqs, config)
+    assert len(starts) == 2
     assert report.hyper_history, "refresh iterations should be recorded"
     first = report.hyper_history[0]["mu"]
     assert first["theta1"] < 100.0

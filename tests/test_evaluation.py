@@ -96,7 +96,7 @@ def test_test_ll_is_plain_truncated_log_likelihood():
     truth = case1_rates()
     seq = simulate_thinning(truth, 100.0, seed=11)
     quad = gauss_legendre(200, 0.0, 100.0)
-    assert held_out_ll(truth, seq, quad) == log_likelihood(seq, truth, truncate_trigger=True)
+    assert held_out_ll(truth, seq, quad) == log_likelihood(seq, truth)
 
 
 def test_scoring_uses_the_exact_antiderivatives_only(small_case1_seqs, small_config):
@@ -163,6 +163,20 @@ def test_rescale_unit_poisson_gives_exact_z_values():
     np.testing.assert_allclose(samp.tau, 1.0, rtol=1e-15)
     np.testing.assert_allclose(samp.z, -np.expm1(-1.0), rtol=1e-15)
     assert samp.n_clamped == 0
+
+
+@given(data=st.data())
+def test_rescale_increments_are_the_integrated_intensity_between_events(
+    data, smooth_hawkes_windows, window_compensator
+):
+    """tau_i = Lambda(t_i) - Lambda(t_{i-1}), with Lambda a quadrature of lambda from 0: every
+    lag in (0, T_phi] counts at its own value, every expired one at phi's whole mass."""
+    rates, seq = data.draw(smooth_hawkes_windows)
+    compensator = window_compensator(rates, seq.times, seq.times)
+    samp = rescale(rates, seq)
+    assert samp.tau.size == max(len(seq) - 1, 0)
+    scale = 1e-10 * (1.0 + compensator[-1]) if len(seq) else 0.0
+    np.testing.assert_allclose(samp.tau, np.diff(compensator), rtol=1e-10, atol=scale)
 
 
 def test_rescale_raises_without_an_antiderivative():

@@ -243,13 +243,12 @@ def test_relative_change_definition():
 
 
 def test_auto_theta_from_grid_spacing():
-    config = FitConfig(T=100.0, T_phi=6.0)
     grid = uniform_inducing_grid(10, 100.0)
-    hp = auto_theta(config, grid)
-    assert hp.theta0 == config.theta0_init
+    hp = auto_theta(grid)
+    assert hp.theta0 == 1.0
     assert hp.theta1 == pytest.approx(1.0 / grid.spacing**2)
-    explicit = FitConfig(T=100.0, T_phi=6.0, theta1_init=0.42)
-    assert auto_theta(explicit, grid).theta1 == 0.42
+    # a fine grid's 1/spacing^2 lies past the upper bound and is clipped to it
+    assert auto_theta(uniform_inducing_grid(10, 0.01)).theta1 == 1e3
 
 
 @pytest.mark.parametrize(

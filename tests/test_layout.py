@@ -18,9 +18,14 @@ its ``__all__``, or sits on an import line marked ``# noqa: F401`` (a re-export)
 
 Importing the package and every module of it leaves scipy.stats unloaded: its
 import costs each process about 20 MB and 0.3 s, and nothing here needs it.
+
+Every config key the CLI accepts (each string in the key sets that cli.py passes
+to ``_check_keys``) and every ``FitConfig`` field is named in README.md, in
+backticks or as a JSON key.
 """
 
 import ast
+import dataclasses
 import importlib
 import os
 import re
@@ -128,3 +133,20 @@ def test_importing_the_package_leaves_scipy_stats_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]", f"importing sgp_hawkes loads {out.stdout.strip()}"
+
+
+def accepted_keys() -> set[str]:
+    """Strings in the key-set argument of every ``_check_keys`` call in cli.py, and FitConfig's fields."""
+    from sgp_hawkes.fitbase import FitConfig
+
+    keys = {f.name for f in dataclasses.fields(FitConfig)}
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_keys":
+            keys.update(c.value for c in ast.walk(node.args[1]) if isinstance(c, ast.Constant))
+    return keys
+
+
+def test_every_accepted_key_is_documented():
+    readme = (ROOT / "README.md").read_text()
+    missing = sorted(k for k in accepted_keys() if f"`{k}`" not in readme and f'"{k}"' not in readme)
+    assert not missing, f"accepted but named nowhere in README.md; document or reject: {missing}"

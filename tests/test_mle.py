@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sgp_hawkes import ExpHawkesParams, exp_hawkes_nll, fit_mle
-from sgp_hawkes.mle import _window_nll_grad, model_rates, window_nll
+from sgp_hawkes.mle import _window_nll_grad, model_rates
 from sgp_hawkes.process import EventSequence, RateFunctions, simulate_thinning
 
 
@@ -99,19 +99,11 @@ def test_window_translation_invariance():
     # dyadic-rational times keep the shift exact in floating point, so the
     # kernel memory (gaps only) makes the NLL bitwise identical
     times = np.array([1.0, 2.25, 3.5, 7.75, 9.0])
-    params = ExpHawkesParams(0.7, 0.4, 1.5)
-    base = window_nll(params, times, 0.0, 16.0)
+    base, _ = _window_nll_grad(0.7, 0.4, 1.5, times, 0.0, 16.0)
     shift = 1024.0
-    moved = window_nll(params, times + shift, shift, 16.0 + shift)
+    moved, _ = _window_nll_grad(0.7, 0.4, 1.5, times + shift, shift, 16.0 + shift)
     assert moved == base
-
-
-def test_window_validation():
-    params = ExpHawkesParams(1.0, 0.3, 1.0)
-    with pytest.raises(ValueError):
-        window_nll(params, np.array([1.0]), 5.0, 2.0)
-    with pytest.raises(ValueError):
-        window_nll(params, np.array([10.0]), 0.0, 5.0)
+    assert base == exp_hawkes_nll(ExpHawkesParams(0.7, 0.4, 1.5), EventSequence(times, 16.0))
 
 
 def test_fit_recovers_parameters_and_beats_truth_nll():
@@ -120,7 +112,7 @@ def test_fit_recovers_parameters_and_beats_truth_nll():
     estimates = []
     for seed in range(20):
         seq = simulate_thinning(rates, 2000.0, seed=3000 + seed)
-        params, report = fit_mle([seq])
+        params, report = fit_mle([seq], t_phi_report=25.0)
         estimates.append([params.mu, params.alpha, params.beta])
         # the fit can never be worse than the truth on its own data
         assert exp_hawkes_nll(params, seq) <= exp_hawkes_nll(truth, seq) + 1e-6
@@ -133,7 +125,7 @@ def test_fit_recovers_parameters_and_beats_truth_nll():
 def test_fit_on_poisson_data_finds_negligible_excitation():
     rates = exp_rate_functions(1.0, 0.0, 1.0, t_phi=1.0)
     seqs = [simulate_thinning(rates, 500.0, seed=s) for s in range(4)]
-    params, _ = fit_mle(seqs)
+    params, _ = fit_mle(seqs, t_phi_report=1.0)
     assert params.alpha <= 0.05
     assert params.mu == pytest.approx(1.0, abs=0.15)
 
@@ -153,8 +145,9 @@ def test_model_rates_closed_form_integrals():
 
 
 def test_fit_report_shape(small_case1_seqs):
-    params, report = fit_mle(small_case1_seqs)
+    params, report = fit_mle(small_case1_seqs, t_phi_report=6.0)
     assert report.method == "mle"
+    assert report.grid_phi[-1] == 6.0 and report.grid_phi.size == report.phi_hat.size
     assert len(report.objective_trace) == 1
     assert np.isfinite(report.objective_trace[0])
     assert report.grid_mu.size == report.mu_hat.size

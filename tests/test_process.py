@@ -151,21 +151,31 @@ def test_log_likelihood_exponential_kernel_closed_form():
     lam3 = mu0 + alpha * np.exp(-beta * 3.5) + alpha * np.exp(-beta * 2.5)
     comp = mu0 * T + (alpha / beta) * sum(1.0 - np.exp(-beta * (T - t)) for t in times)
     want = np.log(lam1) + np.log(lam2) + np.log(lam3) - comp
-    got = log_likelihood(EventSequence(times, T), rates, truncate_trigger=True)
+    got = log_likelihood(EventSequence(times, T), rates)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_log_likelihood_trigger_truncation_convention():
-    # untruncated mode charges the full kernel mass per event regardless of
-    # how close the event sits to the right edge
+    # an event 0.5 before the window's end is charged phi's mass up to 0.5, not up to T_phi = 2
     rates = exp_rates(1.0, 0.5, 1.0, 2.0)
-    times = np.array([9.5])
-    seq = EventSequence(times, 10.0)
-    full = log_likelihood(seq, rates, truncate_trigger=False)
-    trunc = log_likelihood(seq, rates, truncate_trigger=True)
-    phi_int = rates.phi_integral
-    want_gap = phi_int(np.array([2.0]))[0] - phi_int(np.array([0.5]))[0]
-    assert trunc - full == pytest.approx(want_gap, rel=1e-12)
+    seq = EventSequence(np.array([9.5]), 10.0)
+    want = np.log(1.0) - 10.0 - rates.phi_integral(np.array([0.5]))[0]
+    assert log_likelihood(seq, rates) == pytest.approx(want, rel=1e-12)
+
+
+@given(data=st.data())
+def test_log_likelihood_is_the_log_intensities_minus_the_integrated_intensity(
+    data, smooth_hawkes_windows, window_compensator
+):
+    """Sum of log lambda(t_i), each summed over its lags in (0, T_phi], minus a quadrature of
+    lambda over [0, T]: events near T shed the trigger mass past the window."""
+    rates, seq = data.draw(smooth_hawkes_windows)
+    t = seq.times
+    lag = t[:, None] - t[None, :]
+    inside = (lag > 0.0) & (lag <= rates.T_phi)
+    lam = rates.mu(t) + np.where(inside, rates.phi(np.where(inside, lag, 0.0)), 0.0).sum(axis=1)
+    want = float(np.sum(np.log(lam)) - window_compensator(rates, t, [seq.T])[0])
+    assert log_likelihood(seq, rates) == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 def test_trigger_integral_raises_without_an_antiderivative():
@@ -182,13 +192,6 @@ def test_trigger_integral_raises_without_an_antiderivative():
         log_likelihood(EventSequence(np.array([1.0, 2.0]), 10.0), bare)
     with pytest.raises(ValueError, match="mu_integral"):
         log_likelihood(EventSequence(np.array([1.0, 2.0]), 10.0), replace(exact, mu_integral=None))
-
-
-def test_log_likelihood_truncation_flag_is_keyword_only():
-    # a stray positional third argument must raise, not bind to truncate_trigger
-    rates = exp_rates(1.0, 0.5, 1.0, 2.0)
-    with pytest.raises(TypeError):
-        log_likelihood(EventSequence(np.array([9.5]), 10.0), rates, False)
 
 
 def test_simulation_is_deterministic():
