@@ -31,13 +31,12 @@ from .process import (
     case1_rates,
     case2_rates,
     read_events_csv,
-    read_manifest,
     simulate_thinning,
     table_rates,
     write_csv,
-    write_manifest,
 )
-from .serialize import load_model, rates_for_eval, report_to_dict, save_json, save_model
+from .serialize import load_json, load_model, rates_for_eval, read_manifest, report_to_dict
+from .serialize import save_json, save_model, write_manifest
 from .vi import fit_vi
 
 _NUMERICAL_ERRORS = (
@@ -50,27 +49,23 @@ _NUMERICAL_ERRORS = (
 _FIT_KEYS = {f.name for f in fields(FitConfig)} - {"T", "T_phi"}
 
 
-class CliError(Exception):
-    """Usage or I/O problem; maps to exit code 1."""
-
-
 def _check_keys(config: dict, allowed: set, context: str) -> None:
     unknown = set(config) - allowed
     if unknown:
-        raise CliError(f"unknown {context} config keys: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown {context} config keys: {', '.join(sorted(unknown))}")
 
 
 def _get_int(config: dict, key: str, default: int, minimum: int) -> int:
     value = config.get(key, default)
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise CliError(f"config key '{key}' must be an integer >= {minimum}, got {value!r}")
+        raise ValueError(f"config key '{key}' must be an integer >= {minimum}, got {value!r}")
     return value
 
 
 def _get_positive(config: dict, key: str, default: float | None = None) -> float:
     value = config.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= sys.float_info.max:
-        raise CliError(f"config key '{key}' must be a positive finite number, got {value!r}")
+        raise ValueError(f"config key '{key}' must be a positive finite number, got {value!r}")
     return float(value)
 
 
@@ -79,22 +74,20 @@ def _out_dir(args) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise CliError(f"cannot create output directory {out}: {exc}") from None
+        raise ValueError(f"cannot create output directory {out}: {exc}") from None
     return out
 
 
 def _load_config(args) -> dict:
     path = Path(args.config)
     if not path.exists():
-        raise CliError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     try:
-        from json import loads
-
-        config = loads(path.read_text())
+        config = load_json(path)
     except ValueError as exc:
-        raise CliError(f"config file {path} is not valid JSON: {exc}") from None
+        raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
-        raise CliError(f"config file {path} must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
     return config
@@ -109,7 +102,7 @@ def _preset_rates(name: str, t_window: float):
         return case1_rates()
     if name == "case2":
         return case2_rates(t_window)
-    raise CliError(f"unknown preset {name!r}; choose case1 or case2")
+    raise ValueError(f"unknown preset {name!r}; choose case1 or case2")
 
 
 def _load_split(data_dir: Path, split: str):
@@ -134,7 +127,7 @@ def cmd_simulate(args) -> int:
     if preset is not None:
         for key in ("rates", "T_phi"):
             if key in config:
-                raise CliError(f"simulate config key '{key}' cannot be combined with 'preset'")
+                raise ValueError(f"simulate config key '{key}' cannot be combined with 'preset'")
         t_window = _get_positive(config, "T", CASE_T)
         rates = _preset_rates(preset, t_window)
         t_phi = rates.T_phi
@@ -142,29 +135,21 @@ def cmd_simulate(args) -> int:
         tables = config["rates"]
         for key in ("mu_t", "mu_value", "phi_tau", "phi_value"):
             if key not in tables:
-                raise CliError(f"custom rates need key '{key}'")
+                raise ValueError(f"custom rates need key '{key}'")
         t_window = _get_positive(config, "T")
         t_phi = _get_positive(config, "T_phi")
-        try:
-            rates = table_rates(
-                tables["mu_t"], tables["mu_value"], tables["phi_tau"], tables["phi_value"], t_phi
-            )
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        rates = table_rates(tables["mu_t"], tables["mu_value"], tables["phi_tau"], tables["phi_value"], t_phi)
     else:
-        raise CliError("simulate config needs either 'preset' or 'rates'")
+        raise ValueError("simulate config needs either 'preset' or 'rates'")
     out = _out_dir(args)
     _echo_config(out, "simulate", config)
 
-    def one(task):
-        split, index, seed_k = task
-        seq = simulate_thinning(rates, t_window, seed_k)
-        write_csv(out / f"{split}_{index:03d}.csv", "t", seq.times)
-        return len(seq)
-
-    tasks = [("train", i, seed + i) for i in range(n_train)]
-    tasks += [("test", j, seed + n_train + j) for j in range(n_test)]
-    counts = [one(task) for task in tasks]
+    n_events_total = 0
+    for split, first, count in (("train", 0, n_train), ("test", n_train, n_test)):
+        for index in range(count):
+            times = simulate_thinning(rates, t_window, seed + first + index).times
+            write_csv(out / f"{split}_{index:03d}.csv", "t", times)
+            n_events_total += times.size
     write_manifest(
         out / "manifest.json",
         t_window,
@@ -173,7 +158,7 @@ def cmd_simulate(args) -> int:
         n_test=n_test,
         preset=preset,
         seed=seed,
-        n_events_total=int(sum(counts)),
+        n_events_total=n_events_total,
     )
     print(f"wrote {n_train} train + {n_test} test sequences to {out}")
     return 0
@@ -187,15 +172,15 @@ def cmd_fit(args) -> int:
     config = _load_config(args)
     method = config.get("method")
     if method not in ("em", "vi", "mle"):
-        raise CliError(f"fit method must be one of em, vi, mle; got {method!r}")
+        raise ValueError(f"fit method must be one of em, vi, mle; got {method!r}")
     # the exponential MLE baseline honours none of the EM/VI settings
     engine_keys = set() if method == "mle" else _FIT_KEYS
     _check_keys(config, engine_keys | {"method", "data"}, "fit")
     if "data" not in config:
-        raise CliError("fit config needs a 'data' directory")
+        raise ValueError("fit config needs a 'data' directory")
     manifest, seqs = _load_split(Path(config["data"]), "train")
     if not seqs:
-        raise CliError(f"no train_*.csv sequences in {config['data']}")
+        raise ValueError(f"no train_*.csv sequences in {config['data']}")
     if method != "mle":
         settings = {k: config[k] for k in _FIT_KEYS if k in config}
         fit_config = FitConfig(T=manifest["T"], T_phi=manifest["T_phi"], **settings)
@@ -229,18 +214,21 @@ def cmd_eval(args) -> int:
     _check_keys(config, {"model", "data", "split", "truth_preset"}, "eval")
     for key in ("model", "data"):
         if key not in config:
-            raise CliError(f"eval config needs key '{key}'")
+            raise ValueError(f"eval config needs key '{key}'")
     model_path = Path(config["model"])
     if not model_path.exists():
-        raise CliError(f"model file not found: {model_path}")
-    model = load_model(model_path)
+        raise ValueError(f"model file not found: {model_path}")
+    try:
+        model = load_model(model_path)
+    except (KeyError, TypeError, ValueError) as exc:  # the file's content, not the command, is at fault
+        raise ValueError(f"model file {model_path}: {exc}") from None
     manifest, seqs = _load_split(Path(config["data"]), config.get("split", "test"))
     if not seqs:
-        raise CliError(f"no holdout sequences found in {config['data']}")
+        raise ValueError(f"no holdout sequences found in {config['data']}")
     t_window, t_phi = float(manifest["T"]), float(manifest["T_phi"])
     model_window = getattr(model, "T", None)  # EM/VI rates exist only on [0, T]; the MLE's everywhere
     if model_window is not None and t_window > model_window:
-        raise CliError(f"holdout window T={t_window:g} is longer than the model's window T={model_window:g}")
+        raise ValueError(f"holdout window T={t_window:g} is longer than the model's window T={model_window:g}")
     out = _out_dir(args)
     _echo_config(out, "eval", config)
     rates = rates_for_eval(model, t_phi=t_window)
@@ -248,12 +236,8 @@ def cmd_eval(args) -> int:
     lls = [test_ll(rates, s) for s in seqs]
     samples = [rescale(rates, s) for s in seqs]
     z_all = np.concatenate([s.z for s in samples])
-    pooled = RescaledSample(
-        z=z_all,
-        tau=np.concatenate([s.tau for s in samples]),
-        lam=np.empty(0),
-        n_clamped=sum(s.n_clamped for s in samples),
-    )
+    # qq_pairs and ks_statistic read only z
+    pooled = RescaledSample(z=z_all, tau=np.empty(0), lam=np.empty(0), n_clamped=sum(s.n_clamped for s in samples))
     theoretical, empirical = qq_pairs(pooled)
     write_csv(out / "qq.csv", "theoretical,empirical", theoretical, empirical)
 
@@ -311,12 +295,12 @@ def cmd_bench(args) -> int:
     )
     method = config.get("method", "em")
     if method not in ("em", "vi"):
-        raise CliError(f"bench method must be em or vi, got {method!r}")
+        raise ValueError(f"bench method must be em or vi, got {method!r}")
     sizes = config.get("sizes")
     if not isinstance(sizes, list) or not sizes or any(
         not isinstance(n, int) or isinstance(n, bool) or n < 10 for n in sizes
     ):
-        raise CliError("bench config needs 'sizes': a list of integers >= 10")
+        raise ValueError("bench config needs 'sizes': a list of integers >= 10")
     iters = _get_int(config, "iters", 50, 1)
     repeats = _get_int(config, "repeats", 1, 1)
     preset = config.get("preset", "case1")
@@ -352,7 +336,7 @@ def cmd_bench(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,9 +365,6 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

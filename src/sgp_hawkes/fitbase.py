@@ -109,16 +109,12 @@ class FitReport:
 class Dataset:
     """One or more same-window sequences with pooled admissible pairs."""
 
-    sequences: tuple[EventSequence, ...]
+    n_sequences: int
     T: float
     T_phi: float
     events: np.ndarray  # all events, sequence by sequence
     child: np.ndarray  # pair -> index into ``events`` of the later event
     lag: np.ndarray  # pair -> t_child - t_parent, in (0, T_phi]
-
-    @property
-    def n_sequences(self) -> int:
-        return len(self.sequences)
 
     @property
     def n_events(self) -> int:
@@ -159,7 +155,7 @@ def build_dataset(seqs: EventSequence | Sequence[EventSequence], t_phi: float) -
         lags.append(lag)
         offset += len(s)
     return Dataset(
-        sequences=seqs,
+        n_sequences=len(seqs),
         T=float(T),
         T_phi=float(t_phi),
         events=np.concatenate(events),

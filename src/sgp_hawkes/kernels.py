@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 THETA_BOUNDS = (1e-3, 1e3)
 JITTER = 1e-6  # diagonal jitter of every Gram matrix, relative to theta0
@@ -94,20 +94,6 @@ def se_cross(a, b, hp: KernelHyperparams) -> np.ndarray:
     return se_kernel(a[:, None], b[None, :], hp)
 
 
-def _first_nonpositive_pivot(mat: np.ndarray) -> tuple[int, float]:
-    """Run an outer-product Cholesky until it breaks; report the bad pivot."""
-    a = mat.copy()
-    n = a.shape[0]
-    for k in range(n):
-        pivot = a[k, k]
-        if pivot <= 0.0 or not np.isfinite(pivot):
-            return k, float(pivot)
-        root = np.sqrt(pivot)
-        a[k:, k] /= root
-        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k + 1:, k])
-    return n - 1, float(a[n - 1, n - 1])
-
-
 def chol_solve(chol: np.ndarray, rhs: np.ndarray, what: str, half: bool = False) -> np.ndarray:
     """x with L L^T x = rhs (L x = rhs if ``half``), L a C-ordered lower Cholesky factor, by the LAPACK calls
     of scipy's cho_solve and solve_triangular (so their bits); FloatingPointError naming ``what`` if they fail."""
@@ -140,9 +126,9 @@ def gram(grid: InducingGrid, hp: KernelHyperparams) -> GramMatrix:
     """Gram matrix at the inducing points with diagonal jitter JITTER * theta0,
     so that K(theta0, theta1) = theta0 K(1, theta1), jitter included.
 
-    Raises SingularMatrixError naming the first non-positive pivot if
-    factorization fails. The factor is numpy's: scipy's dpotrf gives other
-    bits on some matrices.
+    Raises SingularMatrixError naming the first non-positive pivot, as LAPACK's
+    dpotrf finds it, if factorization fails. The factor is numpy's: scipy's
+    dpotrf gives other bits on some matrices.
     """
     jitter = JITTER * hp.theta0
     values = se_cross(grid.points, grid.points, hp)
@@ -150,10 +136,10 @@ def gram(grid: InducingGrid, hp: KernelHyperparams) -> GramMatrix:
     try:
         chol = np.linalg.cholesky(values)
     except np.linalg.LinAlgError:
-        idx, pivot = _first_nonpositive_pivot(values)
+        factor, info = dpotrf(values, lower=1)  # info = 1 + the failing pivot's index, 0 if dpotrf factors it
+        where = f": pivot {factor[info - 1, info - 1]:.3e} at index {info - 1}" if info > 0 else ""
         raise SingularMatrixError(
-            f"kernel Gram matrix is not positive definite: pivot {pivot:.3e} "
-            f"at index {idx} (jitter={jitter:.3e}); adjust theta"
+            f"kernel Gram matrix is not positive definite{where} (jitter={jitter:.3e}); adjust theta"
         ) from None
     return GramMatrix(values=values, chol=chol)
 

@@ -13,7 +13,6 @@ of the window charges each event the integral of phi up to min(T_phi, T - t_i).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -396,8 +395,8 @@ def tabulate(rates: RateFunctions, T: float) -> RateFunctions:
 
 
 # ---------------------------------------------------------------------------
-# On-disk format: one timestamp per line under a 't' header (``write_csv``),
-# window metadata in a sidecar JSON manifest.
+# On-disk format: one timestamp per line under a 't' header (``write_csv``);
+# the window metadata sits in a sidecar JSON manifest (``serialize.write_manifest``).
 
 
 def write_csv(path, header: str, *columns) -> None:
@@ -412,22 +411,3 @@ def read_events_csv(path, T: float) -> EventSequence:
         raise ValueError(f"{path}: expected a CSV with a single 't' header line")
     times = np.asarray([float(line) for line in text[1:]], dtype=float)
     return EventSequence(times, float(T))
-
-
-def write_manifest(path, T: float, T_phi: float, **extra) -> None:
-    from .serialize import save_json
-
-    payload = {"T": float(T), "T_phi": float(T_phi)}
-    payload.update(extra)
-    save_json(path, payload)
-
-
-def read_manifest(path) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"dataset manifest not found: {p}")
-    data = json.loads(p.read_text())
-    for key in ("T", "T_phi"):
-        if key not in data:
-            raise ValueError(f"{p}: manifest is missing required key '{key}'")
-    return data

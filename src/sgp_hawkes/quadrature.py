@@ -65,7 +65,7 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=16)
-def gauss_hermite(n: int = DEFAULT_GH_ORDER) -> tuple[np.ndarray, np.ndarray]:
+def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights for E[g(Z)], Z ~ N(0, 1): sum_k w_k g(z_k).
 
     Cached per order (``hermgauss`` costs about half a millisecond at 30
@@ -100,7 +100,7 @@ def _mean_sd(mean, var):
     return mean, np.sqrt(np.maximum(var, 0.0))
 
 
-def expected_log_sigmoid(mean, var, n: int = DEFAULT_GH_ORDER):
+def expected_log_sigmoid(mean, var, n: int):
     """E[log sigma(X)] for X ~ N(mean, var), elementwise over arrays.
 
     Uses log sigma(x) = min(x, 0) - log1p(exp(-|x|)), which numpy evaluates
@@ -125,7 +125,7 @@ def expected_log_sigmoid(mean, var, n: int = DEFAULT_GH_ORDER):
     return out
 
 
-def expected_sigmoid_moments(mean, var, n: int = DEFAULT_GH_ORDER):
+def expected_sigmoid_moments(mean, var, n: int):
     """(E[sigma(X)], E[sigma(X)^2]) for X ~ N(mean, var), elementwise."""
     mean, sd = _mean_sd(mean, var)
     z, w = gauss_hermite(n)

@@ -76,11 +76,30 @@ def load_json(path):
     return json.loads(Path(path).read_text())
 
 
+def write_manifest(path, T: float, T_phi: float, **extra) -> None:
+    """A dataset's sidecar manifest: its window T, its trigger window T_phi and ``extra``."""
+    payload = {"T": float(T), "T_phi": float(T_phi)}
+    payload.update(extra)
+    save_json(path, payload)
+
+
+def read_manifest(path) -> dict:
+    p = Path(path)
+    if not p.exists():
+        raise FileNotFoundError(f"dataset manifest not found: {p}")
+    data = load_json(p)
+    for key in ("T", "T_phi"):
+        if key not in data:
+            raise ValueError(f"{p}: manifest is missing required key '{key}'")
+    return data
+
+
 # ---------------------------------------------------------------------------
 # Model <-> dict
 
 
 _SGP_MODELS = {"em": EmModel, "vi": ViModel}
+_MODEL_KEYS = {"mle": ("mu", "alpha", "beta"), **{m: ("T", "T_phi", *COMPONENTS) for m in _SGP_MODELS}}
 
 
 def _component_dict(comp: SgpComponent | ViComponent) -> dict:
@@ -116,6 +135,9 @@ def model_from_dict(data: dict):
     if not isinstance(data, dict):
         raise ValueError(f"a model file must hold a JSON object, got {type(data).__name__}")
     method = data.get("method")
+    missing = [key for key in _MODEL_KEYS.get(method, ()) if key not in data]
+    if missing:
+        raise ValueError(f"{method} model lacks keys {', '.join(missing)}")
     if method in _SGP_MODELS:
         components = {n: _component_from_dict(method, data[n]) for n in COMPONENTS}
         return _SGP_MODELS[method](**components, T=float(data["T"]), T_phi=float(data["T_phi"]))

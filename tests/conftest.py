@@ -24,6 +24,13 @@ settings.register_profile("deterministic", derandomize=True, max_examples=200, d
 settings.load_profile("deterministic")
 
 
+@pytest.hookimpl(trylast=True)  # after the durations table, next to the test count
+def pytest_terminal_summary(terminalreporter):
+    """Report the size of the package, ``cat src/sgp_hawkes/*.py | wc -l``, after every run."""
+    lines = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "sgp_hawkes").glob("*.py"))
+    terminalreporter.write_line(f"src/sgp_hawkes: {lines} lines")
+
+
 @pytest.fixture(scope="session")
 def small_case1_seqs():
     return [simulate_thinning(case1_rates(), 100.0, seed=s) for s in range(3)]

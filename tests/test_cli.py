@@ -15,8 +15,8 @@ from sgp_hawkes.cli import _load_split, main
 from sgp_hawkes.fitbase import build_dataset
 from sgp_hawkes.em import EmModel, SgpComponent
 from sgp_hawkes.kernels import KernelHyperparams, uniform_inducing_grid
-from sgp_hawkes.process import write_csv, write_manifest
-from sgp_hawkes.serialize import save_model
+from sgp_hawkes.process import write_csv
+from sgp_hawkes.serialize import save_model, write_manifest
 from sgp_hawkes.mle import ExpHawkesParams
 
 
@@ -116,6 +116,14 @@ def test_simulate_custom_tables(tmp_path):
     no_window = {k: v for k, v in payload.items() if k != "T"}
     rc, _ = run(tmp_path, "simulate", no_window, "bad2", config_name="c2.json")
     assert rc == 1
+
+
+def test_simulate_reports_a_rate_table_that_table_rates_rejects(tmp_path, capsys):
+    rates = {"mu_t": [0.0, 10.0], "mu_value": [1.0, -1.0], "phi_tau": [0.0, 1.0], "phi_value": [0.1, 0.1]}
+    rc, out = run(tmp_path, "simulate", {"rates": rates, "T": 10.0, "T_phi": 1.0}, "x")
+    assert rc == 1
+    assert capsys.readouterr().err == "error: rate tables must be non-negative\n"
+    assert not out.exists()
 
 
 def test_simulate_rejects_unknown_preset_and_keys(tmp_path, capsys):
@@ -408,6 +416,40 @@ def test_eval_rejects_a_model_file_that_is_not_an_object(tmp_path, sim_dir, caps
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "JSON object" in err and "list" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload, missing",
+    [
+        ({"method": "em"}, "em model lacks keys T, T_phi, mu, phi"),
+        ({"method": "mle", "mu": 0.5}, "mle model lacks keys alpha, beta"),
+    ],
+    ids=["em", "mle"],
+)
+def test_eval_names_the_model_file_and_its_missing_keys(tmp_path, sim_dir, capsys, payload, missing):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(payload))
+    rc, out = run(tmp_path, "eval", {"model": str(model_path), "data": str(sim_dir)}, "e")
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: model file {model_path}: {missing}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("broken", ["missing", "not-an-object"])
+def test_eval_names_the_model_file_of_a_broken_component(tmp_path, sim_dir, em_fit_dir, capsys, broken):
+    model = json.loads((em_fit_dir / "model.json").read_text())
+    if broken == "missing":
+        del model["phi"]["u"]
+    else:
+        model["phi"] = 3
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model))
+    rc, out = run(tmp_path, "eval", {"model": str(model_path), "data": str(sim_dir)}, "e")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: model file {model_path}: ")
+    assert "'u'" in err if broken == "missing" else "int" in err
     assert not out.exists()
 
 

@@ -180,7 +180,7 @@ def test_build_dataset_pools_sequences():
     c1, l1 = admissible_pairs(seqs[1].times, 2.0)
     np.testing.assert_array_equal(data.child, np.concatenate([c0, c1 + 2]))
     np.testing.assert_allclose(data.lag, np.concatenate([l0, l1]), atol=0)
-    assert len(data.sequences) == 2
+    assert data.n_sequences == 2
 
 
 def test_build_dataset_rejects_mixed_windows():
@@ -192,7 +192,7 @@ def test_build_dataset_rejects_mixed_windows():
 def test_build_dataset_single_sequence_promotion():
     seq = EventSequence(np.array([1.0, 1.5]), 10.0)
     data = build_dataset(seq, 2.0)
-    assert len(data.sequences) == 1
+    assert data.n_sequences == 1
     assert data.events.size == 2
 
 

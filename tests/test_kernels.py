@@ -141,10 +141,23 @@ def test_gram_degenerate_grid_raises(monkeypatch):
     grid = InducingGrid(points=np.array([0.0, 1e-18]), domain=2.0)
     assert np.linalg.matrix_rank(se_cross(grid.points, grid.points, KernelHyperparams(1.0, 1.0))) == 1
     assert np.isfinite(gram(grid, KernelHyperparams(1.0, 1.0)).logdet())
-    # a negative jitter makes that matrix indefinite
+    # a negative jitter makes that matrix indefinite: [[1 - e, 1], [1, 1 - e]] with e = 1e-6
+    # has the second pivot (1 - e) - 1 / (1 - e) = -2e-6 - O(e^2)
     monkeypatch.setattr(kernels, "JITTER", -1e-6)
-    with pytest.raises(SingularMatrixError, match="pivot .* at index 1"):
+    with pytest.raises(SingularMatrixError, match=r"pivot -2\.000e-06 at index 1 \(jitter=-1\.000e-06\)"):
         gram(grid, KernelHyperparams(1.0, 1.0))
+
+
+def test_gram_failure_that_lapack_does_not_see_names_no_pivot(monkeypatch):
+    # numpy's and LAPACK's factorizations can disagree at the margin; where LAPACK's
+    # succeeds, the error reports the failure without inventing a pivot
+    def refuse(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    with pytest.raises(SingularMatrixError) as info:
+        gram(uniform_inducing_grid(5, 4.0), KernelHyperparams(0.9, 0.8))
+    assert str(info.value) == "kernel Gram matrix is not positive definite (jitter=9.000e-07); adjust theta"
 
 
 def test_sparse_mean_zero_coefficients(sparse_mean):

@@ -32,15 +32,14 @@ from sgp_hawkes.process import (
     intensities_at_events,
     log_likelihood,
     read_events_csv,
-    read_manifest,
     simulate_thinning,
     table_rates,
     tabulate,
     trigger_integral,
     write_csv,
-    write_manifest,
 )
 from sgp_hawkes.quadrature import gauss_legendre
+from sgp_hawkes.serialize import read_manifest, write_manifest
 
 CASE2_BRANCHING_RATIO = 0.54905907532430  # quadrature value of the trigger mass
 

@@ -65,7 +65,7 @@ def test_quadrature_validation_errors():
 
 def test_gaussian_expectation_moments():
     mean, var = 0.7, 2.3
-    z, w = gauss_hermite()
+    z, w = gauss_hermite(30)
     x = mean + np.sqrt(var) * z
     assert w.sum() == pytest.approx(1.0, rel=1e-13)
     assert w @ x == pytest.approx(mean, rel=1e-12)
@@ -102,7 +102,7 @@ def test_gauss_legendre_rule_is_cached_and_read_only():
 
 def test_expected_log_sigmoid_zero_variance():
     m = np.array([-2.0, 0.0, 1.5])
-    got = expected_log_sigmoid(m, np.zeros_like(m))
+    got = expected_log_sigmoid(m, np.zeros_like(m), 30)
     want = np.log(expit(m))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -118,7 +118,7 @@ def test_expected_log_sigmoid_vs_adaptive_quadrature():
         lambda x: np.log(expit(x)) * density(x), -40, 40, limit=400, epsabs=1e-13, epsrel=1e-13
     )
     assert err < 1e-9
-    got = expected_log_sigmoid(np.array([mean]), np.array([var]))[0]
+    got = expected_log_sigmoid(np.array([mean]), np.array([var]), 30)[0]
     assert abs(got - want) < 1e-8
 
 
@@ -131,11 +131,11 @@ def test_expected_sigmoid_moments_vs_adaptive_quadrature():
 
     m1_want, _ = scipy_quad(lambda x: expit(x) * density(x), -40, 40, limit=200)
     m2_want, _ = scipy_quad(lambda x: expit(x) ** 2 * density(x), -40, 40, limit=200)
-    m1, m2 = expected_sigmoid_moments(np.array([mean]), np.array([var]))
+    m1, m2 = expected_sigmoid_moments(np.array([mean]), np.array([var]), 30)
     assert abs(m1[0] - m1_want) < 1e-8
     assert abs(m2[0] - m2_want) < 1e-8
     # zero variance collapses to the plug-in values
-    m1, m2 = expected_sigmoid_moments(np.array([mean]), np.array([0.0]))
+    m1, m2 = expected_sigmoid_moments(np.array([mean]), np.array([0.0]), 30)
     assert m1[0] == pytest.approx(expit(mean), abs=1e-12)
     assert m2[0] == pytest.approx(expit(mean) ** 2, abs=1e-12)
 
