@@ -114,7 +114,7 @@ class _EmEngine:
         return value
 
     def install(self, model, name, hp, count, exposure, mean, cov):
-        """The point maximizer lambda* = count / exposure and u = mean; cov is dropped."""
+        """The point maximizer lambda* = count / exposure and u = mean; the covariance is never formed."""
         comp = replace(getattr(model, name), lambda_star=max(count / exposure, 1e-300), u=mean, hp=hp)
         return replace(model, **{name: comp})
 

@@ -41,7 +41,7 @@ from .kernels import (
     uniform_inducing_grid,
 )
 from .pg import pg_mean
-from .process import EventSequence, RateFunctions, admissible_pairs, trigger_support
+from .process import EventSequence, RateFunctions, admissible_pairs, as_sequences, trigger_support
 from .quadrature import QuadratureGrid, gauss_legendre
 
 _SEARCH_BINS = 2048
@@ -137,11 +137,7 @@ class Dataset:
 
 
 def build_dataset(seqs: EventSequence | Sequence[EventSequence], t_phi: float) -> Dataset:
-    if isinstance(seqs, EventSequence):
-        seqs = [seqs]
-    seqs = tuple(seqs)
-    if not seqs:
-        raise ValueError("need at least one sequence")
+    seqs = as_sequences(seqs)
     T = seqs[0].T
     for s in seqs:
         if abs(s.T - T) > 1e-9 * max(1.0, T):
@@ -309,7 +305,7 @@ def build_caches(data: Dataset, config: FitConfig) -> dict[str, ComponentCache]:
 
 def estep_pg(links: dict[str, tuple]) -> dict[str, np.ndarray]:
     """PG means E[omega] = tanh(c/2) / (2c) at each point of each component's x, c the tilt there."""
-    return {n: pg_mean(1.0, links[n][1]) for n in COMPONENTS}
+    return {n: pg_mean(links[n][1]) for n in COMPONENTS}
 
 
 def estep_latent_rate(link: tuple, cache: ComponentCache) -> np.ndarray:
@@ -364,16 +360,18 @@ def assemble_system(stats: ComponentStats, cache: ComponentCache):
 
 
 def solve_gaussian_update(gm: GramMatrix, u_mat: np.ndarray, c_vec: np.ndarray):
-    """(mean, cov) of the penalized-Gaussian update; cov = K (U+K)^{-1} K."""
+    """(mean, cov) of the penalized-Gaussian update: mean = K (U+K)^{-1} c, cov() forms K (U+K)^{-1} K."""
     system = u_mat + gm.values
     try:
         chol = np.linalg.cholesky(system)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("GP update system U + K is not positive definite") from None
-    mean = gm.values @ chol_solve(chol, c_vec, "GP update mean")
-    cov = gm.values @ chol_solve(chol, gm.values, "GP update covariance")
-    cov = 0.5 * (cov + cov.T)
-    return mean, cov
+
+    def cov():
+        full = gm.values @ chol_solve(chol, gm.values, "GP update covariance")
+        return 0.5 * (full + full.T)
+
+    return gm.values @ chol_solve(chol, c_vec, "GP update mean"), cov
 
 
 def gaussian_update(stats: ComponentStats, cache: ComponentCache):
@@ -384,8 +382,8 @@ def gaussian_update(stats: ComponentStats, cache: ComponentCache):
 
 def mstep(data: Dataset, caches, pg, r) -> dict[str, tuple]:
     """The one M-step of both engines, from an E-step's PG means and weights r: for each active component,
-    (statistics, count, exposure, mean, cov), with a = E[omega] r and b = +-r/2 over x, count sum(r) and
-    exposure the sum of the node weights of its lambda* update, and (mean, cov) of its Gaussian update."""
+    (statistics, count, exposure, mean, cov), with a = E[omega] r and b = +-r/2 over x, count sum(r),
+    exposure the sum of the node weights of its lambda* update and (mean, cov) its ``solve_gaussian_update``."""
     updates = {}
     for name in data.active:
         cache, weight = caches[name], r[name]
@@ -566,10 +564,10 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
     ``objective(model, links, expectations, caches)``, with
     ``expectations`` the E-step at those links (``estep``);
     ``install(model, name, hp, count, exposure, mean, cov)``, which puts one
-    component's M-step update into the model; ``gaussian(model, name)``, the
-    factor (mean, cov) of the inducing values that the theta search holds
-    fixed (cov None for EM's point estimate); and ``estimates(model, grids)``,
-    the report's rates.
+    component's M-step update into the model, cov() forming its covariance;
+    ``gaussian(model, name)``, the factor (mean, cov) of the inducing values
+    that the theta search holds fixed (cov None for EM's point estimate); and
+    ``estimates(model, grids)``, the report's rates.
     """
     t_start = time.perf_counter()
     data = build_dataset(seqs, config.T_phi)

@@ -2,10 +2,11 @@
 
     lambda(t) = mu + alpha * sum_{t_i < t} exp(-beta (t - t_i))
 
-The log likelihood and its gradient are computed exactly with the standard
-O(N) recursion A_i = e^{-beta dt_i} (1 + A_{i-1}). Optimization runs over
-(mu, rho, beta) with rho = alpha / beta the branching ratio, so a simple box
-constraint rho < 1 keeps every iterate subcritical.
+The log likelihood and its gradient are exact, for all windows in one numpy evaluation:
+A_i = sum_{j<i} e^{-beta (t_i - t_j)} sums the pairs inside blocks of _BLOCK events plus
+e^{-beta (t_i - t_L)} (1 + A_L) from the last event L of the block before, Ozaki's recursion
+a block at a time, so every sum adds terms of one sign. Optimization runs over (mu, rho, beta)
+with rho = alpha / beta the branching ratio, so the box constraint rho < 1 keeps every iterate subcritical.
 """
 
 from __future__ import annotations
@@ -19,9 +20,12 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .fitbase import REPORT_GRID, FitReport
-from .process import EventSequence, RateFunctions, trigger_support
+from .process import EventSequence, RateFunctions, as_sequences, trigger_support
 
 _BOUNDS = ((1e-8, 1e4), (1e-8, 0.999), (1e-4, 1e3))  # mu, rho, beta
+_BLOCK = 16  # events per block of the pair sums (``_nll_grad``)
+_CHILD, _PARENT = np.tril_indices(_BLOCK, -1)  # the slot pairs j < i of a block, ordered by i
+_FIRST_PAIR = np.arange(1, _BLOCK) * np.arange(_BLOCK - 1) // 2  # where the pairs of each slot i >= 1 start
 
 
 @dataclass(frozen=True)
@@ -39,44 +43,60 @@ class ExpHawkesParams:
             raise ValueError("beta must be positive")
 
 
+def _layout(windows) -> tuple:
+    """What the likelihood of windows (times, t0, t1) needs of the data, built once per fit. With each
+    window's events in blocks of _BLOCK slots, its last block padded with copies of its last event: the lags
+    t_i - t_j of each block's slot pairs j < i in the order of i; each slot's gap to the last event of the
+    block before and a 0/1 carry flag, both 0 in a window's first block; each event's slot and distance to
+    its window's end; the summed window lengths."""
+    times = [np.asarray(w[0], dtype=float) for w in windows]
+    counts = np.array([t.size for t in times], dtype=int)
+    blocks = -(-counts // _BLOCK)
+    first = np.cumsum(blocks) - blocks  # each window's first block
+    slots = np.repeat(first * _BLOCK - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    t, filled = np.zeros(blocks.sum() * _BLOCK), np.zeros(blocks.sum() * _BLOCK, dtype=int)
+    t[slots], filled[slots] = np.concatenate(times), slots
+    t = t[np.maximum.accumulate(filled)].reshape(-1, _BLOCK)  # padding repeats the event before it
+    carry = np.ones_like(t)
+    carry[first[counts > 0]] = 0.0
+    return (t[:, _CHILD] - t[:, _PARENT], carry * (t - np.roll(t[:, -1], 1)[:, None]), carry, slots,
+            np.concatenate([w[2] - ts for w, ts in zip(windows, times)]), float(sum(w[2] - w[1] for w in windows)))
+
+
+def _nll_grad(mu: float, alpha: float, beta: float, layout: tuple):
+    """Negative log likelihood of the windows of a ``_layout`` and its (mu, alpha, beta) gradient; (inf, 0)
+    where an intensity at an event is not positive. a_i and b_i = d a_i / d beta sum the pairs of i's block,
+    then add the carry from the block before: a and b at its last event, from one Python step per block."""
+    lag, gap, carry, slots, to_end, exposure = layout
+    pair = np.exp(-beta * lag)
+    a, b = np.zeros(gap.shape), np.zeros(gap.shape)
+    a[:, 1:], b[:, 1:] = (np.add.reduceat(x, _FIRST_PAIR, axis=1) for x in (pair, -lag * pair))
+    decay = carry * np.exp(-beta * gap)
+    carried, acc_a, acc_b = [], 0.0, 0.0
+    for a_l, b_l, g, d in zip(*(v[:, -1].tolist() for v in (a, b, decay, gap))):
+        carried.append((acc_a, acc_b))
+        acc_a, acc_b = a_l + g * (1.0 + acc_a), b_l + g * (acc_b - d * (1.0 + acc_a))
+    prev_a, prev_b = np.array(carried, dtype=float).reshape(-1, 2).T[:, :, None]
+    a = (a + decay * (1.0 + prev_a)).ravel()[slots]
+    b = (b + decay * (prev_b - gap * (1.0 + prev_a))).ravel()[slots]
+    lam = mu + alpha * a
+    if not np.all(lam > 0.0):
+        return math.inf, np.zeros(3)
+    inv, w = 1.0 / lam, np.exp(-beta * to_end)
+    tail = float(np.sum(1.0 - w))
+    s_alpha, s_beta, s_w = (float(np.einsum("i,i->", x, y)) for x, y in ((a, inv), (b, inv), (to_end, w)))
+    value = mu * exposure + alpha / beta * tail - float(np.sum(np.log(lam)))
+    return value, np.array([exposure - float(np.sum(inv)), tail / beta - s_alpha,
+                            alpha * (s_w / beta - tail / beta**2 - s_beta)])
+
+
 def _window_nll_grad(mu: float, alpha: float, beta: float, times: np.ndarray, t0: float, t1: float):
     """Negative log likelihood over [t0, t1] and its (mu, alpha, beta) gradient.
 
     The history is empty at t0; only inter-event gaps and distances to t1
     enter, so the value is invariant under a common shift of times and window.
     """
-    sum_log = 0.0
-    s_mu = 0.0
-    s_alpha = 0.0
-    s_beta = 0.0
-    a = 0.0  # sum of exp(-beta (t_i - t_j)) over earlier events j
-    b = 0.0  # d a / d beta
-    prev = None
-    for t in times:
-        if prev is not None:
-            decay = math.exp(-beta * (t - prev))
-            a = decay * (1.0 + a)
-            b = -(t - prev) * a + decay * b
-        lam = mu + alpha * a
-        if not lam > 0.0:
-            return math.inf, np.zeros(3)
-        sum_log += math.log(lam)
-        s_mu += 1.0 / lam
-        s_alpha += a / lam
-        s_beta += b / lam
-        prev = t
-    u = t1 - times
-    w = np.exp(-beta * u)
-    tail = float(np.sum(1.0 - w))
-    comp = mu * (t1 - t0) + alpha / beta * tail
-    grad = np.array(
-        [
-            (t1 - t0) - s_mu,
-            tail / beta - s_alpha,
-            alpha * (float(u @ w) / beta - tail / beta**2) - alpha * s_beta,
-        ]
-    )
-    return comp - sum_log, grad
+    return _nll_grad(mu, alpha, beta, _layout([(times, t0, t1)]))
 
 
 def exp_hawkes_nll(params: ExpHawkesParams, seq: EventSequence) -> float:
@@ -105,19 +125,13 @@ def model_rates(params: ExpHawkesParams, t_phi: float) -> RateFunctions:
     return RateFunctions(mu_fn, phi, T_phi=float(t_phi), mu_integral=mu_integral, phi_integral=phi_integral)
 
 
-def _total_nll_grad(x: np.ndarray, seqs: Sequence[EventSequence]):
+def _total_nll_grad(x: np.ndarray, layout: tuple):
     """Objective in (mu, rho, beta) coordinates, chain-ruled from (mu, alpha, beta)."""
     mu, rho, beta = float(x[0]), float(x[1]), float(x[2])
-    alpha = rho * beta
-    total = 0.0
-    grad = np.zeros(3)
-    for seq in seqs:
-        value, g = _window_nll_grad(mu, alpha, beta, seq.times, 0.0, seq.T)
-        if not np.isfinite(value):
-            return 1e300, np.zeros(3)
-        total += value
-        grad += np.array([g[0], beta * g[1], rho * g[1] + g[2]])
-    return total, grad
+    value, g = _nll_grad(mu, rho * beta, beta, layout)
+    if not np.isfinite(value):
+        return 1e300, np.zeros(3)
+    return value, np.array([g[0], beta * g[1], rho * g[1] + g[2]])
 
 
 def fit_mle(
@@ -126,11 +140,8 @@ def fit_mle(
 ) -> tuple[ExpHawkesParams, FitReport]:
     """Fit (mu, alpha, beta) by L-BFGS-B from three deterministic starts; report phi on [0, t_phi_report]."""
     t_start = time.perf_counter()
-    if isinstance(seqs, EventSequence):
-        seqs = [seqs]
-    seqs = list(seqs)
-    if not seqs:
-        raise ValueError("need at least one sequence")
+    seqs = as_sequences(seqs)
+    layout = _layout([(s.times, 0.0, s.T) for s in seqs])
     t_window = seqs[0].T
     n_total = sum(len(s) for s in seqs)
     rate_hat = max(n_total / (len(seqs) * t_window), 1e-3)
@@ -145,7 +156,7 @@ def fit_mle(
         res = minimize(
             _total_nll_grad,
             np.asarray(x0, dtype=float),
-            args=(seqs,),
+            args=(layout,),
             jac=True,
             method="L-BFGS-B",
             bounds=_BOUNDS,

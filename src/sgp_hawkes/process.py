@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.interpolate import PPoly
@@ -55,6 +55,14 @@ class EventSequence:
 
     def __len__(self) -> int:
         return self.times.size
+
+
+def as_sequences(seqs: EventSequence | Sequence[EventSequence]) -> tuple[EventSequence, ...]:
+    """One sequence or several, as a non-empty tuple."""
+    seqs = (seqs,) if isinstance(seqs, EventSequence) else tuple(seqs)
+    if not seqs:
+        raise ValueError("need at least one sequence")
+    return seqs
 
 
 @dataclass(frozen=True)

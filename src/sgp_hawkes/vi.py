@@ -205,8 +205,8 @@ class _ViEngine:
     objective = staticmethod(vi_monitor)
 
     def install(self, model, name, hp, count, exposure, mean, cov):
-        """``vi_gp_update``, looked up at each call so that a rebinding of it (perfbench's tracing) applies."""
-        return vi_gp_update(model, name, hp, count, exposure, mean, cov)
+        """``vi_gp_update`` at cov(), looked up per call so that its rebinding (perfbench's tracing) applies."""
+        return vi_gp_update(model, name, hp, count, exposure, mean, cov())
 
     def gaussian(self, model, name):
         gp = getattr(model, name).gp

@@ -338,7 +338,7 @@ def test_criterion_6_oracle_equivalence(sparse_mean):
         caches["mu"].quad,
         caches["mu"],
     )
-    gap_vi = max(np.max(np.abs(gp_mean - want_mean)), np.max(np.abs(gp_cov - want_cov)))
+    gap_vi = max(np.max(np.abs(gp_mean - want_mean)), np.max(np.abs(gp_cov() - want_cov)))
     parts.append(gap_vi < 1e-8)
     detail.append(f"vi dense {gap_vi:.1e}")
 
@@ -458,7 +458,7 @@ def test_criterion_8_closed_form_constants():
     the Gamma(1,1) mean log equals minus the Euler-Mascheroni constant to
     1e-10, and squared-exponential Gram matrices on uniform grids are exactly
     Toeplitz."""
-    ok_pg = pg_mean(1.0, 0.0) == 0.25
+    ok_pg = pg_mean(0.0) == 0.25
     gamma_gap = abs(GammaFactor(1.0, 1.0).mean_log() + EULER_GAMMA)
     # spacing 0.25 is exactly representable, so equal index offsets give
     # bitwise-equal kernel entries
@@ -468,5 +468,5 @@ def test_criterion_8_closed_form_constants():
     record(
         8,
         ok_pg and gamma_gap <= 1e-10 and ok_toeplitz,
-        f"pg_mean(1,0)==0.25: {ok_pg}; gamma mean-log gap {gamma_gap:.1e}; toeplitz {ok_toeplitz}",
+        f"pg_mean(0)==0.25: {ok_pg}; gamma mean-log gap {gamma_gap:.1e}; toeplitz {ok_toeplitz}",
     )

@@ -1,10 +1,14 @@
 """Parametric exponential-kernel baseline: recursion, gradients, fitting."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sgp_hawkes import ExpHawkesParams, exp_hawkes_nll, fit_mle
-from sgp_hawkes.mle import _window_nll_grad, model_rates
+from sgp_hawkes.mle import _BLOCK, _BOUNDS, _layout, _nll_grad, _total_nll_grad, _window_nll_grad, model_rates
 from sgp_hawkes.process import EventSequence, RateFunctions, simulate_thinning
 
 
@@ -28,6 +32,108 @@ def direct_nll(params, times, T):
     ll -= mu * T
     ll -= (alpha / beta) * np.sum(1.0 - np.exp(-beta * (T - times)))
     return -ll
+
+
+def reference_window_nll_grad(mu, alpha, beta, times, t0, t1):
+    """The per-event loop the blocked evaluator replaced: Ozaki's recursion A_i = e^{-beta dt_i} (1 + A_{i-1})
+    and its beta-derivative, one event at a time; (inf, 0) where an intensity at an event is not positive."""
+    sum_log = 0.0
+    s_mu = 0.0
+    s_alpha = 0.0
+    s_beta = 0.0
+    a = 0.0  # sum of exp(-beta (t_i - t_j)) over earlier events j
+    b = 0.0  # d a / d beta
+    prev = None
+    for t in times:
+        if prev is not None:
+            decay = math.exp(-beta * (t - prev))
+            a = decay * (1.0 + a)
+            b = -(t - prev) * a + decay * b
+        lam = mu + alpha * a
+        if not lam > 0.0:
+            return math.inf, np.zeros(3)
+        sum_log += math.log(lam)
+        s_mu += 1.0 / lam
+        s_alpha += a / lam
+        s_beta += b / lam
+        prev = t
+    u = t1 - times
+    w = np.exp(-beta * u)
+    tail = float(np.sum(1.0 - w))
+    comp = mu * (t1 - t0) + alpha / beta * tail
+    grad = np.array(
+        [
+            (t1 - t0) - s_mu,
+            tail / beta - s_alpha,
+            alpha * (float(u @ w) / beta - tail / beta**2) - alpha * s_beta,
+        ]
+    )
+    return comp - sum_log, grad
+
+
+def term_sizes(mu, alpha, beta, times, t0, t1):
+    """Sums of the absolute values of the terms that the value and each gradient component add up, by
+    direct double sums: the scale of their rounding error. At beta = 1e-4 the beta component is the
+    difference of terms near alpha * tail / beta^2, so its own size says nothing of its error."""
+    pairs = np.tri(times.size, k=-1, dtype=bool)
+    lag = np.where(pairs, np.subtract.outer(times, times), 0.0)
+    kern = np.where(pairs, np.exp(-beta * lag), 0.0)
+    a, b = kern.sum(axis=1), (lag * kern).sum(axis=1)
+    lam = mu + alpha * a
+    u = t1 - times
+    w = np.exp(-beta * u)
+    tail = np.sum(1.0 - w)
+    return np.array([
+        mu * (t1 - t0) + alpha / beta * tail + np.sum(np.abs(np.log(lam))),
+        (t1 - t0) + np.sum(1.0 / lam),
+        tail / beta + np.sum(a / lam),
+        alpha * (u @ w / beta + tail / beta**2 + np.sum(b / lam)),
+    ])
+
+
+@st.composite
+def windows_and_params(draw):
+    """1 to 4 windows (times, t0, t1) of different lengths and origins, each of 0, 1, B - 1, B, B + 1 or
+    300 events (B the block size) or of up to 3B, uniform or in a burst, with (mu, alpha = rho beta, beta)
+    inside the fit's bounds on (mu, rho, beta), beta at either end of its bounds or between them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300]) | st.integers(0, 3 * _BLOCK)
+    windows = []
+    for count in draw(st.lists(sizes, min_size=1, max_size=4)):
+        t0, span = draw(st.floats(-100.0, 100.0)), draw(st.floats(0.5, 200.0))
+        burst = draw(st.booleans())
+        times = np.sort(t0 + (rng.uniform(0.4, 0.5, count) if burst else rng.uniform(0.0, 1.0, count)) * span)
+        windows.append((times, t0, t0 + span))
+    beta = draw(st.sampled_from(_BOUNDS[2]) | st.floats(*_BOUNDS[2]))
+    mu, rho = draw(st.floats(*_BOUNDS[0])), draw(st.floats(*_BOUNDS[1]))
+    return windows, (mu, rho * beta, beta)
+
+
+@given(windows_and_params())
+def test_blocked_sums_are_the_reference_loop(drawn):
+    """The blocked evaluation of several windows in one call gives the sum of the reference loop's values
+    and gradients over the windows, each to 1e-12 of the sizes of the terms that it adds up."""
+    windows, params = drawn
+    got = np.hstack(_nll_grad(*params, _layout(windows)))
+    want = sum(np.hstack(reference_window_nll_grad(*params, *w)) for w in windows)
+    sizes = sum(term_sizes(*params, *w) for w in windows)
+    assert np.all(np.abs(got - want) <= 1e-12 * sizes)
+
+
+def test_non_positive_intensity_is_rejected_as_in_the_reference():
+    """A negative alpha that drives the intensity at an event below 0, in the first block or only in the
+    third, gives (inf, 0), and 1e300 with a zero gradient in the fit's coordinates."""
+    times = np.linspace(0.1, 9.9, 3 * _BLOCK)
+    for mu, alpha in ((0.1, -0.2), (20.0, -1.0), (1e-3, -1e-3)):
+        want = reference_window_nll_grad(mu, alpha, 0.2, times, 0.0, 10.0)
+        got = _window_nll_grad(mu, alpha, 0.2, times, 0.0, 10.0)
+        assert want[0] == got[0] == math.inf and not np.any(want[1]) and not np.any(got[1])
+        layout = _layout([(times[:3], 0.0, 10.0), (times, 0.0, 10.0)])
+        value, grad = _total_nll_grad(np.array([mu, alpha / 0.2, 0.2]), layout)
+        assert value == 1e300 and not np.any(grad)
+    # at (20, -1) the intensity first turns negative in the third block
+    lam = [20.0 - np.sum(np.exp(-0.2 * (t - times[:i]))) for i, t in enumerate(times)]
+    assert 2 * _BLOCK < np.argmax(np.array(lam) < 0.0)
 
 
 def test_params_validation():

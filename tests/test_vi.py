@@ -315,7 +315,7 @@ def test_estep_degenerate_variance_matches_em(state):
         p = caches[n].points.size
         for links, pg in ((vi_links, pg_vi), (em_links, pg_em)):
             tilt = links[n][1]
-            assert np.array_equal(pg[n], np.concatenate([pg_mean(1.0, tilt[:p]), pg_mean(1.0, tilt[p:])]))
+            assert np.array_equal(pg[n], np.concatenate([pg_mean(tilt[:p]), pg_mean(tilt[p:])]))
         (marginal_vi, mass_vi), (marginal_em, mass_em) = (thinned(r, data, caches, n) for r in (r_vi, r_em))
         np.testing.assert_allclose(pg_vi[n], pg_em[n], rtol=0, atol=1e-8)
         np.testing.assert_allclose(marginal_vi, marginal_em, rtol=0, atol=1e-8)
@@ -511,7 +511,7 @@ class _PinnedCovariance(_ViEngine):
 
     def install(self, model, name, hp, count, exposure, mean, cov):
         pinned = 1e-12 * gram(getattr(model, name).grid, hp).values
-        return super().install(model, name, hp, count, exposure, mean, pinned)
+        return super().install(model, name, hp, count, exposure, mean, lambda: pinned)
 
 
 def test_fix_variance_trajectory_tracks_em(small_case1_seqs):
