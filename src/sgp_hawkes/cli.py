@@ -20,7 +20,7 @@ import numpy as np
 
 from .em import fit_em
 from .evaluation import RescaledSample, est_err, ks_statistic, qq_pairs, rescale, test_ll
-from .fitbase import FitConfig
+from .fitbase import FitConfig, check_int, check_positive
 from .kernels import SingularMatrixError
 from .mle import fit_mle
 from .process import (
@@ -56,17 +56,11 @@ def _check_keys(config: dict, allowed: set, context: str) -> None:
 
 
 def _get_int(config: dict, key: str, default: int, minimum: int) -> int:
-    value = config.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ValueError(f"config key '{key}' must be an integer >= {minimum}, got {value!r}")
-    return value
+    return check_int(key, config.get(key, default), minimum)
 
 
 def _get_positive(config: dict, key: str, default: float | None = None) -> float:
-    value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= sys.float_info.max:
-        raise ValueError(f"config key '{key}' must be a positive finite number, got {value!r}")
-    return float(value)
+    return check_positive(key, config.get(key, default))
 
 
 def _out_dir(args) -> Path:
@@ -117,9 +111,7 @@ def _load_split(data_dir: Path, split: str):
 
 def cmd_simulate(args) -> int:
     config = _load_config(args)
-    _check_keys(
-        config, {"preset", "rates", "T", "T_phi", "n_train", "n_test", "seed"}, "simulate"
-    )
+    _check_keys(config, {"preset", "rates", "T", "T_phi", "n_train", "n_test", "seed"}, "simulate")
     n_train = _get_int(config, "n_train", 100, 0)
     n_test = _get_int(config, "n_test", 10, 0)
     seed = _get_int(config, "seed", 0, 0)
@@ -287,27 +279,20 @@ def _bench_sequence(preset: str, n_events: int, seed: int) -> EventSequence:
 
 def cmd_bench(args) -> int:
     config = _load_config(args)
-    _check_keys(
-        config,
-        {"method", "sizes", "iters", "repeats", "preset", "seed", "S_mu", "S_phi",
-         "quad_order_T", "quad_order_Tphi"},
-        "bench",
-    )
+    fit_keys = ("S_mu", "S_phi", "quad_order_T", "quad_order_Tphi")
+    _check_keys(config, {"method", "sizes", "iters", "repeats", "preset", "seed", *fit_keys}, "bench")
     method = config.get("method", "em")
     if method not in ("em", "vi"):
         raise ValueError(f"bench method must be em or vi, got {method!r}")
     sizes = config.get("sizes")
-    if not isinstance(sizes, list) or not sizes or any(
-        not isinstance(n, int) or isinstance(n, bool) or n < 10 for n in sizes
-    ):
+    if not isinstance(sizes, list) or not sizes:
         raise ValueError("bench config needs 'sizes': a list of integers >= 10")
+    sizes = [check_int("each bench size", n, 10) for n in sizes]
     iters = _get_int(config, "iters", 50, 1)
     repeats = _get_int(config, "repeats", 1, 1)
     preset = config.get("preset", "case1")
     seed = _get_int(config, "seed", 0, 0)
-    settings = {
-        k: config[k] for k in ("S_mu", "S_phi", "quad_order_T", "quad_order_Tphi") if k in config
-    }
+    settings = {k: config[k] for k in fit_keys if k in config}
     # the preset and the fit settings are checked before --out exists; every fit shares base but its T
     _preset_rates(preset, CASE_T)
     base = FitConfig(T=CASE_T, T_phi=CASE_T_PHI, max_iter=iters, tol=0.0, hyper_refresh_every=0, **settings)

@@ -101,16 +101,13 @@ class _EmEngine:
     def objective(self, model, links, expectations, caches):
         """The penalized log posterior at ``model`` from its links (untruncated trigger
         compensator, on the fit's quadrature grids); the intensity at each event is the
-        normalizer of the E-step's responsibilities."""
-        value = float(np.sum(np.log(expectations[1].normalizer)))
-        compensators, penalties = [], []
-        for n in COMPONENTS:
+        normalizer of the E-step's responsibilities (``BranchingPosterior.log_normalizer``)."""
+        value = expectations[1].log_normalizer()
+        for n in COMPONENTS:  # the compensators, then the penalties
             comp, cache = getattr(model, n), caches[n]
-            f_nodes = links[n][1][cache.points.size:]
-            compensators.append(comp.lambda_star * float(cache.quad.weights @ sigmoid(f_nodes)))
-            penalties.append(penalty(comp, cache.gm))
-        for term in compensators + penalties:
-            value -= term
+            value -= comp.lambda_star * float(cache.quad.weights @ sigmoid(links[n][1][cache.points.size:]))
+        for n in COMPONENTS:
+            value -= penalty(getattr(model, n), caches[n].gm)
         return value
 
     def install(self, model, name, hp, count, exposure, mean, cov):

@@ -59,6 +59,20 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def check_int(key: str, value, low: int) -> int:
+    """``value`` if it is an integer (not a bool) >= low; else a ValueError naming ``key``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def check_positive(key: str, value) -> float:
+    """``value`` as a float if it is a positive finite number; else a ValueError naming ``key``."""
+    if not (_is_real(value) and 0 < value <= np.finfo(float).max):
+        raise ValueError(f"{key} must be a positive finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class FitConfig:
     """Knobs shared by the EM and variational fitters."""
@@ -75,15 +89,11 @@ class FitConfig:
 
     def __post_init__(self):
         for key, low in _INT_MINIMUMS.items():
-            value = getattr(self, key)
-            if not isinstance(value, int) or isinstance(value, bool) or value < low:
-                raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+            check_int(key, getattr(self, key), low)
         if not (_is_real(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be a number >= 0, got {self.tol!r}")
         for key in ("T", "T_phi"):
-            value = getattr(self, key)
-            if not (_is_real(value) and 0 < value < np.inf):
-                raise ValueError(f"{key} must be a positive finite number, got {value!r}")
+            check_positive(key, getattr(self, key))
 
 
 @dataclass
@@ -176,6 +186,11 @@ class BranchingPosterior:
     def weights(self, name: str) -> np.ndarray:
         """Responsibilities at the data locations of component mu or phi."""
         return self.background if name == "mu" else self.parent
+
+    def log_normalizer(self) -> float:
+        """sum_i log normalizer_i, the data term of both objectives: EM's log intensity at each event, and VI's
+        sum w log numerator minus sum w log w, as each event's responsibilities w = numerator / normalizer sum to 1."""
+        return float(np.sum(np.log(self.normalizer)))
 
 
 def normalize_branching(bg_numer, pair_numer, child, n_events) -> BranchingPosterior:

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .fitbase import REPORT_GRID, FitReport
+from .kernels import MIN_EXPONENT
 from .process import EventSequence, RateFunctions, as_sequences, trigger_support
 
 _BOUNDS = ((1e-8, 1e4), (1e-8, 0.999), (1e-4, 1e3))  # mu, rho, beta
@@ -66,12 +67,13 @@ def _layout(windows) -> tuple:
 def _nll_grad(mu: float, alpha: float, beta: float, layout: tuple):
     """Negative log likelihood of the windows of a ``_layout`` and its (mu, alpha, beta) gradient; (inf, 0)
     where an intensity at an event is not positive. a_i and b_i = d a_i / d beta sum the pairs of i's block,
-    then add the carry from the block before: a and b at its last event, from one Python step per block."""
+    then add the carry from the block before: a and b at its last event, from one Python step per block.
+    Exponents are floored at MIN_EXPONENT, as in the kernel rows: exp that underflows runs a slow path."""
     lag, gap, carry, slots, to_end, exposure = layout
-    pair = np.exp(-beta * lag)
+    pair, decay, w = (np.exp(np.maximum(-beta * x, MIN_EXPONENT)) for x in (lag, gap, to_end))
     a, b = np.zeros(gap.shape), np.zeros(gap.shape)
     a[:, 1:], b[:, 1:] = (np.add.reduceat(x, _FIRST_PAIR, axis=1) for x in (pair, -lag * pair))
-    decay = carry * np.exp(-beta * gap)
+    decay *= carry
     carried, acc_a, acc_b = [], 0.0, 0.0
     for a_l, b_l, g, d in zip(*(v[:, -1].tolist() for v in (a, b, decay, gap))):
         carried.append((acc_a, acc_b))
@@ -82,7 +84,7 @@ def _nll_grad(mu: float, alpha: float, beta: float, layout: tuple):
     lam = mu + alpha * a
     if not np.all(lam > 0.0):
         return math.inf, np.zeros(3)
-    inv, w = 1.0 / lam, np.exp(-beta * to_end)
+    inv = 1.0 / lam
     tail = float(np.sum(1.0 - w))
     s_alpha, s_beta, s_w = (float(np.einsum("i,i->", x, y)) for x, y in ((a, inv), (b, inv), (to_end, w)))
     value = mu * exposure + alpha / beta * tail - float(np.sum(np.log(lam)))
@@ -142,14 +144,8 @@ def fit_mle(
     t_start = time.perf_counter()
     seqs = as_sequences(seqs)
     layout = _layout([(s.times, 0.0, s.T) for s in seqs])
-    t_window = seqs[0].T
-    n_total = sum(len(s) for s in seqs)
-    rate_hat = max(n_total / (len(seqs) * t_window), 1e-3)
-    starts = [
-        (0.5 * rate_hat, 0.5, 1.0),
-        (0.9 * rate_hat, 0.1, 2.0),
-        (0.3 * rate_hat, 0.7, 0.5),
-    ]
+    rate_hat = max(sum(len(s) for s in seqs) / layout[-1], 1e-3)  # events over the summed window lengths
+    starts = [(0.5 * rate_hat, 0.5, 1.0), (0.9 * rate_hat, 0.1, 2.0), (0.3 * rate_hat, 0.7, 0.5)]
     best = None
     warnings: list[str] = []
     for k, x0 in enumerate(starts):
@@ -167,7 +163,7 @@ def fit_mle(
             best = res
     mu, rho, beta = best.x
     params = ExpHawkesParams(float(mu), float(rho * beta), float(beta))
-    grid_mu = np.linspace(0.0, t_window, REPORT_GRID)
+    grid_mu = np.linspace(0.0, max(s.T for s in seqs), REPORT_GRID)
     grid_phi = np.linspace(0.0, t_phi_report, REPORT_GRID)
     rates = model_rates(params, t_phi_report)
     report = FitReport(

@@ -9,14 +9,18 @@ and every expectation that touches omega collapses onto pg_mean.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 _SMALL_C = 1e-4
 
 
 def sigmoid(z):
-    """Logistic function, overflow-safe for any real input."""
-    return expit(np.asarray(z, dtype=float))
+    """Logistic function 1/(1 + exp(-z)) on numpy's vectorized exp in one buffer, scipy.special's formula
+    for it; exp(-z) overflows to inf below z = -709.78, where sigma is 0 as in scipy."""
+    z = np.asarray(z, dtype=float)
+    out = np.negative(z, out=np.empty(z.shape))
+    with np.errstate(over="ignore", under="ignore"):
+        np.divide(1.0, np.add(np.exp(out, out=out), 1.0, out=out), out=out)
+    return float(out) if out.ndim == 0 else out
 
 
 def pg_mean(c):

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
-from scipy.special import expit
+
+from .pg import sigmoid
 
 DEFAULT_GH_ORDER = 30
 # (largest variance, Gauss-Hermite order) steps of ``hermite_order``
@@ -133,7 +134,7 @@ def expected_sigmoid_moments(mean, var, n: int):
     m2 = np.empty(mean.shape[0], dtype=float)
     for start in range(0, mean.shape[0], _GH_CHUNK):
         sl = slice(start, start + _GH_CHUNK)
-        s = expit(mean[sl, None] + sd[sl, None] * z)
+        s = sigmoid(mean[sl, None] + sd[sl, None] * z)
         m1[sl] = s @ w
         m2[sl] = (s * s) @ w
     return m1, m2

@@ -13,13 +13,16 @@ latent-Poisson and branching updates, its one M-step the Gamma counts and the
 Gaussian update. VI supplies its link (``project``: q(f) projected once per
 sweep, with its PG tilts c = sqrt(mean^2 + var)), its monitor and the install
 of an M-step update as q(lambda*) = Gamma(count, exposure) and q(u) = N(mean,
-cov) (``vi_gp_update``). The link and the monitor use the bound
-log sigma(c) + (mean - c)/2 on E[log sigma(f)], the Jaakkola-Jordan tangent at
-its optimal c, so no quadrature runs in the sweep. The monitor is the
-PG-augmented evidence lower bound without its constants: with q(omega) and the
-marked-Poisson factor at their optimal forms, their KL terms fold into that
-bound and into the node weights r minus E[lambda*]*exposure. Every VI step,
-the theta refresh included, ascends this one bound.
+cov) (``vi_gp_update``). Its link, like EM's, is (numerator, tilt) over x, the
+numerator exp(E[log lambda*] + bound) with the bound log sigma(c) + (mean - c)/2
+on E[log sigma(f)], the Jaakkola-Jordan tangent at its optimal c, so no
+quadrature runs in the sweep. The monitor is the PG-augmented evidence lower
+bound without its constants: with q(omega) and the marked-Poisson factor at
+their optimal forms, their KL terms fold into that bound and into the node
+weights r minus E[lambda*]*exposure. Its data term, sum w log numerator minus
+the branching entropy sum w log w, is EM's sum_i log normalizer_i
+(``BranchingPosterior.log_normalizer``), since each event's responsibilities
+sum to 1. Every VI step, the theta refresh included, ascends this one bound.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import digamma, gammaln, xlogy
+from scipy.special import digamma, gammaln
 
 from .fitbase import (
     COMPONENTS,
@@ -110,16 +113,16 @@ def _log_sigmoid_bound(mean: np.ndarray, tilt: np.ndarray) -> np.ndarray:
 
 def project(model: ViModel, caches: dict[str, ComponentCache]) -> dict[str, tuple]:
     """The E-step link of each component's q over its point set x at its PG tilts
-    c = sqrt(mean^2 + var): (lambda~ e^{bound(+-mean, c)}, c), + at its data points and -
-    at its quadrature nodes, with lambda~ = exp E[log lambda*] and ``bound`` the bound on
-    E[log sigma]; last, that bound at the data points, which the monitor reads."""
+    c = sqrt(mean^2 + var): (exp(E[log lambda*] + bound(+-mean, c)), c), + at its data points
+    and - at its quadrature nodes, with ``bound`` the bound on E[log sigma]."""
     links = {}
     for name in COMPONENTS:
         comp, cache = getattr(model, name), caches[name]
         mean, var = cache.project_meanvar(comp.gp.mean, comp.gp.cov)
         tilt = np.sqrt(mean * mean + var)
         bound = _log_sigmoid_bound(cache.sign * mean, tilt)
-        links[name] = (np.exp(comp.lam.mean_log()) * np.exp(bound), tilt, bound[:cache.points.size])
+        bound += comp.lam.mean_log()
+        links[name] = (np.exp(bound, out=bound), tilt)
     return links
 
 
@@ -148,21 +151,17 @@ def _gamma_elbo_term(factor: GammaFactor) -> float:
 
 
 def vi_monitor(model: ViModel, links: dict[str, tuple], expectations, caches) -> float:
-    """PG-augmented evidence lower bound at the current factors, without its constants, from their
-    ``project`` links and the (weights r, responsibilities) of an E-step (``fitbase.estep``): the
-    thinned points add their weights r at the nodes minus E[lambda*] times the exposure."""
+    """PG-augmented evidence lower bound at the current factors, without its constants, from the
+    (weights r, responsibilities) of the E-step at their ``project`` links (``fitbase.estep``): the data
+    points add the responsibilities' ``log_normalizer``, the thinned points their weights r at the nodes
+    minus E[lambda*] times the exposure."""
     r, branching = expectations
-    comps = {n: getattr(model, n) for n in COMPONENTS}
-    value = 0.0
+    value = branching.log_normalizer()
     for n in COMPONENTS:
-        weights = branching.weights(n)
-        value += float(np.einsum("p,p->", weights, comps[n].lam.mean_log() + links[n][2]))
-        value -= float(np.sum(xlogy(weights, weights)))
-    for n in COMPONENTS:
-        value += float(np.sum(r[n][caches[n].points.size:])) - comps[n].lam.mean() * caches[n].exposure
-    for n in COMPONENTS:
-        value -= _gaussian_kl(comps[n].gp, caches[n].gm)
-    return value + sum(_gamma_elbo_term(comps[n].lam) for n in COMPONENTS)
+        comp, cache = getattr(model, n), caches[n]
+        value += float(np.sum(r[n][cache.points.size:])) - comp.lam.mean() * cache.exposure
+        value += _gamma_elbo_term(comp.lam) - _gaussian_kl(comp.gp, cache.gm)
+    return value
 
 
 def init_vi_model(data: Dataset, caches: dict[str, ComponentCache]) -> ViModel:

@@ -469,6 +469,24 @@ def test_bench_writes_timing_table(tmp_path):
     assert all(float(row.split(",")[1]) > 0.0 for row in lines[1:])
 
 
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("simulate", {"preset": "case1", "n_train": -1}, "n_train must be an integer >= 0, got -1"),
+        ("simulate", {"preset": "case1", "T": 1e400}, "T must be a positive finite number, got inf"),
+        ("bench", {"method": "em", "sizes": [50], "iters": True}, "iters must be an integer >= 1, got True"),
+        ("bench", {"method": "em", "sizes": [50], "S_mu": 1}, "S_mu must be an integer >= 2, got 1"),
+    ],
+)
+def test_cli_and_fit_config_share_one_wording_per_rule(tmp_path, capsys, command, payload, message):
+    """The CLI's own integers and windows and FitConfig's fields go through the same checks
+    (fitbase.check_int and check_positive), so each rule has one message."""
+    rc, out = run(tmp_path, command, payload, "x")
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_bench_rejects_bad_sizes(tmp_path):
     for bad in ("nope", [], [5], [100.5]):
         rc, _ = run(tmp_path, "bench", {"method": "em", "sizes": bad}, "b", config_name=f"c{len(str(bad))}.json")

@@ -10,7 +10,11 @@ cli._Parser.error, called by argparse), are exempt. Matching is by name, so
 a definition that shares its name with a used one passes too.
 
 Every small Cholesky solve in src/sgp_hawkes goes through kernels.chol_solve,
-so the package reaches none of scipy.linalg's solve wrappers.
+so the package reaches none of scipy.linalg's solve wrappers. Likewise the
+package reaches neither scipy.special's expit nor xlogy: sigma is pg.sigmoid
+on numpy's vectorized exp (expit, one element at a time, costs 2.5 to 4 times
+as much), and both objectives' data term is BranchingPosterior.log_normalizer,
+which needs no branching entropy.
 
 Every name a module of src/sgp_hawkes imports is read in that module, listed in
 its ``__all__``, or sits on an import line marked ``# noqa: F401`` (a re-export);
@@ -37,6 +41,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sgp_hawkes"
 LISTS = ("TARGETS", "__all__")  # assignments whose strings name what they reach
 SCIPY_SOLVES = {"cho_solve", "cho_factor", "solve_triangular"}
+SCIPY_ELEMENTWISE = {"expit", "xlogy"}
 
 
 def references() -> tuple[set[str], set[str]]:
@@ -91,15 +96,26 @@ def test_every_definition_has_a_caller_outside_the_tests():
     assert not orphans, f"referenced only from tests/ or nowhere; move to tests or delete: {orphans}"
 
 
-def test_src_solves_only_through_the_one_helper():
+def scipy_uses(module: str, names: set[str]) -> list[str]:
+    """``file: name`` of every import of ``names`` from ``module`` in the package and every attribute so named."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.linalg"):
-                found += [f"{path.name}: {a.name}" for a in node.names if a.name in SCIPY_SOLVES]
-            elif isinstance(node, ast.Attribute) and node.attr in SCIPY_SOLVES:
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(module):
+                found += [f"{path.name}: {a.name}" for a in node.names if a.name in names]
+            elif isinstance(node, ast.Attribute) and node.attr in names:
                 found.append(f"{path.name}: .{node.attr}")
+    return found
+
+
+def test_src_solves_only_through_the_one_helper():
+    found = scipy_uses("scipy.linalg", SCIPY_SOLVES)
     assert not found, f"solve through kernels.chol_solve, not scipy.linalg: {found}"
+
+
+def test_src_uses_neither_expit_nor_xlogy():
+    found = scipy_uses("scipy.special", SCIPY_ELEMENTWISE)
+    assert not found, f"use pg.sigmoid and BranchingPosterior.log_normalizer, not scipy.special: {found}"
 
 
 def unused_imports() -> list[str]:

@@ -250,6 +250,20 @@ def test_model_rates_closed_form_integrals():
     assert rates.T_phi == 10.0
 
 
+def test_fit_does_not_depend_on_the_order_of_the_windows():
+    """Poisson windows of T = 10 (10 events) and T = 1000 (1000 events) fitted in both orders: the start
+    rate is the events over the summed window lengths and the report's mu grid spans the longest window,
+    so both orders reach the same parameters, to L-BFGS-B's tolerance, and the same grid_mu. Started
+    from the first window's rate, the orders ended at beta = 1.8e-3 and 0.239 on these windows."""
+    rng = np.random.default_rng(0)
+    short = EventSequence(np.sort(rng.uniform(0.0, 10.0, 10)), 10.0)
+    long = EventSequence(np.sort(rng.uniform(0.0, 1000.0, 1000)), 1000.0)
+    (p1, r1), (p2, r2) = fit_mle([short, long], 6.0), fit_mle([long, short], 6.0)
+    np.testing.assert_allclose([p1.mu, p1.alpha, p1.beta], [p2.mu, p2.alpha, p2.beta], rtol=1e-6)
+    np.testing.assert_array_equal(r1.grid_mu, r2.grid_mu)
+    assert r1.grid_mu[-1] == 1000.0
+
+
 def test_fit_report_shape(small_case1_seqs):
     params, report = fit_mle(small_case1_seqs, t_phi_report=6.0)
     assert report.method == "mle"
