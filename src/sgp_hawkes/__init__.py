@@ -8,9 +8,9 @@ exponential-kernel baseline; the evaluation module scores held-out data and
 runs time-rescaling goodness-of-fit checks.
 """
 
-from .em import EmModel, fit_em
+from .em import fit_em
 from .evaluation import RescaledSample, est_err, ks_statistic, rescale, test_ll
-from .fitbase import FitConfig, FitReport
+from .fitbase import FitConfig, FitReport, SgpModel
 from .kernels import InducingGrid, KernelHyperparams, uniform_inducing_grid
 from .mle import ExpHawkesParams, exp_hawkes_nll, fit_mle
 from .process import (
@@ -22,12 +22,11 @@ from .process import (
     simulate_thinning,
 )
 from .serialize import load_model, rates_for_eval, save_model
-from .vi import ViModel, fit_vi
+from .vi import fit_vi
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EmModel",
     "EventSequence",
     "ExpHawkesParams",
     "FitConfig",
@@ -36,7 +35,7 @@ __all__ = [
     "KernelHyperparams",
     "RateFunctions",
     "RescaledSample",
-    "ViModel",
+    "SgpModel",
     "case1_rates",
     "case2_rates",
     "est_err",

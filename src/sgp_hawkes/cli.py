@@ -77,7 +77,7 @@ def _load_config(args) -> dict:
     if not path.exists():
         raise ValueError(f"config file not found: {path}")
     try:
-        config = load_json(path)
+        config = load_json(path, finite=False)
     except ValueError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):

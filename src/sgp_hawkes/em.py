@@ -7,11 +7,13 @@ and then maximizes the expected complete-data objective jointly over the
 rate bounds lambda* and the inducing values u of both components, with the
 RKHS penalty 0.5 u^T K^{-1} u per component.
 
-The sweep is fitbase.run_sweeps, shared with VI. EM supplies its link
-(``project``, from the point estimate), its penalized log posterior and the
-install of an M-step update: lambda* = count / exposure and u = mean, the
-point maximizer. The E-step and M-step functions named here (``estep_pg``,
-``estep_latent_rate``, ``estep_branching``, ``mstep``) are fitbase's, re-exported.
+The sweep is fitbase.run_sweeps, shared with VI, and so is the model:
+fitbase's SgpModel at a point estimate, each component's cov None and its
+lambda* a float. EM supplies its link (``project``, from the point
+estimate), its penalized log posterior and the install of an M-step update:
+lambda* = count / exposure and u = mean, the point maximizer. The E-step and
+M-step functions named here (``estep_pg``, ``estep_latent_rate``,
+``estep_branching``, ``mstep``) are fitbase's, re-exported.
 
 Multi-sequence input is treated as i.i.d. replicate windows: Dirac statistics
 pool over all sequences, and the quadrature node weights carry the number of
@@ -20,74 +22,41 @@ windows (baseline) or the total event count (trigger).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
-from .fitbase import (
-    COMPONENTS,
-    ComponentCache,
-    Dataset,
-    FitConfig,
-    FitReport,
-    component_rate,
-    model_rates,
-    run_sweeps,
-)
+from .fitbase import COMPONENTS, ComponentCache, Dataset, FitConfig, FitReport, SgpComponent, SgpModel, run_sweeps
 # re-exports: perfbench pins the E-step and M-step here and rebinds assemble_system
 from .fitbase import assemble_system, estep_branching, estep_latent_rate, estep_pg, mstep  # noqa: F401
-from .kernels import GramMatrix, InducingGrid, KernelHyperparams
+from .kernels import GramMatrix
 from .pg import sigmoid
 from .process import EventSequence
 
 
-@dataclass(frozen=True)
-class SgpComponent:
-    """One sigmoid-GP rate component: rate(x) = lambda_star * sigma(f(x))."""
-
-    lambda_star: float
-    grid: InducingGrid
-    u: np.ndarray
-    hp: KernelHyperparams
-
-    def rate(self, t_phi: float | None = None):
-        """Shape-preserving x -> lambda* sigma(f(x)), zero outside (0, t_phi] if given."""
-        return component_rate(self.grid, self.hp, self.u, None, lambda f: self.lambda_star * sigmoid(f), t_phi)
-
-
-@dataclass(frozen=True)
-class EmModel:
-    mu: SgpComponent
-    phi: SgpComponent
-    T: float
-    T_phi: float
-
-
-def init_model(data: Dataset, caches: dict[str, ComponentCache]) -> EmModel:
+def init_model(data: Dataset, caches: dict[str, ComponentCache]) -> SgpModel:
     """Flat start: u = 0 and lambda* sized so mu ~ N/T and int phi ~ 0.5."""
-    lam_mu = 2.0 * data.n_events / (data.n_sequences * data.T)
-    lam_mu = max(lam_mu, 1e-8)  # keep the intensity positive for empty data
-    lam_phi = 1.0 / data.T_phi
-    mu = SgpComponent(lam_mu, caches["mu"].grid, np.zeros(caches["mu"].grid.count), caches["mu"].hp)
-    phi = SgpComponent(lam_phi, caches["phi"].grid, np.zeros(caches["phi"].grid.count), caches["phi"].hp)
-    return EmModel(mu=mu, phi=phi, T=data.T, T_phi=data.T_phi)
+    # mu's floor keeps the intensity positive for empty data
+    lams = {"mu": max(2.0 * data.n_events / (data.n_sequences * data.T), 1e-8), "phi": 1.0 / data.T_phi}
+    comps = {n: SgpComponent(c.grid, c.hp, np.zeros(c.grid.count), None, lams[n]) for n, c in caches.items()}
+    return SgpModel(**comps, T=data.T, T_phi=data.T_phi)
 
 
-def project(model: EmModel, caches: dict[str, ComponentCache]) -> dict[str, tuple]:
+def project(model: SgpModel, caches: dict[str, ComponentCache]) -> dict[str, tuple]:
     """The E-step link of each component at the point estimate f over its point set x:
     (lambda* sigma(+-f), f), + at its data points and - at its quadrature nodes."""
     links = {}
     for n in COMPONENTS:
         comp, cache = getattr(model, n), caches[n]
-        f = cache.project_mean(comp.u)
+        f = cache.project_mean(comp.mean)
         links[n] = (comp.lambda_star * sigmoid(cache.sign * f), f)
     return links
 
 
 def penalty(comp: SgpComponent, gm: GramMatrix) -> float:
     """RKHS penalty 0.5 u^T K^{-1} u of one component."""
-    half = gm.half_solve(comp.u)
+    half = gm.half_solve(comp.mean)
     return 0.5 * float(half @ half)
 
 
@@ -112,19 +81,12 @@ class _EmEngine:
 
     def install(self, model, name, hp, count, exposure, mean, cov):
         """The point maximizer lambda* = count / exposure and u = mean; the covariance is never formed."""
-        comp = replace(getattr(model, name), lambda_star=max(count / exposure, 1e-300), u=mean, hp=hp)
+        comp = replace(getattr(model, name), lambda_star=max(count / exposure, 1e-300), mean=mean, hp=hp)
         return replace(model, **{name: comp})
-
-    def gaussian(self, model, name):
-        return getattr(model, name).u, None
-
-    def estimates(self, model, grids):
-        rates = model_rates(model)
-        return {f"{n}_hat": np.asarray(getattr(rates, n)(grids[n]), dtype=float) for n in COMPONENTS}
 
 
 def fit_em(
     seqs: EventSequence | Sequence[EventSequence], config: FitConfig
-) -> tuple[EmModel, FitReport]:
+) -> tuple[SgpModel, FitReport]:
     """Run EM to convergence of the penalized objective (see fitbase.run_sweeps)."""
     return run_sweeps(_EmEngine(), seqs, config)

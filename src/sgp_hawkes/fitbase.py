@@ -10,9 +10,10 @@ the one M-step (``mstep``: the lambda* counts and the Gaussian update of each
 active component) and the kernel-hyperparameter refresh, which re-solves the
 Gaussian update from that sweep's statistics. The refresh maximizes the
 engine's own objective over theta with the Gaussian factor of the inducing
-values held fixed, a point mass for EM and q(u) = N(m, cov) for VI. An engine
-keeps only what tells the two apart: its link, its objective and how it
-installs an M-step update into its model.
+values held fixed, a point mass for EM and q(u) = N(m, cov) for VI. Both fit
+one model type, ``SgpModel``, whose rates and report estimates all come from
+one function, ``rate_moments``. An engine keeps only what tells the two apart:
+its link, its objective and how it installs an M-step update into its model.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+from scipy.special import digamma
 
 from .kernels import (
     JITTER,
@@ -40,9 +42,9 @@ from .kernels import (
     se_cross,
     uniform_inducing_grid,
 )
-from .pg import pg_mean
+from .pg import pg_mean, sigmoid
 from .process import EventSequence, RateFunctions, admissible_pairs, as_sequences, trigger_support
-from .quadrature import QuadratureGrid, gauss_legendre
+from .quadrature import QuadratureGrid, expected_sigmoid_moments, gauss_legendre, hermite_order
 
 _SEARCH_BINS = 2048
 _COARSE_THETA1 = 15  # log-spaced theta1 values of the theta search's bracketing grid
@@ -286,19 +288,87 @@ class ComponentCache:
         return np.einsum("s,sp->p", alpha, self.k), np.maximum(np.einsum("m,mp->p", w, self.band), 0.0)
 
 
-def component_rate(grid: InducingGrid, hp: KernelHyperparams, mean, cov, link, t_phi: float | None = None):
-    """Shape-preserving x -> link(gp_projector output at x), zero outside (0, t_phi] if given."""
-    project = gp_projector(gram(grid, hp), mean, cov)
+@dataclass(frozen=True)
+class GammaFactor:
+    """q(lambda*) = Gamma(alpha, beta) with rate parametrization E = alpha/beta."""
 
-    def rate(x):
+    alpha: float
+    beta: float
+
+    def __post_init__(self):
+        if not (self.alpha > 0 and np.isfinite(self.alpha) and self.beta > 0 and np.isfinite(self.beta)):
+            raise ValueError(f"Gamma factor parameters must be positive finite, got {self}")
+
+    def mean(self) -> float:
+        return self.alpha / self.beta
+
+    def mean_log(self) -> float:
+        return float(digamma(self.alpha)) - np.log(self.beta)
+
+
+@dataclass(frozen=True)
+class SgpComponent:
+    """One sigmoid-GP rate component, rate(x) = lambda* sigma(f(x)) with f(x) = k(x, grid) K^{-1} u: EM's point
+    estimate (u = mean, cov None, the rate bound lambda* a float) or VI's factors q(u) = N(mean, cov) and
+    q(lambda*) a GammaFactor."""
+
+    grid: InducingGrid
+    hp: KernelHyperparams
+    mean: np.ndarray
+    cov: np.ndarray | None
+    lambda_star: float | GammaFactor
+
+    def __post_init__(self):
+        s = self.grid.count
+        if np.shape(self.mean) != (s,):
+            raise ValueError(f"{s} inducing points but inducing values of shape {np.shape(self.mean)}")
+        if self.cov is not None and np.shape(self.cov) != (s, s):
+            raise ValueError(f"{s} inducing points but a covariance of shape {np.shape(self.cov)}")
+        if (self.cov is None) == isinstance(self.lambda_star, GammaFactor):
+            raise ValueError("a component holds a covariance and a GammaFactor (VI) or neither (EM)")
+
+    def rate(self, t_phi: float | None = None):
+        """Shape-preserving x -> E[rate(x)] (``rate_moments``), zero outside (0, t_phi] if given."""
+        moments = rate_moments(self, t_phi)
+        return lambda x: moments(x)[0]
+
+
+@dataclass(frozen=True)
+class SgpModel:
+    """A fitted EM or VI model: its baseline and trigger components on the windows T and T_phi."""
+
+    mu: SgpComponent
+    phi: SgpComponent
+    T: float
+    T_phi: float
+
+
+def rate_moments(comp: SgpComponent, t_phi: float | None = None):
+    """Shape-preserving x -> (E[rate(x)], E[rate(x)^2]) of one component, zero outside (0, t_phi] if given:
+    (lambda* sigma(f), None) at EM's point estimate, and under VI's factors E[lambda*] E[sigma(f)] and
+    E[lambda*^2] E[sigma(f)^2], with E[lambda*^2] = alpha (alpha + 1) / beta^2 and the sigma moments by
+    Gauss-Hermite at ``hermite_order``."""
+    project = gp_projector(gram(comp.grid, comp.hp), comp.mean, comp.cov)
+    lam = comp.lambda_star
+
+    def moments(x):
         x = np.asarray(x, dtype=float)
-        out = link(project(se_cross(x.ravel(), grid.points, hp))).reshape(x.shape)
-        return out if t_phi is None else np.where(trigger_support(x, t_phi), out, 0.0)
+        f = project(se_cross(x.ravel(), comp.grid.points, comp.hp))
+        if comp.cov is None:
+            out = [lam * sigmoid(f)]
+        else:
+            s1, s2 = expected_sigmoid_moments(*f, hermite_order(f[1]))
+            out = [lam.mean() * s1, lam.alpha * (lam.alpha + 1.0) / lam.beta**2 * s2]
+        out = [m.reshape(x.shape) for m in out]
+        if t_phi is not None:
+            inside = trigger_support(x, t_phi)
+            out = [np.where(inside, m, 0.0) for m in out]
+        return out[0], (out[1] if len(out) > 1 else None)
 
-    return rate
+    return moments
 
 
-def model_rates(model) -> RateFunctions:
+def model_rates(model: SgpModel) -> RateFunctions:
     """Rate functions of a fitted EM or VI model, each component through its own ``rate``."""
     return RateFunctions(mu=model.mu.rate(), phi=model.phi.rate(model.T_phi), T_phi=model.T_phi)
 
@@ -573,16 +643,17 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
     (0: never) and projects the new model once, for its E-step and objective.
     The PG means of an E-step are computed when the next sweep starts, so the
     final model gets none. It stops when the relative objective change falls
-    below config.tol, or after config.max_iter sweeps. The engine supplies
-    ``kind``, ``label`` and six hooks: ``init(data, caches)``;
-    ``project(model, caches)``, the link of each component (see ``estep``);
-    ``objective(model, links, expectations, caches)``, with
-    ``expectations`` the E-step at those links (``estep``);
-    ``install(model, name, hp, count, exposure, mean, cov)``, which puts one
-    component's M-step update into the model, cov() forming its covariance;
-    ``gaussian(model, name)``, the factor (mean, cov) of the inducing values
-    that the theta search holds fixed (cov None for EM's point estimate); and
-    ``estimates(model, grids)``, the report's rates.
+    below config.tol, or after config.max_iter sweeps. The model is an
+    ``SgpModel`` for both engines; the theta search holds each component's
+    (mean, cov) fixed (cov None for EM's point estimate), and the report's
+    estimates and, for VI, their standard deviations come from
+    ``rate_moments``. The engine supplies ``kind``, ``label`` and four hooks:
+    ``init(data, caches)``; ``project(model, caches)``, the link of each
+    component (see ``estep``); ``objective(model, links, expectations,
+    caches)``, with ``expectations`` the E-step at those links (``estep``);
+    and ``install(model, name, hp, count, exposure, mean, cov)``, which puts
+    one component's M-step update into the model, cov() forming its
+    covariance.
     """
     t_start = time.perf_counter()
     data = build_dataset(seqs, config.T_phi)
@@ -605,7 +676,8 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
             record = {"iteration": iteration}
             for name, (stats, count, exposure, _, _) in updates.items():
                 incumbent = caches[name].hp
-                hp, accepted = search_theta(stats, caches, name, engine.gaussian(model, name))
+                comp = getattr(model, name)
+                hp, accepted = search_theta(stats, caches, name, (comp.mean, comp.cov))
                 if hp != incumbent:
                     model = engine.install(model, name, hp, count, exposure, *gaussian_update(stats, caches[name]))
                 record[name] = {"theta0": hp.theta0, "theta1": hp.theta1, "accepted": accepted}
@@ -631,7 +703,13 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
             converged = True
             break
 
-    grids = {name: np.linspace(0.0, data.component(name)[2], REPORT_GRID) for name in COMPONENTS}
+    grids, estimates = {}, {}
+    for name in COMPONENTS:
+        grids[name] = np.linspace(0.0, data.component(name)[2], REPORT_GRID)
+        m1, m2 = rate_moments(getattr(model, name), model.T_phi if name == "phi" else None)(grids[name])
+        estimates[f"{name}_hat"] = m1
+        if m2 is not None:
+            estimates[f"{name}_std"] = np.sqrt(np.maximum(m2 - m1 * m1, 0.0))
     return model, FitReport(
         method=engine.kind,
         converged=converged,
@@ -642,5 +720,5 @@ def run_sweeps(engine, seqs: EventSequence | Sequence[EventSequence], config: Fi
         warnings=warnings,
         grid_mu=grids["mu"],
         grid_phi=grids["phi"],
-        **engine.estimates(model, grids),
+        **estimates,
     )

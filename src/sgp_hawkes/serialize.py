@@ -13,12 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from . import mle
-from .em import EmModel, SgpComponent
-from .fitbase import COMPONENTS, model_rates
+from .fitbase import COMPONENTS, GammaFactor, SgpComponent, SgpModel, model_rates
 from .kernels import InducingGrid, KernelHyperparams
 from .mle import ExpHawkesParams
 from .process import RateFunctions, tabulate
-from .vi import GammaFactor, GaussianFactor, ViComponent, ViModel
 
 
 def _emit(obj, level: int):
@@ -72,8 +70,14 @@ def save_json(path, obj) -> None:
     Path(path).write_text(dumps_json(obj) + "\n")
 
 
-def load_json(path):
-    return json.loads(Path(path).read_text())
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a finite number")
+
+
+def load_json(path, finite: bool = True):
+    """The JSON value in ``path``. If ``finite``, as for the files this module writes, a ValueError on the NaN,
+    Infinity and -Infinity tokens that json accepts; a CLI config keeps them for its own checks, which name the key."""
+    return json.loads(Path(path).read_text(), parse_constant=_reject_constant if finite else None)
 
 
 def write_manifest(path, T: float, T_phi: float, **extra) -> None:
@@ -98,32 +102,35 @@ def read_manifest(path) -> dict:
 # Model <-> dict
 
 
-_SGP_MODELS = {"em": EmModel, "vi": ViModel}
-_MODEL_KEYS = {"mle": ("mu", "alpha", "beta"), **{m: ("T", "T_phi", *COMPONENTS) for m in _SGP_MODELS}}
+_MODEL_KEYS = {"mle": ("mu", "alpha", "beta"), **{m: ("T", "T_phi", *COMPONENTS) for m in ("em", "vi")}}
 
 
-def _component_dict(comp: SgpComponent | ViComponent) -> dict:
-    if isinstance(comp, SgpComponent):
-        head, values = {"lambda_star": comp.lambda_star}, {"u": comp.u}
+def _component_dict(comp: SgpComponent) -> dict:
+    """EM's lambda* and u, or VI's Gamma (alpha, beta) and Gaussian (mean, cov), around the grid."""
+    if comp.cov is None:
+        head, values = {"lambda_star": comp.lambda_star}, {"u": comp.mean}
     else:
-        head = {"alpha": comp.lam.alpha, "beta": comp.lam.beta}
-        values = {"mean": comp.gp.mean, "cov": comp.gp.cov}
+        head = {"alpha": comp.lambda_star.alpha, "beta": comp.lambda_star.beta}
+        values = {"mean": comp.mean, "cov": comp.cov}
     grid = {"inducing_points": comp.grid.points, "domain": comp.grid.domain}
     return {**head, **grid, **values, "theta0": comp.hp.theta0, "theta1": comp.hp.theta1}
 
 
-def _component_from_dict(method: str, d: dict) -> SgpComponent | ViComponent:
-    grid = InducingGrid(np.asarray(d["inducing_points"], dtype=float), float(d["domain"]))
-    hp = KernelHyperparams(float(d["theta0"]), float(d["theta1"]))
-    if method == "em":
-        return SgpComponent(float(d["lambda_star"]), grid, np.asarray(d["u"], dtype=float), hp)
-    gp = GaussianFactor(np.asarray(d["mean"], dtype=float), np.asarray(d["cov"], dtype=float))
-    return ViComponent(gp, GammaFactor(float(d["alpha"]), float(d["beta"])), grid, hp)
+def _component_from_dict(method: str, name: str, d: dict) -> SgpComponent:
+    try:
+        grid = InducingGrid(np.asarray(d["inducing_points"], dtype=float), float(d["domain"]))
+        hp = KernelHyperparams(float(d["theta0"]), float(d["theta1"]))
+        if method == "em":
+            return SgpComponent(grid, hp, np.asarray(d["u"], dtype=float), None, float(d["lambda_star"]))
+        lam = GammaFactor(float(d["alpha"]), float(d["beta"]))
+        return SgpComponent(grid, hp, np.asarray(d["mean"], dtype=float), np.asarray(d["cov"], dtype=float), lam)
+    except ValueError as exc:
+        raise ValueError(f"component {name}: {exc}") from None
 
 
 def model_to_dict(model) -> dict:
-    if isinstance(model, (EmModel, ViModel)):
-        method = "em" if isinstance(model, EmModel) else "vi"
+    if isinstance(model, SgpModel):
+        method = "em" if model.mu.cov is None else "vi"
         components = {n: _component_dict(getattr(model, n)) for n in COMPONENTS}
         return {"method": method, "T": model.T, "T_phi": model.T_phi, **components}
     if isinstance(model, ExpHawkesParams):
@@ -138,9 +145,9 @@ def model_from_dict(data: dict):
     missing = [key for key in _MODEL_KEYS.get(method, ()) if key not in data]
     if missing:
         raise ValueError(f"{method} model lacks keys {', '.join(missing)}")
-    if method in _SGP_MODELS:
-        components = {n: _component_from_dict(method, data[n]) for n in COMPONENTS}
-        return _SGP_MODELS[method](**components, T=float(data["T"]), T_phi=float(data["T_phi"]))
+    if method in ("em", "vi"):
+        components = {n: _component_from_dict(method, n, data[n]) for n in COMPONENTS}
+        return SgpModel(**components, T=float(data["T"]), T_phi=float(data["T_phi"]))
     if method == "mle":
         return ExpHawkesParams(float(data["mu"]), float(data["alpha"]), float(data["beta"]))
     raise ValueError(f"unknown model method {method!r}")
@@ -163,7 +170,7 @@ def rates_for_eval(model, t_phi: float | None = None) -> RateFunctions:
     must be given (pass the holdout window length to keep its compensator
     effectively untruncated).
     """
-    if isinstance(model, (EmModel, ViModel)):
+    if isinstance(model, SgpModel):
         return tabulate(model_rates(model), model.T)
     if isinstance(model, ExpHawkesParams):
         if t_phi is None:

@@ -33,7 +33,7 @@ from sgp_hawkes.em import (
 )
 from sgp_hawkes.evaluation import RescaledSample, ks_statistic, rescale
 from sgp_hawkes.evaluation import test_ll as held_out_ll
-from sgp_hawkes.fitbase import build_caches, build_dataset, estep
+from sgp_hawkes.fitbase import GammaFactor, build_caches, build_dataset, estep
 from sgp_hawkes.kernels import InducingGrid, KernelHyperparams, gram, se_cross
 from sgp_hawkes.mle import ExpHawkesParams, _window_nll_grad, exp_hawkes_nll
 from sgp_hawkes.pg import pg_mean
@@ -47,7 +47,7 @@ from sgp_hawkes.process import (
 )
 from sgp_hawkes.quadrature import gauss_legendre
 from sgp_hawkes.serialize import load_model, rates_for_eval
-from sgp_hawkes.vi import GammaFactor, _ViEngine
+from sgp_hawkes.vi import _ViEngine
 from sgp_hawkes.vi import project as vi_project
 
 EULER_GAMMA = 0.5772156649015328606
@@ -215,8 +215,9 @@ def test_criterion_4_monotone_traces_and_pure_updates():
         return new
 
     m1, m2 = vi_mstep(), vi_mstep()
-    gaps.append(max(abs(m1.mu.lam.alpha - m2.mu.lam.alpha), abs(m1.phi.lam.beta - m2.phi.lam.beta)))
-    gaps.append(max(np.max(np.abs(m1.mu.gp.mean - m2.mu.gp.mean)), np.max(np.abs(m1.phi.gp.cov - m2.phi.gp.cov))))
+    lams = m1.mu.lambda_star, m2.mu.lambda_star, m1.phi.lambda_star, m2.phi.lambda_star
+    gaps.append(max(abs(lams[0].alpha - lams[1].alpha), abs(lams[2].beta - lams[3].beta)))
+    gaps.append(max(np.max(np.abs(m1.mu.mean - m2.mu.mean)), np.max(np.abs(m1.phi.cov - m2.phi.cov))))
     worst = max(gaps)
     parts.append(worst <= 1e-12)
     detail.append(f"update re-run gap={worst:.2e}")
@@ -319,7 +320,7 @@ def test_criterion_6_oracle_equivalence(sparse_mean):
         caches["mu"].quad,
         caches["mu"],
     )
-    gap_em = np.max(np.abs(new.mu.u - want_u))
+    gap_em = np.max(np.abs(new.mu.mean - want_u))
     parts.append(gap_em < 1e-8)
     detail.append(f"em dense {gap_em:.1e}")
 
@@ -355,7 +356,7 @@ def test_criterion_6_oracle_equivalence(sparse_mean):
 
     def dense_eval(comp, pts):
         k = se_cross(np.asarray(pts, dtype=float), comp.grid.points, comp.hp)
-        return k @ np.linalg.solve(gram(comp.grid, comp.hp).values, comp.u)
+        return k @ np.linalg.solve(gram(comp.grid, comp.hp).values, comp.mean)
 
     gap_br = 0.0
     bg_numer = model8.mu.lambda_star * expit(dense_eval(model8.mu, times))

@@ -12,11 +12,10 @@ import pytest
 import sgp_hawkes
 from sgp_hawkes import cli, fitbase
 from sgp_hawkes.cli import _load_split, main
-from sgp_hawkes.fitbase import build_dataset
-from sgp_hawkes.em import EmModel, SgpComponent
+from sgp_hawkes.fitbase import SgpComponent, SgpModel, build_dataset
 from sgp_hawkes.kernels import KernelHyperparams, uniform_inducing_grid
 from sgp_hawkes.process import write_csv
-from sgp_hawkes.serialize import save_model, write_manifest
+from sgp_hawkes.serialize import dumps_json, model_to_dict, save_model, write_manifest
 from sgp_hawkes.mle import ExpHawkesParams
 
 
@@ -371,10 +370,10 @@ def test_eval_empty_holdout(tmp_path):
 def test_eval_rate_table_miss_exits_2(tmp_path, sim_dir, capsys):
     # length scale 1e-3: no spline table within the size cap meets its tolerance
     def comp(span):
-        return SgpComponent(2.0, uniform_inducing_grid(10, span), np.full(10, 3.0), KernelHyperparams(1.0, 1e6))
+        return SgpComponent(uniform_inducing_grid(10, span), KernelHyperparams(1.0, 1e6), np.full(10, 3.0), None, 2.0)
 
     model_path = tmp_path / "model.json"
-    save_model(model_path, EmModel(mu=comp(100.0), phi=comp(6.0), T=100.0, T_phi=6.0))
+    save_model(model_path, SgpModel(mu=comp(100.0), phi=comp(6.0), T=100.0, T_phi=6.0))
     rc, _ = run(tmp_path, "eval", {"model": str(model_path), "data": str(sim_dir)}, "e")
     assert rc == 2
     assert "misses its tolerance" in capsys.readouterr().err
@@ -516,12 +515,32 @@ def test_gh_order_is_an_unknown_key(tmp_path, sim_dir, capsys, command):
 TABLES = {"mu_t": [0.0, 10.0], "mu_value": [1.0, 1.0], "phi_tau": [0.0, 1.0], "phi_value": [0.1, 0.1]}
 
 
+def spoiled_model(path, spoil):
+    """An EM model file on the simulated windows (5 inducing points per component), its dict changed by ``spoil``
+    and written by Python's json, which writes NaN and Infinity as bare tokens."""
+
+    def comp(span):
+        return SgpComponent(uniform_inducing_grid(5, span), KernelHyperparams(1.0, 0.1), np.zeros(5), None, 2.0)
+
+    model = json.loads(dumps_json(model_to_dict(SgpModel(mu=comp(100.0), phi=comp(6.0), T=100.0, T_phi=6.0))))
+    spoil(model)
+    path.write_text(json.dumps(model))
+
+
+SPOILED_MODELS = {  # file name -> change of a valid model's dict
+    "short-u.json": lambda d: d["mu"].update(u=d["mu"]["u"][:3]),  # 3 values for 5 inducing points
+    "nan-lambda.json": lambda d: d["mu"].update(lambda_star=float("nan")),
+}
+
+
 @pytest.mark.parametrize(
     "command, payload",
     [
         ("fit", {"method": "em", "data": "SIM", "tol": -1}),
         ("fit", {"method": "em", "data": "no-such-dir"}),
         ("eval", {"model": "no-such-model.json", "data": "SIM"}),
+        ("eval", {"model": "short-u.json", "data": "SIM"}),
+        ("eval", {"model": "nan-lambda.json", "data": "SIM"}),
         ("bench", {"method": "em", "sizes": [50], "S_mu": 0}),
         ("simulate", {"preset": "case1", "T": -5}),
         ("simulate", {"preset": "case2", "T": 0}),
@@ -537,7 +556,8 @@ TABLES = {"mu_t": [0.0, 10.0], "mu_value": [1.0, 1.0], "phi_tau": [0.0, 1.0], "p
                      ' "T": 10, "T_phi": 1}'),
     ],
     ids=[
-        "fit-tol", "fit-missing-data", "eval-missing-model", "bench-S_mu", "simulate-T-negative", "simulate-T-zero",
+        "fit-tol", "fit-missing-data", "eval-missing-model", "eval-short-u", "eval-nan-lambda", "bench-S_mu",
+        "simulate-T-negative", "simulate-T-zero",
         "simulate-T-string", "simulate-T-overflow", "simulate-T_phi-negative", "simulate-T_phi-string",
         "simulate-T_phi-missing", "simulate-mu_value-NaN", "simulate-phi_value-Infinity",
     ],
@@ -545,11 +565,25 @@ TABLES = {"mu_t": [0.0, 10.0], "mu_value": [1.0, 1.0], "phi_tau": [0.0, 1.0], "p
 def test_rejected_config_creates_no_output_directory(tmp_path, sim_dir, command, payload):
     # every check runs before --out is created, so a run that exits 1 leaves nothing behind
     paths = {"SIM": str(sim_dir)}
+    if isinstance(payload, dict) and payload.get("model") in SPOILED_MODELS:
+        spoiled_model(tmp_path / payload["model"], SPOILED_MODELS[payload["model"]])
     if isinstance(payload, dict):
         payload = {k: paths.get(v, str(tmp_path / v)) if k in ("data", "model") else v for k, v in payload.items()}
     rc, out = run(tmp_path, command, payload, "out")
     assert rc == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [("short-u.json", "component mu: 5 inducing points but inducing values of shape (3,)"),
+     ("nan-lambda.json", "NaN is not a finite number\n")],
+)
+def test_eval_names_the_fault_of_a_model_file(tmp_path, sim_dir, capsys, name, fault):
+    spoiled_model(tmp_path / name, SPOILED_MODELS[name])
+    rc, out = run(tmp_path, "eval", {"model": str(tmp_path / name), "data": str(sim_dir)}, "out")
+    assert rc == 1 and not out.exists()
+    assert f"error: model file {tmp_path / name}: {fault}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

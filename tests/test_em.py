@@ -9,8 +9,6 @@ from scipy.special import expit
 
 from sgp_hawkes import FitConfig, fit_em, fitbase
 from sgp_hawkes.em import (
-    EmModel,
-    SgpComponent,
     _EmEngine,
     estep_branching,
     estep_latent_rate,
@@ -20,7 +18,7 @@ from sgp_hawkes.em import (
     penalty,
     project,
 )
-from sgp_hawkes.fitbase import COMPONENTS, build_caches, build_dataset, model_rates
+from sgp_hawkes.fitbase import COMPONENTS, SgpComponent, SgpModel, build_caches, build_dataset, model_rates
 from sgp_hawkes.fitbase import estep as fitbase_estep
 from sgp_hawkes.kernels import (
     InducingGrid,
@@ -88,8 +86,8 @@ def test_estep_pg_single_inducing_point_closed_form():
     cache_mu = caches["mu"].__class__.build(data.events, grid, hp, caches["mu"].quad)
     jitter_factor = cache_mu.gm.values[0, 0]  # 1 + jitter
     model = init_model(data, caches)
-    comp = SgpComponent(model.mu.lambda_star, grid, np.array([2.0 * jitter_factor]), hp)
-    model = EmModel(mu=comp, phi=model.phi, T=model.T, T_phi=model.T_phi)
+    comp = SgpComponent(grid, hp, np.array([2.0 * jitter_factor]), None, model.mu.lambda_star)
+    model = SgpModel(mu=comp, phi=model.phi, T=model.T, T_phi=model.T_phi)
     pg = estep_pg(project(model, {"mu": cache_mu, "phi": caches["phi"]}))
     assert pg["mu"][0] == pytest.approx(np.tanh(1.0) / 4.0, abs=1e-15)
 
@@ -100,7 +98,7 @@ def test_latent_rate_constant_function():
     data = build_dataset(seqs, 2.0)
     caches = build_caches(data, config)
     model = init_model(data, caches)
-    comp = SgpComponent(2.0, model.mu.grid, np.zeros(model.mu.grid.count), model.mu.hp)
+    comp = SgpComponent(model.mu.grid, model.mu.hp, np.zeros(model.mu.grid.count), None, 2.0)
     marginal, mass = latent_mu(model, comp, caches)
     np.testing.assert_allclose(marginal, 1.0, rtol=1e-13)  # 2 * sigmoid(0) * pg-free
     assert mass == pytest.approx(10.0, rel=1e-13)
@@ -113,7 +111,7 @@ def test_latent_rate_saturated_function_vanishes():
     caches = build_caches(data, config)
     model = init_model(data, caches)
     # coefficients that push the projection far positive across the domain
-    comp = SgpComponent(5.0, model.mu.grid, 30.0 * np.ones(model.mu.grid.count), model.mu.hp)
+    comp = SgpComponent(model.mu.grid, model.mu.hp, 30.0 * np.ones(model.mu.grid.count), None, 5.0)
     _, mass = latent_mu(model, comp, caches)
     assert mass < 1e-3
 
@@ -125,7 +123,7 @@ def test_latent_rate_mass_matches_dense_trapezoid(rng):
     caches = build_caches(data, config)
     model = init_model(data, caches)
     u = rng.normal(0.0, 1.0, model.mu.grid.count)
-    comp = SgpComponent(2.3, model.mu.grid, u, model.mu.hp)
+    comp = SgpComponent(model.mu.grid, model.mu.hp, u, None, 2.3)
     _, mass = latent_mu(model, comp, caches)
     gm = gram(comp.grid, comp.hp)
     dense = np.linspace(0.0, 100.0, 100_001)
@@ -152,9 +150,9 @@ def test_branching_symmetric_two_event_case():
     data = build_dataset(seqs, 2.0)
     caches = build_caches(data, config)
     model = init_model(data, caches)
-    mu = SgpComponent(0.7, model.mu.grid, np.zeros(model.mu.grid.count), model.mu.hp)
-    phi = SgpComponent(0.7, model.phi.grid, np.zeros(model.phi.grid.count), model.phi.hp)
-    model = EmModel(mu=mu, phi=phi, T=10.0, T_phi=2.0)
+    mu = SgpComponent(model.mu.grid, model.mu.hp, np.zeros(model.mu.grid.count), None, 0.7)
+    phi = SgpComponent(model.phi.grid, model.phi.hp, np.zeros(model.phi.grid.count), None, 0.7)
+    model = SgpModel(mu=mu, phi=phi, T=10.0, T_phi=2.0)
     br = estep_branching(project(model, caches), data)
     assert br.background[1] == pytest.approx(0.5, abs=1e-15)
     assert br.parent[0] == pytest.approx(0.5, abs=1e-15)
@@ -172,7 +170,7 @@ def test_branching_matches_bruteforce_enumeration(rng):
     def dense_eval(comp, x):
         k_x = se_cross(np.asarray(x), comp.grid.points, comp.hp)
         gm = gram(comp.grid, comp.hp)
-        return k_x @ np.linalg.solve(gm.values, comp.u)
+        return k_x @ np.linalg.solve(gm.values, comp.mean)
 
     bg_numer = model.mu.lambda_star * expit(dense_eval(model.mu, times))
     for i in range(8):
@@ -220,8 +218,8 @@ def test_mstep_zero_events_keeps_zero_coefficients():
     # the right-hand side is not identically zero: the thinned-point linear
     # term -1/2 int Lambda k survives, but it scales with the empty-data
     # initialization lambda* ~ 1e-8, so the coefficients stay at that level
-    np.testing.assert_allclose(new.mu.u, 0.0, atol=1e-6)
-    np.testing.assert_array_equal(new.phi.u, model.phi.u)
+    np.testing.assert_allclose(new.mu.mean, 0.0, atol=1e-6)
+    np.testing.assert_array_equal(new.phi.mean, model.phi.mean)
     assert new.mu.lambda_star == pytest.approx(lam0 / 2.0, rel=1e-12)
     assert new.phi.lambda_star == model.phi.lambda_star
 
@@ -251,7 +249,7 @@ def test_mstep_matches_dense_assembly_small_grid(rng):
     a_pt = pg["mu"][:p] * br.background
     b_pt = 0.5 * br.background
     quad = cache.quad
-    f_q = cache.project_mean(model.mu.u)[p:]
+    f_q = cache.project_mean(model.mu.mean)[p:]
     pg_q = np.where(
         np.abs(f_q) < 1e-4, 0.25 - f_q**2 / 48.0, np.tanh(f_q / 2.0) / (2.0 * f_q)
     )
@@ -270,7 +268,7 @@ def test_mstep_matches_dense_assembly_small_grid(rng):
         c_dense += w * b * k
     gm = gram(grid, hp)
     want_u = gm.values @ np.linalg.solve(u_dense + gm.values, c_dense)
-    np.testing.assert_allclose(new.mu.u, want_u, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(new.mu.mean, want_u, rtol=0, atol=1e-8)
 
 
 def test_penalty_zero_for_zero_coefficients():
@@ -335,8 +333,8 @@ def test_objective_penalizes_large_coefficients(rng, em_objective):
     config = FitConfig(T=10.0, T_phi=2.0)
     model, data, caches = em_state(seqs, config, n_iter=2)
     base = em_objective(model, seqs)
-    blown = EmModel(
-        mu=SgpComponent(model.mu.lambda_star, model.mu.grid, model.mu.u * 1e3, model.mu.hp),
+    blown = SgpModel(
+        mu=SgpComponent(model.mu.grid, model.mu.hp, model.mu.mean * 1e3, None, model.mu.lambda_star),
         phi=model.phi,
         T=model.T,
         T_phi=model.T_phi,
@@ -360,7 +358,7 @@ def test_fit_em_zero_event_input():
     model, report = fit_em(seqs, config)
     assert np.isfinite(report.objective_trace).all()
     assert model.phi.lambda_star == pytest.approx(1.0 / 3.0, rel=1e-12)
-    np.testing.assert_array_equal(model.phi.u, np.zeros(model.phi.grid.count))
+    np.testing.assert_array_equal(model.phi.mean, np.zeros(model.phi.grid.count))
     assert 0 < model.mu.lambda_star < 1e-2  # halves every iteration toward 0
 
 

@@ -18,7 +18,10 @@ which needs no branching entropy.
 
 Every name a module of src/sgp_hawkes imports is read in that module, listed in
 its ``__all__``, or sits on an import line marked ``# noqa: F401`` (a re-export);
-``from __future__`` imports are exempt.
+``from __future__`` imports are exempt. Every such re-export ``module.name`` is
+pinned by the benchmark: a ``(module, name, ...)`` tuple of perfbench's
+``TARGETS`` or the text ``module.name`` in perfbench/**/*.py, so none outlives
+its pin.
 
 Importing the package and every module of it leaves scipy.stats unloaded: its
 import costs each process about 20 MB and 0.3 s, and nothing here needs it.
@@ -141,6 +144,37 @@ def unused_imports() -> list[str]:
 def test_every_import_is_used():
     unused = unused_imports()
     assert not unused, f"imported but never read; delete, or mark a re-export '# noqa: F401': {unused}"
+
+
+def reexports() -> list[str]:
+    """``module.name`` of every name bound on an import line of the package marked ``# noqa: F401``."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source, filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                marked = [a for a in node.names if "# noqa: F401" in lines[a.lineno - 1]]
+                out += [f"{path.stem}.{(a.asname or a.name).split('.')[0]}" for a in marked]
+    return out
+
+
+def benchmark_pins() -> set[str]:
+    """``module.name`` of each (module, name, ...) tuple of perfbench's ``TARGETS``."""
+    pins = set()
+    for node in ast.walk(ast.parse((ROOT / "perfbench" / "layers.py").read_text())):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
+            for row in node.value.elts:
+                pins.add(".".join(c.value for c in row.elts[:2]))
+    return pins
+
+
+def test_every_reexport_is_pinned_by_the_benchmark():
+    text = "\n".join(path.read_text() for path in sorted((ROOT / "perfbench").rglob("*.py")))
+    pins = benchmark_pins()
+    assert "em.estep_pg" in pins and "vi.posterior_bands" in pins  # the parse found the table
+    stale = [name for name in reexports() if name not in pins and not re.search(rf"\b{re.escape(name)}\b", text)]
+    assert not stale, f"re-exported under '# noqa: F401' but pinned nowhere in perfbench/; delete: {stale}"
 
 
 def test_importing_the_package_leaves_scipy_stats_unloaded():

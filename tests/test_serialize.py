@@ -9,9 +9,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sgp_hawkes import FitConfig, fit_em, fit_vi, rescale, simulate_thinning
-from sgp_hawkes.em import EmModel, SgpComponent
 from sgp_hawkes.evaluation import test_ll as held_out_ll
-from sgp_hawkes.fitbase import FitReport, model_rates
+from sgp_hawkes.fitbase import FitReport, GammaFactor, SgpComponent, SgpModel, model_rates
 from sgp_hawkes.kernels import InducingGrid, KernelHyperparams, gram, uniform_inducing_grid
 from sgp_hawkes.mle import ExpHawkesParams, model_rates as mle_rates
 from sgp_hawkes.process import CASE_T, CASE_T_PHI, case1_rates, case2_rates
@@ -27,7 +26,6 @@ from sgp_hawkes.serialize import (
     save_json,
     save_model,
 )
-from sgp_hawkes.vi import GammaFactor, GaussianFactor, ViComponent, ViModel
 
 AWKWARD_FLOATS = [
     np.pi,
@@ -63,6 +61,15 @@ def test_rejects_non_finite_and_unknown_types():
         dumps_json({1: "non-string key"})
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_load_json_rejects_the_non_finite_tokens_of_pythons_json(tmp_path, token):
+    path = tmp_path / "x.json"
+    path.write_text(f'{{"x": [1.0, {token}]}}')
+    with pytest.raises(ValueError, match=f"^{token} is not a finite number$"):
+        load_json(path)
+    assert not np.isfinite(load_json(path, finite=False)["x"][1])  # a CLI config's own checks name the key
+
+
 def test_nested_structures_parse_back():
     obj = {
         "arr": np.array([[1.5, 2.5], [3.5, 4.5]]),
@@ -92,11 +99,12 @@ def em_model_fixture(rng):
         return SgpComponent(
             lambda_star=float(rng.uniform(1.0, 4.0)),
             grid=grid,
-            u=rng.normal(size=s),
+            mean=rng.normal(size=s),
             hp=KernelHyperparams(1.0, float(rng.uniform(0.01, 0.2))),
+            cov=None,
         )
 
-    return EmModel(mu=comp(20.0, 7), phi=comp(4.0, 5), T=20.0, T_phi=4.0)
+    return SgpModel(mu=comp(20.0, 7), phi=comp(4.0, 5), T=20.0, T_phi=4.0)
 
 
 def test_em_model_round_trip(tmp_path, rng):
@@ -104,9 +112,9 @@ def test_em_model_round_trip(tmp_path, rng):
     path = tmp_path / "em.json"
     save_model(path, model)
     back = load_model(path)
-    assert isinstance(back, EmModel)
+    assert isinstance(back, SgpModel) and back.mu.cov is None
     assert back.mu.lambda_star == model.mu.lambda_star
-    np.testing.assert_array_equal(back.mu.u, model.mu.u)
+    np.testing.assert_array_equal(back.mu.mean, model.mu.mean)
     np.testing.assert_array_equal(back.phi.grid.points, model.phi.grid.points)
     assert back.phi.hp.theta1 == model.phi.hp.theta1
     t = np.linspace(0.0, 20.0, 61)
@@ -120,9 +128,9 @@ def vi_model_fixture(rng):
         grid = InducingGrid(np.linspace(0.0, span, s), span)
         hp = KernelHyperparams(1.0, 0.08)
         cov = gram(grid, hp).values  # any SPD matrix works here
-        return ViComponent(GaussianFactor(rng.normal(size=s), cov), GammaFactor(3.2, 1.1), grid, hp)
+        return SgpComponent(grid, hp, rng.normal(size=s), cov, GammaFactor(3.2, 1.1))
 
-    return ViModel(mu=comp(15.0, 6), phi=comp(3.0, 4), T=15.0, T_phi=3.0)
+    return SgpModel(mu=comp(15.0, 6), phi=comp(3.0, 4), T=15.0, T_phi=3.0)
 
 
 def test_vi_model_round_trip(tmp_path, rng):
@@ -130,10 +138,10 @@ def test_vi_model_round_trip(tmp_path, rng):
     path = tmp_path / "vi.json"
     save_model(path, model)
     back = load_model(path)
-    assert isinstance(back, ViModel)
-    np.testing.assert_array_equal(back.mu.gp.mean, model.mu.gp.mean)
-    np.testing.assert_array_equal(back.phi.gp.cov, model.phi.gp.cov)
-    assert back.mu.lam.alpha == 3.2 and back.phi.lam.beta == 1.1
+    assert isinstance(back, SgpModel) and back.mu.cov is not None
+    np.testing.assert_array_equal(back.mu.mean, model.mu.mean)
+    np.testing.assert_array_equal(back.phi.cov, model.phi.cov)
+    assert back.mu.lambda_star.alpha == 3.2 and back.phi.lambda_star.beta == 1.1
     t = np.linspace(0.0, 15.0, 31)
     np.testing.assert_array_equal(model_rates(back).mu(t), model_rates(model).mu(t))
 
@@ -156,12 +164,12 @@ def any_model(draw):
         grid, hp = InducingGrid(points, domain), KernelHyperparams(draw(POSITIVE), draw(POSITIVE))
         values = np.array(draw(st.lists(FINITE, min_size=points.size, max_size=points.size)))
         if method == "em":
-            comps[name] = SgpComponent(draw(FINITE), grid, values, hp)
+            comps[name] = SgpComponent(grid, hp, values, None, draw(FINITE))
         else:
             cov = np.array(draw(st.lists(FINITE, min_size=points.size**2, max_size=points.size**2)))
-            gp = GaussianFactor(values, cov.reshape(points.size, points.size))
-            comps[name] = ViComponent(gp, GammaFactor(draw(POSITIVE), draw(POSITIVE)), grid, hp)
-    return (EmModel if method == "em" else ViModel)(**comps, T=windows["mu"], T_phi=windows["phi"])
+            lam = GammaFactor(draw(POSITIVE), draw(POSITIVE))
+            comps[name] = SgpComponent(grid, hp, values, cov.reshape(points.size, points.size), lam)
+    return SgpModel(**comps, T=windows["mu"], T_phi=windows["phi"])
 
 
 def float_bits(d: dict) -> np.ndarray:
@@ -175,11 +183,13 @@ def float_bits(d: dict) -> np.ndarray:
     return np.array(flat, dtype=np.int64)
 
 
-NEGATIVE_ZEROS = SgpComponent(-0.0, InducingGrid(np.array([0.0, 1.0]), 1.0), np.array([-0.0, 0.0]), KernelHyperparams(1.0, 1.0))
+NEGATIVE_ZEROS = SgpComponent(
+    InducingGrid(np.array([0.0, 1.0]), 1.0), KernelHyperparams(1.0, 1.0), np.array([-0.0, 0.0]), None, -0.0
+)
 
 
 @given(any_model())
-@example(EmModel(mu=NEGATIVE_ZEROS, phi=NEGATIVE_ZEROS, T=1.0, T_phi=1.0))
+@example(SgpModel(mu=NEGATIVE_ZEROS, phi=NEGATIVE_ZEROS, T=1.0, T_phi=1.0))
 def test_any_model_round_trips_byte_for_byte(tmp_path_factory, model):
     """save_model -> load_model gives the same type and the same float64 bits,
     signs of zeros included, and saving the loaded model writes the same bytes."""
@@ -234,9 +244,9 @@ def em_model(u, theta1=None):
 
     def comp(span):
         grid = uniform_inducing_grid(u.size, span)
-        return SgpComponent(2.0, grid, u, KernelHyperparams(1.0, theta1 or 1.0 / grid.spacing**2))
+        return SgpComponent(grid, KernelHyperparams(1.0, theta1 or 1.0 / grid.spacing**2), u, None, 2.0)
 
-    return EmModel(mu=comp(CASE_T), phi=comp(CASE_T_PHI), T=CASE_T, T_phi=CASE_T_PHI)
+    return SgpModel(mu=comp(CASE_T), phi=comp(CASE_T_PHI), T=CASE_T, T_phi=CASE_T_PHI)
 
 
 @pytest.mark.parametrize(

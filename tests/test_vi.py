@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from scipy.special import digamma, expit, gammaln, log_expit, xlogy
 
 from sgp_hawkes import FitConfig, case1_rates, case2_rates, fit_em, fit_vi, simulate_thinning
-from sgp_hawkes.em import EmModel, SgpComponent, _EmEngine
+from sgp_hawkes.em import _EmEngine
 from sgp_hawkes.em import project as em_project
 from sgp_hawkes.fitbase import (
     COMPONENTS,
+    GammaFactor,
+    SgpComponent,
+    SgpModel,
     build_caches,
     build_dataset,
     estep,
@@ -24,14 +27,10 @@ from sgp_hawkes.fitbase import (
 )
 from sgp_hawkes.kernels import gram, se_cross
 from sgp_hawkes.pg import pg_mean
-from sgp_hawkes.process import EventSequence
+from sgp_hawkes.process import EventSequence, trigger_support
 from sgp_hawkes.quadrature import expected_log_sigmoid, gauss_legendre
 from sgp_hawkes.vi import (
-    GammaFactor,
-    GaussianFactor,
-    ViModel,
     init_vi_model,
-    posterior_bands,
     project,
     vi_monitor,
 )
@@ -88,12 +87,12 @@ def long_form_monitor(model, links, expectations, caches):
     for n in COMPONENTS:
         comp, cache = getattr(model, n), caches[n]
         p = cache.points.size
-        bound = _log_sigmoid_bound(cache.project_meanvar(comp.gp.mean, comp.gp.cov)[0][:p], links[n][1][:p])
+        bound = _log_sigmoid_bound(cache.project_meanvar(comp.mean, comp.cov)[0][:p], links[n][1][:p])
         weights = branching.weights(n)
-        value += float(np.einsum("p,p->", weights, comp.lam.mean_log() + bound))
+        value += float(np.einsum("p,p->", weights, comp.lambda_star.mean_log() + bound))
         value -= float(np.sum(xlogy(weights, weights)))
-        value += float(np.sum(r[n][p:])) - comp.lam.mean() * cache.exposure
-        value += _gamma_elbo_term(comp.lam) - _gaussian_kl(comp.gp, cache.gm)
+        value += float(np.sum(r[n][p:])) - comp.lambda_star.mean() * cache.exposure
+        value += _gamma_elbo_term(comp.lambda_star) - _gaussian_kl(comp, cache.gm)
     return value
 
 
@@ -101,7 +100,7 @@ def collapsed(comp, mean=None, **changes):
     """``comp`` with its Gaussian factor collapsed onto ``mean`` (zeros by default)."""
     count = comp.grid.count
     mean = np.zeros(count) if mean is None else mean
-    return replace(comp, gp=GaussianFactor(mean, 1e-300 * np.eye(count)), **changes)
+    return replace(comp, mean=mean, cov=1e-300 * np.eye(count), **changes)
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +131,7 @@ def test_gamma_factor_validation():
 
 def test_tilt_closed_forms(state):
     model, data, caches = state
-    zero = ViModel(mu=collapsed(model.mu), phi=collapsed(model.phi), T=model.T, T_phi=model.T_phi)
+    zero = SgpModel(mu=collapsed(model.mu), phi=collapsed(model.phi), T=model.T, T_phi=model.T_phi)
     links = project(zero, caches)
     np.testing.assert_allclose(links["mu"][1], 0.0, atol=1e-148)
     # mean 3, variance 4 -> tilt sqrt(13); build via a carefully scaled factor
@@ -145,7 +144,7 @@ def test_poisson_rate_flat_state(state):
     model, data, caches = state
     flat = replace(model, mu=collapsed(model.mu))
     marginal, mass = thinned(vi_estep(flat, data, caches)[1], data, caches, "mu")
-    lam_geo = np.exp(flat.mu.lam.mean_log())
+    lam_geo = np.exp(flat.mu.lambda_star.mean_log())
     np.testing.assert_allclose(marginal, lam_geo / 2.0, rtol=1e-12)
     np.testing.assert_allclose(mass, lam_geo / 2.0 * model.T, rtol=1e-12)
     assert data.n_sequences == 3
@@ -163,7 +162,7 @@ def test_poisson_rate_decreases_with_variance(state):
     gm = caches["mu"].gm
     masses = []
     for scale in (1e-12, 0.25, 1.0, 4.0):
-        m = replace(model, mu=replace(model.mu, gp=GaussianFactor(np.zeros(ngrid), scale * gm.values)))
+        m = replace(model, mu=replace(model.mu, mean=np.zeros(ngrid), cov=scale * gm.values))
         masses.append(thinned(vi_estep(m, data, caches)[1], data, caches, "mu")[1])
     assert np.all(np.diff(masses) < 0)
     # direct scan of the scalar factor
@@ -174,7 +173,7 @@ def test_poisson_rate_decreases_with_variance(state):
 
 def test_poisson_rate_gamma_one_one(state):
     model, data, caches = state
-    m = replace(model, mu=collapsed(model.mu, lam=GammaFactor(1.0, 1.0)))
+    m = replace(model, mu=collapsed(model.mu, lambda_star=GammaFactor(1.0, 1.0)))
     marginal, _ = thinned(vi_estep(m, data, caches)[1], data, caches, "mu")
     want = np.exp(-EULER_GAMMA) / 2.0
     np.testing.assert_allclose(marginal, want, atol=1e-10)
@@ -198,8 +197,8 @@ def test_lambda_update_no_events(uniform_branching):
     r = flat_weights(uniform_branching(data), caches, {"mu": 7.5 / 20.0, "phi": 0.0})  # 7.5 points on [0, 20]
     model = init_vi_model(data, caches)
     new = vi_mstep(model, data, caches, zero_pg(caches), r)
-    assert new.mu.lam.alpha == pytest.approx(7.5)
-    assert new.mu.lam.beta == pytest.approx(20.0)
+    assert new.mu.lambda_star.alpha == pytest.approx(7.5)
+    assert new.mu.lambda_star.beta == pytest.approx(20.0)
     assert new.phi is model.phi  # no events: phi is not updated
 
 
@@ -211,7 +210,7 @@ def test_lambda_update_all_background(uniform_branching):
     r = flat_weights(uniform_branching(data), caches, {"mu": 0.0, "phi": 0.0})
     pg = {"mu": np.full(caches["mu"].x.size, 0.25), "phi": np.zeros(caches["phi"].x.size)}
     new = vi_mstep(init_vi_model(data, caches), data, caches, pg, r)
-    lam_mu, lam_phi = new.mu.lam, new.phi.lam
+    lam_mu, lam_phi = new.mu.lambda_star, new.phi.lambda_star
     assert lam_mu.alpha == pytest.approx(5.0, abs=1e-10)
     assert lam_mu.mean() == pytest.approx(5.0 / 20.0, rel=1e-10)
     # no pairwise evidence: the trigger factor degenerates to the alpha floor,
@@ -229,7 +228,7 @@ def test_gp_update_prior_recovery(state, uniform_branching):
     )
     r = flat_weights(uniform_branching(empty_data), empty_caches, {"mu": 0.0, "phi": 0.0})
     model = init_vi_model(empty_data, empty_caches)
-    gp_mu = vi_mstep(model, empty_data, empty_caches, zero_pg(empty_caches), r).mu.gp
+    gp_mu = vi_mstep(model, empty_data, empty_caches, zero_pg(empty_caches), r).mu
     np.testing.assert_allclose(gp_mu.mean, 0.0, atol=1e-13)
     np.testing.assert_allclose(gp_mu.cov, empty_caches["mu"].gm.values, atol=1e-9)
 
@@ -244,7 +243,7 @@ def test_gp_update_matches_dense_assembly(rng):
     p = data.n_events
     tilts = project(model, caches)["mu"][1]
     pg, r, branching = vi_estep(model, data, caches)
-    gp_mu = vi_mstep(model, data, caches, pg, r).mu.gp
+    gp_mu = vi_mstep(model, data, caches, pg, r).mu
 
     cache = caches["mu"]
 
@@ -279,7 +278,7 @@ def test_gp_update_contracts_prior_covariance(state):
     model, data, caches = state
     pg, r, _ = vi_estep(model, data, caches)
     new = vi_mstep(model, data, caches, pg, r)
-    for factor, cache in ((new.mu.gp, caches["mu"]), (new.phi.gp, caches["phi"])):
+    for factor, cache in ((new.mu, caches["mu"]), (new.phi, caches["phi"])):
         gap = cache.gm.values - factor.cov
         eigs = np.linalg.eigvalsh(0.5 * (gap + gap.T))
         assert eigs.min() > -1e-8
@@ -300,8 +299,8 @@ def test_branching_symmetric_two_event_toy():
     model = init_vi_model(data, caches)
     sym = replace(
         model,
-        mu=collapsed(model.mu, lam=GammaFactor(40.0, 10.0)),
-        phi=collapsed(model.phi, lam=GammaFactor(40.0, 10.0)),
+        mu=collapsed(model.mu, lambda_star=GammaFactor(40.0, 10.0)),
+        phi=collapsed(model.phi, lambda_star=GammaFactor(40.0, 10.0)),
     )
     br = vi_estep(sym, data, caches)[2]
     assert br.background[1] == pytest.approx(0.5, abs=1e-12)
@@ -321,12 +320,12 @@ def test_estep_degenerate_variance_matches_em(state):
     degenerate, points = model, {}
     for n in COMPONENTS:
         comp = getattr(model, n)
-        gp = GaussianFactor(comp.gp.mean, 1e-12 * caches[n].gm.values)
-        degenerate = replace(degenerate, **{n: replace(comp, gp=gp, lam=GammaFactor(big, big / lam_hat[n]))})
-        points[n] = SgpComponent(lam_hat[n], comp.grid, comp.gp.mean, comp.hp)
+        lam = GammaFactor(big, big / lam_hat[n])
+        degenerate = replace(degenerate, **{n: replace(comp, cov=1e-12 * caches[n].gm.values, lambda_star=lam)})
+        points[n] = SgpComponent(comp.grid, comp.hp, comp.mean, None, lam_hat[n])
     vi_links = project(degenerate, caches)
     pg_vi, r_vi, br_vi = full_estep(vi_links, data, caches)
-    em_model = EmModel(**points, T=model.T, T_phi=model.T_phi)
+    em_model = SgpModel(**points, T=model.T, T_phi=model.T_phi)
     em_links = em_project(em_model, caches)
     pg_em, r_em, br_em = full_estep(em_links, data, caches)
     for n in COMPONENTS:
@@ -352,10 +351,10 @@ def test_estep_degenerate_variance_matches_em(state):
         np.testing.assert_allclose(mean_vi, mean_em, rtol=0, atol=1e-8)
         vi_new = _ViEngine().install(vi_new, n, caches[n].hp, *up_vi[n][1:])
         em_new = _EmEngine().install(em_new, n, caches[n].hp, *up_em[n][1:])
-        assert getattr(vi_new, n).lam.mean() == pytest.approx(getattr(em_new, n).lambda_star, rel=1e-8, abs=0)
+        assert getattr(vi_new, n).lambda_star.mean() == pytest.approx(getattr(em_new, n).lambda_star, rel=1e-8, abs=0)
         # one update installed by both engines: the same division, bit for bit
         same = _ViEngine().install(vi_new, n, caches[n].hp, *up_em[n][1:])
-        assert getattr(same, n).lam.mean() == getattr(em_new, n).lambda_star
+        assert getattr(same, n).lambda_star.mean() == getattr(em_new, n).lambda_star
 
 
 def test_single_updates_are_idempotent(state):
@@ -375,11 +374,11 @@ def test_single_updates_are_idempotent(state):
 
     m1 = vi_mstep(model, data, caches, t1, r1)
     m2 = vi_mstep(model, data, caches, t1, r1)
-    assert abs(m1.mu.lam.alpha - m2.mu.lam.alpha) <= 1e-12
-    assert abs(m1.phi.lam.beta - m2.phi.lam.beta) <= 1e-12
+    assert abs(m1.mu.lambda_star.alpha - m2.mu.lambda_star.alpha) <= 1e-12
+    assert abs(m1.phi.lambda_star.beta - m2.phi.lambda_star.beta) <= 1e-12
 
-    assert np.max(np.abs(m1.mu.gp.mean - m2.mu.gp.mean)) <= 1e-12
-    assert np.max(np.abs(m1.phi.gp.cov - m2.phi.gp.cov)) <= 1e-12
+    assert np.max(np.abs(m1.mu.mean - m2.mu.mean)) <= 1e-12
+    assert np.max(np.abs(m1.phi.cov - m2.phi.cov)) <= 1e-12
 
 
 def test_monitor_monotone_and_factors_valid():
@@ -396,9 +395,9 @@ def test_monitor_monotone_and_factors_valid():
     floor = -1e-3 * np.maximum(1.0, np.abs(trace[:-1]))
     assert np.all(diffs >= floor)
     # final factors in valid domains
-    assert model.mu.lam.alpha > 0 and model.mu.lam.beta > 0
-    assert model.phi.lam.alpha > 0 and model.phi.lam.beta > 0
-    np.linalg.cholesky(model.mu.gp.cov + 1e-12 * np.eye(model.mu.grid.count))
+    assert model.mu.lambda_star.alpha > 0 and model.mu.lambda_star.beta > 0
+    assert model.phi.lambda_star.alpha > 0 and model.phi.lambda_star.beta > 0
+    np.linalg.cholesky(model.mu.cov + 1e-12 * np.eye(model.mu.grid.count))
 
 
 @pytest.mark.parametrize("preset", [case1_rates, case2_rates])
@@ -467,8 +466,8 @@ def brute_force_elbo(model, data, caches, background, parent):
         kmat = np.array([[theta0 * np.exp(-0.5 * theta1 * (a - b) ** 2) for b in s_pts] for a in s_pts])
         kmat += 1e-6 * theta0 * np.eye(s_pts.size)
         kinv = np.linalg.inv(kmat)
-        mean_u, cov_u = comp.gp.mean, comp.gp.cov
-        alpha, beta = comp.lam.alpha, comp.lam.beta
+        mean_u, cov_u = comp.mean, comp.cov
+        alpha, beta = comp.lambda_star.alpha, comp.lambda_star.beta
         e_log_lam = digamma(alpha) - np.log(beta)
 
         def moments(x):
@@ -570,8 +569,7 @@ class _PinnedCovariance(_ViEngine):
         model = init_vi_model(data, caches)
         for name in COMPONENTS:
             comp = getattr(model, name)
-            pinned = GaussianFactor(comp.gp.mean, 1e-12 * caches[name].gm.values)
-            model = replace(model, **{name: replace(comp, gp=pinned)})
+            model = replace(model, **{name: replace(comp, cov=1e-12 * caches[name].gm.values)})
         return model
 
     def install(self, model, name, hp, count, exposure, mean, cov):
@@ -593,20 +591,39 @@ def test_fix_variance_trajectory_tracks_em(small_case1_seqs):
         assert rel < 0.05
 
 
+def gauss_hermite_sigmoid_moments(mean, var, order=150):
+    """(E[sigma(f)], E[sigma(f)^2]) for f ~ N(mean, var), elementwise, by an ``order``-node Gauss-Hermite rule."""
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    s = expit(mean[:, None] + np.sqrt(2.0 * var)[:, None] * nodes)
+    return s @ weights / np.sqrt(np.pi), (s * s) @ weights / np.sqrt(np.pi)
+
+
 def test_model_rates_and_bands_consistency(small_case1_seqs):
+    """The report's estimates are the rates that eval scores (``model_rates``), bit for bit, for EM and VI fits.
+    VI's std is sqrt(E[lambda*^2] E[sigma^2] - (E[lambda*] E[sigma])^2), with the sigma moments of a 150-node
+    Gauss-Hermite rule over f's projected marginal from dense solves: its square to 1e-12 of E[rate^2]."""
     config = FitConfig(T=100.0, T_phi=6.0, max_iter=15, hyper_refresh_every=0)
-    model, report = fit_vi(small_case1_seqs, config)
-    rates = model_rates(model)
-    grid_mu = report.grid_mu
-    mean_band, std_band = posterior_bands(model, grid_mu, "mu")
-    np.testing.assert_allclose(rates.mu(grid_mu), mean_band, rtol=1e-10)
-    np.testing.assert_array_equal(report.mu_hat, mean_band)
-    assert np.all(std_band >= 0.0)
-    assert np.all(report.phi_std >= 0.0)
-    # phi support mask
-    assert rates.phi(np.array([-1.0]))[0] == 0.0
-    assert rates.phi(np.array([6.0 + 1e-9]))[0] == 0.0
-    assert rates.phi(np.array([3.0]))[0] > 0.0
+    for fit in (fit_em, fit_vi):
+        model, report = fit(small_case1_seqs, config)
+        rates = model_rates(model)
+        for name in COMPONENTS:
+            grid, std = getattr(report, f"grid_{name}"), getattr(report, f"{name}_std")
+            np.testing.assert_array_equal(getattr(report, f"{name}_hat"), getattr(rates, name)(grid))
+            if fit is fit_em:
+                assert std is None
+                continue
+            comp = getattr(model, name)
+            rows = np.linalg.solve(gram(comp.grid, comp.hp).values, se_cross(grid, comp.grid.points, comp.hp).T).T
+            s1, s2 = gauss_hermite_sigmoid_moments(rows @ comp.mean, np.einsum("ns,ns->n", rows @ comp.cov, rows))
+            alpha, beta = comp.lambda_star.alpha, comp.lambda_star.beta
+            second = alpha * (alpha + 1.0) / beta**2 * s2
+            var = second - (alpha / beta * s1) ** 2
+            inside = trigger_support(grid, model.T_phi) if name == "phi" else True
+            np.testing.assert_allclose(std**2, np.where(inside, var, 0.0), rtol=0, atol=1e-12 * second.max())
+        # phi support mask
+        assert rates.phi(np.array([-1.0]))[0] == 0.0
+        assert rates.phi(np.array([6.0 + 1e-9]))[0] == 0.0
+        assert rates.phi(np.array([3.0]))[0] > 0.0
 
 
 def test_fit_vi_zero_event_input():
@@ -619,12 +636,12 @@ def test_fit_vi_zero_event_input():
     assert len(report.objective_trace) == 5
     data = build_dataset(seqs, 3.0)
     init = init_vi_model(data, build_caches(data, config))
-    np.testing.assert_array_equal(model.phi.gp.mean, init.phi.gp.mean)
-    np.testing.assert_array_equal(model.phi.gp.cov, init.phi.gp.cov)
-    assert model.phi.lam == init.phi.lam
+    np.testing.assert_array_equal(model.phi.mean, init.phi.mean)
+    np.testing.assert_array_equal(model.phi.cov, init.phi.cov)
+    assert model.phi.lambda_star == init.phi.lambda_star
     assert model.phi.hp == init.phi.hp
     assert [sorted(record) for record in report.hyper_history] == [["iteration", "mu"]] * 2
-    assert model.mu.lam.mean() < init.mu.lam.mean()
+    assert model.mu.lambda_star.mean() < init.mu.lambda_star.mean()
 
 
 def test_fit_vi_rejects_mismatched_window(small_case1_seqs):
